@@ -4,18 +4,24 @@ Layer matmuls go through BLAS on both paths; the kernels here cover the
 elementwise-heavy work (activations, softmax cross-entropy, optimizer steps,
 prediction fusion) where loop fusion pays off at small batch sizes.
 
+The numpy optimizer steps (SGD, Adam) update their arrays in place and walk
+the parameter vector in cache-sized blocks, writing every intermediate into
+a small reused scratch buffer instead of allocating parameter-sized
+temporaries. Each element still goes through the same correctly rounded
+operations in the same order as the textbook one-line expression, so the
+results are bit for bit those of that expression.
+
 Backend selection: the environment variable COLEARN_NUMBA set to one of
 "0", "false", "off", "no" forces the numpy path; the default is numba
-whenever it imports. `set_backend()` switches at runtime, which the
-benchmark in bench/bench_kernels.py uses to compare both paths in one
-process. All kernels expect C-contiguous float64 arrays (labels int64);
-reductions accumulate in a fixed order, so results are reproducible
-within a backend.
+whenever it imports. `set_backend()` switches at runtime. All kernels
+expect C-contiguous float64 arrays (labels int64); reductions accumulate in
+a fixed order, so results are reproducible within a backend.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -29,6 +35,15 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # Probabilities are clamped here before log to avoid -inf loss on confident
 # wrong predictions.
 PROB_FLOOR = 1e-12
+
+# Elements per block of the numpy optimizer steps: 512 KB per float64 array,
+# so a block's operands stay in a 2 MB L2 cache between ufunc calls.
+_BLOCK = 65536
+
+# Per-thread scratch of the optimizer steps: two block-sized rows, allocated
+# on a thread's first step and reused by all its later ones. Per thread, so
+# that steps running in different threads never share it.
+_scratch = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +81,50 @@ def _dlogits_numpy(probs, labels):
     return d
 
 
+def _scratch_rows(dtype):
+    buf = getattr(_scratch, "rows", None)
+    if buf is None or buf.dtype != dtype:
+        buf = _scratch.rows = np.empty((2, _BLOCK), dtype)
+    return buf
+
+
 def _sgd_step_numpy(theta, grad, alpha):
-    theta -= alpha * grad
+    # theta -= alpha * grad, one block at a time
+    n = theta.shape[0]
+    tmp = _scratch_rows(theta.dtype)[0]
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        t = tmp[: e - s]
+        np.multiply(alpha, grad[s:e], out=t)
+        theta[s:e] -= t
 
 
 def _adam_step_numpy(theta, grad, m, v, step, alpha, beta1, beta2, eps):
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
+    # theta -= alpha * (m / bc1) / (np.sqrt(v / bc2) + eps) after the moment
+    # updates, one block at a time. Each element meets the same operations in
+    # the same order as in that one-line expression, which keeps the bits.
     bc1 = 1.0 - beta1**step
     bc2 = 1.0 - beta2**step
-    theta -= alpha * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    n = theta.shape[0]
+    rows = _scratch_rows(theta.dtype)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        num, den = rows[0, : e - s], rows[1, : e - s]
+        g, mb, vb = grad[s:e], m[s:e], v[s:e]
+        mb *= beta1
+        np.multiply(1.0 - beta1, g, out=num)
+        mb += num
+        np.square(g, out=num)  # g * g, through the faster one-input loop
+        np.multiply(1.0 - beta2, num, out=num)
+        vb *= beta2
+        vb += num
+        np.divide(mb, bc1, out=num)
+        np.multiply(alpha, num, out=num)
+        np.divide(vb, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        theta[s:e] -= num
 
 
 def _fuse_rows_numpy(stacked, weights):
@@ -250,7 +297,7 @@ def set_backend(name: str) -> None:
 
 
 def backend_impls(name: str) -> dict:
-    """Direct access to one backend's kernel table (used by the benchmark)."""
+    """Direct access to one backend's kernel table (used by the kernel tests)."""
     if name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
     return dict(_BACKENDS[name])

@@ -163,12 +163,18 @@ def collective_round(
     agents: Sequence[AgentState],
     weights: np.ndarray,
     batch_features: np.ndarray,
+    grad_buf: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """One synchronous round: predict, fuse into proxy labels, update.
 
     Every agent predicts with its pre-round parameters; no agent sees a
     neighbor's post-update state within the round. Returns each agent's
     proxy labels for the batch.
+
+    `grad_buf` is a flat scratch vector at least as long as the largest
+    agent's parameters; each agent's gradient is written into its head and
+    consumed by the update before the next agent's. Without it one is
+    allocated for the round.
     """
     n = len(agents)
     if weights.shape != (n, n):
@@ -182,10 +188,18 @@ def collective_round(
         for a in agents
     ]
     labels = [fuse_and_label(messages, weights[i]) for i in range(n)]
+    if grad_buf is None:
+        grad_buf = _grad_buffer(agents)
     for i, agent in enumerate(agents):
-        g = grad(agent.learner.arch, agent.learner.params, batch_features, labels[i])
-        apply_update(agent.learner.rule, agent.learner.params, g)
+        learner = agent.learner
+        g = grad(learner.arch, learner.params, batch_features, labels[i],
+                 out=grad_buf[: learner.params.size])
+        apply_update(learner.rule, learner.params, g)
     return labels
+
+
+def _grad_buffer(agents: Sequence[AgentState]) -> np.ndarray:
+    return np.empty(max(a.learner.params.size for a in agents))
 
 
 def review_step(agent: AgentState, train_set, batch_size: int, seed) -> None:
@@ -255,6 +269,8 @@ def run_collective(
     records: list[MetricsRecord] = []
     proxy_hits = np.zeros(n, dtype=np.int64)
     proxy_seen = 0
+    # one gradient buffer for the whole run, shared by the agents in turn
+    grad_buf = _grad_buffer(agents)
 
     def check_finite(k: int) -> None:
         for a in agents:
@@ -317,7 +333,7 @@ def run_collective(
                 stats["weight_rebuilds"] += 1
 
             batch_x = np.ascontiguousarray(shared_x[idx])
-            labels = collective_round(agents, weights, batch_x)
+            labels = collective_round(agents, weights, batch_x, grad_buf)
 
             truth = true_labels[idx]
             for i in range(n):

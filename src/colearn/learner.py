@@ -137,7 +137,11 @@ def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
 
 
 def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy loss, as a flat vector."""
+    """Exact gradient of the mean cross-entropy loss, as a flat vector.
+
+    With `out` (a flat buffer shaped like theta) the gradient is written
+    there and `out` is returned; otherwise a new vector is allocated.
+    """
     x_mat, _ = _as_matrix(x)
     y = _check_labels(arch, y)
     layers = param_views(arch, theta)
@@ -155,8 +159,8 @@ def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = N
     delta = kernels.dlogits(probs, y)
     for l in range(len(layers) - 1, -1, -1):
         gw, gb = gviews[l]
-        gw[:] = acts[l].T @ delta
-        gb[:] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if l > 0:
             delta = kernels.relu_grad(delta @ layers[l][0].T, acts[l])
     return g

@@ -227,6 +227,26 @@ class TestCollectiveRound:
         assert np.array_equal(labels[0], manual)
         assert np.array_equal(labels[1], manual)
 
+    def test_shared_grad_buffer_matches_fresh_allocation(self):
+        # agents of different sizes take turns in one buffer over two rounds
+        batch = rng_for(8, "shared-buf").standard_normal((5, 4))
+
+        def make_agents():
+            return [
+                AgentState(id=i, learner=Learner.create(Architecture(kind, 4, 3), seed=i))
+                for i, kind in enumerate(("SHL", "HL2", "HL1"))
+            ]
+
+        fresh, shared = make_agents(), make_agents()
+        w = np.full((3, 3), 1.0 / 3.0)
+        buf = np.empty(max(a.learner.params.size for a in shared))
+        for _ in range(2):
+            expected = collective_round(fresh, w, batch)
+            labels = collective_round(shared, w, batch, buf)
+            for a, b, la, lb in zip(fresh, shared, expected, labels):
+                assert np.array_equal(la, lb)
+                assert np.array_equal(a.learner.params, b.learner.params)
+
     def test_class_count_mismatch_rejected(self):
         agents = [
             AgentState(id=0, learner=fixed_vector_predictor([0.5, 0.5])),

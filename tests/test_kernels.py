@@ -1,5 +1,7 @@
 """Backend equivalence and numerical behavior of the hot kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,64 @@ def test_softmax_is_stable_at_large_logits(backend):
     probs = impl(np.array([[1000.0, 0.0], [-1000.0, -1002.0]]))
     assert np.all(np.isfinite(probs))
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+# --- the numpy optimizer steps against their textbook expressions ------------
+
+
+def _adam_textbook(theta, grad, m, v, step, alpha, beta1, beta2, eps):
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    theta -= alpha * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+# below one block, exactly one block, and a ragged multi-block tail
+STEP_SIZES = [1, 1000, kernels._BLOCK, 2 * kernels._BLOCK + 123]
+
+
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_numpy_adam_step_is_textbook_bit_for_bit(n, rng):
+    adam = kernels.backend_impls("numpy")["adam_step"]
+    theta = rng.standard_normal(n)
+    t_ref, m_ref, v_ref = theta.copy(), np.zeros(n), np.zeros(n)
+    t, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+    for step in range(1, 5):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+        _adam_textbook(t_ref, g, m_ref, v_ref, step, 3e-3, 0.9, 0.999, 1e-8)
+        adam(t, g, m, v, step, 3e-3, 0.9, 0.999, 1e-8)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(m, m_ref)
+        assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_numpy_sgd_step_is_textbook_bit_for_bit(n, rng):
+    sgd = kernels.backend_impls("numpy")["sgd_step"]
+    theta = rng.standard_normal(n)
+    ref, got = theta.copy(), theta.copy()
+    for _ in range(3):
+        g = rng.standard_normal(n)
+        ref -= 0.05 * g
+        sgd(got, g, 0.05)
+        assert np.array_equal(ref, got)
+
+
+@pytest.mark.parametrize("name", ["adam_step", "sgd_step"])
+def test_numpy_optimizer_step_allocates_nothing_parameter_sized(name):
+    impl = kernels.backend_impls("numpy")[name]
+    n = 1_000_003
+    theta, g, m, v = np.ones(n), np.full(n, 0.5), np.zeros(n), np.zeros(n)
+    args = (theta, g, m, v, 1, 1e-3, 0.9, 0.999, 1e-8) if name == "adam_step" else (theta, g, 1e-3)
+    # the first step of a thread allocates the block-sized scratch it reuses
+    impl(*args)
+    tracemalloc.start()
+    try:
+        impl(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one parameter-sized float64 temporary is 8 MB

@@ -173,12 +173,27 @@ class TestGrad:
         double = grad(arch, theta, np.stack([x, x]), [1, 1])
         assert np.allclose(single, double, rtol=1e-15, atol=1e-18)
 
+    @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=lambda a: a.kind)
+    def test_out_buffer(self, arch):
+        theta = init_params(arch, seed=3)
+        rng = rng_for(6, "out", arch.kind)
+        x = rng.standard_normal((5, arch.input_dim))
+        y = rng.integers(0, arch.num_classes, size=5)
+        buf = np.full_like(theta, np.nan)
+        assert grad(arch, theta, x, y, out=buf) is buf
+        assert np.array_equal(buf, grad(arch, theta, x, y))
+        for size in (theta.size - 1, theta.size + 1):
+            with pytest.raises(ValueError):
+                grad(arch, theta, x, y, out=np.empty(size))
+
 
 class TestApplyUpdate:
     def test_sgd_exact_step(self):
         theta = np.array([1.0, 1.0])
-        out = apply_update(Sgd(alpha=0.1), theta, np.array([1.0, -1.0]))
+        g = np.array([1.0, -1.0])
+        out = apply_update(Sgd(alpha=0.1), theta, g)
         assert np.allclose(out, [0.9, 1.1])
+        assert np.array_equal(out, np.ones(2) - 0.1 * g)
         assert out is theta  # in-place
 
     def test_sgd_zero_grad_identity(self):
