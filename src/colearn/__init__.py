@@ -17,11 +17,9 @@ from .collective import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, override
 from .data import (
-    Batch,
     Dataset,
     IdxFormatError,
     Partition,
-    batches,
     load_idx,
     make_partition,
     shuffled_batches,

@@ -251,10 +251,11 @@ def run_collective(
 
     refresh_at = config.refresh_periods(n)
     review_at = config.review_periods(n)
-    shared_x = partition.shared.features
+    source_x = partition.source_features
+    shared_idx = partition.shared_indices
     true_labels = partition.shared_true_labels
 
-    n_batches = -(-partition.shared.m // config.collective_batch)
+    n_batches = -(-shared_idx.size // config.collective_batch)
     total = config.epochs_over_shared * n_batches
     if max_iterations is not None:
         total = min(total, max_iterations)
@@ -310,7 +311,7 @@ def run_collective(
         if done:
             break
         order = shuffled_batches(
-            partition.shared.m, config.collective_batch, rng_for(seed, "shared-order", epoch)
+            shared_idx.size, config.collective_batch, rng_for(seed, "shared-order", epoch)
         )
         for idx in order:
             k += 1
@@ -332,7 +333,8 @@ def run_collective(
                 )
                 stats["weight_rebuilds"] += 1
 
-            batch_x = np.ascontiguousarray(shared_x[idx])
+            # gather the batch's pool rows from the source; the pool is never copied whole
+            batch_x = source_x[shared_idx[idx]]
             labels = collective_round(agents, weights, batch_x, grad_buf)
 
             truth = true_labels[idx]

@@ -2,7 +2,9 @@
 
 A partition splits one labeled source corpus into disjoint per-agent
 train/validation sets plus a shared unlabeled pool; the pool's true labels
-are withheld from training and kept only for diagnostics.
+are withheld from training and kept only for diagnostics. The pool is not
+copied: it is a set of row indices into the source's feature matrix, which
+the partition holds by reference without the source's labels.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class Dataset:
         labels = None if self.labels is None else self.labels[indices]
         return Dataset(self.features[indices], labels, self.num_classes)
 
-    def without_labels(self) -> "Dataset":
-        return Dataset(self.features, None, self.num_classes)
-
 
 def _read_exact(f, count: int, path: Path, what: str) -> bytes:
     data = f.read(count)
@@ -84,7 +83,9 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Load an IDX image/label file pair (the Fashion-MNIST wire format).
 
     Pixels are scaled to [0, 1] by dividing by 255; images are flattened
-    row-major to feature vectors.
+    row-major to feature vectors. The decode allocates one float64 matrix,
+    releases the raw pixel bytes and divides in place, so it never holds
+    more than that matrix and the raw bytes at once.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
@@ -113,8 +114,9 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
             )
         raw_labels = _read_exact(f, m_labels, labels_path, "label data")
 
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols)
-    features = features.astype(np.float64) / 255.0
+    features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols).astype(np.float64)
+    del raw
+    features /= 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     return Dataset(features, labels, num_classes)
 
@@ -154,14 +156,17 @@ def synth_blobs(
 class Partition:
     """Per-agent labeled splits plus the shared unlabeled pool and test set.
 
-    `shared` carries no labels; the pool's true labels live only in
+    The pool is `source_features[shared_indices]`: `source_features` is the
+    source corpus's feature matrix itself, shared rather than copied, and the
+    engine gathers one batch of pool rows at a time. It is a bare array, so
+    no label is reachable through it; the pool's true labels live only in
     `shared_true_labels` and are consumed exclusively by the diagnostics
     channel that measures proxy-label correctness.
     """
 
     train: tuple[Dataset, ...]
     val: tuple[Dataset, ...]
-    shared: Dataset
+    source_features: np.ndarray  # (m_source, d), read only through shared_indices
     shared_true_labels: np.ndarray
     test: Dataset
     train_indices: tuple[np.ndarray, ...]
@@ -220,7 +225,7 @@ def make_partition(
     return Partition(
         train=tuple(source.subset(ix) for ix in train_idx),
         val=tuple(source.subset(ix) for ix in val_idx),
-        shared=source.subset(shared_idx).without_labels(),
+        source_features=source.features,
         shared_true_labels=source.labels[shared_idx],
         test=test,
         train_indices=tuple(train_idx),
@@ -241,22 +246,6 @@ def write_manifest(partition: Partition, path) -> None:
         f.write(" ".join(map(str, partition.shared_indices)) + "\n")
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One mini-batch; labels may be true labels or consensus proxies."""
-
-    features: np.ndarray
-    labels: np.ndarray | None
-
-    def __post_init__(self):
-        if self.features.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
 def shuffled_batches(m: int, batch_size: int, seed) -> list[np.ndarray]:
     """Index arrays for one shuffled pass; the final short batch is kept.
 
@@ -269,12 +258,3 @@ def shuffled_batches(m: int, batch_size: int, seed) -> list[np.ndarray]:
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "batch-order")
     perm = rng.permutation(m)
     return [perm[s : s + batch_size] for s in range(0, m, batch_size)]
-
-
-def batches(ds: Dataset, batch_size: int, seed) -> list[Batch]:
-    """One shuffled epoch over a dataset, deterministic in the seed."""
-    out = []
-    for idx in shuffled_batches(ds.m, batch_size, seed):
-        labels = None if ds.labels is None else ds.labels[idx]
-        out.append(Batch(ds.features[idx], labels))
-    return out

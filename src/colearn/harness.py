@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .collective import AgentState, MetricsRecord, RunResult, ScheduleConfig, run_collective
-from .config import ExperimentConfig, IdxSpec, SynthSpec
+from .config import ExperimentConfig, SynthSpec
 from .data import Dataset, Partition, load_idx, make_partition, shuffled_batches, synth_blobs, write_manifest
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
 from .learner import Adam, Architecture, Learner, Sgd, apply_update, grad
@@ -227,12 +227,15 @@ def run_mode(
         records.extend(result.records)
         stats = result.stats
 
-    finals = [a.learner.accuracy(partition.test) for a in agents]
+    # Every mode's last record per agent is taken after its last update
+    # (CL at k == total, ST/FS at step == total), so it already holds the
+    # final test accuracy of the final parameters.
+    last_test = {r.agent: r.test_accuracy for r in records}
     return RunOutput(
         run_index=run_index,
         records=records,
         arch_kinds=[a.learner.arch.kind for a in agents],
-        final_test=finals,
+        final_test=[last_test[a.id] for a in agents],
         stats=stats,
     )
 

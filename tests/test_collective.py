@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from colearn import _kernels as kernels
+from colearn import collective
 from colearn.collective import (
     AgentState,
     RoundMessage,
@@ -16,7 +17,7 @@ from colearn.collective import (
     review_step,
     run_collective,
 )
-from colearn.data import Dataset, Partition, make_partition, synth_blobs
+from colearn.data import Dataset, Partition, make_partition, shuffled_batches, synth_blobs
 from colearn.graph import DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix
 from colearn.learner import Adam, Architecture, Learner, Sgd, forward, init_params, param_count, param_views
 from colearn.seeding import rng_for
@@ -305,7 +306,7 @@ class TestEngine:
         source = synth_blobs(1020, 3, 4, 6.0, seed=0)
         test = synth_blobs(40, 3, 4, 6.0, seed=1)
         part = make_partition(source, 1, 30, 30, seed=0, test=test)
-        assert part.shared.m == 3000
+        assert part.shared_indices.size == 3000
         agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
         config = ScheduleConfig(
             score_refresh_period=100, review_period=300, gamma=1.0,
@@ -320,6 +321,32 @@ class TestEngine:
         # weight matrix rebuilt at each refresh: 900 / 100 events
         assert result.stats["score_refresh_events"] == 9
         assert result.stats["weight_rebuilds"] == 9
+
+    def test_batches_are_gathered_source_rows(self, monkeypatch):
+        source = synth_blobs(60, 3, 4, 6.0, seed=12)
+        part = make_partition(source, 2, 20, 10, seed=13, test=synth_blobs(10, 3, 4, 6.0, 14))
+        seen = []
+        round_fn = collective.collective_round
+
+        def spy(agents, weights, batch_features, grad_buf=None):
+            seen.append(batch_features.copy())
+            return round_fn(agents, weights, batch_features, grad_buf)
+
+        monkeypatch.setattr(collective, "collective_round", spy)
+        agents = [
+            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=i))
+            for i in range(2)
+        ]
+        config = ScheduleConfig(score_refresh_period=5, review_period=7, gamma=1.0,
+                                collective_batch=10, epochs_over_shared=2)
+        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
+                       seed=15, metric_stride=100)
+        order = [idx for e in range(2) for idx in shuffled_batches(
+            part.shared_indices.size, 10, rng_for(15, "shared-order", e))]
+        assert len(seen) == len(order) == 2 * 12
+        for got, idx in zip(seen, order):
+            want = source.features[part.shared_indices[idx]]
+            assert got.tobytes() == want.tobytes()
 
     def test_metric_records_structure(self):
         part = single_agent_partition()
@@ -348,7 +375,7 @@ class TestEngine:
         test = synth_blobs(20, 3, 4, 4.0, seed=13)
         part = Partition(
             train=(train, train), val=(val, val),
-            shared=pool.without_labels(), shared_true_labels=pool.labels,
+            source_features=pool.features, shared_true_labels=pool.labels,
             test=test,
             train_indices=(np.arange(train.m),) * 2,
             val_indices=(np.arange(val.m),) * 2,

@@ -1,5 +1,6 @@
-"""Golden digests: four short blob runs must reproduce their metrics.csv,
-their summary.txt and their agents' final parameters byte for byte.
+"""Golden digests: four short blob runs and one short run on a small IDX
+corpus must reproduce their metrics.csv, their summary.txt and their
+agents' final parameters byte for byte.
 
 The README promises that identical configs reproduce identical metrics.
 These digests turn that promise into a check against fixed bytes, not only
@@ -24,10 +25,10 @@ from pathlib import Path
 import pytest
 
 from colearn import harness
-from colearn.config import GraphSpec, override
+from colearn.config import GraphSpec, IdxSpec, override
 from colearn.harness import emit_csv, format_summary, montecarlo
 
-from conftest import blob_config
+from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
 
 
 def _short(mode: str, **kw):
@@ -37,17 +38,30 @@ def _short(mode: str, **kw):
     )
 
 
+def _idx_cl(data_dir: Path):
+    """CL through load_idx: a 700-image 28x28 corpus, 52 collective rounds."""
+    synthetic_idx_dataset(data_dir, m_train=700, m_test=200, seed=5)
+    spec = IdxSpec(*(str(data_dir / name) for name in FMNIST_NAMES))
+    config = blob_config(
+        mode="CL", self_train_epochs=5, score_refresh_period=20, review_period=40,
+        metric_stride=25, epochs_over_shared=1, architectures=("SHL", "HL1", "SHL"),
+    )
+    return dataclasses.replace(config, dataset=spec)
+
+
+# each case builds its config given a scratch directory for input files
 CASES = {
-    "CL": lambda: _short("CL", runs=2),
-    "ST": lambda: _short("ST", runs=2),
+    "CL": lambda _: _short("CL", runs=2),
+    "ST": lambda _: _short("ST", runs=2),
     # FS also drives the SGD step, which no other end-to-end test pins
-    "FS": lambda: override(
+    "FS": lambda _: override(
         override(_short("FS", max_iterations=150), "training.update_rule", "sgd"),
         "training.alpha", 0.05,
     ),
-    "CL-er": lambda: dataclasses.replace(
+    "CL-er": lambda _: dataclasses.replace(
         _short("CL", seed=77), graph=GraphSpec(kind="erdos-renyi", p=0.4, period=7),
     ),
+    "CL-idx": _idx_cl,
 }
 
 # sha256 of (metrics.csv, summary.txt, final parameters), pinned on the numpy path
@@ -64,6 +78,9 @@ GOLDEN = {
     "CL-er": ("9f38385d8b76fb278be32389c8481591b18d9c70effd086aefa773be4972e1e8",
               "c77c06b4f4b0441405aa02140575cd681f8d512ab096c9caffcd69e0c930029a",
               "77a957e8c4a692cdc49c1af1d3d6deea39c6bcf2289cb94509110f4780737c52"),
+    "CL-idx": ("6b012831655268bd69ab6fac69b67f8ad72192e48c2952a5e1da86501261a1b7",
+               "1fd4267e3696d4e64c61e33d94a9ae8dfcc0a0e081067c99349cbbf00b736f8a",
+               "9f0fc062f6b59e8512a67ae6bd42e4770692d85a9b1046fd355717c90a323ece"),
 }
 
 
@@ -98,7 +115,7 @@ def _digests(config, out_dir: Path) -> tuple[str, str, str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
-    assert _digests(CASES[name](), tmp_path) == GOLDEN[name]
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
 
 
 if __name__ == "__main__":
@@ -106,4 +123,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            print(f"    {name!r}: {_digests(CASES[name](), Path(tmp))!r},")
+            print(f"    {name!r}: {_digests(CASES[name](Path(tmp) / 'data'), Path(tmp))!r},")

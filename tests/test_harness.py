@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from colearn import harness
 from colearn.collective import MetricsRecord
 from colearn.config import ConfigError, load_config, override, parse_config
 from colearn.harness import (
@@ -180,6 +181,36 @@ class TestRunMode:
         out = run_mode(config, 0)
         first = [r for r in out.records if r.iteration == 0]
         assert [r.test_accuracy for r in first] == out.final_test
+
+    @pytest.mark.parametrize("mode, settings, updates", [
+        ("CL", {"max_iterations": 20}, 20),
+        ("CL", {"max_iterations": 0}, 0),
+        ("ST", {}, 3),
+        ("ST", {"self_train_epochs": 0}, 0),
+        ("FS", {"max_iterations": 30}, 30),
+        ("FS", {"max_iterations": 0}, 0),
+    ])
+    def test_final_test_is_last_record_of_final_params(self, monkeypatch, mode, settings,
+                                                        updates):
+        made = []
+        make_agents = harness._make_agents
+
+        def capture(*args):
+            agents = make_agents(*args)
+            made.extend(agents)
+            return agents
+
+        monkeypatch.setattr(harness, "_make_agents", capture)
+        kw = dict(n_per_class=60, train_size=10, val_size=10, self_train_epochs=3,
+                  metric_stride=7)
+        config = blob_config(mode=mode, **{**kw, **settings})
+        out = run_mode(config, 0)
+        last = {r.agent: r for r in out.records}
+        assert out.final_test == [last[a.id].test_accuracy for a in made]
+        # ... and that record measured the agent's final parameters
+        test = harness._load_corpus(config.dataset, config.master_seed)[1]
+        assert out.final_test == [a.learner.accuracy(test) for a in made]
+        assert all(r.iteration == updates for r in last.values())
 
     def test_fs_reaches_ceiling_on_separable_data(self):
         config = blob_config(
