@@ -10,7 +10,6 @@ from .collective import (
     ScheduleConfig,
     collective_round,
     fuse_and_label,
-    lbl,
     refresh_scores,
     review_step,
     run_collective,
@@ -28,7 +27,6 @@ from .data import (
     write_manifest,
 )
 from .graph import (
-    CyclicSchedule,
     DirectedGraph,
     ErdosRenyiSchedule,
     GraphSchedule,
@@ -62,11 +60,9 @@ from .learner import (
     forward,
     grad,
     init_params,
-    load_params,
     loss,
     param_count,
     param_views,
-    save_params,
     train_epochs,
 )
 from .seeding import rng_for, seed_sequence, subseed

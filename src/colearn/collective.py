@@ -65,7 +65,6 @@ class ScheduleConfig:
     gamma: float
     collective_batch: int = 10
     train_batch: int = 10
-    self_train_epochs: int = 0
     epochs_over_shared: int = 3
 
     def __post_init__(self):
@@ -79,8 +78,8 @@ class ScheduleConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.collective_batch < 1 or self.train_batch < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.self_train_epochs < 0 or self.epochs_over_shared < 1:
-            raise ValueError("invalid epoch counts")
+        if self.epochs_over_shared < 1:
+            raise ValueError(f"epochs_over_shared must be >= 1, got {self.epochs_over_shared}")
 
     def _per_agent(self, value, n: int) -> tuple[int, ...]:
         if isinstance(value, int):
@@ -111,19 +110,6 @@ class MetricsRecord:
 class RunResult:
     records: list[MetricsRecord]
     stats: dict = field(default_factory=dict)
-
-
-def lbl(fused) -> int:
-    """Convert a fused prediction vector into a label: argmax, lowest-index
-    tie-break. For two normalized classes this is the 0.5 threshold."""
-    v = np.asarray(fused, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D prediction vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("prediction vector must be finite")
-    if np.all(v == 0.0):
-        raise ValueError("prediction vector must not be all zero")
-    return int(np.argmax(v))
 
 
 def fuse_and_label(messages: Sequence[RoundMessage], weight_row: np.ndarray) -> np.ndarray:
@@ -202,12 +188,14 @@ def _grad_buffer(agents: Sequence[AgentState]) -> np.ndarray:
     return np.empty(max(a.learner.params.size for a in agents))
 
 
-def review_step(agent: AgentState, train_set, batch_size: int, seed) -> None:
+def review_step(agent: AgentState, train_set, batch_size: int, seed,
+                grad_buf: np.ndarray | None = None) -> None:
     """One supervised epoch over the agent's private training set, keeping
-    the agent's update-rule state."""
+    the agent's update-rule state. `grad_buf` is as in collective_round."""
+    learner = agent.learner
     train_epochs(
-        agent.learner.arch, agent.learner.params, agent.learner.rule,
-        train_set, batch_size, epochs=1, seed=seed,
+        learner.arch, learner.params, learner.rule,
+        train_set, batch_size, epochs=1, seed=seed, grad_buf=grad_buf,
     )
 
 
@@ -270,7 +258,8 @@ def run_collective(
     records: list[MetricsRecord] = []
     proxy_hits = np.zeros(n, dtype=np.int64)
     proxy_seen = 0
-    # one gradient buffer for the whole run, shared by the agents in turn
+    # one gradient buffer for the whole run, shared by the agents' rounds and
+    # reviews in turn
     grad_buf = _grad_buffer(agents)
 
     def check_finite(k: int) -> None:
@@ -346,7 +335,7 @@ def run_collective(
                 if k % review_at[i] == 0:
                     review_step(
                         agents[i], partition.train[i], config.train_batch,
-                        subseed(seed, "review", k),
+                        subseed(seed, "review", k), grad_buf,
                     )
                     stats["reviews"] += 1
                     stats["review_iterations"].append((k, i))

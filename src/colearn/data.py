@@ -37,7 +37,8 @@ class Dataset:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
+        # min and max propagate NaN and +-inf, and allocate no m x d mask
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             raise ValueError("features must be finite")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")

@@ -56,19 +56,6 @@ class StaticSchedule:
 
 
 @dataclass(frozen=True)
-class CyclicSchedule:
-    """Rotates through a fixed list of graphs, one per iteration."""
-
-    graphs: tuple[DirectedGraph, ...]
-
-    def __post_init__(self):
-        if not self.graphs:
-            raise ValueError("need at least one graph")
-        if len({g.n for g in self.graphs}) != 1:
-            raise ValueError("all graphs must share the same node count")
-
-
-@dataclass(frozen=True)
 class ErdosRenyiSchedule:
     """A fresh Erdos-Renyi directed graph every `period` iterations.
 
@@ -91,7 +78,7 @@ class ErdosRenyiSchedule:
             raise ValueError(f"period must be >= 1, got {self.period}")
 
 
-GraphSchedule = Union[StaticSchedule, CyclicSchedule, ErdosRenyiSchedule]
+GraphSchedule = Union[StaticSchedule, ErdosRenyiSchedule]
 
 
 def schedule_round(schedule: GraphSchedule, k: int) -> int:
@@ -100,8 +87,6 @@ def schedule_round(schedule: GraphSchedule, k: int) -> int:
         raise ValueError(f"iteration index must be >= 0, got {k}")
     if isinstance(schedule, ErdosRenyiSchedule):
         return k // schedule.period
-    if isinstance(schedule, CyclicSchedule):
-        return k % len(schedule.graphs)
     return 0
 
 
@@ -110,8 +95,6 @@ def graph_at(schedule: GraphSchedule, k: int) -> DirectedGraph:
     rnd = schedule_round(schedule, k)
     if isinstance(schedule, StaticSchedule):
         return schedule.base
-    if isinstance(schedule, CyclicSchedule):
-        return schedule.graphs[rnd]
     rng = rng_for(schedule.seed, "er-round", rnd)
     mask = rng.random((schedule.n, schedule.n)) < schedule.p
     np.fill_diagonal(mask, False)
@@ -122,8 +105,6 @@ def graph_at(schedule: GraphSchedule, k: int) -> DirectedGraph:
 def n_nodes(schedule: GraphSchedule) -> int:
     if isinstance(schedule, StaticSchedule):
         return schedule.base.n
-    if isinstance(schedule, CyclicSchedule):
-        return schedule.graphs[0].n
     return schedule.n
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .collective import AgentState, MetricsRecord, RunResult, ScheduleConfig, run_collective
 from .config import ExperimentConfig, SynthSpec
-from .data import Dataset, Partition, load_idx, make_partition, shuffled_batches, synth_blobs, write_manifest
+from .data import Dataset, Partition, load_idx, make_partition, synth_blobs, write_manifest
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
-from .learner import Adam, Architecture, Learner, Sgd, apply_update, grad
+from .learner import Adam, Architecture, Learner, Sgd, train_epochs
 from .seeding import rng_for, subseed
 
 CSV_HEADER = ("run", "iter", "agent", "arch", "test_acc", "val_acc", "proxy_correct")
@@ -143,21 +143,16 @@ def _train_traced(
     total = epochs * n_batches
     if max_updates is not None:
         total = min(total, max_updates)
+
+    def on_step(step: int) -> None:
+        if step % metric_stride == 0 or step == total:
+            emit(step)
+
     emit(0)
-    g = np.empty_like(learner.params)
-    step = 0
-    for e in range(epochs):
-        if step >= total:
-            break
-        for idx in shuffled_batches(train_set.m, batch_size, rng_for(seed, "train-epoch", e)):
-            if step >= total:
-                break
-            step += 1
-            grad(learner.arch, learner.params, train_set.features[idx],
-                 train_set.labels[idx], out=g)
-            apply_update(learner.rule, learner.params, g)
-            if step % metric_stride == 0 or step == total:
-                emit(step)
+    train_epochs(
+        learner.arch, learner.params, learner.rule, train_set, batch_size, epochs, seed,
+        max_updates=max_updates, on_step=on_step,
+    )
     return records
 
 
@@ -215,7 +210,6 @@ def run_mode(
             gamma=config.collective.gamma,
             collective_batch=config.collective.batch_size,
             train_batch=t.batch_size,
-            self_train_epochs=t.self_train_epochs,
             epochs_over_shared=config.collective.epochs_over_shared,
         )
         result: RunResult = run_collective(

@@ -9,10 +9,8 @@ matrices and bias vectors are zero-copy views into it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -240,20 +238,38 @@ def train_epochs(
     batch_size: int,
     epochs: int,
     seed: int,
+    *,
+    max_updates: int | None = None,
+    on_step: Callable[[int], None] | None = None,
+    grad_buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shuffled mini-batch passes over a labeled set; updates theta in place.
 
-    `train_set` is a labeled Dataset or an (X, y) pair. With epochs=0 the
-    parameters are returned unchanged.
+    This is the one supervised training loop: self-training, the baselines
+    and the review epochs of the collective phase all run through it.
+    `train_set` is a labeled Dataset or an (X, y) pair. With epochs=0 or
+    max_updates=0 the parameters are returned unchanged; otherwise training
+    stops after `max_updates` steps when given. `on_step(step)` is called
+    after each update with the 1-based step count. `grad_buf`, a flat
+    scratch at least as long as theta, receives each gradient in its head;
+    without it one is allocated for the call.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if max_updates is not None and max_updates < 0:
+        raise ValueError(f"max_updates must be >= 0, got {max_updates}")
     x, y = _as_xy(train_set)
-    g = np.empty_like(theta)
+    g = np.empty_like(theta) if grad_buf is None else grad_buf[: theta.size]
+    step = 0
     for e in range(epochs):
         for idx in shuffled_batches(x.shape[0], batch_size, rng_for(seed, "train-epoch", e)):
+            if step == max_updates:
+                return theta
             grad(arch, theta, x[idx], y[idx], out=g)
             apply_update(rule, theta, g)
+            step += 1
+            if on_step is not None:
+                on_step(step)
     return theta
 
 
@@ -297,41 +313,3 @@ class Learner:
     def accuracy(self, eval_set) -> float:
         return accuracy(self.arch, self.params, eval_set)
 
-
-# --- parameter checkpointing ------------------------------------------------
-
-_PARAMS_MAGIC = b"CLP1"
-
-
-def save_params(path, arch: Architecture, theta: np.ndarray) -> None:
-    """Write parameters as a little-endian float64 blob with a shape header."""
-    kind = arch.kind.encode("ascii")
-    with open(path, "wb") as f:
-        f.write(_PARAMS_MAGIC)
-        f.write(struct.pack("<B", len(kind)))
-        f.write(kind)
-        f.write(struct.pack("<IIB", arch.input_dim, arch.num_classes, len(arch.hidden)))
-        for h in arch.hidden:
-            f.write(struct.pack("<I", h))
-        f.write(struct.pack("<Q", theta.shape[0]))
-        f.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())
-
-
-def load_params(path) -> tuple[Architecture, np.ndarray]:
-    path = Path(path)
-    with open(path, "rb") as f:
-        if f.read(4) != _PARAMS_MAGIC:
-            raise ValueError(f"{path}: not a parameter checkpoint")
-        (kind_len,) = struct.unpack("<B", f.read(1))
-        kind = f.read(kind_len).decode("ascii")
-        input_dim, num_classes, n_hidden = struct.unpack("<IIB", f.read(9))
-        hidden = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(n_hidden))
-        (n,) = struct.unpack("<Q", f.read(8))
-        blob = f.read(n * 8)
-        if len(blob) != n * 8:
-            raise ValueError(f"{path}: truncated parameter blob")
-        theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    arch = Architecture(kind=kind, input_dim=input_dim, num_classes=num_classes, hidden=hidden)
-    if theta.shape[0] != param_count(arch):
-        raise ValueError(f"{path}: parameter count does not match header")
-    return arch, theta

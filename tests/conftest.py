@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from colearn.cli import FMNIST_NAMES
 from colearn.config import (
     CollectiveSpec,
     ExperimentConfig,
@@ -21,11 +22,6 @@ from colearn.seeding import rng_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
-
-FMNIST_NAMES = (
-    "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
-)
 
 
 def fashion_mnist_dir() -> Path | None:

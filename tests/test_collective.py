@@ -12,7 +12,6 @@ from colearn.collective import (
     ScheduleConfig,
     collective_round,
     fuse_and_label,
-    lbl,
     refresh_scores,
     review_step,
     run_collective,
@@ -44,28 +43,6 @@ def fixed_vector_predictor(probs: list[float], input_dim: int = 4) -> Learner:
 
 def labeled(features: np.ndarray, labels: list[int], num_classes: int) -> Dataset:
     return Dataset(features, np.asarray(labels), num_classes)
-
-
-class TestLbl:
-    def test_binary_threshold(self):
-        assert lbl([0.3, 0.7]) == 1
-        assert lbl([0.7, 0.3]) == 0
-        assert lbl([0.49, 0.51]) == 1
-
-    def test_one_hot(self):
-        assert lbl(np.eye(6)[3]) == 3
-
-    def test_tie_breaks_low(self):
-        assert lbl([0.5, 0.5]) == 0
-        assert lbl([0.2, 0.4, 0.4]) == 1
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            lbl([0.0, 0.0])
-        with pytest.raises(ValueError):
-            lbl([np.nan, 1.0])
-        with pytest.raises(ValueError):
-            lbl([])
 
 
 class TestRefreshScores:
@@ -275,6 +252,21 @@ class TestReviewStep:
         agent = AgentState(id=0, learner=learner)
         review_step(agent, train, batch_size=4, seed=0)
         assert np.array_equal(learner.params, before)
+
+    def test_run_buffer_keeps_bits(self):
+        ds = synth_blobs(12, 3, 5, 2.0, seed=4)
+        arch = Architecture("HL1", 5, 3, hidden=(6,))
+        results = []
+        for buf in (None, np.full(param_count(arch) + 40, np.nan)):
+            learner = Learner.create(arch, seed=2, rule=Adam(alpha=1e-2))
+            agent = AgentState(id=0, learner=learner)
+            for r in range(2):
+                review_step(agent, ds, batch_size=5, seed=r, grad_buf=buf)
+            results.append((learner.params, learner.rule._m, learner.rule._v,
+                            learner.rule._steps))
+        assert results[0][3] == results[1][3] == 16
+        for a, b in zip(results[0][:3], results[1][:3]):
+            assert np.array_equal(a, b)
 
     def test_review_recovers_from_label_corruption(self):
         ds = synth_blobs(30, 3, 5, 100.0, seed=6)

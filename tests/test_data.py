@@ -251,3 +251,26 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0]), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_each_non_finite_value(bad):
+    feats = np.zeros((4, 3))
+    feats[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(feats, None, 2)
+    feats[0, 0] = -bad  # +inf with -inf, NaN with NaN
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(feats, np.zeros(4, dtype=int), 2)
+    assert Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2).m == 0
+
+
+def test_finiteness_check_allocates_no_mask():
+    feats = np.random.default_rng(7).random((5000, 784))
+    tracemalloc.start()
+    try:
+        Dataset(feats, None, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000  # an m x d boolean mask is 3.92 MB here

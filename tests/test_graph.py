@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from colearn.graph import (
-    CyclicSchedule,
     DirectedGraph,
     ErdosRenyiSchedule,
     StaticSchedule,
@@ -126,17 +125,19 @@ class TestJointConnectivity:
         assert is_jointly_strongly_connected(sched, 17, 40)
 
     def test_alternating_graphs_union_cycle(self):
-        # three graphs, none connected alone, whose union is a directed cycle
-        parts = [
-            DirectedGraph.from_edges(6, [(0, 1), (1, 2)]),
-            DirectedGraph.from_edges(6, [(2, 3), (3, 4)]),
-            DirectedGraph.from_edges(6, [(4, 5), (5, 0)]),
-        ]
-        sched = CyclicSchedule(tuple(parts))
-        assert not any(is_strongly_connected(g) for g in parts)
-        assert is_jointly_strongly_connected(sched, 0, 2)
-        assert is_jointly_strongly_connected(sched, 4, 2)
-        assert not is_jointly_strongly_connected(sched, 0, 1)
+        # a sparse graph redrawn every iteration: a window is jointly strongly
+        # connected exactly when the union of its iterations' graphs is, and
+        # that union can be connected while none of its graphs is alone
+        sched = ErdosRenyiSchedule(n=6, p=0.15, period=1, seed=5)
+        outcomes, union_only = [], False
+        for k0 in range(0, 60, 3):
+            for window in (0, 1, 2, 4, 8):
+                graphs = [graph_at(sched, k) for k in range(k0, k0 + window + 1)]
+                expected = is_strongly_connected(union_graph(graphs))
+                assert is_jointly_strongly_connected(sched, k0, window) == expected
+                outcomes.append(expected)
+                union_only |= expected and not any(map(is_strongly_connected, graphs))
+        assert union_only and not all(outcomes)
 
     def test_static_single_edge_never(self):
         sched = StaticSchedule(DirectedGraph.from_edges(2, [(0, 1)]))

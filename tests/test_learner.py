@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from colearn.data import synth_blobs
+from colearn.data import shuffled_batches, synth_blobs
 from colearn.learner import (
     Adam,
     Architecture,
@@ -14,11 +14,9 @@ from colearn.learner import (
     forward,
     grad,
     init_params,
-    load_params,
     loss,
     param_count,
     param_views,
-    save_params,
     train_epochs,
 )
 from colearn.seeding import rng_for
@@ -235,8 +233,29 @@ class TestTrainEpochs:
         theta = init_params(arch, seed=2)
         before = theta.copy()
         ds = synth_blobs(5, 4, 7, 1.0, seed=0)
-        train_epochs(arch, theta, Sgd(0.1), ds, batch_size=2, epochs=0, seed=0)
+        rule, steps = Adam(), []
+        for kw in ({"epochs": 0}, {"epochs": 3, "max_updates": 0}):
+            train_epochs(arch, theta, rule, ds, batch_size=2, seed=0, on_step=steps.append, **kw)
         assert np.array_equal(theta, before)
+        assert steps == [] and rule._steps == 0
+
+    def test_update_cap_crosses_epoch_boundary(self):
+        # 10 samples in batches of 4: 3 steps per epoch, so a cap of 5 stops
+        # two steps into the second epoch
+        arch = SMALL_ARCHS[1]
+        ds = synth_blobs(5, 2, 7, 1.0, seed=0)
+        theta = init_params(arch, seed=3)
+        rule, steps = Adam(alpha=1e-2), []
+        train_epochs(arch, theta, rule, ds, batch_size=4, epochs=4, seed=8,
+                     max_updates=5, on_step=steps.append)
+        assert steps == [1, 2, 3, 4, 5] and rule._steps == 5
+
+        ref, ref_rule = init_params(arch, seed=3), Adam(alpha=1e-2)
+        batches = [idx for e in range(2)
+                   for idx in shuffled_batches(10, 4, rng_for(8, "train-epoch", e))][:5]
+        for idx in batches:
+            apply_update(ref_rule, ref, grad(arch, ref, ds.features[idx], ds.labels[idx]))
+        assert np.array_equal(theta, ref)
 
     def test_separable_blobs_reach_high_train_accuracy(self):
         ds = synth_blobs(20, 3, 5, 100.0, seed=7)
@@ -300,21 +319,6 @@ class TestAccuracy:
         arch = SMALL_ARCHS[0]
         with pytest.raises(ValueError):
             accuracy(arch, np.zeros(param_count(arch)), (np.zeros((0, 7)), np.zeros(0, dtype=int)))
-
-
-class TestCheckpointing:
-    @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=lambda a: a.kind)
-    def test_roundtrip(self, tmp_path, arch):
-        theta = init_params(arch, seed=13)
-        save_params(tmp_path / "ckpt.bin", arch, theta)
-        arch2, theta2 = load_params(tmp_path / "ckpt.bin")
-        assert arch2 == arch
-        assert np.array_equal(theta, theta2)
-
-    def test_rejects_garbage(self, tmp_path):
-        (tmp_path / "bad.bin").write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
-            load_params(tmp_path / "bad.bin")
 
 
 def test_learner_facade_trains():
