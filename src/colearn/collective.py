@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .data import Partition, shuffled_batches
+from .data import Partition, decode, shuffled_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
 from .learner import Learner, accuracy, apply_update, grad, train_epochs
 from .seeding import rng_for, subseed
@@ -322,8 +322,8 @@ def run_collective(
                 )
                 stats["weight_rebuilds"] += 1
 
-            # gather the batch's pool rows from the source; the pool is never copied whole
-            batch_x = source_x[shared_idx[idx]]
+            # gather and decode the batch's pool rows; the pool is never copied whole
+            batch_x = decode(source_x[shared_idx[idx]])
             labels = collective_round(agents, weights, batch_x, grad_buf)
 
             truth = true_labels[idx]

@@ -5,6 +5,12 @@ train/validation sets plus a shared unlabeled pool; the pool's true labels
 are withheld from training and kept only for diagnostics. The pool is not
 copied: it is a set of row indices into the source's feature matrix, which
 the partition holds by reference without the source's labels.
+
+Features are float64, or uint8 for an IDX corpus: a uint8 matrix holds the
+file's pixel bytes, and each byte b stands for the value b / 255. `decode`
+is the one place that scale is applied; the training loop, the evaluation
+loop and the collective engine call it on each batch they gather, so no
+float64 copy of a whole IDX corpus is ever made.
 """
 
 from __future__ import annotations
@@ -25,20 +31,45 @@ class IdxFormatError(ValueError):
     """Raised when an IDX file does not parse as expected."""
 
 
+def as_features(x) -> np.ndarray:
+    """`x` as a feature array: uint8 pixel bytes stay bytes, anything else
+    becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
+
+
+def decode(x: np.ndarray) -> np.ndarray:
+    """Feature rows as float64 values: uint8 pixel bytes are scaled by 1/255
+    into a new array, float64 rows are returned as they are.
+
+    The cast from uint8 is exact and the divide correctly rounded, so each
+    element is the double that `x.astype(np.float64) / 255.0` gives.
+    """
+    if x.dtype == np.uint8:
+        return np.divide(x, 255.0)
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with optional class labels."""
+    """Feature matrix with optional class labels.
 
-    features: np.ndarray  # (m, d) float64
+    `features` is float64, or uint8 pixel bytes whose values are `decode`d
+    a batch at a time by the code that consumes them; a byte matrix is
+    finite by construction and is not scanned.
+    """
+
+    features: np.ndarray  # (m, d) float64, or uint8 bytes standing for byte / 255
     labels: np.ndarray | None  # (m,) int64 in [0, num_classes)
     num_classes: int
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        feats = np.ascontiguousarray(as_features(self.features))
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         # min and max propagate NaN and +-inf, and allocate no m x d mask
-        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
+        if (feats.dtype != np.uint8 and feats.size
+                and not (np.isfinite(feats.min()) and np.isfinite(feats.max()))):
             raise ValueError("features must be finite")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
@@ -83,10 +114,11 @@ def _read_be32(f, path: Path, what: str) -> int:
 def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Load an IDX image/label file pair (the Fashion-MNIST wire format).
 
-    Pixels are scaled to [0, 1] by dividing by 255; images are flattened
-    row-major to feature vectors. The decode allocates one float64 matrix,
-    releases the raw pixel bytes and divides in place, so it never holds
-    more than that matrix and the raw bytes at once.
+    Images are flattened row-major to feature vectors and kept as the
+    uint8 bytes read from the file, in a read-only array over the read
+    buffer: no float64 copy is made, and a stray in-place write raises
+    instead of corrupting the corpus. Their values are byte / 255, applied
+    per batch by `decode`.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
@@ -115,9 +147,7 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
             )
         raw_labels = _read_exact(f, m_labels, labels_path, "label data")
 
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols).astype(np.float64)
-    del raw
-    features /= 255.0
+    features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     return Dataset(features, labels, num_classes)
 
@@ -159,15 +189,15 @@ class Partition:
 
     The pool is `source_features[shared_indices]`: `source_features` is the
     source corpus's feature matrix itself, shared rather than copied, and the
-    engine gathers one batch of pool rows at a time. It is a bare array, so
-    no label is reachable through it; the pool's true labels live only in
-    `shared_true_labels` and are consumed exclusively by the diagnostics
-    channel that measures proxy-label correctness.
+    engine gathers and `decode`s one batch of pool rows at a time. It is a
+    bare array, so no label is reachable through it; the pool's true labels
+    live only in `shared_true_labels` and are consumed exclusively by the
+    diagnostics channel that measures proxy-label correctness.
     """
 
     train: tuple[Dataset, ...]
     val: tuple[Dataset, ...]
-    source_features: np.ndarray  # (m_source, d), read only through shared_indices
+    source_features: np.ndarray  # (m_source, d) as stored, read only through shared_indices
     shared_true_labels: np.ndarray
     test: Dataset
     train_indices: tuple[np.ndarray, ...]

@@ -53,8 +53,17 @@ class RunOutput:
 # --- dataset plumbing --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
 def _load_corpus(spec, master_seed: int) -> tuple[Dataset, Dataset]:
+    """The (source, test) pair a config trains on, built once per process.
+
+    Blobs are drawn from the master seed; an IDX corpus does not depend on
+    it, so it is cached on its spec alone and a seed sweep reads it once.
+    """
+    return _corpus(spec, master_seed if isinstance(spec, SynthSpec) else None)
+
+
+@functools.lru_cache(maxsize=4)
+def _corpus(spec, master_seed: int | None) -> tuple[Dataset, Dataset]:
     if isinstance(spec, SynthSpec):
         source = synth_blobs(
             spec.n_per_class, spec.num_classes, spec.dim, spec.separation,
@@ -68,6 +77,10 @@ def _load_corpus(spec, master_seed: int) -> tuple[Dataset, Dataset]:
     source = load_idx(spec.train_images, spec.train_labels)
     test = load_idx(spec.test_images, spec.test_labels)
     return source, test
+
+
+# clearing drops every cached corpus, so a pool worker loads its own
+_load_corpus.cache_clear = _corpus.cache_clear
 
 
 def build_schedule(config: ExperimentConfig) -> GraphSchedule:

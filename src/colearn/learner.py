@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels as kernels
-from .data import Dataset, shuffled_batches
+from .data import Dataset, as_features, decode, shuffled_batches
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
@@ -89,7 +89,12 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
 
 
 def _as_matrix(x) -> tuple[np.ndarray, bool]:
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        raise TypeError(
+            "inputs are uint8 pixel bytes; scale them with colearn.data.decode first"
+        )
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x.reshape(1, -1), True
     if x.ndim == 2:
@@ -227,7 +232,7 @@ def _as_xy(train_set) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("training set must be labeled")
         return train_set.features, train_set.labels
     x, y = train_set
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    return as_features(x), np.asarray(y, dtype=np.int64)
 
 
 def train_epochs(
@@ -247,7 +252,8 @@ def train_epochs(
 
     This is the one supervised training loop: self-training, the baselines
     and the review epochs of the collective phase all run through it.
-    `train_set` is a labeled Dataset or an (X, y) pair. With epochs=0 or
+    `train_set` is a labeled Dataset or an (X, y) pair; uint8 features are
+    decoded one minibatch at a time. With epochs=0 or
     max_updates=0 the parameters are returned unchanged; otherwise training
     stops after `max_updates` steps when given. `on_step(step)` is called
     after each update with the 1-based step count. `grad_buf`, a flat
@@ -265,7 +271,7 @@ def train_epochs(
         for idx in shuffled_batches(x.shape[0], batch_size, rng_for(seed, "train-epoch", e)):
             if step == max_updates:
                 return theta
-            grad(arch, theta, x[idx], y[idx], out=g)
+            grad(arch, theta, decode(x[idx]), y[idx], out=g)
             apply_update(rule, theta, g)
             step += 1
             if on_step is not None:
@@ -277,14 +283,15 @@ def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 4096)
     """Fraction of samples whose argmax prediction matches the label.
 
     Argmax ties break toward the lowest class index. Evaluation is chunked
-    so large test sets do not allocate the full logits matrix at once.
+    so large test sets do not allocate the full logits matrix at once, and
+    uint8 features are decoded one chunk at a time.
     """
     x, y = _as_xy(eval_set)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
     correct = 0
     for s in range(0, x.shape[0], chunk):
-        logits = _logits(arch, theta, np.ascontiguousarray(x[s : s + chunk]))
+        logits = _logits(arch, theta, np.ascontiguousarray(decode(x[s : s + chunk])))
         correct += int((kernels.argmax_rows(logits) == y[s : s + chunk]).sum())
     return correct / x.shape[0]
 

@@ -9,6 +9,7 @@ import pytest
 from colearn.data import (
     Dataset,
     IdxFormatError,
+    decode,
     load_idx,
     make_partition,
     shuffled_batches,
@@ -48,8 +49,24 @@ class TestLoadIdx:
         images_path, labels_path, expected = hand_built_idx_pair(tmp_path)
         ds = load_idx(images_path, labels_path)
         assert ds.m == 2 and ds.d == 784 and ds.num_classes == 10
-        assert np.array_equal(ds.features, expected)
+        assert ds.features.dtype == np.uint8
+        assert decode(ds.features).tobytes() == expected.tobytes()
         assert ds.labels.tolist() == [9, 4]
+
+    def test_features_are_read_only(self, tmp_path):
+        ds = load_idx(*hand_built_idx_pair(tmp_path)[:2])
+        assert not ds.features.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1
+
+    def test_decode_every_byte_value(self):
+        want = np.arange(256) / 255.0
+        got = decode(np.arange(256, dtype=np.uint8))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_decode_passes_float_rows_through(self):
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert decode(x) is x
 
     def test_wrong_image_magic(self, tmp_path):
         images_path, labels_path, _ = hand_built_idx_pair(tmp_path)
@@ -87,10 +104,10 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx(images_path, labels_path)
 
-    def test_decode_holds_one_float_matrix(self, tmp_path):
-        # one float64 matrix plus the raw bytes, never both of those and the
-        # finiteness mask at once: holding the raw bytes through the Dataset
-        # checks measured 1.11x
+    def test_load_holds_only_the_file_bytes(self, tmp_path):
+        # the pixel bytes as read, plus each label as one raw byte and one
+        # int64: no float64 copy of the images (a float64 decode measured
+        # about 9x this bound)
         m = 5000
         rng = np.random.default_rng(6)
         images = rng.integers(0, 256, size=(m, 28, 28)).astype(np.uint8)
@@ -101,9 +118,8 @@ class TestLoadIdx:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        raw_bytes = images.size
-        assert peak <= 1.05 * (ds.features.nbytes + raw_bytes)
-        assert np.array_equal(ds.features, images.reshape(m, -1).astype(np.float64) / 255.0)
+        assert peak <= 1.05 * (images.size + 9 * m)
+        assert np.array_equal(ds.features, images.reshape(m, -1))
 
     def test_roundtrip_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -111,8 +127,11 @@ class TestLoadIdx:
         labels = rng.integers(0, 10, size=7).astype(np.uint8)
         write_idx(images, labels, tmp_path / "a-img", tmp_path / "a-lbl")
         ds = load_idx(tmp_path / "a-img", tmp_path / "a-lbl")
-        back = np.round(ds.features * 255.0).astype(np.uint8).reshape(7, 28, 28)
-        write_idx(back, ds.labels.astype(np.uint8), tmp_path / "b-img", tmp_path / "b-lbl")
+        assert ds.features.tobytes() == images.tobytes()
+        write_idx(
+            ds.features.reshape(7, 28, 28), ds.labels.astype(np.uint8),
+            tmp_path / "b-img", tmp_path / "b-lbl",
+        )
         assert (tmp_path / "a-img").read_bytes() == (tmp_path / "b-img").read_bytes()
         assert (tmp_path / "a-lbl").read_bytes() == (tmp_path / "b-lbl").read_bytes()
 
@@ -274,3 +293,14 @@ def test_finiteness_check_allocates_no_mask():
     finally:
         tracemalloc.stop()
     assert peak < 64_000  # an m x d boolean mask is 3.92 MB here
+
+
+def test_dataset_keeps_pixel_bytes():
+    pixels = np.arange(12, dtype=np.uint8).reshape(4, 3)
+    ds = Dataset(pixels, np.arange(4) % 2, 2)
+    assert ds.features is pixels
+    part = ds.subset([3, 1])
+    assert part.features.dtype == np.uint8
+    assert np.array_equal(part.features, pixels[[3, 1]])
+    # other integer features are values, not bytes
+    assert Dataset(pixels.astype(np.int64), None, 2).features.dtype == np.float64

@@ -1,5 +1,5 @@
-"""Golden digests: four short blob runs and one short run on a small IDX
-corpus must reproduce their metrics.csv, their summary.txt and their
+"""Golden digests: four short blob runs and two short runs (CL and FS) on a
+small IDX corpus must reproduce their metrics.csv, their summary.txt and their
 agents' final parameters byte for byte.
 
 The README promises that identical configs reproduce identical metrics.
@@ -49,6 +49,17 @@ def _idx_cl(data_dir: Path):
     return dataclasses.replace(config, dataset=spec)
 
 
+def _idx_fs(data_dir: Path):
+    """FS through load_idx: two agents, 300 Adam updates each on the whole
+    700-image corpus, so every minibatch is gathered from the loaded pixels."""
+    synthetic_idx_dataset(data_dir, m_train=700, m_test=200, seed=6)
+    spec = IdxSpec(*(str(data_dir / name) for name in FMNIST_NAMES))
+    config = blob_config(
+        mode="FS", metric_stride=100, max_iterations=300, architectures=("SHL", "HL1"),
+    )
+    return dataclasses.replace(config, dataset=spec)
+
+
 # each case builds its config given a scratch directory for input files
 CASES = {
     "CL": lambda _: _short("CL", runs=2),
@@ -62,6 +73,7 @@ CASES = {
         _short("CL", seed=77), graph=GraphSpec(kind="erdos-renyi", p=0.4, period=7),
     ),
     "CL-idx": _idx_cl,
+    "FS-idx": _idx_fs,
 }
 
 # sha256 of (metrics.csv, summary.txt, final parameters), pinned on the numpy path
@@ -81,6 +93,9 @@ GOLDEN = {
     "CL-idx": ("6b012831655268bd69ab6fac69b67f8ad72192e48c2952a5e1da86501261a1b7",
                "1fd4267e3696d4e64c61e33d94a9ae8dfcc0a0e081067c99349cbbf00b736f8a",
                "9f0fc062f6b59e8512a67ae6bd42e4770692d85a9b1046fd355717c90a323ece"),
+    "FS-idx": ("c17db0ce20947a94e1c08b9eb936908734cc25d865e87e9009c413dc92cd2013",
+               "7e95e13b6881fd7270e2e17eaf3dc166a1c319db650da8d0a2e92a9bfb1fc088",
+               "b96b2a25d8828918d225d12f57707ad690afcc44dde09b04d7d239513e00bc0b"),
 }
 
 
@@ -123,4 +138,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            print(f"    {name!r}: {_digests(CASES[name](Path(tmp) / 'data'), Path(tmp))!r},")
+            # one directory per case: the corpus cache is keyed on the file paths
+            out_dir = Path(tmp) / name
+            out_dir.mkdir()
+            print(f"    {name!r}: {_digests(CASES[name](out_dir / 'data'), out_dir)!r},")

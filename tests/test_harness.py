@@ -9,7 +9,7 @@ import pytest
 
 from colearn import harness
 from colearn.collective import MetricsRecord
-from colearn.config import ConfigError, load_config, override, parse_config
+from colearn.config import ConfigError, IdxSpec, load_config, override, parse_config
 from colearn.harness import (
     build_schedule,
     emit_csv,
@@ -23,7 +23,7 @@ from colearn.harness import (
 )
 from colearn.graph import ErdosRenyiSchedule, StaticSchedule
 
-from conftest import blob_config
+from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
 
 VALID_YAML = """
 mode: CL
@@ -236,6 +236,39 @@ class TestRunMode:
                              self_train_epochs=1)
         run_mode(config, 0, manifest_path=tmp_path / "m.txt")
         assert (tmp_path / "m.txt").read_text().startswith("agents 4")
+
+
+class TestCorpusCache:
+    def test_idx_corpus_read_once_across_seeds(self, tmp_path, monkeypatch):
+        synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        calls = []
+        load_idx = harness.load_idx
+
+        def counted(*args):
+            calls.append(args)
+            return load_idx(*args)
+
+        monkeypatch.setattr(harness, "load_idx", counted)
+        configs = [
+            dataclasses.replace(
+                blob_config(mode="ST", seed=seed, train_size=10, val_size=10,
+                            self_train_epochs=1, architectures=("SHL",)),
+                dataset=spec,
+            )
+            for seed in (1, 2)
+        ]
+        corpora = []
+        for config in configs:
+            run_mode(config, 0)
+            corpora.append(harness._load_corpus(config.dataset, config.master_seed))
+        assert len(calls) == 2  # the train pair and the test pair, once
+        assert all(a is b for a, b in zip(*corpora))
+
+    def test_blobs_follow_the_seed(self):
+        spec = blob_config().dataset
+        a, b = (harness._load_corpus(spec, seed)[0] for seed in (1, 2))
+        assert not np.array_equal(a.features, b.features)
 
 
 class TestMontecarlo:

@@ -104,6 +104,20 @@ class TestForward:
             forward(arch, np.zeros(param_count(arch)), np.zeros(5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda arch, theta, x, y: forward(arch, theta, x),
+    lambda arch, theta, x, y: grad(arch, theta, x, y),
+    lambda arch, theta, x, y: loss(arch, theta, x, y),
+], ids=["forward", "grad", "loss"])
+def test_pixel_bytes_rejected_before_any_matmul(call):
+    # uint8 features are bytes standing for byte / 255; computing on 0..255
+    # would train silently on the wrong scale
+    arch = SMALL_ARCHS[1]
+    x = np.arange(14, dtype=np.uint8).reshape(2, 7)
+    with pytest.raises(TypeError, match="decode"):
+        call(arch, init_params(arch, seed=0), x, np.array([0, 1]))
+
+
 class TestLoss:
     def test_confident_correct_is_near_zero(self):
         arch = Architecture("SHL", 3, 2)
