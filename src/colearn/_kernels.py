@@ -36,7 +36,8 @@ _scratch = threading.local()
 
 
 def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+    # in place: callers pass a fresh pre-activation that nothing else holds
+    return np.maximum(z, 0.0, out=z)
 
 
 def relu_grad(upstream: np.ndarray, activated: np.ndarray) -> np.ndarray:

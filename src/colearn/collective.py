@@ -3,7 +3,9 @@
 Each iteration is round-synchronous: every agent predicts on the current
 shared batch with its pre-round parameters, the predictions are exchanged
 and fused with row-stochastic weights into per-agent proxy labels, and each
-agent takes one update step on the batch under its own proxies. Scores
+agent takes one update step on the batch under its own proxies. An agent
+runs its layers once per round: the update backpropagates the proxy labels
+through the activations of the forward pass that made its predictions. Scores
 (and with them the weight matrix) refresh every score_refresh_period
 iterations; every review_period iterations an agent runs one supervised
 epoch over its private training set.
@@ -22,7 +24,7 @@ import numpy as np
 from . import _kernels as kernels
 from .data import Partition, decode, shuffled_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
-from .learner import Learner, accuracy, apply_update, grad, train_epochs
+from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
 from .seeding import rng_for, subseed
 
 
@@ -154,8 +156,9 @@ def collective_round(
     """One synchronous round: predict, fuse into proxy labels, update.
 
     Every agent predicts with its pre-round parameters; no agent sees a
-    neighbor's post-update state within the round. Returns each agent's
-    proxy labels for the batch.
+    neighbor's post-update state within the round. Each agent's update
+    backpropagates its proxy labels through the forward pass that made its
+    predictions. Returns each agent's proxy labels for the batch.
 
     `grad_buf` is a flat scratch vector at least as long as the largest
     agent's parameters; each agent's gradient is written into its head and
@@ -169,17 +172,16 @@ def collective_round(
     if any(a.learner.arch.num_classes != num_classes for a in agents):
         raise ValueError("all agents must share the same number of classes")
 
-    messages = [
-        RoundMessage(sender=a.id, predictions=a.learner.predict_proba(batch_features))
-        for a in agents
-    ]
+    passes = [forward_pass(a.learner.arch, a.learner.params, batch_features) for a in agents]
+    messages = [RoundMessage(sender=a.id, predictions=probs)
+                for a, (_, probs) in zip(agents, passes)]
     labels = [fuse_and_label(messages, weights[i]) for i in range(n)]
     if grad_buf is None:
         grad_buf = _grad_buffer(agents)
     for i, agent in enumerate(agents):
         learner = agent.learner
-        g = grad(learner.arch, learner.params, batch_features, labels[i],
-                 out=grad_buf[: learner.params.size])
+        g = backprop(learner.arch, learner.params, *passes[i], labels[i],
+                     out=grad_buf[: learner.params.size])
         apply_update(learner.rule, learner.params, g)
     return labels
 
@@ -272,6 +274,8 @@ def run_collective(
     def emit_metrics(k: int) -> None:
         nonlocal proxy_seen
         check_finite(k)
+        # one decode of each test chunk, scored by every agent
+        tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], partition.test)
         for i, a in enumerate(agents):
             rate = None if proxy_seen == 0 else proxy_hits[i] / proxy_seen
             _emit(records, on_record, MetricsRecord(
@@ -279,7 +283,7 @@ def run_collective(
                 iteration=k,
                 agent=a.id,
                 arch=a.learner.arch.kind,
-                test_accuracy=a.learner.accuracy(partition.test),
+                test_accuracy=tests[i],
                 val_accuracy=a.learner.accuracy(partition.val[i]),
                 proxy_match_rate=rate,
             ))

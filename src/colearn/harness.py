@@ -10,7 +10,9 @@ labeled corpus (the fully-supervised ceiling).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,21 +59,35 @@ def _load_corpus(spec, master_seed: int) -> tuple[Dataset, Dataset]:
     """The (source, test) pair a config trains on, built once per process.
 
     Blobs are drawn from the master seed; an IDX corpus does not depend on
-    it, so it is cached on its spec alone and a seed sweep reads it once.
+    it, so it is cached on its files alone and a seed sweep reads it once.
+    The key holds each file's size and modification time, so files
+    rewritten at the same paths are read again.
     """
-    return _corpus(spec, master_seed if isinstance(spec, SynthSpec) else None)
+    if isinstance(spec, SynthSpec):
+        return _corpus(spec, master_seed)
+    return _corpus(spec, tuple(_file_stamp(path) for path in dataclasses.astuple(spec)))
+
+
+def _file_stamp(path) -> tuple[int, int] | None:
+    # a missing file gets no stamp; load_idx then raises its own error
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns
 
 
 @functools.lru_cache(maxsize=4)
-def _corpus(spec, master_seed: int | None) -> tuple[Dataset, Dataset]:
+def _corpus(spec, key) -> tuple[Dataset, Dataset]:
+    # key: the master seed for blobs, the files' stamps for an IDX corpus
     if isinstance(spec, SynthSpec):
         source = synth_blobs(
             spec.n_per_class, spec.num_classes, spec.dim, spec.separation,
-            subseed(master_seed, "synth-corpus"),
+            subseed(key, "synth-corpus"),
         )
         test = synth_blobs(
             spec.test_n_per_class, spec.num_classes, spec.dim, spec.separation,
-            subseed(master_seed, "synth-test"),
+            subseed(key, "synth-test"),
         )
         return source, test
     source = load_idx(spec.train_images, spec.train_labels)

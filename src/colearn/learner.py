@@ -5,12 +5,17 @@ Three architectures are supported: SHL (no hidden layer), HL1 (one ReLU
 hidden layer of 300 units) and HL2 (two ReLU hidden layers of 500 and 300
 units). Parameters live in one flat float64 vector; per-layer weight
 matrices and bias vectors are zero-copy views into it.
+
+There is one layer loop, `_activations`: prediction, loss, gradient and
+evaluation all run through it. A gradient is a `forward_pass` plus
+`backprop` through that pass's activations, so a caller that has already
+predicted on a batch backpropagates from the same pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -61,14 +66,11 @@ def param_views(arch: Architecture, theta: np.ndarray) -> list[tuple[np.ndarray,
             f"parameter vector has shape {theta.shape}, expected ({param_count(arch)},)"
         )
     dims = arch.layer_dims
-    views = []
-    off = 0
-    for l in range(len(dims) - 1):
-        din, dout = dims[l], dims[l + 1]
+    views, off = [], 0
+    for din, dout in zip(dims, dims[1:]):
         w = theta[off : off + din * dout].reshape(din, dout)
-        off += din * dout
-        b = theta[off : off + dout]
-        off += dout
+        b = theta[off + din * dout : off + (din + 1) * dout]
+        off += (din + 1) * dout
         views.append((w, b))
     return views
 
@@ -80,46 +82,51 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
     layers = param_views(arch, theta)
     for l, (w, _) in enumerate(layers):
         din, dout = w.shape
-        if l < len(layers) - 1:
-            limit = np.sqrt(6.0 / din)
-        else:
-            limit = np.sqrt(6.0 / (din + dout))
+        limit = np.sqrt(6.0 / din) if l < len(layers) - 1 else np.sqrt(6.0 / (din + dout))
         w[:] = rng.uniform(-limit, limit, size=w.shape)
     return theta
 
 
-def _as_matrix(x) -> tuple[np.ndarray, bool]:
+def _as_matrix(x) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype == np.uint8:
         raise TypeError(
             "inputs are uint8 pixel bytes; scale them with colearn.data.decode first"
         )
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x.reshape(1, -1), True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
+    return np.atleast_2d(x)
 
 
-def _logits(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
+def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
+    """The one layer loop: each layer's input, then the output logits."""
+    if x_mat.shape[1] != arch.input_dim:
+        raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
     layers = param_views(arch, theta)
-    act = x_mat
-    for w, b in layers[:-1]:
-        act = kernels.relu(act @ w + b)
-    w, b = layers[-1]
-    return act @ w + b
+    acts = [x_mat]
+    for l, (w, b) in enumerate(layers):
+        z = acts[-1] @ w
+        z += b  # in place: one new array per layer, with the bits of `acts[-1] @ w + b`
+        acts.append(kernels.relu(z) if l < len(layers) - 1 else z)
+    return acts
+
+
+def forward_pass(arch: Architecture, theta: np.ndarray, x) -> tuple[list[np.ndarray], np.ndarray]:
+    """One forward pass over a batch: its activations (each layer's input,
+    then the logits) and its class probabilities. `backprop` takes both, so
+    one pass serves a prediction and the gradient step that follows it."""
+    acts = _activations(arch, theta, _as_matrix(x))
+    probs = kernels.softmax_rows(acts[-1])
+    if not np.all(np.isfinite(probs)):
+        raise FloatingPointError("non-finite activations in forward pass")
+    return acts, probs
 
 
 def forward(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
     """Class-probability vector(s) for one sample or a batch."""
-    x_mat, single = _as_matrix(x)
-    if x_mat.shape[1] != arch.input_dim:
-        raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
-    probs = kernels.softmax_rows(_logits(arch, theta, x_mat))
-    if not np.all(np.isfinite(probs)):
-        raise FloatingPointError("non-finite activations in forward pass")
-    return probs[0] if single else probs
+    probs = forward_pass(arch, theta, x)[1]
+    return probs[0] if np.ndim(x) == 1 else probs
 
 
 def _check_labels(arch: Architecture, y) -> np.ndarray:
@@ -131,32 +138,19 @@ def _check_labels(arch: Architecture, y) -> np.ndarray:
 
 def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
     """Mean cross-entropy over the batch."""
-    x_mat, _ = _as_matrix(x)
-    y = _check_labels(arch, y)
-    probs = kernels.softmax_rows(_logits(arch, theta, x_mat))
-    if not np.all(np.isfinite(probs)):
-        raise FloatingPointError("non-finite activations in forward pass")
-    return kernels.xent_mean(probs, y)
+    return kernels.xent_mean(forward_pass(arch, theta, x)[1], _check_labels(arch, y))
 
 
-def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy loss, as a flat vector.
+def backprop(arch: Architecture, theta: np.ndarray, acts: list[np.ndarray], probs: np.ndarray,
+             y, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of the mean cross-entropy of labels `y`, as a flat
+    vector, backpropagated through a `forward_pass` at these parameters.
 
     With `out` (a flat buffer shaped like theta) the gradient is written
     there and `out` is returned; otherwise a new vector is allocated.
     """
-    x_mat, _ = _as_matrix(x)
     y = _check_labels(arch, y)
     layers = param_views(arch, theta)
-
-    acts = [x_mat]
-    for w, b in layers[:-1]:
-        acts.append(kernels.relu(acts[-1] @ w + b))
-    w_out, b_out = layers[-1]
-    probs = kernels.softmax_rows(acts[-1] @ w_out + b_out)
-    if not np.all(np.isfinite(probs)):
-        raise FloatingPointError("non-finite activations in forward pass")
-
     g = np.empty_like(theta) if out is None else out
     gviews = param_views(arch, g)
     delta = kernels.dlogits(probs, y)
@@ -167,6 +161,12 @@ def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = N
         if l > 0:
             delta = kernels.relu_grad(delta @ layers[l][0].T, acts[l])
     return g
+
+
+def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of the mean cross-entropy loss on a batch: one forward
+    pass and its `backprop` (`out` as there)."""
+    return backprop(arch, theta, *forward_pass(arch, theta, x), y, out)
 
 
 @dataclass
@@ -204,15 +204,12 @@ class Adam:
 
     def apply(self, theta: np.ndarray, g: np.ndarray) -> None:
         if self._m is None:
-            self._m = np.zeros_like(theta)
-            self._v = np.zeros_like(theta)
+            self._m, self._v = np.zeros_like(theta), np.zeros_like(theta)
         if self._m.shape != theta.shape:
             raise ValueError("update-rule state does not match parameter shape")
         self._steps += 1
-        kernels.adam_step(
-            theta, g, self._m, self._v, self._steps,
-            self.alpha, self.beta1, self.beta2, self.eps,
-        )
+        kernels.adam_step(theta, g, self._m, self._v, self._steps,
+                          self.alpha, self.beta1, self.beta2, self.eps)
 
 
 UpdateRule = Union[Sgd, Adam]
@@ -253,9 +250,9 @@ def train_epochs(
     This is the one supervised training loop: self-training, the baselines
     and the review epochs of the collective phase all run through it.
     `train_set` is a labeled Dataset or an (X, y) pair; uint8 features are
-    decoded one minibatch at a time. With epochs=0 or
-    max_updates=0 the parameters are returned unchanged; otherwise training
-    stops after `max_updates` steps when given. `on_step(step)` is called
+    decoded one minibatch at a time. With epochs=0 or max_updates=0 the
+    parameters are returned unchanged; otherwise training stops after
+    `max_updates` steps when given. `on_step(step)` is called
     after each update with the 1-based step count. `grad_buf`, a flat
     scratch at least as long as theta, receives each gradient in its head;
     without it one is allocated for the call.
@@ -279,21 +276,26 @@ def train_epochs(
     return theta
 
 
-def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 4096) -> float:
-    """Fraction of samples whose argmax prediction matches the label.
-
-    Argmax ties break toward the lowest class index. Evaluation is chunked
-    so large test sets do not allocate the full logits matrix at once, and
-    uint8 features are decoded one chunk at a time.
-    """
+def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
+               chunk: int = 4096) -> list[float]:
+    """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
+    fraction of samples whose argmax logit (lowest index on ties) matches the
+    label. Each chunk of rows is decoded once and scored by every model."""
     x, y = _as_xy(eval_set)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
-    correct = 0
+    correct = [0] * len(models)
     for s in range(0, x.shape[0], chunk):
-        logits = _logits(arch, theta, np.ascontiguousarray(decode(x[s : s + chunk])))
-        correct += int((kernels.argmax_rows(logits) == y[s : s + chunk]).sum())
-    return correct / x.shape[0]
+        x_chunk = np.ascontiguousarray(decode(x[s : s + chunk]))
+        for i, (arch, theta) in enumerate(models):
+            logits = _activations(arch, theta, x_chunk)[-1]
+            correct[i] += int((kernels.argmax_rows(logits) == y[s : s + chunk]).sum())
+    return [c / x.shape[0] for c in correct]
+
+
+def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 4096) -> float:
+    """`accuracies` of the one model `(arch, theta)`."""
+    return accuracies([(arch, theta)], eval_set, chunk)[0]
 
 
 @dataclass
@@ -310,9 +312,6 @@ class Learner:
 
     def predict_proba(self, x) -> np.ndarray:
         return forward(self.arch, self.params, x)
-
-    def loss(self, x, y) -> float:
-        return loss(self.arch, self.params, x, y)
 
     def train(self, train_set, batch_size: int, epochs: int, seed: int) -> None:
         train_epochs(self.arch, self.params, self.rule, train_set, batch_size, epochs, seed)

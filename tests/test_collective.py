@@ -18,7 +18,10 @@ from colearn.collective import (
 )
 from colearn.data import Dataset, Partition, make_partition, shuffled_batches, synth_blobs
 from colearn.graph import DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix
-from colearn.learner import Adam, Architecture, Learner, Sgd, forward, init_params, param_count, param_views
+from colearn.learner import (
+    Adam, Architecture, Learner, Sgd, apply_update, forward, grad, init_params, param_count,
+    param_views,
+)
 from colearn.seeding import rng_for
 
 
@@ -224,6 +227,45 @@ class TestCollectiveRound:
             for a, b, la, lb in zip(fresh, shared, expected, labels):
                 assert np.array_equal(la, lb)
                 assert np.array_equal(a.learner.params, b.learner.params)
+
+    def test_one_pass_round_matches_two_pass_reference(self):
+        # the round as it ran before one forward pass served both halves:
+        # every agent predicts, then each gradient runs the layers again
+        def two_pass_round(agents, weights, batch, grad_buf):
+            messages = [RoundMessage(sender=a.id, predictions=a.learner.predict_proba(batch))
+                        for a in agents]
+            labels = [fuse_and_label(messages, weights[i]) for i in range(len(agents))]
+            for agent, lab in zip(agents, labels):
+                learner = agent.learner
+                g = grad(learner.arch, learner.params, batch, lab,
+                         out=grad_buf[: learner.params.size])
+                apply_update(learner.rule, learner.params, g)
+            return labels
+
+        def make_agents():
+            kinds = [("SHL", None), ("HL1", None), ("HL2", (10, 8))]
+            return [
+                AgentState(id=i, learner=Learner.create(
+                    Architecture(kind, 12, 4, hidden=hidden), seed=20 + i, rule=Adam(alpha=0.01)))
+                for i, (kind, hidden) in enumerate(kinds)
+            ]
+
+        rng = rng_for(9, "one-pass")
+        batch = rng.standard_normal((7, 12))  # shorter than a collective batch of 10
+        w = rng.random((3, 3))
+        w /= w.sum(axis=1, keepdims=True)
+        got, want = make_agents(), make_agents()
+        size = max(a.learner.params.size for a in got)
+        got_buf, want_buf = np.empty(size), np.empty(size)
+        for _ in range(2):
+            labels = collective_round(got, w, batch, got_buf)
+            expected = two_pass_round(want, w, batch, want_buf)
+            assert np.stack(labels).tobytes() == np.stack(expected).tobytes()
+        for a, b in zip(got, want):
+            assert a.learner.rule._steps == b.learner.rule._steps == 2
+            assert a.learner.params.tobytes() == b.learner.params.tobytes()
+            assert a.learner.rule._m.tobytes() == b.learner.rule._m.tobytes()
+            assert a.learner.rule._v.tobytes() == b.learner.rule._v.tobytes()
 
     def test_class_count_mismatch_rejected(self):
         agents = [

@@ -16,7 +16,9 @@ from colearn import collective
 from colearn.collective import AgentState, ScheduleConfig, run_collective
 from colearn.data import Dataset, decode, load_idx, make_partition
 from colearn.graph import DirectedGraph, StaticSchedule
-from colearn.learner import Adam, Architecture, Learner, accuracy, init_params, train_epochs
+from colearn.learner import (
+    Adam, Architecture, Learner, accuracies, accuracy, init_params, train_epochs,
+)
 
 from conftest import FMNIST_NAMES, synthetic_idx_dataset
 
@@ -54,14 +56,21 @@ def test_train_epochs_same_bits(corpora):
 
 
 def test_accuracy_same_over_several_chunks(corpora):
-    arch = Architecture("SHL", 784, 10)
-    theta = init_params(arch, seed=5)
-    # output biases of the logits' scale, so that scoring undecoded bytes
-    # (255 times the values) ranks the classes differently
-    theta[-10:] = np.random.default_rng(6).normal(0.0, 3.0, size=10)
-    got = accuracy(arch, theta, corpora["bytes"][0])
-    want = accuracy(arch, theta, corpora["floats"][0])
+    models = []
+    for i, (kind, hidden) in enumerate([("SHL", ()), ("HL1", (12,)), ("HL2", (10, 8))]):
+        arch = Architecture(kind, 784, 10, hidden=hidden)
+        theta = init_params(arch, seed=5 + i)
+        # output biases of the logits' scale, so that scoring undecoded bytes
+        # (255 times the values) ranks the classes differently
+        theta[-10:] = np.random.default_rng(6 + i).normal(0.0, 3.0, size=10)
+        models.append((arch, theta))
+    got = [accuracy(arch, theta, corpora["bytes"][0]) for arch, theta in models]
+    want = [accuracy(arch, theta, corpora["floats"][0]) for arch, theta in models]
     assert got == want
+    assert len(set(got)) == len(models)  # a mix-up of models would show
+    # scoring every model on each decoded chunk gives each its own accuracy
+    for source in (corpora["bytes"][0], corpora["floats"][0]):
+        assert accuracies(models, source) == got
 
 
 def _collective(source: Dataset, test: Dataset, monkeypatch):

@@ -138,7 +138,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            # one directory per case: the corpus cache is keyed on the file paths
+            # one directory per case, so that no case reads another's input files
             out_dir = Path(tmp) / name
             out_dir.mkdir()
             print(f"    {name!r}: {_digests(CASES[name](out_dir / 'data'), out_dir)!r},")

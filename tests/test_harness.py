@@ -2,6 +2,7 @@
 and metric persistence."""
 
 import dataclasses
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from colearn import harness
 from colearn.collective import MetricsRecord
 from colearn.config import ConfigError, IdxSpec, load_config, override, parse_config
+from colearn.data import load_idx
 from colearn.harness import (
     build_schedule,
     emit_csv,
@@ -264,6 +266,36 @@ class TestCorpusCache:
             corpora.append(harness._load_corpus(config.dataset, config.master_seed))
         assert len(calls) == 2  # the train pair and the test pair, once
         assert all(a is b for a, b in zip(*corpora))
+
+    @pytest.mark.parametrize("m_train", [200, 150], ids=["same-size", "new-size"])
+    def test_rewritten_files_are_read_again(self, tmp_path, m_train):
+        synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        old = harness._load_corpus(spec, 1)
+        mtimes = [os.stat(path).st_mtime_ns for path in dataclasses.astuple(spec)]
+        synthetic_idx_dataset(tmp_path, m_train=m_train, m_test=50, seed=4)
+        if m_train == 200:
+            # same sizes, so only the modification time tells the files apart;
+            # move it a second on, as a rewrite within one tick of the file
+            # system clock could leave it as it was
+            for path, ns in zip(dataclasses.astuple(spec), mtimes):
+                os.utime(path, ns=(ns + 10**9, ns + 10**9))
+        new = harness._load_corpus(spec, 1)
+        want = load_idx(spec.train_images, spec.train_labels)
+        assert new[0].m == m_train
+        assert np.array_equal(new[0].features, want.features)
+        assert not np.array_equal(new[0].features[:150], old[0].features[:150])
+        assert not np.array_equal(new[1].features, old[1].features)
+
+    def test_missing_file_fails_as_load_idx_does(self, tmp_path):
+        synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
+        (tmp_path / FMNIST_NAMES[2]).unlink()
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        with pytest.raises(FileNotFoundError) as got:
+            harness._load_corpus(spec, 1)
+        with pytest.raises(FileNotFoundError) as want:
+            load_idx(spec.test_images, spec.test_labels)
+        assert str(got.value) == str(want.value)
 
     def test_blobs_follow_the_seed(self):
         spec = blob_config().dataset

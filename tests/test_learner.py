@@ -329,6 +329,18 @@ class TestAccuracy:
         ])
         assert accuracy(arch, theta, (x, y), chunk=10) == pytest.approx(recount)
 
+    def test_ranks_by_logits_not_probabilities(self):
+        # class 1's logit is above class 0's by less than softmax resolves:
+        # exp(-1e-20) rounds to 1, so the probabilities tie and their argmax
+        # would pick class 0
+        arch = Architecture("SHL", 4, 3)
+        theta = np.zeros(param_count(arch))
+        param_views(arch, theta)[0][1][:] = [0.0, 1e-20, -1.0]
+        x = rng_for(8, "logit-rank").standard_normal((6, 4))
+        probs = forward(arch, theta, x)
+        assert np.array_equal(probs[:, 0], probs[:, 1])
+        assert accuracy(arch, theta, (x, np.ones(6, dtype=int))) == 1.0
+
     def test_empty_set_rejected(self):
         arch = SMALL_ARCHS[0]
         with pytest.raises(ValueError):
