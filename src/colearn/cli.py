@@ -105,9 +105,10 @@ def _cmd_sweep(args) -> int:
     values = [_parse_value(v.strip()) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigError("--values: expected at least one value")
+    # every value is checked before the first run starts
+    configs = [override(base, args.param, value) for value in values]
     out = _out_dir(args)
-    for value in values:
-        config = override(base, args.param, value)
+    for value, config in zip(values, configs):
         sub = out / f"{args.param}_{value}"
         sub.mkdir(parents=True, exist_ok=True)
         rows, outputs = montecarlo(config, jobs=args.jobs)

@@ -5,10 +5,11 @@ shared batch with its pre-round parameters, the predictions are exchanged
 and fused with row-stochastic weights into per-agent proxy labels, and each
 agent takes one update step on the batch under its own proxies. An agent
 runs its layers once per round: the update backpropagates the proxy labels
-through the activations of the forward pass that made its predictions. Scores
-(and with them the weight matrix) refresh every score_refresh_period
-iterations; every review_period iterations an agent runs one supervised
-epoch over its private training set.
+through the activations of the forward pass that made its predictions. The
+periods come from the run's CollectiveSpec: every score_refresh_period
+iterations all scores (and with them the weight matrix) refresh, and every
+review_period iterations each agent in turn runs one supervised epoch over
+its private training set.
 
 Agents only ever exchange prediction vectors: fusion consumes RoundMessage
 values and a weight row, never another agent's parameters or data.
@@ -17,11 +18,12 @@ values and a weight row, never another agent's parameters or data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels as kernels
+from .config import CollectiveSpec
 from .data import Partition, decode, shuffled_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
 from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
@@ -33,17 +35,13 @@ class AgentState:
     """One agent: its learner plus its current performance score.
 
     The score exp(gamma * accuracy) is held in log space so that extreme
-    sharpening exponents cannot overflow; `score` exposes the plain value.
+    sharpening exponents cannot overflow.
     """
 
     id: int
     learner: Learner
     log_score: float = 0.0
     last_accuracy: float = 0.0
-
-    @property
-    def score(self) -> float:
-        return float(np.exp(self.log_score))
 
 
 @dataclass(frozen=True)
@@ -52,49 +50,6 @@ class RoundMessage:
 
     sender: int
     predictions: np.ndarray  # (batch, num_classes)
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Timing and fusion knobs for a collective run.
-
-    score_refresh_period / review_period accept a single int or one value
-    per agent.
-    """
-
-    score_refresh_period: int | tuple[int, ...]
-    review_period: int | tuple[int, ...]
-    gamma: float
-    collective_batch: int = 10
-    train_batch: int = 10
-    epochs_over_shared: int = 3
-
-    def __post_init__(self):
-        for name in ("score_refresh_period", "review_period"):
-            value = getattr(self, name)
-            values = (value,) if isinstance(value, int) else tuple(value)
-            if any(v < 1 for v in values):
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value if isinstance(value, int) else values)
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.collective_batch < 1 or self.train_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.epochs_over_shared < 1:
-            raise ValueError(f"epochs_over_shared must be >= 1, got {self.epochs_over_shared}")
-
-    def _per_agent(self, value, n: int) -> tuple[int, ...]:
-        if isinstance(value, int):
-            return (value,) * n
-        if len(value) != n:
-            raise ValueError(f"expected {n} per-agent periods, got {len(value)}")
-        return value
-
-    def refresh_periods(self, n: int) -> tuple[int, ...]:
-        return self._per_agent(self.score_refresh_period, n)
-
-    def review_periods(self, n: int) -> tuple[int, ...]:
-        return self._per_agent(self.review_period, n)
 
 
 @dataclass(frozen=True)
@@ -136,12 +91,11 @@ def refresh_scores(
     agents: Sequence[AgentState],
     validation_sets: Sequence,
     gamma: float,
-    indices: Sequence[int] | None = None,
 ) -> None:
     """Re-measure validation accuracy and set score = exp(gamma * accuracy)."""
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    for i in range(len(agents)) if indices is None else indices:
+    for i in range(len(agents)):
         acc = agents[i].learner.accuracy(validation_sets[i])
         agents[i].last_accuracy = acc
         agents[i].log_score = gamma * acc
@@ -201,33 +155,24 @@ def review_step(agent: AgentState, train_set, batch_size: int, seed,
     )
 
 
-def _emit(
-    records: list[MetricsRecord],
-    on_record: Callable[[MetricsRecord], None] | None,
-    rec: MetricsRecord,
-) -> None:
-    records.append(rec)
-    if on_record is not None:
-        on_record(rec)
-
-
 def run_collective(
     agents: Sequence[AgentState],
     partition: Partition,
     schedule: GraphSchedule,
-    config: ScheduleConfig,
+    spec: CollectiveSpec,
     seed: int,
     *,
+    train_batch: int = 10,
     run_index: int = 0,
     metric_stride: int = 100,
     max_iterations: int | None = None,
-    on_record: Callable[[MetricsRecord], None] | None = None,
 ) -> RunResult:
     """Run the full collective-training phase over the shared pool.
 
-    Deterministic given (agents' initial state, partition, schedule, config,
-    seed). Emits a metrics record per agent at iteration 0, at every
-    metric_stride iterations, and at the final iteration.
+    Deterministic given (agents' initial state, partition, schedule, spec,
+    seed). Reviews take minibatches of train_batch private samples. Emits a
+    metrics record per agent at iteration 0, at every metric_stride
+    iterations, and at the final iteration.
     """
     n = len(agents)
     if n != partition.n_agents:
@@ -239,14 +184,12 @@ def run_collective(
     if metric_stride < 1:
         raise ValueError("metric_stride must be >= 1")
 
-    refresh_at = config.refresh_periods(n)
-    review_at = config.review_periods(n)
     source_x = partition.source_features
     shared_idx = partition.shared_indices
     true_labels = partition.shared_true_labels
 
-    n_batches = -(-shared_idx.size // config.collective_batch)
-    total = config.epochs_over_shared * n_batches
+    n_batches = -(-shared_idx.size // spec.batch_size)
+    total = spec.epochs_over_shared * n_batches
     if max_iterations is not None:
         total = min(total, max_iterations)
 
@@ -278,7 +221,7 @@ def run_collective(
         tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], partition.test)
         for i, a in enumerate(agents):
             rate = None if proxy_seen == 0 else proxy_hits[i] / proxy_seen
-            _emit(records, on_record, MetricsRecord(
+            records.append(MetricsRecord(
                 run=run_index,
                 iteration=k,
                 agent=a.id,
@@ -292,7 +235,7 @@ def run_collective(
 
     # Scores must be valid before the first round; measure them right after
     # self-training, then build the initial weight matrix.
-    refresh_scores(agents, partition.val, config.gamma)
+    refresh_scores(agents, partition.val, spec.gamma)
     current_round = schedule_round(schedule, 0)
     graph = graph_at(schedule, 0)
     weights = build_weight_matrix_log(graph, np.array([a.log_score for a in agents]))
@@ -300,11 +243,11 @@ def run_collective(
 
     k = 0
     done = False
-    for epoch in range(config.epochs_over_shared):
+    for epoch in range(spec.epochs_over_shared):
         if done:
             break
         order = shuffled_batches(
-            shared_idx.size, config.collective_batch, rng_for(seed, "shared-order", epoch)
+            shared_idx.size, spec.batch_size, rng_for(seed, "shared-order", epoch)
         )
         for idx in order:
             k += 1
@@ -312,12 +255,12 @@ def run_collective(
                 done = True
                 break
 
-            due = [i for i in range(n) if k % refresh_at[i] == 0]
-            if due:
-                refresh_scores(agents, partition.val, config.gamma, indices=due)
+            refresh = k % spec.score_refresh_period == 0
+            if refresh:
+                refresh_scores(agents, partition.val, spec.gamma)
                 stats["score_refresh_events"] += 1
             rnd = schedule_round(schedule, k)
-            if due or rnd != current_round:
+            if refresh or rnd != current_round:
                 if rnd != current_round:
                     current_round = rnd
                     graph = graph_at(schedule, k)
@@ -335,12 +278,10 @@ def run_collective(
                 proxy_hits[i] += int((labels[i] == truth).sum())
             proxy_seen += idx.shape[0]
 
-            for i in range(n):
-                if k % review_at[i] == 0:
-                    review_step(
-                        agents[i], partition.train[i], config.train_batch,
-                        subseed(seed, "review", k), grad_buf,
-                    )
+            if k % spec.review_period == 0:
+                review_seed = subseed(seed, "review", k)
+                for i in range(n):
+                    review_step(agents[i], partition.train[i], train_batch, review_seed, grad_buf)
                     stats["reviews"] += 1
                     stats["review_iterations"].append((k, i))
 

@@ -1,7 +1,9 @@
 """Experiment configuration: YAML loading, validation, and overrides.
 
 Every validation failure names the offending field so a bad config is
-diagnosable from the error alone.
+diagnosable from the error alone. Each spec checks its own fields when it is
+built, so a value set by an override is checked exactly as one read from
+YAML.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ class SynthSpec:
     separation: float
     test_n_per_class: int
 
+    def __post_init__(self):
+        _check(self, "dataset.", ints=(("n_per_class", 1), ("num_classes", 2), ("dim", 1),
+                                       ("test_n_per_class", 1)), floats=(("separation", 0.0),))
+
 
 @dataclass(frozen=True)
 class IdxSpec:
@@ -38,6 +44,10 @@ class IdxSpec:
     test_images: str
     test_labels: str
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _as_str(getattr(self, f.name), f"dataset.{f.name}")
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -45,6 +55,12 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...] = ()
     p: float = 0.1
     period: int = 10
+
+    def __post_init__(self):
+        _as_str(self.kind, "graph.kind", GRAPH_KINDS)
+        _check(self, "graph.", ints=(("period", 1),), floats=(("p", 0.0),))
+        if self.p > 1.0:
+            raise ConfigError(f"graph.p: must be <= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +74,31 @@ class TrainingSpec:
     self_train_epochs: int = 30
     fs_epochs: int = 3
 
+    def __post_init__(self):
+        _as_str(self.update_rule, "training.update_rule", ("adam", "sgd"))
+        _check(self, "training.",
+               ints=(("batch_size", 1), ("self_train_epochs", 0), ("fs_epochs", 1)),
+               floats=(("alpha", None), ("beta1", None), ("beta2", None), ("eps", None)))
+        if self.alpha <= 0:
+            raise ConfigError(f"training.alpha: must be positive, got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class CollectiveSpec:
+    """The collective phase: scores are exp(gamma * val_acc), refreshed with
+    the weights every score_refresh_period iterations; every agent reviews
+    its private set every review_period iterations."""
+
     gamma: float = 100.0
     score_refresh_period: int = 100
     review_period: int = 300
     batch_size: int = 10
     epochs_over_shared: int = 3
+
+    def __post_init__(self):
+        _check(self, "collective.", floats=(("gamma", 0.0),), ints=(
+            ("score_refresh_period", 1), ("review_period", 1), ("batch_size", 1),
+            ("epochs_over_shared", 1)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +117,17 @@ class ExperimentConfig:
     montecarlo_runs: int = 1
     master_seed: int = 0
     metric_stride: int = 100
-    max_iterations: int | None = None
+    max_iterations: int | None = None  # None (or 0 on input) runs uncapped
+
+    def __post_init__(self):
+        _as_str(self.mode, "mode", MODES)
+        if not isinstance(self.common_val, bool):
+            raise ConfigError(f"partition.common_val: expected a boolean, got {self.common_val!r}")
+        _check(self, "partition.", ints=(("train_size", 1), ("val_size", 1)))
+        _check(self, "", ints=(("montecarlo_runs", 1), ("master_seed", 0), ("metric_stride", 1)))
+        if self.max_iterations is not None:
+            object.__setattr__(self, "max_iterations",
+                               _as_int(self.max_iterations, "max_iterations", 0) or None)
 
 
 def _expect_map(value, path: str) -> dict:
@@ -128,6 +171,22 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
+def _check(spec, prefix: str, ints=(), floats=()) -> None:
+    """Check a frozen spec's numeric fields, each given as (name, minimum),
+    and store the float ones as float. Errors name prefix + field."""
+    for name, minimum in ints:
+        _as_int(getattr(spec, name), prefix + name, minimum)
+    for name, minimum in floats:
+        object.__setattr__(spec, name, _as_float(getattr(spec, name), prefix + name, minimum))
+
+
+def _spec(cls, d: dict, path: str):
+    """Build a spec from the keys of a YAML mapping that name its fields; a
+    field without a default is required. The spec checks its own values."""
+    return cls(**{f.name: _get(d, f.name, path) for f in dataclasses.fields(cls)
+                  if f.name in d or f.default is dataclasses.MISSING})
+
+
 def _arch_kind(value, path: str) -> str:
     kind = _as_str(value, path)
     if kind not in STANDARD_HIDDEN:
@@ -140,28 +199,12 @@ def _arch_kind(value, path: str) -> str:
 def _parse_dataset(raw: dict) -> SynthSpec | IdxSpec:
     d = _expect_map(raw, "dataset")
     kind = _as_str(_get(d, "kind", "dataset"), "dataset.kind", ("synth", "fashion-mnist"))
-    if kind == "synth":
-        return SynthSpec(
-            n_per_class=_as_int(_get(d, "n_per_class", "dataset"), "dataset.n_per_class", 1),
-            num_classes=_as_int(_get(d, "num_classes", "dataset"), "dataset.num_classes", 2),
-            dim=_as_int(_get(d, "dim", "dataset"), "dataset.dim", 1),
-            separation=_as_float(_get(d, "separation", "dataset"), "dataset.separation", 0.0),
-            test_n_per_class=_as_int(
-                _get(d, "test_n_per_class", "dataset"), "dataset.test_n_per_class", 1
-            ),
-        )
-    return IdxSpec(
-        train_images=_as_str(_get(d, "train_images", "dataset"), "dataset.train_images"),
-        train_labels=_as_str(_get(d, "train_labels", "dataset"), "dataset.train_labels"),
-        test_images=_as_str(_get(d, "test_images", "dataset"), "dataset.test_images"),
-        test_labels=_as_str(_get(d, "test_labels", "dataset"), "dataset.test_labels"),
-    )
+    return _spec(SynthSpec if kind == "synth" else IdxSpec, d, "dataset")
 
 
 def _parse_graph(raw, n_agents: int) -> GraphSpec:
     d = _expect_map(raw, "graph")
-    kind = _as_str(_get(d, "kind", "graph", required=False, default="complete"),
-                   "graph.kind", GRAPH_KINDS)
+    kind = _get(d, "kind", "graph", required=False, default="complete")
     if kind == "edges":
         raw_edges = _get(d, "edges", "graph")
         if not isinstance(raw_edges, list):
@@ -177,13 +220,9 @@ def _parse_graph(raw, n_agents: int) -> GraphSpec:
             edges.append((j, i))
         return GraphSpec(kind=kind, edges=tuple(edges))
     if kind == "erdos-renyi":
-        p = _as_float(_get(d, "p", "graph"), "graph.p", 0.0)
-        if p > 1.0:
-            raise ConfigError(f"graph.p: must be <= 1, got {p}")
-        period = _as_int(_get(d, "period", "graph", required=False, default=10),
-                         "graph.period", 1)
-        return GraphSpec(kind=kind, p=p, period=period)
-    return GraphSpec(kind="complete")
+        return GraphSpec(kind=kind, p=_get(d, "p", "graph"),
+                         period=_get(d, "period", "graph", required=False, default=10))
+    return GraphSpec(kind=kind)  # complete, or rejected there
 
 
 def _parse_agents(raw: dict) -> tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]]:
@@ -219,87 +258,26 @@ def _parse_agents(raw: dict) -> tuple[int, tuple[str, ...], tuple[tuple[str, int
 
 def parse_config(raw: dict) -> ExperimentConfig:
     raw = _expect_map(raw, "config")
-    mode = _as_str(_get(raw, "mode", "config"), "mode", MODES)
     n_agents, archs, mix = _parse_agents(_get(raw, "agents", "config"))
-
     part = _expect_map(_get(raw, "partition", "config"), "partition")
-    train_size = _as_int(_get(part, "train_size", "partition"), "partition.train_size", 1)
-    val_size = _as_int(_get(part, "val_size", "partition"), "partition.val_size", 1)
-    common_val = _get(part, "common_val", "partition", required=False, default=False)
-    if not isinstance(common_val, bool):
-        raise ConfigError(f"partition.common_val: expected a boolean, got {common_val!r}")
-
     tr = _expect_map(_get(raw, "training", "config", required=False), "training")
-    training = TrainingSpec(
-        update_rule=_as_str(
-            _get(tr, "update_rule", "training", required=False, default="adam"),
-            "training.update_rule", ("adam", "sgd"),
-        ),
-        alpha=_as_float(_get(tr, "alpha", "training", required=False, default=1e-3),
-                        "training.alpha"),
-        beta1=_as_float(_get(tr, "beta1", "training", required=False, default=0.9),
-                        "training.beta1"),
-        beta2=_as_float(_get(tr, "beta2", "training", required=False, default=0.999),
-                        "training.beta2"),
-        eps=_as_float(_get(tr, "eps", "training", required=False, default=1e-8),
-                      "training.eps"),
-        batch_size=_as_int(_get(tr, "batch_size", "training", required=False, default=10),
-                           "training.batch_size", 1),
-        self_train_epochs=_as_int(
-            _get(tr, "self_train_epochs", "training", required=False, default=30),
-            "training.self_train_epochs", 0,
-        ),
-        fs_epochs=_as_int(_get(tr, "fs_epochs", "training", required=False, default=3),
-                          "training.fs_epochs", 1),
-    )
-    if training.alpha <= 0:
-        raise ConfigError(f"training.alpha: must be positive, got {training.alpha}")
-
     co = _expect_map(_get(raw, "collective", "config", required=False), "collective")
-    collective = CollectiveSpec(
-        gamma=_as_float(_get(co, "gamma", "collective", required=False, default=100.0),
-                        "collective.gamma", 0.0),
-        score_refresh_period=_as_int(
-            _get(co, "score_refresh_period", "collective", required=False, default=100),
-            "collective.score_refresh_period", 1,
-        ),
-        review_period=_as_int(
-            _get(co, "review_period", "collective", required=False, default=300),
-            "collective.review_period", 1,
-        ),
-        batch_size=_as_int(_get(co, "batch_size", "collective", required=False, default=10),
-                           "collective.batch_size", 1),
-        epochs_over_shared=_as_int(
-            _get(co, "epochs_over_shared", "collective", required=False, default=3),
-            "collective.epochs_over_shared", 1,
-        ),
-    )
-
-    max_iter = _get(raw, "max_iterations", "config", required=False)
     return ExperimentConfig(
-        mode=mode,
+        mode=_get(raw, "mode", "config"),
         n_agents=n_agents,
         architectures=archs,
         architecture_mix=mix,
-        train_size=train_size,
-        val_size=val_size,
-        common_val=common_val,
+        train_size=_get(part, "train_size", "partition"),
+        val_size=_get(part, "val_size", "partition"),
+        common_val=_get(part, "common_val", "partition", required=False, default=False),
         dataset=_parse_dataset(_get(raw, "dataset", "config")),
         graph=_parse_graph(_get(raw, "graph", "config", required=False), n_agents),
-        training=training,
-        collective=collective,
-        montecarlo_runs=_as_int(
-            _get(raw, "montecarlo_runs", "config", required=False, default=1),
-            "montecarlo_runs", 1,
-        ),
-        master_seed=_as_int(
-            _get(raw, "master_seed", "config", required=False, default=0), "master_seed", 0
-        ),
-        metric_stride=_as_int(
-            _get(raw, "metric_stride", "config", required=False, default=100),
-            "metric_stride", 1,
-        ),
-        max_iterations=None if max_iter in (None, 0) else _as_int(max_iter, "max_iterations", 1),
+        training=_spec(TrainingSpec, tr, "training"),
+        collective=_spec(CollectiveSpec, co, "collective"),
+        montecarlo_runs=_get(raw, "montecarlo_runs", "config", required=False, default=1),
+        master_seed=_get(raw, "master_seed", "config", required=False, default=0),
+        metric_stride=_get(raw, "metric_stride", "config", required=False, default=100),
+        max_iterations=_get(raw, "max_iterations", "config", required=False),
     )
 
 
@@ -364,12 +342,25 @@ def _replace_path(obj, path: tuple[str, ...], value):
         raise ConfigError(f"no such config field: {path[0]}")
     if len(path) == 1:
         current = getattr(obj, path[0])
-        if current is not None and not isinstance(value, type(current)):
-            # keep int/float flexibility, reject type nonsense
-            if isinstance(current, float) and isinstance(value, int):
-                value = float(value)
-            elif isinstance(current, int) and isinstance(value, float) and value.is_integer():
-                value = int(value)
+        if current is not None:
+            value = _like(current, value)
+        # replace() runs the spec's checks on the new value
         return dataclasses.replace(obj, **{path[0]: value})
     child = _replace_path(getattr(obj, path[0]), path[1:], value)
     return dataclasses.replace(obj, **{path[0]: child})
+
+
+def _like(current, value):
+    """`value` as the type of the field's current value. An int widens to a
+    float and an integral float narrows to an int; nothing else converts,
+    and a bool never stands in for a number or the other way round."""
+    wrong = ConfigError(f"expected {type(current).__name__}, got {value!r}")
+    if isinstance(current, bool) != isinstance(value, bool):
+        raise wrong
+    if isinstance(current, float) and isinstance(value, int):
+        return float(value)
+    if isinstance(current, int) and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, type(current)):
+        raise wrong
+    return value

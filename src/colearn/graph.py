@@ -172,35 +172,15 @@ def is_jointly_strongly_connected(schedule: GraphSchedule, k0: int, window: int)
     return is_strongly_connected(union_graph(graphs))
 
 
-def build_weight_matrix(g: DirectedGraph, scores: np.ndarray) -> np.ndarray:
-    """Row-stochastic mixing matrix from per-node performance scores.
-
-    Row i distributes weight over i's in-neighborhood (self included)
-    proportionally to each sender's score: w_ij = s_j / sum_{m in N_i} s_m.
-    Scores must be positive and finite.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (g.n,):
-        raise ValueError(f"expected {g.n} scores, got shape {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    if np.any(scores <= 0.0):
-        raise ValueError("scores must be positive")
-    w = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        nbrs = sorted(in_neighbors(g, i))
-        denom = scores[nbrs].sum()
-        w[i, nbrs] = scores[nbrs] / denom
-    return w
-
-
 def build_weight_matrix_log(g: DirectedGraph, log_scores: np.ndarray) -> np.ndarray:
-    """As build_weight_matrix for scores given in log space.
+    """Row-stochastic mixing matrix from per-node log performance scores.
 
-    Each row is shifted by its in-neighborhood maximum before
-    exponentiating, so the exact same ratios survive log-scores far
-    beyond the float range of exp (score sharpening with large exponents
-    would otherwise overflow).
+    Row i distributes weight over i's in-neighborhood (self included) in
+    proportion to each sender's score: w_ij = exp(l_j) / sum_{m in N_i}
+    exp(l_m). Each row is shifted by its in-neighborhood maximum before
+    exponentiating, so the same ratios survive log-scores far beyond the
+    float range of exp (score sharpening with large exponents would
+    otherwise overflow). Log-scores must be finite.
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
     if log_scores.shape != (g.n,):

@@ -21,7 +21,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .collective import AgentState, MetricsRecord, RunResult, ScheduleConfig, run_collective
+from .collective import AgentState, MetricsRecord, RunResult, run_collective
 from .config import ExperimentConfig, SynthSpec
 from .data import Dataset, Partition, load_idx, make_partition, synth_blobs, write_manifest
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
@@ -233,18 +233,10 @@ def run_mode(
                 partition.train[agent.id], t.batch_size, t.self_train_epochs,
                 seed=subseed(config.master_seed, run_index, "self-train", agent.id),
             )
-        schedule_config = ScheduleConfig(
-            score_refresh_period=config.collective.score_refresh_period,
-            review_period=config.collective.review_period,
-            gamma=config.collective.gamma,
-            collective_batch=config.collective.batch_size,
-            train_batch=t.batch_size,
-            epochs_over_shared=config.collective.epochs_over_shared,
-        )
         result: RunResult = run_collective(
-            agents, partition, build_schedule(config), schedule_config,
+            agents, partition, build_schedule(config), config.collective,
             seed=subseed(config.master_seed, run_index, "collective"),
-            run_index=run_index, metric_stride=config.metric_stride,
+            train_batch=t.batch_size, run_index=run_index, metric_stride=config.metric_stride,
             max_iterations=config.max_iterations,
         )
         records.extend(result.records)

@@ -12,7 +12,7 @@ import pytest
 
 from colearn.collective import fuse_and_label, RoundMessage
 from colearn.config import load_config, override
-from colearn.graph import DirectedGraph, build_weight_matrix
+from colearn.graph import DirectedGraph, build_weight_matrix_log
 from colearn.harness import montecarlo, run_mode, summarize
 from colearn.learner import Architecture, grad, init_params, loss, forward
 from colearn.seeding import rng_for
@@ -60,7 +60,7 @@ class TestCriterion1Properties:
         for _ in range(300):
             n = int(rng.integers(1, 16))
             g = random_graph(n, float(rng.random()), rng)
-            w = build_weight_matrix(g, np.exp(rng.uniform(0, 8, size=n)))
+            w = build_weight_matrix_log(g, rng.uniform(0, 8, size=n))
             worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
             assert np.all(w >= 0.0) and np.all(np.diag(w) > 0.0)
         assert worst <= 1e-9

@@ -104,6 +104,20 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, values, field", [
+    ("review_period", "2,0", "collective.review_period"),
+    ("mode", "st", "mode"),
+    ("common_val", "False", "common_val"),
+])
+def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
+                                                 values, field):
+    code = main(["sweep", str(tiny_config), "--param", param, "--values", values,
+                 "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
 def test_graph_dump_static(tiny_config, capsys):
     code = main(["graph-dump", str(tiny_config), "--iter", "0"])
     assert code == 0

@@ -9,15 +9,17 @@ from colearn import collective
 from colearn.collective import (
     AgentState,
     RoundMessage,
-    ScheduleConfig,
     collective_round,
     fuse_and_label,
     refresh_scores,
     review_step,
     run_collective,
 )
+from colearn.config import CollectiveSpec
 from colearn.data import Dataset, Partition, make_partition, shuffled_batches, synth_blobs
-from colearn.graph import DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix
+from colearn.graph import (
+    DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix_log,
+)
 from colearn.learner import (
     Adam, Architecture, Learner, Sgd, apply_update, forward, grad, init_params, param_count,
     param_views,
@@ -59,7 +61,7 @@ class TestRefreshScores:
             labeled(np.zeros((4, 4)), [0, 0, 1, 2], 3),
         ]
         refresh_scores(agents, vals, gamma=0.0)
-        assert [a.score for a in agents] == [1.0, 1.0]
+        assert [np.exp(a.log_score) for a in agents] == [1.0, 1.0]
         assert agents[0].last_accuracy == 0.5
         assert agents[1].last_accuracy == 0.25
 
@@ -73,8 +75,8 @@ class TestRefreshScores:
             labeled(np.zeros((10, 4)), [0] * 7 + [1] * 3, 2),   # accuracy 0.7
         ]
         refresh_scores(agents, vals, gamma=1.0)
-        assert agents[0].score == pytest.approx(1.64872, abs=1e-5)
-        assert agents[1].score == pytest.approx(2.01375, abs=1e-5)
+        assert np.exp(agents[0].log_score) == pytest.approx(1.64872, abs=1e-5)
+        assert np.exp(agents[1].log_score) == pytest.approx(2.01375, abs=1e-5)
 
     def test_large_gamma_weight_ratio(self):
         # accuracies 0.80 vs 0.81 at gamma=100: score ratio is e
@@ -87,22 +89,12 @@ class TestRefreshScores:
             labeled(np.zeros((100, 4)), [0] * 81 + [1] * 19, 2),
         ]
         refresh_scores(agents, vals, gamma=100.0)
-        assert agents[1].score / agents[0].score == pytest.approx(np.e, rel=1e-9)
-        w = build_weight_matrix(
-            DirectedGraph.complete(2), np.array([a.score for a in agents])
+        scores = [np.exp(a.log_score) for a in agents]
+        assert scores[1] / scores[0] == pytest.approx(np.e, rel=1e-9)
+        w = build_weight_matrix_log(
+            DirectedGraph.complete(2), np.array([a.log_score for a in agents])
         )
         assert w[0, 1] / w[0, 0] == pytest.approx(np.e, rel=1e-9)
-
-    def test_partial_refresh_leaves_others(self):
-        agents = [
-            AgentState(id=0, learner=constant_predictor(2, 0), log_score=5.0),
-            AgentState(id=1, learner=constant_predictor(2, 0), log_score=7.0),
-        ]
-        vals = [labeled(np.zeros((2, 4)), [0, 0], 2)] * 2
-        refresh_scores(agents, vals, gamma=1.0, indices=[1])
-        assert agents[0].log_score == 5.0
-        assert agents[0].score == pytest.approx(np.exp(5.0))
-        assert agents[1].score == pytest.approx(np.e)
 
     def test_extreme_gamma_does_not_overflow(self):
         agents = [
@@ -114,7 +106,6 @@ class TestRefreshScores:
             labeled(np.zeros((10, 4)), [0] * 9 + [1] * 1, 2),   # accuracy 0.9
         ]
         refresh_scores(agents, vals, gamma=1000.0)
-        from colearn.graph import build_weight_matrix_log
         w = build_weight_matrix_log(
             DirectedGraph.complete(2), np.array([a.log_score for a in agents])
         )
@@ -342,9 +333,9 @@ class TestEngine:
         part = make_partition(source, 1, 30, 30, seed=0, test=test)
         assert part.shared_indices.size == 3000
         agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=100, review_period=300, gamma=1.0,
-            collective_batch=10, epochs_over_shared=3,
+            batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
             [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
@@ -355,6 +346,26 @@ class TestEngine:
         # weight matrix rebuilt at each refresh: 900 / 100 events
         assert result.stats["score_refresh_events"] == 9
         assert result.stats["weight_rebuilds"] == 9
+
+    def test_every_agent_reviews_in_agent_order(self):
+        source = synth_blobs(120, 3, 4, 5.0, seed=40)
+        test = synth_blobs(30, 3, 4, 5.0, seed=41)
+        part = make_partition(source, 2, 20, 10, seed=42, test=test)
+        agents = [
+            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=50 + i))
+            for i in range(2)
+        ]
+        config = CollectiveSpec(
+            score_refresh_period=1000, review_period=10, gamma=0.0,
+            batch_size=10, epochs_over_shared=1,
+        )
+        result = run_collective(
+            agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
+            seed=51, metric_stride=100,
+        )  # 30 iterations
+        assert result.stats["review_iterations"] == [
+            (10, 0), (10, 1), (20, 0), (20, 1), (30, 0), (30, 1)
+        ]
 
     def test_batches_are_gathered_source_rows(self, monkeypatch):
         source = synth_blobs(60, 3, 4, 6.0, seed=12)
@@ -371,8 +382,8 @@ class TestEngine:
             AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=i))
             for i in range(2)
         ]
-        config = ScheduleConfig(score_refresh_period=5, review_period=7, gamma=1.0,
-                                collective_batch=10, epochs_over_shared=2)
+        config = CollectiveSpec(score_refresh_period=5, review_period=7, gamma=1.0,
+                                batch_size=10, epochs_over_shared=2)
         run_collective(agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
                        seed=15, metric_stride=100)
         order = [idx for e in range(2) for idx in shuffled_batches(
@@ -385,9 +396,9 @@ class TestEngine:
     def test_metric_records_structure(self):
         part = single_agent_partition()
         agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=10, review_period=25, gamma=1.0,
-            collective_batch=10, epochs_over_shared=1,
+            batch_size=10, epochs_over_shared=1,
         )
         result = run_collective(
             [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
@@ -421,9 +432,9 @@ class TestEngine:
             for i in range(2)
         ]
         assert np.array_equal(agents[0].learner.params, agents[1].learner.params)
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=7, review_period=13, gamma=0.0,
-            collective_batch=10, epochs_over_shared=2,
+            batch_size=10, epochs_over_shared=2,
         )
         run_collective(
             agents, part, StaticSchedule(DirectedGraph.complete(2)), config, seed=5,
@@ -437,9 +448,9 @@ class TestEngine:
             agents = [
                 AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=7)),
             ]
-            config = ScheduleConfig(
+            config = CollectiveSpec(
                 score_refresh_period=11, review_period=17, gamma=2.0,
-                collective_batch=10, epochs_over_shared=2,
+                batch_size=10, epochs_over_shared=2,
             )
             return run_collective(
                 agents, part, StaticSchedule(DirectedGraph.empty(1)), config,
@@ -458,9 +469,9 @@ class TestEngine:
             AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=30 + i))
             for i in range(3)
         ]
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=1000, review_period=1000, gamma=1.0,
-            collective_batch=10, epochs_over_shared=1,
+            batch_size=10, epochs_over_shared=1,
         )
         schedule = ErdosRenyiSchedule(n=3, p=0.6, period=5, seed=8)
         result = run_collective(agents, part, schedule, config, seed=31, metric_stride=100)
@@ -471,9 +482,9 @@ class TestEngine:
     def test_max_iterations_cap(self):
         part = single_agent_partition(seed=4)
         agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
-            collective_batch=10, epochs_over_shared=3,
+            batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
             [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
@@ -486,9 +497,9 @@ class TestEngine:
         part = single_agent_partition(seed=5)
         agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
         agent.learner.params[:] = np.nan
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
-            collective_batch=10, epochs_over_shared=1,
+            batch_size=10, epochs_over_shared=1,
         )
         with pytest.raises(RuntimeError, match=r"agent 0 at iteration \d+"):
             run_collective(
@@ -499,47 +510,10 @@ class TestEngine:
     def test_agent_id_and_size_validation(self):
         part = single_agent_partition(seed=6)
         agent = AgentState(id=1, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
-        config = ScheduleConfig(
+        config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
         )
         with pytest.raises(ValueError, match="agent ids"):
             run_collective(
                 [agent], part, StaticSchedule(DirectedGraph.empty(1)), config, seed=0
             )
-
-
-class TestScheduleConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(score_refresh_period=0, review_period=1, gamma=1.0)
-        with pytest.raises(ValueError):
-            ScheduleConfig(score_refresh_period=1, review_period=1, gamma=-0.5)
-        with pytest.raises(ValueError):
-            ScheduleConfig(score_refresh_period=1, review_period=(1, 0), gamma=0.0)
-
-    def test_per_agent_periods(self):
-        config = ScheduleConfig(score_refresh_period=5, review_period=(3, 9), gamma=0.0)
-        assert config.refresh_periods(2) == (5, 5)
-        assert config.review_periods(2) == (3, 9)
-        with pytest.raises(ValueError):
-            config.review_periods(3)
-
-    def test_heterogeneous_review_periods_in_engine(self):
-        source = synth_blobs(120, 3, 4, 5.0, seed=40)
-        test = synth_blobs(30, 3, 4, 5.0, seed=41)
-        part = make_partition(source, 2, 20, 10, seed=42, test=test)
-        agents = [
-            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=50 + i))
-            for i in range(2)
-        ]
-        config = ScheduleConfig(
-            score_refresh_period=1000, review_period=(10, 15), gamma=0.0,
-            collective_batch=10, epochs_over_shared=1,
-        )
-        result = run_collective(
-            agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
-            seed=51, metric_stride=100,
-        )  # 30 iterations: agent 0 reviews at 10,20,30; agent 1 at 15,30
-        assert result.stats["review_iterations"] == [
-            (10, 0), (15, 1), (20, 0), (30, 0), (30, 1)
-        ]

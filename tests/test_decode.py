@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from colearn import collective
-from colearn.collective import AgentState, ScheduleConfig, run_collective
+from colearn.collective import AgentState, run_collective
+from colearn.config import CollectiveSpec
 from colearn.data import Dataset, decode, load_idx, make_partition
 from colearn.graph import DirectedGraph, StaticSchedule
 from colearn.learner import (
@@ -89,8 +90,8 @@ def _collective(source: Dataset, test: Dataset, monkeypatch):
         return labels
 
     monkeypatch.setattr(collective, "collective_round", spy)
-    config = ScheduleConfig(score_refresh_period=9, review_period=25, gamma=2.0,
-                            collective_batch=10, epochs_over_shared=1)
+    config = CollectiveSpec(score_refresh_period=9, review_period=25, gamma=2.0,
+                            batch_size=10, epochs_over_shared=1)
     result = run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
                             seed=8, metric_stride=20, max_iterations=50)
     params = [a.learner.params.tobytes() for a in agents]

@@ -7,7 +7,6 @@ from colearn.graph import (
     DirectedGraph,
     ErdosRenyiSchedule,
     StaticSchedule,
-    build_weight_matrix,
     build_weight_matrix_log,
     check_weight_matrix,
     format_edge_list,
@@ -158,30 +157,40 @@ class TestJointConnectivity:
             union_graph([DirectedGraph.empty(2), DirectedGraph.empty(3)])
 
 
+def plain_weights(g: DirectedGraph, scores: np.ndarray) -> np.ndarray:
+    """Reference: w_ij = s_j / sum of s_m over i's in-neighborhood, by loops."""
+    w = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        nbrs = in_neighbors(g, i)
+        total = sum(scores[m] for m in nbrs)
+        for j in nbrs:
+            w[i, j] = scores[j] / total
+    return w
+
+
 class TestWeightMatrix:
     def test_uniform_scores_complete_graph(self):
-        w = build_weight_matrix(DirectedGraph.complete(4), np.ones(4))
-        assert np.allclose(w, 0.25)
+        w = build_weight_matrix_log(DirectedGraph.complete(4), np.zeros(4))
+        assert np.allclose(w, 0.25, rtol=0.0, atol=1e-15)
 
     def test_two_node_proportional(self):
-        w = build_weight_matrix(DirectedGraph.complete(2), np.array([1.0, 3.0]))
-        assert np.allclose(w, [[0.25, 0.75], [0.25, 0.75]])
+        w = build_weight_matrix_log(DirectedGraph.complete(2), np.log([1.0, 3.0]))
+        assert np.allclose(w, [[0.25, 0.75], [0.25, 0.75]], rtol=0.0, atol=1e-15)
 
     def test_star_into_node_zero(self):
         g = DirectedGraph.from_edges(3, [(1, 0), (2, 0)])
-        w = build_weight_matrix(g, np.array([2.0, 3.0, 5.0]))
-        assert np.allclose(w[0], [0.2, 0.3, 0.5])
-        assert np.allclose(w[1], [0.0, 1.0, 0.0])
-        assert np.allclose(w[2], [0.0, 0.0, 1.0])
-        assert np.allclose(w.sum(axis=1), 1.0)
+        w = build_weight_matrix_log(g, np.log([2.0, 3.0, 5.0]))
+        assert np.allclose(w[0], [0.2, 0.3, 0.5], rtol=0.0, atol=1e-15)
+        assert w[1].tolist() == [0.0, 1.0, 0.0]
+        assert w[2].tolist() == [0.0, 0.0, 1.0]
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
     def test_invariants_on_random_graphs(self):
         rng = rng_for(3, "wm-invariants")
         for _ in range(200):
             n = int(rng.integers(1, 12))
             g = random_graph(n, float(rng.random()), rng)
-            scores = np.exp(rng.uniform(0.0, 5.0, size=n))
-            w = build_weight_matrix(g, scores)
+            w = build_weight_matrix_log(g, rng.uniform(0.0, 5.0, size=n))
             check_weight_matrix(w, g, tol=1e-9)
 
     def test_log_variant_matches_plain(self):
@@ -190,7 +199,7 @@ class TestWeightMatrix:
             n = int(rng.integers(1, 10))
             g = random_graph(n, float(rng.random()), rng)
             log_scores = rng.uniform(0.0, 6.0, size=n)
-            plain = build_weight_matrix(g, np.exp(log_scores))
+            plain = plain_weights(g, np.exp(log_scores))
             stable = build_weight_matrix_log(g, log_scores)
             assert np.allclose(plain, stable, rtol=1e-12, atol=1e-15)
             check_weight_matrix(stable, g, tol=1e-9)
@@ -204,14 +213,13 @@ class TestWeightMatrix:
 
     def test_rejects_bad_scores(self):
         g = DirectedGraph.complete(3)
-        with pytest.raises(ValueError):
-            build_weight_matrix(g, np.array([1.0, np.nan, 1.0]))
-        with pytest.raises(ValueError):
-            build_weight_matrix(g, np.array([1.0, np.inf, 1.0]))
-        with pytest.raises(ValueError):
-            build_weight_matrix(g, np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            build_weight_matrix(g, np.ones(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_weight_matrix_log(g, np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="expected 3 scores"):
+            build_weight_matrix_log(g, np.zeros(2))
+        with pytest.raises(ValueError, match="expected 3 scores"):
+            build_weight_matrix_log(g, np.zeros((3, 1)))
 
 
 def test_explicit_self_loops_are_dropped():

@@ -10,7 +10,9 @@ import pytest
 
 from colearn import harness
 from colearn.collective import MetricsRecord
-from colearn.config import ConfigError, IdxSpec, load_config, override, parse_config
+from colearn.config import (
+    CollectiveSpec, ConfigError, IdxSpec, load_config, override, parse_config,
+)
 from colearn.data import load_idx
 from colearn.harness import (
     build_schedule,
@@ -175,6 +177,58 @@ class TestOverride:
         override(config, "gamma", 123.0)
         assert config.collective.gamma != 123.0
 
+    def test_choice_fields_checked(self):
+        config = blob_config()
+        with pytest.raises(ConfigError, match="mode"):
+            override(config, "mode", "st")
+        with pytest.raises(ConfigError, match="training.update_rule"):
+            override(config, "training.update_rule", "SGD")
+
+    def test_value_of_wrong_type_rejected(self):
+        config = blob_config()
+        for name, value in (("common_val", "False"), ("common_val", 0), ("gamma", "abc"),
+                            ("gamma", True), ("train_size", True), ("train_size", 2.5),
+                            ("mode", 1)):
+            with pytest.raises(ConfigError, match=name):
+                override(config, name, value)
+        # numbers still convert where no value is lost
+        gamma = override(config, "gamma", 3).collective.gamma
+        assert gamma == 3.0 and type(gamma) is float
+        train_size = override(config, "train_size", 20.0).train_size
+        assert train_size == 20 and type(train_size) is int
+        assert override(config, "common_val", True).common_val is True
+
+    def test_max_iterations_zero_means_uncapped(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("max_iterations: 0\n" + VALID_YAML)
+        from_yaml = load_config(path)
+        assert from_yaml.max_iterations is None
+        path.write_text("max_iterations: 40\n" + VALID_YAML)
+        capped = load_config(path)
+        assert capped.max_iterations == 40
+        assert override(capped, "max_iterations", 0) == from_yaml
+        with pytest.raises(ConfigError, match="max_iterations"):
+            override(capped, "max_iterations", -1)
+
+    @pytest.mark.parametrize("mode", ["CL", "ST", "FS"])
+    def test_metric_stride_checked(self, mode):
+        with pytest.raises(ConfigError, match="metric_stride: must be >= 1"):
+            override(blob_config(mode=mode), "metric_stride", 0)
+
+
+class TestCollectiveSpec:
+    def test_validation(self):
+        with pytest.raises(ConfigError, match="collective.score_refresh_period"):
+            CollectiveSpec(score_refresh_period=0, review_period=1, gamma=1.0)
+        with pytest.raises(ConfigError, match="collective.gamma"):
+            CollectiveSpec(score_refresh_period=1, review_period=1, gamma=-0.5)
+        for name in ("review_period", "batch_size", "epochs_over_shared"):
+            with pytest.raises(ConfigError, match=f"collective.{name}: must be >= 1"):
+                CollectiveSpec(**{name: 0})
+        with pytest.raises(ConfigError, match="collective.review_period"):
+            override(blob_config(), "review_period", 0)
+        assert type(CollectiveSpec(gamma=2).gamma) is float
+
 
 class TestRunMode:
     def test_st_zero_epochs_is_passthrough(self):
@@ -186,11 +240,11 @@ class TestRunMode:
 
     @pytest.mark.parametrize("mode, settings, updates", [
         ("CL", {"max_iterations": 20}, 20),
-        ("CL", {"max_iterations": 0}, 0),
+        ("CL", {"max_iterations": 0}, 44),  # 0 is uncapped: 2 epochs of 22 batches
         ("ST", {}, 3),
         ("ST", {"self_train_epochs": 0}, 0),
         ("FS", {"max_iterations": 30}, 30),
-        ("FS", {"max_iterations": 0}, 0),
+        ("FS", {"max_iterations": 0}, 150),  # uncapped: 5 epochs of 30 batches
     ])
     def test_final_test_is_last_record_of_final_params(self, monkeypatch, mode, settings,
                                                         updates):
