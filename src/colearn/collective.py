@@ -8,8 +8,14 @@ runs its layers once per round: the update backpropagates the proxy labels
 through the activations of the forward pass that made its predictions. The
 periods come from the run's CollectiveSpec: every score_refresh_period
 iterations all scores (and with them the weight matrix) refresh, and every
-review_period iterations each agent in turn runs one supervised epoch over
-its private training set.
+review_period iterations each agent runs one supervised epoch over its
+private training set.
+
+A run spreads its agents' independent work over a `parallel.AgentPool`:
+every forward pass, every update, every review epoch and every validation
+measurement is one agent's task, and test-set evaluation runs chunk by
+chunk. Fusion runs on the calling thread between the two halves of a round.
+Each agent's arithmetic is the same at any pool size, so are the results.
 
 Agents only ever exchange prediction vectors: fusion consumes RoundMessage
 values and a weight row, never another agent's parameters or data.
@@ -27,6 +33,7 @@ from .config import CollectiveSpec
 from .data import Partition, decode, shuffled_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
 from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
+from .parallel import AgentPool
 from .seeding import rng_for, subseed
 
 
@@ -87,25 +94,36 @@ def fuse_and_label(messages: Sequence[RoundMessage], weight_row: np.ndarray) -> 
     return kernels.argmax_rows(fused)
 
 
+def _at(k: int | None) -> str:
+    return "" if k is None else f"at iteration {k}"
+
+
 def refresh_scores(
     agents: Sequence[AgentState],
     validation_sets: Sequence,
     gamma: float,
+    pool: AgentPool | None = None,
+    k: int | None = None,
 ) -> None:
-    """Re-measure validation accuracy and set score = exp(gamma * accuracy)."""
+    """Re-measure validation accuracy and set score = exp(gamma * accuracy).
+    With a pool the agents measure side by side; a failure names the agent
+    and iteration `k`."""
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    for i in range(len(agents)):
-        acc = agents[i].learner.accuracy(validation_sets[i])
-        agents[i].last_accuracy = acc
-        agents[i].log_score = gamma * acc
+
+    def measure(agent: AgentState, val) -> None:
+        agent.last_accuracy = agent.learner.accuracy(val)
+        agent.log_score = gamma * agent.last_accuracy
+
+    (pool or AgentPool()).each(measure, agents, validation_sets, where=_at(k))
 
 
 def collective_round(
     agents: Sequence[AgentState],
     weights: np.ndarray,
     batch_features: np.ndarray,
-    grad_buf: np.ndarray | None = None,
+    pool: AgentPool | None = None,
+    k: int | None = None,
 ) -> list[np.ndarray]:
     """One synchronous round: predict, fuse into proxy labels, update.
 
@@ -114,10 +132,10 @@ def collective_round(
     backpropagates its proxy labels through the forward pass that made its
     predictions. Returns each agent's proxy labels for the batch.
 
-    `grad_buf` is a flat scratch vector at least as long as the largest
-    agent's parameters; each agent's gradient is written into its head and
-    consumed by the update before the next agent's. Without it one is
-    allocated for the round.
+    With a pool the agents' forward passes run side by side, then fusion
+    runs on the calling thread, then the agents' updates run side by side,
+    each writing its gradient into its thread's buffer. A failure names the
+    agent and iteration `k`.
     """
     n = len(agents)
     if weights.shape != (n, n):
@@ -125,29 +143,31 @@ def collective_round(
     num_classes = agents[0].learner.arch.num_classes
     if any(a.learner.arch.num_classes != num_classes for a in agents):
         raise ValueError("all agents must share the same number of classes")
+    pool = pool or AgentPool()
 
-    passes = [forward_pass(a.learner.arch, a.learner.params, batch_features) for a in agents]
+    def predict(agent: AgentState):
+        return forward_pass(agent.learner.arch, agent.learner.params, batch_features)
+
+    def update(agent: AgentState, forward, proxy: np.ndarray) -> None:
+        learner = agent.learner
+        g = backprop(learner.arch, learner.params, *forward, proxy,
+                     out=pool.grad_buf(learner.params.size))
+        apply_update(learner.rule, learner.params, g)
+
+    passes = pool.each(predict, agents, where=_at(k))
     messages = [RoundMessage(sender=a.id, predictions=probs)
                 for a, (_, probs) in zip(agents, passes)]
     labels = [fuse_and_label(messages, weights[i]) for i in range(n)]
-    if grad_buf is None:
-        grad_buf = _grad_buffer(agents)
-    for i, agent in enumerate(agents):
-        learner = agent.learner
-        g = backprop(learner.arch, learner.params, *passes[i], labels[i],
-                     out=grad_buf[: learner.params.size])
-        apply_update(learner.rule, learner.params, g)
+    pool.each(update, agents, passes, labels, where=_at(k))
     return labels
-
-
-def _grad_buffer(agents: Sequence[AgentState]) -> np.ndarray:
-    return np.empty(max(a.learner.params.size for a in agents))
 
 
 def review_step(agent: AgentState, train_set, batch_size: int, seed,
                 grad_buf: np.ndarray | None = None) -> None:
     """One supervised epoch over the agent's private training set, keeping
-    the agent's update-rule state. `grad_buf` is as in collective_round."""
+    the agent's update-rule state. `grad_buf`, a flat scratch at least as
+    long as the agent's parameters, receives each gradient; without it one
+    is allocated for the call."""
     learner = agent.learner
     train_epochs(
         learner.arch, learner.params, learner.rule,
@@ -203,9 +223,6 @@ def run_collective(
     records: list[MetricsRecord] = []
     proxy_hits = np.zeros(n, dtype=np.int64)
     proxy_seen = 0
-    # one gradient buffer for the whole run, shared by the agents' rounds and
-    # reviews in turn
-    grad_buf = _grad_buffer(agents)
 
     def check_finite(k: int) -> None:
         for a in agents:
@@ -218,7 +235,10 @@ def run_collective(
         nonlocal proxy_seen
         check_finite(k)
         # one decode of each test chunk, scored by every agent
-        tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], partition.test)
+        tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], partition.test,
+                           pool=pool)
+        vals = pool.each(lambda a, val: a.learner.accuracy(val), agents, partition.val,
+                         where=_at(k))
         for i, a in enumerate(agents):
             rate = None if proxy_seen == 0 else proxy_hits[i] / proxy_seen
             records.append(MetricsRecord(
@@ -227,66 +247,72 @@ def run_collective(
                 agent=a.id,
                 arch=a.learner.arch.kind,
                 test_accuracy=tests[i],
-                val_accuracy=a.learner.accuracy(partition.val[i]),
+                val_accuracy=vals[i],
                 proxy_match_rate=rate,
             ))
         proxy_hits[:] = 0
         proxy_seen = 0
 
-    # Scores must be valid before the first round; measure them right after
-    # self-training, then build the initial weight matrix.
-    refresh_scores(agents, partition.val, spec.gamma)
-    current_round = schedule_round(schedule, 0)
-    graph = graph_at(schedule, 0)
-    weights = build_weight_matrix_log(graph, np.array([a.log_score for a in agents]))
-    emit_metrics(0)
+    # the run's threads: opened here and joined before the run returns
+    with AgentPool.for_agents(n) as pool:
+        # Scores must be valid before the first round; measure them right
+        # after self-training, then build the initial weight matrix.
+        refresh_scores(agents, partition.val, spec.gamma, pool, 0)
+        current_round = schedule_round(schedule, 0)
+        graph = graph_at(schedule, 0)
+        weights = build_weight_matrix_log(graph, np.array([a.log_score for a in agents]))
+        emit_metrics(0)
 
-    k = 0
-    done = False
-    for epoch in range(spec.epochs_over_shared):
-        if done:
-            break
-        order = shuffled_batches(
-            shared_idx.size, spec.batch_size, rng_for(seed, "shared-order", epoch)
-        )
-        for idx in order:
-            k += 1
-            if k > total:
-                done = True
+        k = 0
+        done = False
+        for epoch in range(spec.epochs_over_shared):
+            if done:
                 break
+            order = shuffled_batches(
+                shared_idx.size, spec.batch_size, rng_for(seed, "shared-order", epoch)
+            )
+            for idx in order:
+                k += 1
+                if k > total:
+                    done = True
+                    break
 
-            refresh = k % spec.score_refresh_period == 0
-            if refresh:
-                refresh_scores(agents, partition.val, spec.gamma)
-                stats["score_refresh_events"] += 1
-            rnd = schedule_round(schedule, k)
-            if refresh or rnd != current_round:
-                if rnd != current_round:
-                    current_round = rnd
-                    graph = graph_at(schedule, k)
-                weights = build_weight_matrix_log(
-                    graph, np.array([a.log_score for a in agents])
-                )
-                stats["weight_rebuilds"] += 1
+                refresh = k % spec.score_refresh_period == 0
+                if refresh:
+                    refresh_scores(agents, partition.val, spec.gamma, pool, k)
+                    stats["score_refresh_events"] += 1
+                rnd = schedule_round(schedule, k)
+                if refresh or rnd != current_round:
+                    if rnd != current_round:
+                        current_round = rnd
+                        graph = graph_at(schedule, k)
+                    weights = build_weight_matrix_log(
+                        graph, np.array([a.log_score for a in agents])
+                    )
+                    stats["weight_rebuilds"] += 1
 
-            # gather and decode the batch's pool rows; the pool is never copied whole
-            batch_x = decode(source_x[shared_idx[idx]])
-            labels = collective_round(agents, weights, batch_x, grad_buf)
+                # gather and decode the batch's rows; the shared pool is never copied whole
+                batch_x = decode(source_x[shared_idx[idx]])
+                labels = collective_round(agents, weights, batch_x, pool, k)
 
-            truth = true_labels[idx]
-            for i in range(n):
-                proxy_hits[i] += int((labels[i] == truth).sum())
-            proxy_seen += idx.shape[0]
-
-            if k % spec.review_period == 0:
-                review_seed = subseed(seed, "review", k)
+                truth = true_labels[idx]
                 for i in range(n):
-                    review_step(agents[i], partition.train[i], train_batch, review_seed, grad_buf)
-                    stats["reviews"] += 1
-                    stats["review_iterations"].append((k, i))
+                    proxy_hits[i] += int((labels[i] == truth).sum())
+                proxy_seen += idx.shape[0]
 
-            if k % metric_stride == 0 or k == total:
-                emit_metrics(k)
+                if k % spec.review_period == 0:
+                    # one seed for every agent's review epoch
+                    review_seed = subseed(seed, "review", k)
+                    pool.each(
+                        lambda a, train: review_step(a, train, train_batch, review_seed,
+                                                     pool.grad_buf(a.learner.params.size)),
+                        agents, partition.train, where=_at(k),
+                    )
+                    stats["reviews"] += n
+                    stats["review_iterations"].extend((k, i) for i in range(n))
+
+                if k % metric_stride == 0 or k == total:
+                    emit_metrics(k)
 
     stats["iterations"] = min(k, total)
     return RunResult(records=records, stats=stats)

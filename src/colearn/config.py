@@ -128,6 +128,15 @@ class ExperimentConfig:
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
                                _as_int(self.max_iterations, "max_iterations", 0) or None)
+        # n_agents follows from the architectures; an override may not move it alone
+        if self.architectures:
+            want = len(self.architectures)
+            what = f"{want} listed architectures"
+        else:
+            want = sum(count for _, count in self.architecture_mix)
+            what = f"mix total {want}"
+        if _as_int(self.n_agents, "agents.count", 1) != want:
+            raise ConfigError(f"agents.count: {self.n_agents} does not match {what}")
 
 
 def _expect_map(value, path: str) -> dict:
@@ -226,6 +235,7 @@ def _parse_graph(raw, n_agents: int) -> GraphSpec:
 
 
 def _parse_agents(raw: dict) -> tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]]:
+    # the declared count is checked against the architectures in ExperimentConfig
     d = _expect_map(raw, "agents")
     explicit = _get(d, "architectures", "agents", required=False)
     mix = _get(d, "mix", "agents", required=False)
@@ -237,28 +247,18 @@ def _parse_agents(raw: dict) -> tuple[int, tuple[str, ...], tuple[tuple[str, int
         kinds = tuple(
             _arch_kind(a, f"agents.architectures[{i}]") for i, a in enumerate(explicit)
         )
-        count = _get(d, "count", "agents", required=False, default=len(kinds))
-        if _as_int(count, "agents.count", 1) != len(kinds):
-            raise ConfigError(
-                f"agents.count: {count} does not match {len(kinds)} listed architectures"
-            )
-        return len(kinds), kinds, ()
+        return _get(d, "count", "agents", required=False, default=len(kinds)), kinds, ()
     mix = _expect_map(mix, "agents.mix")
-    pairs = []
-    total = 0
-    for kind in sorted(mix):
-        count = _as_int(mix[kind], f"agents.mix.{kind}", 1)
-        pairs.append((_arch_kind(kind, "agents.mix"), count))
-        total += count
-    count = _get(d, "count", "agents", required=False, default=total)
-    if _as_int(count, "agents.count", 1) != total:
-        raise ConfigError(f"agents.count: {count} does not match mix total {total}")
-    return total, (), tuple(pairs)
+    pairs = tuple((_arch_kind(kind, "agents.mix"), _as_int(mix[kind], f"agents.mix.{kind}", 1))
+                  for kind in sorted(mix))
+    total = sum(count for _, count in pairs)
+    return _get(d, "count", "agents", required=False, default=total), (), pairs
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     raw = _expect_map(raw, "config")
     n_agents, archs, mix = _parse_agents(_get(raw, "agents", "config"))
+    listed = len(archs) or sum(count for _, count in mix)
     part = _expect_map(_get(raw, "partition", "config"), "partition")
     tr = _expect_map(_get(raw, "training", "config", required=False), "training")
     co = _expect_map(_get(raw, "collective", "config", required=False), "collective")
@@ -271,7 +271,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         val_size=_get(part, "val_size", "partition"),
         common_val=_get(part, "common_val", "partition", required=False, default=False),
         dataset=_parse_dataset(_get(raw, "dataset", "config")),
-        graph=_parse_graph(_get(raw, "graph", "config", required=False), n_agents),
+        graph=_parse_graph(_get(raw, "graph", "config", required=False), listed),
         training=_spec(TrainingSpec, tr, "training"),
         collective=_spec(CollectiveSpec, co, "collective"),
         montecarlo_runs=_get(raw, "montecarlo_runs", "config", required=False, default=1),

@@ -26,6 +26,7 @@ from .config import ExperimentConfig, SynthSpec
 from .data import Dataset, Partition, load_idx, make_partition, synth_blobs, write_manifest
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
 from .learner import Adam, Architecture, Learner, Sgd, train_epochs
+from .parallel import AgentPool, share_cores
 from .seeding import rng_for, subseed
 
 CSV_HEADER = ("run", "iter", "agent", "arch", "test_acc", "val_acc", "proxy_correct")
@@ -209,29 +210,31 @@ def run_mode(
     stats: dict = {}
     t = config.training
 
-    if config.mode == "FS":
-        labeled_corpus = source
-        for agent in agents:
-            records.extend(_train_traced(
-                agent, labeled_corpus, partition, t.batch_size, t.fs_epochs,
-                seed=subseed(config.master_seed, run_index, "fs-train", agent.id),
+    if config.mode in ("FS", "ST"):
+        def train_alone(agent: AgentState) -> list[MetricsRecord]:
+            if config.mode == "FS":
+                train_set, epochs, stream = source, t.fs_epochs, "fs-train"
+            else:
+                train_set, epochs, stream = (partition.train[agent.id], t.self_train_epochs,
+                                             "self-train")
+            return _train_traced(
+                agent, train_set, partition, t.batch_size, epochs,
+                seed=subseed(config.master_seed, run_index, stream, agent.id),
                 run_index=run_index, metric_stride=config.metric_stride,
                 max_updates=config.max_iterations,
-            ))
-    elif config.mode == "ST":
-        for agent in agents:
-            records.extend(_train_traced(
-                agent, partition.train[agent.id], partition, t.batch_size,
-                t.self_train_epochs,
-                seed=subseed(config.master_seed, run_index, "self-train", agent.id),
-                run_index=run_index, metric_stride=config.metric_stride,
-                max_updates=config.max_iterations,
-            ))
+            )
+
+        with AgentPool.for_agents(len(agents)) as pool:
+            for agent_records in pool.each(train_alone, agents, where="in training"):
+                records.extend(agent_records)
     else:  # CL
-        for agent in agents:
-            agent.learner.train(
-                partition.train[agent.id], t.batch_size, t.self_train_epochs,
-                seed=subseed(config.master_seed, run_index, "self-train", agent.id),
+        with AgentPool.for_agents(len(agents)) as pool:
+            pool.each(
+                lambda a: a.learner.train(
+                    partition.train[a.id], t.batch_size, t.self_train_epochs,
+                    seed=subseed(config.master_seed, run_index, "self-train", a.id),
+                ),
+                agents, where="in self-training",
             )
         result: RunResult = run_collective(
             agents, partition, build_schedule(config), config.collective,
@@ -280,7 +283,10 @@ def montecarlo(
             manifest_path = Path(manifest_dir) / f"run_{r:03d}.txt"
         tasks.append((config, r, manifest_path))
     if jobs > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
+        workers = min(jobs, runs)
+        # each worker runs its agents on its share of the cores
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
+                                 initargs=(workers,)) as pool:
             outputs = list(pool.map(_run_for_pool, tasks))
     else:
         outputs = [_run_for_pool(task) for task in tasks]

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .data import Dataset, as_features, decode, shuffled_batches
+from .parallel import AgentPool
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
@@ -277,23 +278,26 @@ def train_epochs(
 
 
 def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
-               chunk: int = 4096) -> list[float]:
+               chunk: int = 1024, pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
     fraction of samples whose argmax logit (lowest index on ties) matches the
-    label. Each chunk of rows is decoded once and scored by every model."""
+    label. Each chunk of rows is decoded once and scored by every model. With
+    a pool, chunks run side by side; the chunks are the same at any pool size,
+    so the counts are too."""
     x, y = _as_xy(eval_set)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
-    correct = [0] * len(models)
-    for s in range(0, x.shape[0], chunk):
+
+    def correct(s: int) -> list[int]:
         x_chunk = np.ascontiguousarray(decode(x[s : s + chunk]))
-        for i, (arch, theta) in enumerate(models):
-            logits = _activations(arch, theta, x_chunk)[-1]
-            correct[i] += int((kernels.argmax_rows(logits) == y[s : s + chunk]).sum())
-    return [c / x.shape[0] for c in correct]
+        return [int((kernels.argmax_rows(_activations(arch, theta, x_chunk)[-1])
+                     == y[s : s + chunk]).sum()) for arch, theta in models]
+
+    per_chunk = (pool or AgentPool()).map(correct, range(0, x.shape[0], chunk))
+    return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
 
 
-def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 4096) -> float:
+def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 1024) -> float:
     """`accuracies` of the one model `(arch, theta)`."""
     return accuracies([(arch, theta)], eval_set, chunk)[0]
 

@@ -1,0 +1,160 @@
+"""Where a run's work executes: one BLAS thread per process, and the agents
+of a run side by side on threads.
+
+A BLAS product splits its work between its threads, and different splits
+round differently, so the bits of every matmul depend on the BLAS thread
+count. Importing this module therefore pins the OpenBLAS that numpy loaded
+to one thread, through the library's own set-threads call: the library reads
+its environment variables only when it loads, and a parent process may have
+set them to anything. Where no such call is found, BLAS keeps its threads and
+agents run one after another.
+
+Parallelism comes from the agents instead. An `AgentPool` runs each agent's
+independent work (its forward pass, its backpropagation and update, its
+review epoch, its evaluation) as one task on a thread; numpy releases the
+interpreter lock inside BLAS and ufunc loops, so the tasks overlap. Each
+agent's arithmetic stays sequential and single-threaded, so the bits depend
+on neither thread count. `colearn montecarlo --jobs N` divides the usable
+cores between its N worker processes.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
+
+import numpy as np
+
+# (set, get) names of OpenBLAS's thread-count calls: numpy's bundled build
+# exports them with a prefix and a suffix, a system build without
+_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _find_thread_calls():
+    """The (set, get) thread-count calls of the OpenBLAS this process has
+    loaded, or None. Loaded libraries are read from /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+_calls = _find_thread_calls()
+if _calls is not None:
+    _calls[0](1)
+
+# Worker processes of one Monte Carlo that share this machine's cores; set
+# in each pool worker by `share_cores`, 1 in every other process.
+_processes = 1
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, read back from the library; None where its
+    thread-count calls were not found."""
+    return None if _calls is None else int(_calls[1]())
+
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def share_cores(processes: int) -> None:
+    """Declare this process one of `processes` that divide the usable cores
+    (a Monte Carlo pool worker calls it once, when it starts)."""
+    global _processes
+    _processes = max(1, processes)
+
+
+def max_pool_size() -> int:
+    """Threads a run of this process may use: its share of the usable cores,
+    or 1 where BLAS could not be pinned."""
+    if _calls is None:
+        return 1
+    return max(1, usable_cores() // _processes)
+
+
+class AgentPool:
+    """Runs a run's independent tasks side by side on `size` threads, and
+    keeps one gradient buffer per thread. With size 1 every task runs on the
+    calling thread.
+
+    Open one per run and close it before the run returns (it is a context
+    manager): a process forked later then inherits no pool threads. No task
+    may wait on another task of the same pool.
+    """
+
+    def __init__(self, size: int = 1):
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
+        self.size = size
+        self._executor = (ThreadPoolExecutor(size, thread_name_prefix="colearn-agent")
+                          if size > 1 else None)
+        self._local = threading.local()
+
+    @classmethod
+    def for_agents(cls, n_agents: int) -> "AgentPool":
+        """A pool for a run of `n_agents`: no more threads than agents."""
+        return cls(max(1, min(n_agents, max_pool_size())))
+
+    def __enter__(self) -> "AgentPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            # queued tasks of a map that failed or was interrupted never start
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def map(self, fn: Callable, *iterables) -> list:
+        """[fn(*args) for args in zip(*iterables)], side by side; results
+        in input order. The first failure in input order is raised."""
+        if self._executor is None:
+            return list(map(fn, *iterables))
+        return list(self._executor.map(fn, *iterables))
+
+    def each(self, fn: Callable, agents: Sequence, *more, where: str) -> list:
+        """`map` over agents (and, item by item, `more`): fn(agent, ...).
+        A failure is re-raised as a RuntimeError naming the agent and
+        `where` the run was, e.g. "at iteration 40"."""
+        def task(agent, *args):
+            try:
+                return fn(agent, *args)
+            except Exception as e:
+                name = f"agent {agent.id} {where}".rstrip()
+                raise RuntimeError(f"{name}: {type(e).__name__}: {e}") from e
+
+        return self.map(task, agents, *more)
+
+    def grad_buf(self, n: int) -> np.ndarray:
+        """The calling thread's gradient buffer: n floats, reused by every
+        task that thread runs."""
+        buf = getattr(self._local, "buf", None)
+        if buf is None or buf.size < n:
+            buf = self._local.buf = np.empty(n)
+        return buf[:n]

@@ -108,6 +108,7 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("review_period", "2,0", "collective.review_period"),
     ("mode", "st", "mode"),
     ("common_val", "False", "common_val"),
+    ("n_agents", "3", "agents.count"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):

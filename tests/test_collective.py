@@ -24,6 +24,7 @@ from colearn.learner import (
     Adam, Architecture, Learner, Sgd, apply_update, forward, grad, init_params, param_count,
     param_views,
 )
+from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
 
 
@@ -200,7 +201,8 @@ class TestCollectiveRound:
         assert np.array_equal(labels[1], manual)
 
     def test_shared_grad_buffer_matches_fresh_allocation(self):
-        # agents of different sizes take turns in one buffer over two rounds
+        # agents of different sizes take turns in the pool threads' buffers
+        # over two rounds
         batch = rng_for(8, "shared-buf").standard_normal((5, 4))
 
         def make_agents():
@@ -209,15 +211,16 @@ class TestCollectiveRound:
                 for i, kind in enumerate(("SHL", "HL2", "HL1"))
             ]
 
-        fresh, shared = make_agents(), make_agents()
-        w = np.full((3, 3), 1.0 / 3.0)
-        buf = np.empty(max(a.learner.params.size for a in shared))
-        for _ in range(2):
-            expected = collective_round(fresh, w, batch)
-            labels = collective_round(shared, w, batch, buf)
-            for a, b, la, lb in zip(fresh, shared, expected, labels):
-                assert np.array_equal(la, lb)
-                assert np.array_equal(a.learner.params, b.learner.params)
+        for size in (1, 2):
+            fresh, shared = make_agents(), make_agents()
+            w = np.full((3, 3), 1.0 / 3.0)
+            with AgentPool(size) as pool:
+                for _ in range(2):
+                    expected = collective_round(fresh, w, batch)
+                    labels = collective_round(shared, w, batch, pool)
+                    for a, b, la, lb in zip(fresh, shared, expected, labels):
+                        assert np.array_equal(la, lb)
+                        assert np.array_equal(a.learner.params, b.learner.params)
 
     def test_one_pass_round_matches_two_pass_reference(self):
         # the round as it ran before one forward pass served both halves:
@@ -246,12 +249,12 @@ class TestCollectiveRound:
         w = rng.random((3, 3))
         w /= w.sum(axis=1, keepdims=True)
         got, want = make_agents(), make_agents()
-        size = max(a.learner.params.size for a in got)
-        got_buf, want_buf = np.empty(size), np.empty(size)
-        for _ in range(2):
-            labels = collective_round(got, w, batch, got_buf)
-            expected = two_pass_round(want, w, batch, want_buf)
-            assert np.stack(labels).tobytes() == np.stack(expected).tobytes()
+        want_buf = np.empty(max(a.learner.params.size for a in want))
+        with AgentPool(1) as pool:
+            for _ in range(2):
+                labels = collective_round(got, w, batch, pool)
+                expected = two_pass_round(want, w, batch, want_buf)
+                assert np.stack(labels).tobytes() == np.stack(expected).tobytes()
         for a, b in zip(got, want):
             assert a.learner.rule._steps == b.learner.rule._steps == 2
             assert a.learner.params.tobytes() == b.learner.params.tobytes()
@@ -373,9 +376,9 @@ class TestEngine:
         seen = []
         round_fn = collective.collective_round
 
-        def spy(agents, weights, batch_features, grad_buf=None):
+        def spy(agents, weights, batch_features, *args):
             seen.append(batch_features.copy())
-            return round_fn(agents, weights, batch_features, grad_buf)
+            return round_fn(agents, weights, batch_features, *args)
 
         monkeypatch.setattr(collective, "collective_round", spy)
         agents = [

@@ -23,7 +23,7 @@ from colearn.learner import (
 
 from conftest import FMNIST_NAMES, synthetic_idx_dataset
 
-# longer than one 4096-row evaluation chunk
+# longer than four 1024-row evaluation chunks
 M_SOURCE = 4300
 ROUND = collective.collective_round
 
@@ -84,8 +84,8 @@ def _collective(source: Dataset, test: Dataset, monkeypatch):
     ]
     proxies = []
 
-    def spy(agents, weights, batch_features, grad_buf=None):
-        labels = ROUND(agents, weights, batch_features, grad_buf)
+    def spy(agents, weights, batch_features, *args):
+        labels = ROUND(agents, weights, batch_features, *args)
         proxies.append(np.stack(labels))
         return labels
 

@@ -11,24 +11,36 @@ catches it. A change that alters the numbers on purpose re-pins the digests
 in the same commit and says why in CHANGES.md.
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
-BLAS build on one CPU family. To re-pin, run this file as a script:
+BLAS build on one CPU family. They do not depend on thread counts: colearn
+pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says, and the size of
+a run's agent pool or the number of Monte Carlo workers changes no bits
+(`test_digest_independent_of_blas_env`, `test_jobs_give_same_digests` and
+tests/test_parallel.py check this). To re-pin, run this file as a script; it
+prints the BLAS thread count and the agent-pool size it ran with, then the
+digests of the named cases (all by default):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from colearn import harness
+from colearn import harness, parallel
 from colearn.config import GraphSpec, IdxSpec, override
 from colearn.harness import emit_csv, format_summary, montecarlo
 
 from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _short(mode: str, **kw):
@@ -76,7 +88,7 @@ CASES = {
     "FS-idx": _idx_fs,
 }
 
-# sha256 of (metrics.csv, summary.txt, final parameters), pinned on the numpy path
+# sha256 of (metrics.csv, summary.txt, final parameters), pinned at one BLAS thread
 GOLDEN = {
     "CL": ("521bac134237bafac0400e41e3ad9f316caf2d27ea57c0ae3526486bb7a7ae67",
            "210e00db06dbe33400cab6134bed94264394bc0752b4028c36ae52bbc79b477e",
@@ -92,35 +104,46 @@ GOLDEN = {
               "77a957e8c4a692cdc49c1af1d3d6deea39c6bcf2289cb94509110f4780737c52"),
     "CL-idx": ("6b012831655268bd69ab6fac69b67f8ad72192e48c2952a5e1da86501261a1b7",
                "1fd4267e3696d4e64c61e33d94a9ae8dfcc0a0e081067c99349cbbf00b736f8a",
-               "9f0fc062f6b59e8512a67ae6bd42e4770692d85a9b1046fd355717c90a323ece"),
+               "94ccdd227f1103db6cffe4f2b94736042a8a4871abdbc40e1b4a087b0c58460e"),
     "FS-idx": ("c17db0ce20947a94e1c08b9eb936908734cc25d865e87e9009c413dc92cd2013",
                "7e95e13b6881fd7270e2e17eaf3dc166a1c319db650da8d0a2e92a9bfb1fc088",
-               "b96b2a25d8828918d225d12f57707ad690afcc44dde09b04d7d239513e00bc0b"),
+               "3a262dcd728db53b78788f431fe186157c5d0d36be106af4cc3e6d17ed9d79a5"),
 }
 
 
-def _digests(config, out_dir: Path) -> tuple[str, str, str]:
-    """The two files `colearn montecarlo` writes, and the final parameters
-    of every agent it trained, hashed."""
-    agents = []
-    make_agents = harness._make_agents
+def _digests(config, out_dir: Path, jobs: int = 1) -> tuple[str, str, str]:
+    """The two files `colearn montecarlo --jobs N` writes, and the final
+    parameters of every agent it trained, in run order, hashed."""
+    run_mode, make_agents = harness.run_mode, harness._make_agents
 
-    def capture(*args):
-        made = make_agents(*args)
-        agents.extend(made)
-        return made
+    def run_capturing_params(*args):
+        # runs in the worker under jobs > 1, which inherits this patch
+        agents = []
 
-    harness._make_agents = capture
+        def capture(*args):
+            made = make_agents(*args)
+            agents.extend(made)
+            return made
+
+        harness._make_agents = capture
+        try:
+            output = run_mode(*args)
+        finally:
+            harness._make_agents = make_agents
+        output.stats["final_params"] = b"".join(a.learner.params.tobytes() for a in agents)
+        return output
+
+    harness.run_mode = run_capturing_params
     try:
-        rows, outputs = montecarlo(config)
+        rows, outputs = montecarlo(config, jobs=jobs)
     finally:
-        harness._make_agents = make_agents
+        harness.run_mode = run_mode
     csv_path = out_dir / "metrics.csv"
     emit_csv([r for o in outputs for r in o.records], csv_path)
     summary = (format_summary(rows) + "\n").encode("utf-8")
     params = hashlib.sha256()
-    for a in agents:
-        params.update(a.learner.params.tobytes())
+    for o in outputs:
+        params.update(o.stats.pop("final_params"))
     return (
         hashlib.sha256(csv_path.read_bytes()).hexdigest(),
         hashlib.sha256(summary).hexdigest(),
@@ -133,12 +156,50 @@ def test_golden_digest(name, tmp_path):
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("case", ["CL-idx", "FS-idx"])
+def test_digest_independent_of_blas_env(case, tmp_path):
+    # colearn pins BLAS to one thread whatever the environment asks for: the
+    # HL-shaped products of the IDX cases give other bits at 2 threads
+    digests = {}
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = str(ROOT / "src")
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__)), case], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests[threads] = _parse_script_output(done.stdout)[case]
+    assert digests == {"1": GOLDEN[case], "2": GOLDEN[case], None: GOLDEN[case]}
+
+
+def test_jobs_give_same_digests(tmp_path):
+    # two runs, so that jobs=2 runs them in two worker processes
+    config = override(_idx_cl(tmp_path / "data"), "montecarlo_runs", 2)
+    assert _digests(config, tmp_path, jobs=1) == _digests(config, tmp_path, jobs=2)
+
+
+def _parse_script_output(text: str) -> dict:
+    return ast.literal_eval("{" + "".join(
+        line for line in text.splitlines(keepends=True) if line.startswith("    ")) + "}")
+
+
+def main(names) -> None:
+    """Print the digests of the named cases (all by default) as GOLDEN
+    entries, after the thread counts they ran with."""
     import tempfile
 
+    print(f"# BLAS threads {parallel.blas_threads()}, "
+          f"agent pool up to {parallel.max_pool_size()} threads")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in names or CASES:
             # one directory per case, so that no case reads another's input files
             out_dir = Path(tmp) / name
             out_dir.mkdir()
             print(f"    {name!r}: {_digests(CASES[name](out_dir / 'data'), out_dir)!r},")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

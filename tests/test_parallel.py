@@ -1,0 +1,200 @@
+"""One BLAS thread per process, and agents side by side on a thread pool:
+the pool's size rule, that results do not depend on it, and that a failure
+inside a pool task names its agent and iteration."""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from colearn import collective, harness, parallel
+from colearn.collective import AgentState, collective_round, run_collective
+from colearn.config import CollectiveSpec
+from colearn.data import make_partition, synth_blobs
+from colearn.graph import DirectedGraph, StaticSchedule
+from colearn.learner import Adam, Architecture, Learner
+from colearn.parallel import AgentPool
+from colearn.seeding import rng_for
+
+from conftest import blob_config
+
+
+def _cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+
+
+def test_blas_pinned_to_one_thread():
+    if parallel.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count calls in this numpy")
+    assert parallel.blas_threads() == 1
+
+
+class TestPoolSize:
+    def test_min_of_agents_and_cores(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_calls", (None, None))  # as if pinned
+        _cores(monkeypatch, 4)
+        assert AgentPool.for_agents(3).size == 3
+        assert AgentPool.for_agents(30).size == 4
+        _cores(monkeypatch, 1)
+        assert AgentPool.for_agents(30).size == 1
+
+    def test_montecarlo_workers_divide_the_cores(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_calls", (None, None))
+        monkeypatch.setattr(parallel, "_processes", 1)
+        _cores(monkeypatch, 5)
+        parallel.share_cores(2)
+        assert AgentPool.for_agents(30).size == 2
+        parallel.share_cores(8)
+        assert AgentPool.for_agents(30).size == 1
+
+    def test_serial_where_blas_is_not_pinned(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_calls", None)
+        _cores(monkeypatch, 8)
+        assert AgentPool.for_agents(30).size == 1
+        assert parallel.blas_threads() is None
+
+
+def test_pool_threads_end_with_the_pool():
+    with AgentPool(3) as pool:
+        assert pool.map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+    alive = [t for t in threading.enumerate() if t.name.startswith("colearn-agent")]
+    assert alive == []
+
+
+def _five_agent_run(monkeypatch, cores: int):
+    """A 5-agent blob CL run with a review at iteration 20; its records, its
+    agents' final parameters and the threads that ran forward passes."""
+    _cores(monkeypatch, cores)
+    threads = set()
+    forward = collective.forward_pass
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        return forward(*args)
+
+    monkeypatch.setattr(collective, "forward_pass", spy)
+    config = blob_config(
+        mode="CL", n_per_class=80, train_size=12, val_size=12, self_train_epochs=3,
+        score_refresh_period=10, review_period=20, epochs_over_shared=1, metric_stride=10,
+        architectures=("HL1", "SHL", "HL1", "SHL", "HL1"),
+    )
+    agents = []
+    make_agents = harness._make_agents
+
+    def capture(*args):
+        made = make_agents(*args)
+        agents.extend(made)
+        return made
+
+    monkeypatch.setattr(harness, "_make_agents", capture)
+    out = harness.run_mode(config, 0)
+    assert out.stats["reviews"] == 5 and out.stats["iterations"] == 28
+    return out.records, [a.learner.params.tobytes() for a in agents], threads
+
+
+def test_results_do_not_depend_on_pool_size(monkeypatch):
+    if parallel.blas_threads() is None:
+        pytest.skip("agents run serially where BLAS is not pinned")
+    records, params, threads = _five_agent_run(monkeypatch, 1)
+    assert threads == {threading.main_thread().name}
+    got_records, got_params, got_threads = _five_agent_run(monkeypatch, 3)
+    assert all(name.startswith("colearn-agent") for name in got_threads)
+    assert len(got_threads) > 1
+    assert got_records == records
+    assert got_params == params
+
+
+def test_stress_more_threads_than_cores():
+    # eight threads on this machine's cores, switching as often as the
+    # interpreter allows: a buffer shared between two threads would mix
+    # two agents' gradients and change their parameters
+    rng = rng_for(60, "stress")
+    batch = rng.standard_normal((10, 6))
+    w = rng.random((8, 8))
+    w /= w.sum(axis=1, keepdims=True)
+
+    def agents():
+        return [AgentState(id=i, learner=Learner.create(
+            Architecture(("SHL", "HL1", "HL2")[i % 3], 6, 4, hidden=(8,) * (i % 3)),
+            seed=70 + i, rule=Adam(alpha=0.01))) for i in range(8)]
+
+    serial, threaded = agents(), agents()
+    with AgentPool(1) as pool:
+        want = [collective_round(serial, w, batch, pool) for _ in range(30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with AgentPool(8) as pool:
+            got = [collective_round(threaded, w, batch, pool) for _ in range(30)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(np.stack([np.stack(r) for r in got]),
+                          np.stack([np.stack(r) for r in want]))
+    for a, b in zip(threaded, serial):
+        assert a.learner.params.tobytes() == b.learner.params.tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_failure_names_agent_and_iteration(monkeypatch, cores):
+    _cores(monkeypatch, cores)
+    source = synth_blobs(60, 3, 4, 6.0, seed=80)
+    part = make_partition(source, 3, 10, 10, seed=81, test=synth_blobs(10, 3, 4, 6.0, 82))
+    agents = [AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=83 + i))
+              for i in range(3)]
+    calls = 0
+    round_fn = collective.collective_round
+
+    def poison(agents, *args):
+        # agent 1's parameters turn NaN just before the fifth round
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            agents[1].learner.params[:] = np.nan
+        return round_fn(agents, *args)
+
+    monkeypatch.setattr(collective, "collective_round", poison)
+    config = CollectiveSpec(score_refresh_period=100, review_period=100, gamma=1.0,
+                            batch_size=10, epochs_over_shared=1)
+    with pytest.raises(RuntimeError, match=r"^agent 1 at iteration 5: FloatingPointError: "
+                                            r"non-finite activations") as got:
+        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
+                       seed=84, metric_stride=100)
+    assert isinstance(got.value.__cause__, FloatingPointError)
+
+
+def test_run_failure_names_run_agent_and_iteration(monkeypatch):
+    config = blob_config(mode="CL", runs=1, seed=4242, n_per_class=40, train_size=10,
+                         val_size=10, self_train_epochs=1, epochs_over_shared=1)
+    round_fn = collective.collective_round
+
+    def poison(agents, weights, batch, pool=None, k=None):
+        if k == 3:
+            agents[2].learner.params[:] = np.nan
+        return round_fn(agents, weights, batch, pool, k)
+
+    monkeypatch.setattr(collective, "collective_round", poison)
+    with pytest.raises(RuntimeError, match=r"run 0 \(master seed 4242\) failed: "
+                                            r"agent 2 at iteration 3: FloatingPointError"):
+        harness.montecarlo(config)
+
+
+def test_montecarlo_workers_share_the_cores(monkeypatch):
+    # forked workers inherit both patches; each reports the pool it may open
+    _cores(monkeypatch, 4)
+    run_mode = harness.run_mode
+
+    def report_pool(*args):
+        output = run_mode(*args)
+        output.stats["pool"] = AgentPool.for_agents(30).size
+        return output
+
+    monkeypatch.setattr(harness, "run_mode", report_pool)
+    config = blob_config(mode="ST", runs=2, n_per_class=40, train_size=10, val_size=10,
+                         self_train_epochs=1)
+    want = 1 if parallel.blas_threads() is None else 4
+    for jobs in (1, 2):
+        _, outputs = harness.montecarlo(config, jobs=jobs)
+        assert [o.stats["pool"] for o in outputs] == [want // jobs or 1] * 2
