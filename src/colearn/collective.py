@@ -98,6 +98,13 @@ def _at(k: int | None) -> str:
     return "" if k is None else f"at iteration {k}"
 
 
+def _check_ids(agents: Sequence[AgentState]) -> None:
+    # weight rows and scores are indexed by list position
+    for i, a in enumerate(agents):
+        if a.id != i:
+            raise ValueError(f"agent ids must be 0..n-1 in list order: agents[{i}] has id {a.id}")
+
+
 def refresh_scores(
     agents: Sequence[AgentState],
     validation_sets: Sequence,
@@ -138,6 +145,7 @@ def collective_round(
     agent and iteration `k`.
     """
     n = len(agents)
+    _check_ids(agents)
     if weights.shape != (n, n):
         raise ValueError(f"weight matrix shape {weights.shape} does not match {n} agents")
     num_classes = agents[0].learner.arch.num_classes
@@ -199,8 +207,7 @@ def run_collective(
         raise ValueError(f"{n} agents but partition holds {partition.n_agents}")
     if n != n_nodes(schedule):
         raise ValueError(f"{n} agents but graph schedule has {n_nodes(schedule)} nodes")
-    if sorted(a.id for a in agents) != list(range(n)):
-        raise ValueError("agent ids must be exactly 0..n-1")
+    _check_ids(agents)
     if metric_stride < 1:
         raise ValueError("metric_stride must be >= 1")
 

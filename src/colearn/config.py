@@ -18,6 +18,9 @@ from .learner import STANDARD_HIDDEN
 
 MODES = ("CL", "ST", "FS")
 GRAPH_KINDS = ("complete", "edges", "erdos-renyi")
+ARCHITECTURES = tuple(sorted(STANDARD_HIDDEN))
+SECTIONS = ("agents", "partition", "dataset", "graph", "training", "collective")
+PARTITION = ("train_size", "val_size", "common_val")  # ExperimentConfig fields set there
 
 
 class ConfigError(ValueError):
@@ -49,18 +52,43 @@ class IdxSpec:
             _as_str(getattr(self, f.name), f"dataset.{f.name}")
 
 
+DATASETS = {"synth": SynthSpec, "fashion-mnist": IdxSpec}
+
+
 @dataclass(frozen=True)
 class GraphSpec:
-    kind: str  # complete | edges | erdos-renyi
-    edges: tuple[tuple[int, int], ...] = ()
-    p: float = 0.1
+    """Who hears whom: every agent (complete), the listed [from, to] pairs
+    (edges), or a directed Erdos-Renyi graph with edge probability p,
+    redrawn every `period` iterations. Each of the last two kinds requires
+    its own field."""
+
+    kind: str = "complete"  # complete | edges | erdos-renyi
+    edges: tuple[tuple[int, int], ...] | None = None
+    p: float | None = None
     period: int = 10
 
     def __post_init__(self):
         _as_str(self.kind, "graph.kind", GRAPH_KINDS)
-        _check(self, "graph.", ints=(("period", 1),), floats=(("p", 0.0),))
-        if self.p > 1.0:
-            raise ConfigError(f"graph.p: must be <= 1, got {self.p}")
+        needs = {"edges": "edges", "erdos-renyi": "p"}.get(self.kind)
+        if needs is not None and getattr(self, needs) is None:
+            raise ConfigError(f"graph.{needs}: missing required field")
+        _check(self, "graph.", ints=(("period", 1),))
+        if self.p is not None:
+            _check(self, "graph.", floats=(("p", 0.0),))
+            if self.p > 1.0:
+                raise ConfigError(f"graph.p: must be <= 1, got {self.p}")
+        if self.edges is not None:
+            object.__setattr__(self, "edges", _edges(self.edges))
+
+
+def _edges(raw) -> tuple[tuple[int, int], ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError("graph.edges: expected a list of [from, to] pairs")
+    for idx, pair in enumerate(raw):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ConfigError(f"graph.edges[{idx}]: expected a [from, to] pair")
+    return tuple((_as_int(j, f"graph.edges[{idx}][0]", 0), _as_int(i, f"graph.edges[{idx}][1]", 0))
+                 for idx, (j, i) in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -101,15 +129,14 @@ class CollectiveSpec:
             ("epochs_over_shared", 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     mode: str
-    n_agents: int
     architectures: tuple[str, ...]  # explicit per-agent list, or ()
     architecture_mix: tuple[tuple[str, int], ...]  # (kind, count) pairs, or ()
     train_size: int
     val_size: int
-    common_val: bool  # one shared validation block instead of per-agent sets
+    common_val: bool = False  # one shared validation block instead of per-agent sets
     dataset: SynthSpec | IdxSpec
     graph: GraphSpec
     training: TrainingSpec
@@ -121,6 +148,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _as_str(self.mode, "mode", MODES)
+        if bool(self.architectures) == bool(self.architecture_mix):
+            raise ConfigError("agents: exactly one of 'architectures' or 'mix' is required")
+        for i, kind in enumerate(self.architectures):
+            _as_str(kind, f"agents.architectures[{i}]", ARCHITECTURES)
+        for kind, count in self.architecture_mix:
+            _as_int(count, f"agents.mix.{_as_str(kind, 'agents.mix', ARCHITECTURES)}", 1)
         if not isinstance(self.common_val, bool):
             raise ConfigError(f"partition.common_val: expected a boolean, got {self.common_val!r}")
         _check(self, "partition.", ints=(("train_size", 1), ("val_size", 1)))
@@ -128,15 +161,15 @@ class ExperimentConfig:
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
                                _as_int(self.max_iterations, "max_iterations", 0) or None)
-        # n_agents follows from the architectures; an override may not move it alone
-        if self.architectures:
-            want = len(self.architectures)
-            what = f"{want} listed architectures"
-        else:
-            want = sum(count for _, count in self.architecture_mix)
-            what = f"mix total {want}"
-        if _as_int(self.n_agents, "agents.count", 1) != want:
-            raise ConfigError(f"agents.count: {self.n_agents} does not match {what}")
+        for idx, pair in enumerate(self.graph.edges or ()):
+            if max(pair) >= self.n_agents:
+                raise ConfigError(
+                    f"graph.edges[{idx}]: node out of range for {self.n_agents} agents")
+
+    @property
+    def n_agents(self) -> int:
+        """The number of agents the architectures or the mix give."""
+        return len(self.architectures) or sum(count for _, count in self.architecture_mix)
 
 
 def _expect_map(value, path: str) -> dict:
@@ -145,14 +178,6 @@ def _expect_map(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
-
-
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return d[key]
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -189,96 +214,65 @@ def _check(spec, prefix: str, ints=(), floats=()) -> None:
         object.__setattr__(spec, name, _as_float(getattr(spec, name), prefix + name, minimum))
 
 
-def _spec(cls, d: dict, path: str):
-    """Build a spec from the keys of a YAML mapping that name its fields; a
-    field without a default is required. The spec checks its own values."""
-    return cls(**{f.name: _get(d, f.name, path) for f in dataclasses.fields(cls)
-                  if f.name in d or f.default is dataclasses.MISSING})
+def _known(d: dict, names, path: str) -> dict:
+    """`d`, once each of its keys is one of `names`."""
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{_at(path, key)}: unknown field; expected one of {list(names)}")
+    return d
 
 
-def _arch_kind(value, path: str) -> str:
-    kind = _as_str(value, path)
-    if kind not in STANDARD_HIDDEN:
-        raise ConfigError(
-            f"{path}: unknown architecture {kind!r}; expected one of {sorted(STANDARD_HIDDEN)}"
-        )
-    return kind
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _parse_dataset(raw: dict) -> SynthSpec | IdxSpec:
-    d = _expect_map(raw, "dataset")
-    kind = _as_str(_get(d, "kind", "dataset"), "dataset.kind", ("synth", "fashion-mnist"))
-    return _spec(SynthSpec if kind == "synth" else IdxSpec, d, "dataset")
+def _keys(mapping, path: str, fields, other=()) -> dict:
+    """The YAML mapping at `path` less the `other` keys read elsewhere, once
+    each of its keys names one of the dataclass `fields` or `other` and each
+    field without a default is present."""
+    d = _known(_expect_map(mapping, path), [f.name for f in fields] + list(other), path)
+    for f in fields:
+        if f.name not in d and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{_at(path, f.name)}: missing required field")
+    return {key: value for key, value in d.items() if key not in other}
 
 
-def _parse_graph(raw, n_agents: int) -> GraphSpec:
-    d = _expect_map(raw, "graph")
-    kind = _get(d, "kind", "graph", required=False, default="complete")
-    if kind == "edges":
-        raw_edges = _get(d, "edges", "graph")
-        if not isinstance(raw_edges, list):
-            raise ConfigError("graph.edges: expected a list of [from, to] pairs")
-        edges = []
-        for idx, pair in enumerate(raw_edges):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"graph.edges[{idx}]: expected a [from, to] pair")
-            j = _as_int(pair[0], f"graph.edges[{idx}][0]", 0)
-            i = _as_int(pair[1], f"graph.edges[{idx}][1]", 0)
-            if j >= n_agents or i >= n_agents:
-                raise ConfigError(f"graph.edges[{idx}]: node out of range for {n_agents} agents")
-            edges.append((j, i))
-        return GraphSpec(kind=kind, edges=tuple(edges))
-    if kind == "erdos-renyi":
-        return GraphSpec(kind=kind, p=_get(d, "p", "graph"),
-                         period=_get(d, "period", "graph", required=False, default=10))
-    return GraphSpec(kind=kind)  # complete, or rejected there
+def _spec(cls, mapping, path: str, other=()):
+    """`cls` built from the YAML mapping at `path`: a field the mapping
+    leaves out takes its dataclass default. The spec checks its own values."""
+    return cls(**_keys(mapping, path, dataclasses.fields(cls), other))
 
 
-def _parse_agents(raw: dict) -> tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]]:
-    # the declared count is checked against the architectures in ExperimentConfig
-    d = _expect_map(raw, "agents")
-    explicit = _get(d, "architectures", "agents", required=False)
-    mix = _get(d, "mix", "agents", required=False)
-    if (explicit is None) == (mix is None):
-        raise ConfigError("agents: exactly one of 'architectures' or 'mix' is required")
-    if explicit is not None:
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError("agents.architectures: expected a non-empty list")
-        kinds = tuple(
-            _arch_kind(a, f"agents.architectures[{i}]") for i, a in enumerate(explicit)
-        )
-        return _get(d, "count", "agents", required=False, default=len(kinds)), kinds, ()
-    mix = _expect_map(mix, "agents.mix")
-    pairs = tuple((_arch_kind(kind, "agents.mix"), _as_int(mix[kind], f"agents.mix.{kind}", 1))
-                  for kind in sorted(mix))
-    total = sum(count for _, count in pairs)
-    return _get(d, "count", "agents", required=False, default=total), (), pairs
-
-
-def parse_config(raw: dict) -> ExperimentConfig:
+def parse_config(raw) -> ExperimentConfig:
     raw = _expect_map(raw, "config")
-    n_agents, archs, mix = _parse_agents(_get(raw, "agents", "config"))
-    listed = len(archs) or sum(count for _, count in mix)
-    part = _expect_map(_get(raw, "partition", "config"), "partition")
-    tr = _expect_map(_get(raw, "training", "config", required=False), "training")
-    co = _expect_map(_get(raw, "collective", "config", required=False), "collective")
-    return ExperimentConfig(
-        mode=_get(raw, "mode", "config"),
-        n_agents=n_agents,
-        architectures=archs,
-        architecture_mix=mix,
-        train_size=_get(part, "train_size", "partition"),
-        val_size=_get(part, "val_size", "partition"),
-        common_val=_get(part, "common_val", "partition", required=False, default=False),
-        dataset=_parse_dataset(_get(raw, "dataset", "config")),
-        graph=_parse_graph(_get(raw, "graph", "config", required=False), listed),
-        training=_spec(TrainingSpec, tr, "training"),
-        collective=_spec(CollectiveSpec, co, "collective"),
-        montecarlo_runs=_get(raw, "montecarlo_runs", "config", required=False, default=1),
-        master_seed=_get(raw, "master_seed", "config", required=False, default=0),
-        metric_stride=_get(raw, "metric_stride", "config", required=False, default=100),
-        max_iterations=_get(raw, "max_iterations", "config", required=False),
+    agents = _known(_expect_map(raw.get("agents"), "agents"), ("architectures", "mix", "count"),
+                    "agents")
+    explicit = agents.get("architectures") or []
+    if not isinstance(explicit, list):
+        raise ConfigError("agents.architectures: expected a list")
+    dataset = _expect_map(raw.get("dataset"), "dataset")
+    kind = _as_str(dataset.get("kind"), "dataset.kind", tuple(DATASETS))
+    given = dict(
+        architectures=tuple(explicit),
+        architecture_mix=tuple(sorted(_expect_map(agents.get("mix"), "agents.mix").items())),
+        dataset=_spec(DATASETS[kind], dataset, "dataset", other=("kind",)),
+        graph=_spec(GraphSpec, raw.get("graph"), "graph"),
+        training=_spec(TrainingSpec, raw.get("training"), "training"),
+        collective=_spec(CollectiveSpec, raw.get("collective"), "collective"),
     )
+    # the top level's own fields, some of them written under `partition`
+    own = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in given]
+    config = ExperimentConfig(
+        **_keys(raw, "", [f for f in own if f.name not in PARTITION], SECTIONS),
+        **_keys(raw.get("partition"), "partition", [f for f in own if f.name in PARTITION]),
+        **given,
+    )
+    # agents.count only checks the number the architectures or the mix give
+    count = agents.get("count")
+    if count is not None and _as_int(count, "agents.count", 1) != config.n_agents:
+        raise ConfigError(
+            f"agents.count: {count} does not match the {config.n_agents} agents listed")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -293,16 +287,14 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-# Shorthand names usable in sweeps and CLI overrides, mapped to field paths.
+# Shorthand names usable in sweeps and CLI overrides, mapped to field paths; a
+# top-level field's name is its own path.
 OVERRIDE_PATHS = {
-    "mode": ("mode",),
     "gamma": ("collective", "gamma"),
     "score_refresh_period": ("collective", "score_refresh_period"),
     "review_period": ("collective", "review_period"),
     "epochs_over_shared": ("collective", "epochs_over_shared"),
     "collective_batch": ("collective", "batch_size"),
-    "train_size": ("train_size",),
-    "val_size": ("val_size",),
     "alpha": ("training", "alpha"),
     "self_train_epochs": ("training", "self_train_epochs"),
     "fs_epochs": ("training", "fs_epochs"),
@@ -310,10 +302,6 @@ OVERRIDE_PATHS = {
     "separation": ("dataset", "separation"),
     "p": ("graph", "p"),
     "period": ("graph", "period"),
-    "montecarlo_runs": ("montecarlo_runs",),
-    "master_seed": ("master_seed",),
-    "metric_stride": ("metric_stride",),
-    "max_iterations": ("max_iterations",),
     "train_images": ("dataset", "train_images"),
     "train_labels": ("dataset", "train_labels"),
     "test_images": ("dataset", "test_images"),

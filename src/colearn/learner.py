@@ -25,6 +25,7 @@ from .parallel import AgentPool
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
+EVAL_CHUNK = 1024  # rows per evaluation chunk; fixed, as a count's bits depend on it
 
 
 @dataclass(frozen=True)
@@ -278,28 +279,28 @@ def train_epochs(
 
 
 def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
-               chunk: int = 1024, pool: AgentPool | None = None) -> list[float]:
+               pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
     fraction of samples whose argmax logit (lowest index on ties) matches the
-    label. Each chunk of rows is decoded once and scored by every model. With
-    a pool, chunks run side by side; the chunks are the same at any pool size,
-    so the counts are too."""
+    label. Each EVAL_CHUNK rows are decoded once and scored by every model.
+    With a pool, chunks run side by side; the chunks are the same at any pool
+    size, so the counts are too."""
     x, y = _as_xy(eval_set)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
 
     def correct(s: int) -> list[int]:
-        x_chunk = np.ascontiguousarray(decode(x[s : s + chunk]))
+        x_chunk = np.ascontiguousarray(decode(x[s : s + EVAL_CHUNK]))
         return [int((kernels.argmax_rows(_activations(arch, theta, x_chunk)[-1])
-                     == y[s : s + chunk]).sum()) for arch, theta in models]
+                     == y[s : s + EVAL_CHUNK]).sum()) for arch, theta in models]
 
-    per_chunk = (pool or AgentPool()).map(correct, range(0, x.shape[0], chunk))
+    per_chunk = (pool or AgentPool()).map(correct, range(0, x.shape[0], EVAL_CHUNK))
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
 
 
-def accuracy(arch: Architecture, theta: np.ndarray, eval_set, chunk: int = 1024) -> float:
+def accuracy(arch: Architecture, theta: np.ndarray, eval_set) -> float:
     """`accuracies` of the one model `(arch, theta)`."""
-    return accuracies([(arch, theta)], eval_set, chunk)[0]
+    return accuracies([(arch, theta)], eval_set)[0]
 
 
 @dataclass

@@ -24,6 +24,25 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
 
 
+# one misspelled key for each mapping of a config file: the top level, then
+# each section
+MISSPELLED_KEYS = [
+    ("", "montecarlo_run"), ("partition", "trian_size"), ("agents", "cuont"),
+    ("dataset", "seperation"), ("graph", "perod"), ("training", "aplha"),
+    ("collective", "gama"),
+]
+
+
+def with_key(text: str, section: str, key: str) -> tuple[str, str]:
+    """The config YAML `text` with `key: 5` added to `section`, or to the top
+    level when `section` is empty, and the path an error should name."""
+    if not section:
+        return f"{key}: 5\n{text}", key
+    header = f"\n{section}:\n"
+    assert header in text
+    return text.replace(header, f"{header}  {key}: 5\n", 1), f"{section}.{key}"
+
+
 def fashion_mnist_dir() -> Path | None:
     """Directory with the real Fashion-MNIST IDX files, if present."""
     candidates = []
@@ -105,7 +124,6 @@ def blob_config(
 ) -> ExperimentConfig:
     return ExperimentConfig(
         mode=mode,
-        n_agents=len(architectures),
         architectures=architectures,
         architecture_mix=(),
         train_size=train_size,

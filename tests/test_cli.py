@@ -6,6 +6,8 @@ import pytest
 from colearn.cli import main
 from colearn.data import write_idx
 
+from conftest import MISSPELLED_KEYS, with_key
+
 TINY_CONFIG = """
 mode: CL
 montecarlo_runs: 1
@@ -108,7 +110,7 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("review_period", "2,0", "collective.review_period"),
     ("mode", "st", "mode"),
     ("common_val", "False", "common_val"),
-    ("n_agents", "3", "agents.count"),
+    ("n_agents", "3", "n_agents"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):
@@ -116,6 +118,16 @@ def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, 
                  "--out", str(tmp_path / "s")])
     assert code == 1
     assert field in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+@pytest.mark.parametrize("section, key", MISSPELLED_KEYS)
+def test_run_misspelled_key_exits_1(tmp_path, capsys, section, key):
+    text, name = with_key(TINY_CONFIG, section, key)
+    config = tmp_path / "typo.yaml"
+    config.write_text(text)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert f"{name}: unknown field" in capsys.readouterr().err
     assert not list(tmp_path.rglob("metrics.csv"))
 
 

@@ -269,6 +269,13 @@ class TestCollectiveRound:
         with pytest.raises(ValueError, match="classes"):
             collective_round(agents, np.full((2, 2), 0.5), np.zeros((1, 4)))
 
+    def test_agents_out_of_id_order_rejected(self):
+        # weight row i is agent i's: with the identity matrix, the agent with
+        # id 2 listed first would label with agent 0's predictions
+        agents = [AgentState(id=i, learner=constant_predictor(3, i)) for i in (2, 0, 1)]
+        with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
+            collective_round(agents, np.eye(3), np.zeros((2, 4)))
+
     def test_privacy_boundary_is_structural(self):
         # what crosses between agents is a RoundMessage: sender + predictions,
         # nothing else; the fusion step takes only messages and scalar weights
@@ -509,6 +516,14 @@ class TestEngine:
                 [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
                 seed=3, metric_stride=10,
             )
+
+    def test_agents_out_of_id_order_rejected(self):
+        source = synth_blobs(60, 3, 4, 6.0, seed=7)
+        part = make_partition(source, 3, 10, 10, seed=7, test=synth_blobs(10, 3, 4, 6.0, seed=8))
+        agents = [AgentState(id=i, learner=constant_predictor(3, i)) for i in (2, 0, 1)]
+        with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
+            run_collective(agents, part, StaticSchedule(DirectedGraph.empty(3)),
+                           CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):
         part = single_agent_partition(seed=6)

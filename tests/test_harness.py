@@ -3,6 +3,7 @@ and metric persistence."""
 
 import dataclasses
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from colearn import harness
 from colearn.collective import MetricsRecord
 from colearn.config import (
-    CollectiveSpec, ConfigError, IdxSpec, load_config, override, parse_config,
+    CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, load_config, override,
+    parse_config,
 )
 from colearn.data import load_idx
 from colearn.harness import (
@@ -27,7 +29,9 @@ from colearn.harness import (
 )
 from colearn.graph import ErdosRenyiSchedule, StaticSchedule
 
-from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
+from conftest import (
+    FMNIST_NAMES, MISSPELLED_KEYS, blob_config, synthetic_idx_dataset, with_key,
+)
 
 VALID_YAML = """
 mode: CL
@@ -127,6 +131,33 @@ class TestConfigLoading:
         ))
         with pytest.raises(ConfigError, match=r"graph.edges\[0\]"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key", MISSPELLED_KEYS)
+    def test_misspelled_key_rejected(self, tmp_path, section, key):
+        text, name = with_key(VALID_YAML, section, key)
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: unknown field; expected"):
+            load_config(path)
+
+    def test_erdos_renyi_requires_p(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace(
+            "graph:\n  kind: complete", "graph:\n  kind: erdos-renyi\n  period: 7",
+        ))
+        with pytest.raises(ConfigError, match="graph.p: missing required field"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="graph.p"):
+            GraphSpec(kind="erdos-renyi")
+
+    def test_agent_count_follows_the_agents(self, tmp_path):
+        assert "n_agents" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace(
+            "agents:\n  architectures: [HL1, SHL]",
+            "agents:\n  count: 2\n  architectures: [HL1, SHL]",
+        ))
+        assert load_config(path).n_agents == 2
 
     def test_common_val_parsed(self, tmp_path):
         path = tmp_path / "exp.yaml"

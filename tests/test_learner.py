@@ -5,6 +5,7 @@ import pytest
 
 from colearn.data import shuffled_batches, synth_blobs
 from colearn.learner import (
+    EVAL_CHUNK,
     Adam,
     Architecture,
     Learner,
@@ -319,15 +320,17 @@ class TestAccuracy:
         assert accuracy(arch, theta, (x, labels)) == pytest.approx(expected)
 
     def test_matches_per_sample_recount(self):
+        # more rows than one evaluation chunk, so a ragged second chunk counts too
         arch = SMALL_ARCHS[2]
         theta = init_params(arch, seed=5)
         rng = rng_for(7, "recount")
-        x = rng.standard_normal((57, arch.input_dim))
-        y = rng.integers(0, arch.num_classes, size=57)
+        m = EVAL_CHUNK + 57
+        x = rng.standard_normal((m, arch.input_dim))
+        y = rng.integers(0, arch.num_classes, size=m)
         recount = np.mean([
             int(np.argmax(forward(arch, theta, xi)) == yi) for xi, yi in zip(x, y)
         ])
-        assert accuracy(arch, theta, (x, y), chunk=10) == pytest.approx(recount)
+        assert accuracy(arch, theta, (x, y)) == pytest.approx(recount)
 
     def test_ranks_by_logits_not_probabilities(self):
         # class 1's logit is above class 0's by less than softmax resolves:
