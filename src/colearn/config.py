@@ -59,26 +59,33 @@ DATASETS = {"synth": SynthSpec, "fashion-mnist": IdxSpec}
 class GraphSpec:
     """Who hears whom: every agent (complete), the listed [from, to] pairs
     (edges), or a directed Erdos-Renyi graph with edge probability p,
-    redrawn every `period` iterations. Each of the last two kinds requires
-    its own field."""
+    redrawn every `period` iterations (10 when left out). A kind takes only
+    the fields it reads, so a value that would change nothing is an error;
+    `edges` and `p` are required by their kinds."""
 
     kind: str = "complete"  # complete | edges | erdos-renyi
     edges: tuple[tuple[int, int], ...] | None = None
     p: float | None = None
-    period: int = 10
+    period: int | None = None
 
     def __post_init__(self):
         _as_str(self.kind, "graph.kind", GRAPH_KINDS)
-        needs = {"edges": "edges", "erdos-renyi": "p"}.get(self.kind)
-        if needs is not None and getattr(self, needs) is None:
-            raise ConfigError(f"graph.{needs}: missing required field")
-        _check(self, "graph.", ints=(("period", 1),))
-        if self.p is not None:
-            _check(self, "graph.", floats=(("p", 0.0),))
+        reads = {"complete": (), "edges": ("edges",), "erdos-renyi": ("p", "period")}[self.kind]
+        for name in ("edges", "p", "period"):
+            if name not in reads and getattr(self, name) is not None:
+                raise ConfigError(f"graph.{name}: not read by a {self.kind!r} graph")
+        if self.kind == "edges":
+            if self.edges is None:
+                raise ConfigError("graph.edges: missing required field")
+            object.__setattr__(self, "edges", _edges(self.edges))
+        if self.kind == "erdos-renyi":
+            if self.p is None:
+                raise ConfigError("graph.p: missing required field")
+            if self.period is None:
+                object.__setattr__(self, "period", 10)
+            _check(self, "graph.", ints=(("period", 1),), floats=(("p", 0.0),))
             if self.p > 1.0:
                 raise ConfigError(f"graph.p: must be <= 1, got {self.p}")
-        if self.edges is not None:
-            object.__setattr__(self, "edges", _edges(self.edges))
 
 
 def _edges(raw) -> tuple[tuple[int, int], ...]:

@@ -12,7 +12,8 @@ agents run one after another.
 Parallelism comes from the agents instead. An `AgentPool` runs each agent's
 independent work (its forward pass, its backpropagation and update, its
 review epoch, its evaluation) as one task on a thread; numpy releases the
-interpreter lock inside BLAS and ufunc loops, so the tasks overlap. Each
+interpreter lock inside BLAS and ufunc loops, and ctypes for the whole of
+the C Adam step (`_kernels`), so the tasks overlap. Each
 agent's arithmetic stays sequential and single-threaded, so the bits depend
 on neither thread count. `colearn montecarlo --jobs N` divides the usable
 cores between its N worker processes.

@@ -1,5 +1,6 @@
-"""Shared fixtures: IDX file builders, blob experiment configs, and the
-optional Fashion-MNIST directory for dataset-gated tests."""
+"""Shared fixtures: IDX file builders, blob experiment configs, the forced
+numpy Adam step, and the optional Fashion-MNIST directory for dataset-gated
+tests."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from colearn import _kernels
 from colearn.cli import FMNIST_NAMES
 from colearn.config import (
     CollectiveSpec,
@@ -61,6 +63,13 @@ requires_fmnist = pytest.mark.skipif(
     reason="Fashion-MNIST IDX files not available (set COLEARN_FMNIST_DIR "
     "or place them under data/fashion-mnist/; see README)",
 )
+
+
+@pytest.fixture
+def numpy_adam(monkeypatch):
+    """Every Adam step of the test runs the numpy step, as in a process where
+    the C step could not be built."""
+    monkeypatch.setattr(_kernels, "_adam", (None, "numpy (forced by a test)"))
 
 
 @pytest.fixture

@@ -111,6 +111,8 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("mode", "st", "mode"),
     ("common_val", "False", "common_val"),
     ("n_agents", "3", "n_agents"),
+    # a complete graph reads no p: each value would run the same experiment
+    ("p", "0.1,0.5", "graph.p: not read by a 'complete' graph"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):

@@ -10,14 +10,18 @@ both files as they were; the digest of every agent's final parameter bytes
 catches it. A change that alters the numbers on purpose re-pins the digests
 in the same commit and says why in CHANGES.md.
 
+Both Adam steps give the same bytes: the fused C step that runs wherever it
+can be compiled, and the blocked numpy step that runs where it cannot
+(`test_golden_digest_numpy_adam` forces the numpy one).
+
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build on one CPU family. They do not depend on thread counts: colearn
 pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says, and the size of
 a run's agent pool or the number of Monte Carlo workers changes no bits
 (`test_digest_independent_of_blas_env`, `test_jobs_give_same_digests` and
 tests/test_parallel.py check this). To re-pin, run this file as a script; it
-prints the BLAS thread count and the agent-pool size it ran with, then the
-digests of the named cases (all by default):
+prints the BLAS thread count, the agent-pool size and the Adam step it ran
+with, then the digests of the named cases (all by default):
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
@@ -34,7 +38,7 @@ from pathlib import Path
 
 import pytest
 
-from colearn import harness, parallel
+from colearn import _kernels, harness, parallel
 from colearn.config import GraphSpec, IdxSpec, override
 from colearn.harness import emit_csv, format_summary, montecarlo
 
@@ -156,6 +160,12 @@ def test_golden_digest(name, tmp_path):
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
+    # the same pins where the C Adam step could not be built
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
+
+
 @pytest.mark.parametrize("case", ["CL-idx", "FS-idx"])
 def test_digest_independent_of_blas_env(case, tmp_path):
     # colearn pins BLAS to one thread whatever the environment asks for: the
@@ -192,7 +202,8 @@ def main(names) -> None:
     import tempfile
 
     print(f"# BLAS threads {parallel.blas_threads()}, "
-          f"agent pool up to {parallel.max_pool_size()} threads")
+          f"agent pool up to {parallel.max_pool_size()} threads, "
+          f"Adam step {_kernels.adam_kernel()}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or CASES:
             # one directory per case, so that no case reads another's input files

@@ -150,6 +150,27 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="graph.p"):
             GraphSpec(kind="erdos-renyi")
 
+    @pytest.mark.parametrize("graph, field", [
+        ("kind: complete\n  p: 0.5", "graph.p"),
+        ("kind: complete\n  period: 5", "graph.period"),
+        ("kind: complete\n  edges: [[0, 1]]", "graph.edges"),
+        ("kind: edges\n  edges: [[0, 1]]\n  period: 5", "graph.period"),
+        ("kind: erdos-renyi\n  p: 0.5\n  edges: [[0, 1]]", "graph.edges"),
+    ])
+    def test_graph_field_its_kind_never_reads_rejected(self, tmp_path, graph, field):
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace("graph:\n  kind: complete", f"graph:\n  {graph}"))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: not read by a '"):
+            load_config(path)
+
+    def test_erdos_renyi_period_defaults_to_10(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace(
+            "graph:\n  kind: complete", "graph:\n  kind: erdos-renyi\n  p: 0.4"))
+        assert load_config(path).graph.period == 10
+        assert GraphSpec(kind="erdos-renyi", p=0.4) == load_config(path).graph
+        assert GraphSpec().period is None
+
     def test_agent_count_follows_the_agents(self, tmp_path):
         assert "n_agents" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
         path = tmp_path / "exp.yaml"
@@ -240,6 +261,17 @@ class TestOverride:
         assert override(capped, "max_iterations", 0) == from_yaml
         with pytest.raises(ConfigError, match="max_iterations"):
             override(capped, "max_iterations", -1)
+
+    def test_graph_field_its_kind_never_reads_rejected(self):
+        complete = blob_config()
+        for name, value in (("p", 0.5), ("period", 5), ("graph.edges", [[0, 1]])):
+            field = "graph." + name.split(".")[-1]
+            with pytest.raises(ConfigError, match=rf"{field}: not read by a 'complete' graph"):
+                override(complete, name, value)
+        er = override(complete, "graph", GraphSpec(kind="erdos-renyi", p=0.4))
+        assert override(er, "period", 5).graph == GraphSpec(kind="erdos-renyi", p=0.4, period=5)
+        with pytest.raises(ConfigError, match="graph.p: not read by a 'complete' graph"):
+            override(er, "graph.kind", "complete")
 
     @pytest.mark.parametrize("mode", ["CL", "ST", "FS"])
     def test_metric_stride_checked(self, mode):

@@ -1,11 +1,20 @@
-"""Numerical behavior of the hot kernels."""
+"""Numerical behavior of the hot kernels, and how the C Adam step is built,
+cached and checked."""
 
+import os
+import shutil
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from colearn import _kernels as kernels
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -58,19 +67,191 @@ def _adam_textbook(theta, grad, m, v, step, alpha, beta1, beta2, eps):
 # below one block, exactly one block, and a ragged multi-block tail
 STEP_SIZES = [1, 1000, kernels._BLOCK, 2 * kernels._BLOCK + 123]
 
+# by step 400, 1 - 0.9**step rounds to 1.0; by step 40,000, 1 - 0.999**step does
+ADAM_STEPS = (1, 2, 3, 4, 400, 40_000)
 
-@pytest.mark.parametrize("n", STEP_SIZES)
-def test_numpy_adam_step_is_textbook_bit_for_bit(n, rng):
+
+def _adam_matches_textbook(n, rng):
     theta = rng.standard_normal(n)
     t_ref, m_ref, v_ref = theta.copy(), np.zeros(n), np.zeros(n)
     t, m, v = theta.copy(), np.zeros(n), np.zeros(n)
-    for step in range(1, 5):
-        g = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+    for step in ADAM_STEPS:
+        # magnitudes from 1e-8 to 1e2, and about one in ten exactly zero
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, size=n)
+        g[rng.random(n) < 0.1] = 0.0
         _adam_textbook(t_ref, g, m_ref, v_ref, step, 3e-3, 0.9, 0.999, 1e-8)
         kernels.adam_step(t, g, m, v, step, 3e-3, 0.9, 0.999, 1e-8)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(m, m_ref)
         assert np.array_equal(v, v_ref)
+
+
+# the C step must build wherever a compiler is on PATH
+needs_compiler = pytest.mark.skipif(shutil.which(kernels._compiler()[0]) is None,
+                                    reason="no C compiler on PATH: Adam runs the numpy step")
+
+
+@pytest.fixture(scope="session")
+def built_adam(tmp_path_factory):
+    """The C step, built once into a cache of its own, so that the tests do
+    not depend on the user's cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        patch.setattr(kernels, "_adam", None)
+        return kernels._adam_choice()
+
+
+@pytest.fixture
+def native_adam(built_adam, monkeypatch):
+    assert built_adam[0] is not None, built_adam[1]
+    monkeypatch.setattr(kernels, "_adam", built_adam)
+
+
+@pytest.fixture
+def fresh_adam(monkeypatch, tmp_path):
+    """No Adam step chosen yet in this process, and an empty cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernels, "_adam", None)
+    return tmp_path / "cache" / "colearn"
+
+
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_numpy_adam_step_is_textbook_bit_for_bit(n, rng, numpy_adam):
+    _adam_matches_textbook(n, rng)
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_native_adam_step_is_textbook_bit_for_bit(n, rng, native_adam):
+    _adam_matches_textbook(n, rng)
+
+
+def _bad(n, which):
+    theta, g, m, v = np.ones(n), np.full(n, 0.5), np.zeros(n), np.zeros(n)
+    if which == "float32":
+        g = g.astype(np.float32)
+    elif which == "non-contiguous":
+        g = np.full(2 * n, 0.5)[::2]
+    elif which == "mismatched length":
+        m = np.zeros(n + 1)
+    elif which == "read-only":
+        v.flags.writeable = False
+    elif which == "2-D":
+        theta, g, m, v = (a.reshape(2, n // 2) for a in (theta, g, m, v))
+    return theta, g, m, v
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "which", ["float32", "non-contiguous", "mismatched length", "read-only", "2-D"])
+def test_adam_step_rejects_what_the_c_step_cannot_take(which, native_adam):
+    theta, g, m, v = _bad(1000, which)
+    before = [a.copy() for a in (theta, m, v)]
+    with pytest.raises(ValueError, match="adam_step"):
+        kernels.adam_step(theta, g, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+    assert all(np.array_equal(a, b) for a, b in zip((theta, m, v), before))
+
+
+@pytest.mark.parametrize("broken", ["missing compiler", "failing compiler", "unwritable cache"])
+def test_adam_falls_back_to_numpy_without_a_build(broken, fresh_adam, monkeypatch, tmp_path,
+                                                  rng):
+    if broken == "missing compiler":
+        # neither the compiler Python names nor cc is on PATH
+        monkeypatch.setattr(kernels.sysconfig, "get_config_var", lambda name: "no-such-cc")
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    elif broken == "failing compiler":
+        cc = tmp_path / "cc"
+        cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setattr(kernels.sysconfig, "get_config_var", lambda name: str(cc))
+    else:
+        (tmp_path / "cache").write_text("a file where the cache directory should be")
+    with pytest.warns(RuntimeWarning, match="running the numpy step"):
+        _adam_matches_textbook(1000, rng)
+    assert kernels.adam_kernel().startswith("numpy (")
+    if broken == "failing compiler":
+        assert "cc: internal error" in kernels.adam_kernel()
+    assert not list(tmp_path.rglob("adam-*"))
+
+
+@needs_compiler
+def test_concurrent_first_use_builds_once(fresh_adam, monkeypatch):
+    runs, run = [], subprocess.run
+    monkeypatch.setattr(kernels.subprocess, "run",
+                        lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+    n, threads = 5000, 4
+    start = threading.Barrier(threads)
+    theta = np.random.default_rng(1).standard_normal(n)
+    g = np.linspace(-1.0, 1.0, n)
+    results = [None] * threads
+
+    def first_step(i):
+        t, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+        start.wait(timeout=30)
+        kernels.adam_step(t, g, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+        results[i] = t
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=first_step, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(runs) == 1
+    assert kernels.adam_kernel().startswith("native (")
+    assert [p.suffix for p in fresh_adam.iterdir()] == [".so"]
+    ref = theta.copy()
+    _adam_textbook(ref, g, np.zeros(n), np.zeros(n), 1, 1e-3, 0.9, 0.999, 1e-8)
+    assert all(np.array_equal(r, ref) for r in results)
+
+
+@needs_compiler
+def test_second_process_reuses_the_cached_library(tmp_path):
+    # each process reports its Adam step and how many commands it ran to get it
+    script = (
+        "import subprocess\n"
+        "from colearn import _kernels\n"
+        "runs, run = [], subprocess.run\n"
+        "subprocess.run = lambda *a, **k: runs.append(a) or run(*a, **k)\n"
+        "print(_kernels.adam_kernel())\n"
+        "print(len(runs))\n"
+    )
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(ROOT / "src"))
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split("\n")[:2])
+    (first, built), (second, rebuilt) = outputs
+    assert first.startswith(f"native ({tmp_path / 'colearn'}") and first == second
+    assert (built, rebuilt) == ("1", "0")
+
+
+def test_adam_source_ships_as_package_data(tmp_path):
+    # build the package from a copy of the project, as an install does, and
+    # look the source up in the built copy
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copytree(ROOT / "src" / "colearn", tmp_path / "src" / "colearn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()", "build",
+         "--build-lib", "lib"], cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    found = subprocess.run(
+        [sys.executable, "-c", "from importlib import resources; "
+         "print(resources.files('colearn').joinpath('_adam.c').read_text())"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path / "lib")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert found.returncode == 0, found.stderr
+    assert found.stdout.strip() == (ROOT / "src" / "colearn" / "_adam.c").read_text().strip()
 
 
 @pytest.mark.parametrize("n", STEP_SIZES)
@@ -85,7 +266,7 @@ def test_numpy_sgd_step_is_textbook_bit_for_bit(n, rng):
 
 
 @pytest.mark.parametrize("name", ["adam_step", "sgd_step"])
-def test_numpy_optimizer_step_allocates_nothing_parameter_sized(name):
+def test_numpy_optimizer_step_allocates_nothing_parameter_sized(name, numpy_adam):
     impl = getattr(kernels, name)
     n = 1_000_003
     theta, g, m, v = np.ones(n), np.full(n, 0.5), np.zeros(n), np.zeros(n)
