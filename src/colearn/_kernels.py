@@ -8,12 +8,16 @@ The Adam step runs in C where it can. `_adam.c`, shipped in this package, is
 compiled on the first Adam step of a process with the compiler Python
 reports (`sysconfig` CC, else `cc`) and the flags in `ADAM_CFLAGS`, cached
 under `$XDG_CACHE_HOME/colearn` (else `~/.cache/colearn`) keyed by the
-source, the command and the machine type, and loaded with ctypes. Its one
-pass over the parameters replaces the 14 ufunc passes of the numpy step, and
-a ctypes call releases the interpreter lock, so the agent pool's threads run
-whole Adam steps side by side. Where no compiler or cache works, a
-`RuntimeWarning` says why and the numpy step runs instead; `adam_kernel()`
-names the step this process runs. Both give the same bits.
+source, the command and the machine type, and loaded with ctypes; a build
+deletes the libraries its compiler and machine built from other sources.
+Its one pass over the parameters replaces the 14 ufunc passes of the numpy
+step, and a ctypes call releases the interpreter lock, so the agent pool's
+threads run whole Adam steps side by side. The library holds two loops:
+an AVX2+FMA one without the bias corrections' divides, which runs where the
+CPU has those instructions, and the portable one. Where no compiler or
+cache works, a `RuntimeWarning` says why and the numpy step runs instead;
+`adam_kernel()` names the step and the loop this process runs. All give the
+same bits.
 
 The numpy optimizer steps (SGD, and Adam's fallback) update their arrays in
 place and walk the parameter vector in cache-sized blocks, writing every
@@ -167,8 +171,10 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
 
 # -O3 vectorizes the loop (-O2 does not). -ffp-contract=off keeps the compiler
 # from fusing a multiply and an add into one differently rounded operation,
-# which would change the bits wherever the CPU has FMA. No -march: the cache
-# is keyed by machine type only, so the library must run on any CPU of it.
+# which would change the bits wherever the CPU has FMA; the FMA loop states
+# its own fused operations. No -march: the cache is keyed by machine type
+# only, so the library must load on any CPU of it, and the FMA loop takes its
+# instructions from a target attribute and runs only where the CPU has them.
 ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 # (C step or None, description) once resolved; guarded by _adam_lock
@@ -177,9 +183,9 @@ _adam_lock = threading.Lock()
 
 
 def adam_kernel() -> str:
-    """Which Adam step this process runs: "native (<library>)" or
-    "numpy (<why the C step is unavailable>)". Builds the C step if no step
-    has been chosen yet."""
+    """Which Adam step this process runs: "native fma (<library>)",
+    "native portable (<library>)" or "numpy (<why the C step is
+    unavailable>)". Builds the C step if no step has been chosen yet."""
     return _adam_choice()[1]
 
 
@@ -197,14 +203,29 @@ def _adam_choice() -> tuple:
 def _load_adam() -> tuple:
     try:
         lib = _build_adam()
-        step = ctypes.CDLL(str(lib)).colearn_adam_step
+        try:
+            library = ctypes.CDLL(str(lib))
+        except OSError:
+            if lib.exists():
+                raise
+            # a build of another source deleted it after it was found
+            lib = _build_adam()
+            library = ctypes.CDLL(str(lib))
+        loop = "fma" if library.colearn_adam_has_fma() else "portable"
+        step = _c_loop(library, loop)
     except subprocess.CalledProcessError as e:
         return _fallback(f"{shlex.join(e.cmd)} failed: {(e.stderr or '').strip()[-500:]}")
     except (OSError, RuntimeError, subprocess.SubprocessError) as e:
         return _fallback(f"{type(e).__name__}: {e}")
+    return step, f"native {loop} ({lib})"
+
+
+def _c_loop(library: ctypes.CDLL, loop: str):
+    """The library's `loop` ("fma" or "portable") as a callable C step."""
+    step = getattr(library, f"colearn_adam_step_{loop}")
     step.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 6
     step.restype = None
-    return step, f"native ({lib})"
+    return step
 
 
 def _fallback(reason: str) -> tuple:
@@ -222,14 +243,18 @@ def _compiler() -> list[str]:
 def _build_adam() -> Path:
     """The path of the compiled C step, compiling it into the cache if it is
     not there yet. Processes that race here each compile to their own
-    temporary name and rename it into place, so none loads a partial file."""
+    temporary name and rename it into place, so none loads a partial file.
+
+    A library is named adam-<toolchain key>-<source key>.so, the toolchain
+    key hashing the command and the machine type. A build deletes the
+    libraries of its toolchain built from other sources; those of other
+    compilers or machines sharing the cache stay."""
     source = resources.files(__package__).joinpath("_adam.c")
     command = [*_compiler(), *ADAM_CFLAGS]
-    key = hashlib.sha256(b"\0".join(
-        (source.read_bytes(), shlex.join(command).encode(), platform.machine().encode()),
-    )).hexdigest()
+    toolchain = hashlib.sha256(b"\0".join(
+        (shlex.join(command).encode(), platform.machine().encode()))).hexdigest()[:12]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "colearn"
-    lib = cache / f"adam-{key[:24]}.so"
+    lib = cache / f"adam-{toolchain}-{hashlib.sha256(source.read_bytes()).hexdigest()[:12]}.so"
     if not lib.exists():
         cache.mkdir(parents=True, exist_ok=True)
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
@@ -240,17 +265,30 @@ def _build_adam() -> Path:
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
+        # another process's build in progress is a .tmp file and stays
+        for stale in cache.glob(f"adam-{toolchain}-*.so"):
+            if stale != lib:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
     return lib
 
 
 def fuse_rows(stacked: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # weighted sum over senders, ascending sender index (fixed order)
-    out = np.zeros((stacked.shape[1], stacked.shape[2]))
+    """Every receiver's fused predictions at once: out[r] is the sum over
+    senders j of weights[r, j] * stacked[j]. `stacked` is (senders, batch,
+    classes) and `weights` (receivers, senders). Senders are added in
+    ascending order, zero weights included, so each element meets the same
+    multiplies and adds in the same order for any number of receivers."""
+    out = np.zeros((weights.shape[0], *stacked.shape[1:]))
+    term = np.empty_like(out)
     for j in range(stacked.shape[0]):
-        out += weights[j] * stacked[j]
+        np.multiply(weights[:, j, None, None], stacked[j], out=term)
+        out += term
     return out
 
 
 def argmax_rows(mat: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximum: lowest-index tie-break
-    return np.argmax(mat, axis=1)
+    return np.argmax(mat, axis=-1)

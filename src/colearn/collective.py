@@ -14,11 +14,13 @@ private training set.
 A run spreads its agents' independent work over a `parallel.AgentPool`:
 every forward pass, every update, every review epoch and every validation
 measurement is one agent's task, and test-set evaluation runs chunk by
-chunk. Fusion runs on the calling thread between the two halves of a round.
-Each agent's arithmetic is the same at any pool size, so are the results.
+chunk. Tasks start largest agent first, so that a large agent does not run
+alone at the end of a phase. Fusion runs on the calling thread between the
+two halves of a round, as one pass for all agents. Each agent's arithmetic
+is the same at any pool size and in any task order, so are the results.
 
 Agents only ever exchange prediction vectors: fusion consumes RoundMessage
-values and a weight row, never another agent's parameters or data.
+values and weights, never another agent's parameters or data.
 """
 
 from __future__ import annotations
@@ -76,22 +78,28 @@ class RunResult:
     stats: dict = field(default_factory=dict)
 
 
-def fuse_and_label(messages: Sequence[RoundMessage], weight_row: np.ndarray) -> np.ndarray:
-    """One agent's labeling step: weighted average of the received
-    predictions, then argmax per sample.
+def fuse_round(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndarray:
+    """Every receiver's labeling step at once: receiver i takes the average
+    of the received predictions weighted by row i of `weights` (indexed by
+    sender id), then the argmax per sample. Returns (receivers, batch)
+    labels.
 
     This is the entire interface an agent has to its neighbors: prediction
     vectors and scalar weights, nothing else.
     """
-    order = sorted(range(len(messages)), key=lambda idx: messages[idx].sender)
-    stacked = np.ascontiguousarray(
-        np.stack([messages[idx].predictions for idx in order])
-    )
-    w = np.ascontiguousarray(np.asarray([weight_row[messages[idx].sender] for idx in order]))
+    ordered = sorted(messages, key=lambda msg: msg.sender)
+    stacked = np.stack([msg.predictions for msg in ordered])
+    w = weights[:, [msg.sender for msg in ordered]]
     fused = kernels.fuse_rows(stacked, w)
     if not np.all(np.isfinite(fused)):
         raise ValueError("fused predictions must be finite")
     return kernels.argmax_rows(fused)
+
+
+def fuse_and_label(messages: Sequence[RoundMessage], weight_row: np.ndarray) -> np.ndarray:
+    """One agent's labeling step: `fuse_round` for the one receiver whose
+    weights are `weight_row`."""
+    return fuse_round(messages, np.asarray(weight_row)[None, :])[0]
 
 
 def _at(k: int | None) -> str:
@@ -131,18 +139,19 @@ def collective_round(
     batch_features: np.ndarray,
     pool: AgentPool | None = None,
     k: int | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """One synchronous round: predict, fuse into proxy labels, update.
 
     Every agent predicts with its pre-round parameters; no agent sees a
     neighbor's post-update state within the round. Each agent's update
     backpropagates its proxy labels through the forward pass that made its
-    predictions. Returns each agent's proxy labels for the batch.
+    predictions. Returns each agent's proxy labels for the batch, one row
+    per agent.
 
     With a pool the agents' forward passes run side by side, then fusion
-    runs on the calling thread, then the agents' updates run side by side,
-    each writing its gradient into its thread's buffer. A failure names the
-    agent and iteration `k`.
+    runs on the calling thread for all agents at once, then the agents'
+    updates run side by side, each writing its gradient into its thread's
+    buffer. A failure names the agent and iteration `k`.
     """
     n = len(agents)
     _check_ids(agents)
@@ -165,7 +174,7 @@ def collective_round(
     passes = pool.each(predict, agents, where=_at(k))
     messages = [RoundMessage(sender=a.id, predictions=probs)
                 for a, (_, probs) in zip(agents, passes)]
-    labels = [fuse_and_label(messages, weights[i]) for i in range(n)]
+    labels = fuse_round(messages, weights)
     pool.each(update, agents, passes, labels, where=_at(k))
     return labels
 
@@ -302,9 +311,7 @@ def run_collective(
                 batch_x = decode(source_x[shared_idx[idx]])
                 labels = collective_round(agents, weights, batch_x, pool, k)
 
-                truth = true_labels[idx]
-                for i in range(n):
-                    proxy_hits[i] += int((labels[i] == truth).sum())
+                proxy_hits += (labels == true_labels[idx]).sum(axis=1)
                 proxy_seen += idx.shape[0]
 
                 if k % spec.review_period == 0:

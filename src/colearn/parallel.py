@@ -13,9 +13,11 @@ Parallelism comes from the agents instead. An `AgentPool` runs each agent's
 independent work (its forward pass, its backpropagation and update, its
 review epoch, its evaluation) as one task on a thread; numpy releases the
 interpreter lock inside BLAS and ufunc loops, and ctypes for the whole of
-the C Adam step (`_kernels`), so the tasks overlap. Each
-agent's arithmetic stays sequential and single-threaded, so the bits depend
-on neither thread count. `colearn montecarlo --jobs N` divides the usable
+the C Adam step (`_kernels`), so the tasks overlap. A pool starts a
+phase's agent tasks largest agent first, so that no large task starts last
+and runs alone. Each agent's arithmetic stays
+sequential and single-threaded, so the bits depend on neither thread count
+nor task order. `colearn montecarlo --jobs N` divides the usable
 cores between its N worker processes.
 """
 
@@ -97,6 +99,13 @@ def max_pool_size() -> int:
     return max(1, usable_cores() // _processes)
 
 
+def largest_first(agents: Sequence) -> list[int]:
+    """Positions of `agents` by parameter count, largest first, ties by id:
+    the order in which `AgentPool.each` starts their tasks."""
+    return sorted(range(len(agents)),
+                  key=lambda i: (-agents[i].learner.params.size, agents[i].id))
+
+
 class AgentPool:
     """Runs a run's independent tasks side by side on `size` threads, and
     keeps one gradient buffer per thread. With size 1 every task runs on the
@@ -140,9 +149,10 @@ class AgentPool:
         return list(self._executor.map(fn, *iterables))
 
     def each(self, fn: Callable, agents: Sequence, *more, where: str) -> list:
-        """`map` over agents (and, item by item, `more`): fn(agent, ...).
-        A failure is re-raised as a RuntimeError naming the agent and
-        `where` the run was, e.g. "at iteration 40"."""
+        """`map` over agents (and, item by item, `more`): fn(agent, ...),
+        started by `largest_first`; results in agent order. A failure is
+        re-raised as a RuntimeError naming the agent and `where` the run
+        was, e.g. "at iteration 40"; of several, the first in agent order."""
         def task(agent, *args):
             try:
                 return fn(agent, *args)
@@ -150,7 +160,18 @@ class AgentPool:
                 name = f"agent {agent.id} {where}".rstrip()
                 raise RuntimeError(f"{name}: {type(e).__name__}: {e}") from e
 
-        return self.map(task, agents, *more)
+        if self._executor is None:
+            return list(map(task, agents, *more))
+        tasks = list(zip(agents, *more))
+        futures = [None] * len(tasks)
+        for i in largest_first(agents):
+            futures[i] = self._executor.submit(task, *tasks[i])
+        try:
+            return [f.result() for f in futures]
+        finally:
+            # after a failure, tasks that have not started never do
+            for f in futures:
+                f.cancel()
 
     def grad_buf(self, n: int) -> np.ndarray:
         """The calling thread's gradient buffer: n floats, reused by every

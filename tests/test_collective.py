@@ -1,6 +1,8 @@
 """Labeling, score refresh, round semantics, review scheduling, and the
 full engine loop."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from colearn.collective import (
     RoundMessage,
     collective_round,
     fuse_and_label,
+    fuse_round,
     refresh_scores,
     review_step,
     run_collective,
@@ -127,10 +130,8 @@ class TestFuseAndLabel:
             RoundMessage(sender=1, predictions=b.predict_proba(batch)),
         ]
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
-        fused = kernels.fuse_rows(
-            np.stack([m.predictions for m in messages]), w[0]
-        )
-        assert np.allclose(fused, [[0.55, 0.45]], atol=1e-9)
+        fused = kernels.fuse_rows(np.stack([m.predictions for m in messages]), w)
+        assert np.allclose(fused, [[[0.55, 0.45]], [[0.55, 0.45]]], atol=1e-9)
         assert fuse_and_label(messages, w[0]).tolist() == [0]
         assert fuse_and_label(messages, w[1]).tolist() == [0]
 
@@ -157,9 +158,19 @@ class TestFuseAndLabel:
         preds = rng.random((6, 10, 4))
         w = rng.random(6)
         w /= w.sum()
-        fused = kernels.fuse_rows(preds, w)
+        fused = kernels.fuse_rows(preds, w[None, :])[0]
         assert np.all(fused <= preds.max(axis=0) + 1e-12)
         assert np.all(fused >= preds.min(axis=0) - 1e-12)
+
+
+class TestFuseRound:
+    def test_non_finite_fusion_rejected(self):
+        messages = [RoundMessage(sender=0, predictions=np.array([[np.inf, 0.0]])),
+                    RoundMessage(sender=1, predictions=np.array([[0.5, 0.5]]))]
+        with pytest.raises(ValueError, match="finite"):
+            fuse_round(messages, np.full((2, 2), 0.5))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            fuse_and_label(messages, np.array([0.0, 1.0]))  # 0 * inf is NaN
 
 
 class TestCollectiveRound:
@@ -278,12 +289,10 @@ class TestCollectiveRound:
 
     def test_privacy_boundary_is_structural(self):
         # what crosses between agents is a RoundMessage: sender + predictions,
-        # nothing else; the fusion step takes only messages and scalar weights
-        import inspect
-
+        # nothing else; both fusion entries take only messages and scalar weights
         assert set(RoundMessage.__dataclass_fields__) == {"sender", "predictions"}
-        params = list(inspect.signature(fuse_and_label).parameters)
-        assert params == ["messages", "weight_row"]
+        assert list(inspect.signature(fuse_and_label).parameters) == ["messages", "weight_row"]
+        assert list(inspect.signature(fuse_round).parameters) == ["messages", "weights"]
 
 
 class TestReviewStep:

@@ -10,9 +10,11 @@ both files as they were; the digest of every agent's final parameter bytes
 catches it. A change that alters the numbers on purpose re-pins the digests
 in the same commit and says why in CHANGES.md.
 
-Both Adam steps give the same bytes: the fused C step that runs wherever it
-can be compiled, and the blocked numpy step that runs where it cannot
-(`test_golden_digest_numpy_adam` forces the numpy one).
+Every Adam step gives the same bytes: the fused C step that runs wherever it
+can be compiled, in its AVX2+FMA loop where the CPU has those instructions
+and in its portable loop elsewhere, and the blocked numpy step that runs
+where it cannot be compiled (`test_golden_digest_portable_adam` and
+`test_golden_digest_numpy_adam` force the last two).
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build on one CPU family. They do not depend on thread counts: colearn
@@ -163,6 +165,12 @@ def test_golden_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
     # the same pins where the C Adam step could not be built
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_portable_adam(name, tmp_path, portable_adam):
+    # the same pins where the CPU lacks AVX2 or FMA
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
 
 

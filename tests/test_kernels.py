@@ -1,12 +1,14 @@
 """Numerical behavior of the hot kernels, and how the C Adam step is built,
 cached and checked."""
 
+import ctypes
 import os
 import shutil
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,8 @@ def test_relu_dlogits_and_fuse_by_hand():
     # (p - onehot(y)) / batch
     assert kernels.dlogits(probs, np.array([1, 0])).tolist() == [[0.125, -0.125], [-0.25, 0.25]]
     stacked = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.5, 0.5]]])
-    assert kernels.fuse_rows(stacked, np.array([0.5, 0.25, 0.25])).tolist() == [[0.625, 0.375]]
+    weights = np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+    assert kernels.fuse_rows(stacked, weights).tolist() == [[[0.625, 0.375]], [[0.5, 0.5]]]
 
 
 def test_softmax_is_stable_at_large_logits():
@@ -70,20 +73,66 @@ STEP_SIZES = [1, 1000, kernels._BLOCK, 2 * kernels._BLOCK + 123]
 # by step 400, 1 - 0.9**step rounds to 1.0; by step 40,000, 1 - 0.999**step does
 ADAM_STEPS = (1, 2, 3, 4, 400, 40_000)
 
+# every bias correction up to the step where both have reached 1.0
+EVERY_STEP = (*range(1, 401), 40_000)
 
-def _adam_matches_textbook(n, rng):
+# (beta1, beta2): the defaults, and a pair whose corrections differ from theirs
+BETAS = [(0.9, 0.999), (0.8, 0.99999)]
+
+
+def _step_inputs(n, rng):
+    """A gradient and Adam moments m and v where about a third of the
+    elements hold values the FMA loop must treat apart: +0 and -0,
+    subnormals, magnitudes around 2^-900 and 2^900 and beyond them. At those
+    elements the gradient is a signed zero, so that the values reach the
+    bias-corrected quotients, and theta is to be set to a signed zero, so
+    that any bit of the update shows in it; they are returned as the mask.
+    Elsewhere gradient magnitudes run from 1e-8 to 1e2, about one in ten
+    exactly zero."""
+    g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, size=n)
+    g[rng.random(n) < 0.1] = 0.0
+    m = rng.standard_normal(n) * 1e-3
+    v = rng.random(n) * 1e-6
+    special = rng.random(n) < 0.35
+    k = int(special.sum())
+    exponents = rng.choice(np.array([
+        -1074, -1060, -1040, -1023,          # subnormals
+        -1022, -960, -920, -901, -900, -899, -880,
+        880, 899, 900, 901, 920, 960, 1000,
+    ]), size=k)
+    mantissas = rng.uniform(1.0, 2.0, size=k)
+    mantissas[rng.random(k) < 0.2] = 1.0  # exact powers of two
+    mantissas[rng.random(k) < 0.1] = 0.0  # zeros
+    values = np.ldexp(mantissas, exponents)
+    sign = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+    m[special] = sign * values
+    v[special] = rng.permutation(values)
+    g[special] = np.where(rng.random(k) < 0.5, -0.0, 0.0)
+    return special, g, m, v
+
+
+def _same_bytes(a, b) -> bool:
+    # unlike np.array_equal, tells -0.0 from +0.0 and matches equal NaNs
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _adam_matches_textbook(n, rng, steps=ADAM_STEPS, betas=BETAS[0]):
+    """Chains Adam steps from the same theta under the textbook expression
+    and under kernels.adam_step, with fresh inputs at each step, and
+    compares every array byte for byte."""
+    beta1, beta2 = betas
     theta = rng.standard_normal(n)
-    t_ref, m_ref, v_ref = theta.copy(), np.zeros(n), np.zeros(n)
-    t, m, v = theta.copy(), np.zeros(n), np.zeros(n)
-    for step in ADAM_STEPS:
-        # magnitudes from 1e-8 to 1e2, and about one in ten exactly zero
-        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, size=n)
-        g[rng.random(n) < 0.1] = 0.0
-        _adam_textbook(t_ref, g, m_ref, v_ref, step, 3e-3, 0.9, 0.999, 1e-8)
-        kernels.adam_step(t, g, m, v, step, 3e-3, 0.9, 0.999, 1e-8)
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(m, m_ref)
-        assert np.array_equal(v, v_ref)
+    t_ref, t = theta.copy(), theta.copy()
+    for step in steps:
+        special, g, m_ref, v_ref = _step_inputs(n, rng)
+        m, v = m_ref.copy(), v_ref.copy()
+        t_ref[special] = t[special] = np.where(rng.random(int(special.sum())) < 0.5, -0.0, 0.0)
+        with np.errstate(over="ignore", under="ignore"):
+            _adam_textbook(t_ref, g, m_ref, v_ref, step, 3e-3, beta1, beta2, 1e-8)
+        kernels.adam_step(t, g, m, v, step, 3e-3, beta1, beta2, 1e-8)
+        assert _same_bytes(m, m_ref), f"m differs at step {step}"
+        assert _same_bytes(v, v_ref), f"v differs at step {step}"
+        assert _same_bytes(t, t_ref), f"theta differs at step {step}"
 
 
 # the C step must build wherever a compiler is on PATH
@@ -94,17 +143,32 @@ needs_compiler = pytest.mark.skipif(shutil.which(kernels._compiler()[0]) is None
 @pytest.fixture(scope="session")
 def built_adam(tmp_path_factory):
     """The C step, built once into a cache of its own, so that the tests do
-    not depend on the user's cache."""
+    not depend on the user's cache, and the library's path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         patch.setattr(kernels, "_adam", None)
-        return kernels._adam_choice()
+        choice = kernels._adam_choice()
+        return choice, None if choice[0] is None else kernels._build_adam()
 
 
 @pytest.fixture
 def native_adam(built_adam, monkeypatch):
-    assert built_adam[0] is not None, built_adam[1]
-    monkeypatch.setattr(kernels, "_adam", built_adam)
+    choice, _ = built_adam
+    assert choice[0] is not None, choice[1]
+    monkeypatch.setattr(kernels, "_adam", choice)
+
+
+@pytest.fixture(params=["fma", "portable"])
+def c_loop(request, built_adam, monkeypatch):
+    """Every Adam step of the test runs one of the library's two loops; the
+    FMA one only where this CPU has AVX2 and FMA."""
+    choice, lib = built_adam
+    assert choice[0] is not None, choice[1]
+    library = ctypes.CDLL(str(lib))
+    if request.param == "fma" and not library.colearn_adam_has_fma():
+        pytest.skip("this CPU lacks AVX2 or FMA: the library runs its portable loop")
+    monkeypatch.setattr(kernels, "_adam", (kernels._c_loop(library, request.param),
+                                           f"native {request.param} ({lib})"))
 
 
 @pytest.fixture
@@ -120,10 +184,37 @@ def test_numpy_adam_step_is_textbook_bit_for_bit(n, rng, numpy_adam):
     _adam_matches_textbook(n, rng)
 
 
+@pytest.mark.parametrize("betas", BETAS)
+def test_numpy_adam_step_every_bias_correction(betas, rng, numpy_adam):
+    _adam_matches_textbook(37, rng, EVERY_STEP, betas)
+
+
 @needs_compiler
 @pytest.mark.parametrize("n", STEP_SIZES)
 def test_native_adam_step_is_textbook_bit_for_bit(n, rng, native_adam):
+    # the loop this CPU chooses: the FMA one where it has AVX2 and FMA
     _adam_matches_textbook(n, rng)
+
+
+@needs_compiler
+@pytest.mark.parametrize("c_loop", ["portable"], indirect=True)
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_portable_adam_loop_is_textbook_bit_for_bit(n, rng, c_loop):
+    _adam_matches_textbook(n, rng)
+
+
+@needs_compiler
+@pytest.mark.parametrize("betas", BETAS)
+def test_c_adam_loop_every_bias_correction(betas, rng, c_loop):
+    # 37 elements: nine vectors of four and a tail of one
+    _adam_matches_textbook(37, rng, EVERY_STEP, betas)
+
+
+@needs_compiler
+def test_adam_kernel_names_the_loop(built_adam):
+    choice, lib = built_adam
+    loop = "fma" if ctypes.CDLL(str(lib)).colearn_adam_has_fma() else "portable"
+    assert choice[1] == f"native {loop} ({lib})"
 
 
 def _bad(n, which):
@@ -203,11 +294,77 @@ def test_concurrent_first_use_builds_once(fresh_adam, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(runs) == 1
-    assert kernels.adam_kernel().startswith("native (")
+    assert kernels.adam_kernel().startswith("native ")
     assert [p.suffix for p in fresh_adam.iterdir()] == [".so"]
     ref = theta.copy()
     _adam_textbook(ref, g, np.zeros(n), np.zeros(n), 1, 1e-3, 0.9, 0.999, 1e-8)
     assert all(np.array_equal(r, ref) for r in results)
+
+
+def _toolchain(lib):
+    """The toolchain key of a cached library's name, adam-<toolchain>-<source>.so."""
+    return lib.name.split("-")[1]
+
+
+@needs_compiler
+def test_build_deletes_stale_libraries(fresh_adam):
+    # learn this toolchain's key from one build, then build again in an
+    # emptied cache that holds other libraries
+    toolchain = _toolchain(kernels._build_adam())
+    shutil.rmtree(fresh_adam)
+    fresh_adam.mkdir(parents=True)
+    stale = fresh_adam / f"adam-{toolchain}-{'0' * 12}.so"
+    stale.write_bytes(b"a library of an older source")
+    other = fresh_adam / f"adam-{'f' * 12}-{'0' * 12}.so"
+    other.write_bytes(b"a library of another compiler or machine")
+    building = fresh_adam / f"adam-{toolchain}-{'1' * 12}.so.4242.tmp"
+    building.write_bytes(b"another process's build in progress")
+    undeletable = fresh_adam / f"adam-{toolchain}-{'2' * 12}.so"
+    undeletable.mkdir()  # unlink fails; the build goes on
+    assert kernels.adam_kernel().startswith("native ")
+    lib = kernels._build_adam()
+    assert sorted(p.name for p in fresh_adam.iterdir()) == sorted(
+        [lib.name, other.name, building.name, undeletable.name])
+
+
+@needs_compiler
+def test_build_keeps_other_compilers_libraries(fresh_adam, monkeypatch):
+    # two compilers share one cache: neither build deletes the other's library
+    built = kernels._build_adam()
+    monkeypatch.setattr(kernels, "ADAM_CFLAGS", (*kernels.ADAM_CFLAGS, "-DOTHER_COMPILER"))
+    other = kernels._build_adam()
+    assert _toolchain(other) != _toolchain(built)
+    assert built.exists() and other.exists()
+
+
+@needs_compiler
+def test_loading_from_the_cache_deletes_nothing(fresh_adam, monkeypatch):
+    lib = kernels._build_adam()
+    stale = fresh_adam / f"adam-{_toolchain(lib)}-{'0' * 12}.so"
+    stale.write_bytes(b"a library of an older source")
+    assert kernels.adam_kernel().startswith("native ")  # loads
+    assert stale.exists()
+
+
+@needs_compiler
+def test_library_deleted_before_loading_is_rebuilt(fresh_adam, monkeypatch):
+    # another source's build deletes the library between the check that it
+    # exists and the load: the load builds it again instead of falling back
+    build = kernels._build_adam
+    calls = []
+
+    def deleted_once():
+        lib = build()
+        if not calls:
+            lib.unlink()
+        calls.append(lib)
+        return lib
+
+    monkeypatch.setattr(kernels, "_build_adam", deleted_once)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert kernels.adam_kernel().startswith("native ")
+    assert len(calls) == 2 and calls[1].exists()
 
 
 @needs_compiler
@@ -229,7 +386,8 @@ def test_second_process_reuses_the_cached_library(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split("\n")[:2])
     (first, built), (second, rebuilt) = outputs
-    assert first.startswith(f"native ({tmp_path / 'colearn'}") and first == second
+    assert first.startswith("native ") and first == second
+    assert first.split(" (", 1)[1].startswith(str(tmp_path / "colearn"))
     assert (built, rebuilt) == ("1", "0")
 
 

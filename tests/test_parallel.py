@@ -64,10 +64,14 @@ def test_pool_threads_end_with_the_pool():
     assert alive == []
 
 
-def _five_agent_run(monkeypatch, cores: int):
+def _five_agent_run(monkeypatch, cores: int, order=None):
     """A 5-agent blob CL run with a review at iteration 20; its records, its
-    agents' final parameters and the threads that ran forward passes."""
+    agents' final parameters and the threads that ran forward passes. With
+    `order`, a function of the agents, tasks start in its order instead of
+    largest agent first."""
     _cores(monkeypatch, cores)
+    if order is not None:
+        monkeypatch.setattr(parallel, "largest_first", order)
     threads = set()
     forward = collective.forward_pass
 
@@ -105,6 +109,39 @@ def test_results_do_not_depend_on_pool_size(monkeypatch):
     assert len(got_threads) > 1
     assert got_records == records
     assert got_params == params
+
+
+def test_results_do_not_depend_on_task_order(monkeypatch):
+    if parallel.blas_threads() is None:
+        pytest.skip("agents run serially where BLAS is not pinned")
+    records, params, _ = _five_agent_run(monkeypatch, 2)
+    for order in (lambda agents: list(range(len(agents))),
+                  lambda agents: list(range(len(agents)))[::-1]):
+        got_records, got_params, _ = _five_agent_run(monkeypatch, 2, order)
+        assert got_records == records
+        assert got_params == params
+
+
+def _agents(kinds, input_dim=4, num_classes=3):
+    return [AgentState(id=i, learner=Learner.create(
+        Architecture(kind, input_dim, num_classes), seed=90 + i)) for i, kind in enumerate(kinds)]
+
+
+def test_largest_agents_first_ties_by_id():
+    agents = _agents(["SHL", "HL2", "HL1", "HL2", "SHL", "HL1"])
+    assert parallel.largest_first(agents) == [1, 3, 2, 5, 0, 4]
+
+
+def test_pool_starts_the_largest_agents_first(monkeypatch):
+    agents = _agents(["SHL", "HL2", "HL1", "HL2"])
+    submitted = []
+    with AgentPool(2) as pool:
+        submit = pool._executor.submit
+        monkeypatch.setattr(pool._executor, "submit",
+                            lambda fn, *args: submitted.append(args[0].id) or submit(fn, *args))
+        got = pool.each(lambda agent, x: (agent.id, x), agents, "abcd", where="")
+    assert submitted == [1, 3, 2, 0]
+    assert got == [(0, "a"), (1, "b"), (2, "c"), (3, "d")]  # results in agent order
 
 
 def test_stress_more_threads_than_cores():
@@ -163,6 +200,31 @@ def test_failure_names_agent_and_iteration(monkeypatch, cores):
         run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
                        seed=84, metric_stride=100)
     assert isinstance(got.value.__cause__, FloatingPointError)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_two_failures_name_the_lower_agent_id(monkeypatch, cores):
+    # agents 1 and 3 turn NaN in the same round; agent 3, an HL1, is larger
+    # than agent 1, an SHL, so its forward pass starts first
+    _cores(monkeypatch, cores)
+    source = synth_blobs(60, 3, 4, 6.0, seed=85)
+    part = make_partition(source, 4, 10, 10, seed=86, test=synth_blobs(10, 3, 4, 6.0, 87))
+    agents = _agents(["SHL", "SHL", "SHL", "HL1"])
+    assert parallel.largest_first(agents)[0] == 3
+    round_fn = collective.collective_round
+
+    def poison(agents, weights, batch, pool=None, k=None):
+        if k == 2:
+            for i in (1, 3):
+                agents[i].learner.params[:] = np.nan
+        return round_fn(agents, weights, batch, pool, k)
+
+    monkeypatch.setattr(collective, "collective_round", poison)
+    config = CollectiveSpec(score_refresh_period=100, review_period=100, gamma=1.0,
+                            batch_size=10, epochs_over_shared=1)
+    with pytest.raises(RuntimeError, match=r"^agent 1 at iteration 2: FloatingPointError"):
+        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(4)), config,
+                       seed=88, metric_stride=100)
 
 
 def test_run_failure_names_run_agent_and_iteration(monkeypatch):
