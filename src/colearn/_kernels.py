@@ -8,8 +8,10 @@ The Adam step runs in C where it can. `_adam.c`, shipped in this package, is
 compiled on the first Adam step of a process with the compiler Python
 reports (`sysconfig` CC, else `cc`) and the flags in `ADAM_CFLAGS`, cached
 under `$XDG_CACHE_HOME/colearn` (else `~/.cache/colearn`) keyed by the
-source, the command and the machine type, and loaded with ctypes; a build
-deletes the libraries its compiler and machine built from other sources.
+source, the command and the machine type, and loaded with ctypes. Each use
+of a cached library touches it, and a build deletes the libraries its
+compiler and machine built from other sources that have gone unused for
+`STALE_AFTER_S`, so two sources used in turn keep one library each.
 Its one pass over the parameters replaces the 14 ufunc passes of the numpy
 step, and a ctypes call releases the interpreter lock, so the agent pool's
 threads run whole Adam steps side by side. The library holds two loops:
@@ -41,6 +43,7 @@ import shutil
 import subprocess
 import sysconfig
 import threading
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -177,6 +180,10 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
 # instructions from a target attribute and runs only where the CPU has them.
 ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
+# A build deletes its toolchain's libraries of other sources that have gone
+# unused this long (a week).
+STALE_AFTER_S = 7 * 24 * 3600
+
 # (C step or None, description) once resolved; guarded by _adam_lock
 _adam: tuple | None = None
 _adam_lock = threading.Lock()
@@ -246,16 +253,22 @@ def _build_adam() -> Path:
     temporary name and rename it into place, so none loads a partial file.
 
     A library is named adam-<toolchain key>-<source key>.so, the toolchain
-    key hashing the command and the machine type. A build deletes the
-    libraries of its toolchain built from other sources; those of other
-    compilers or machines sharing the cache stay."""
+    key hashing the command and the machine type. Finding the library in
+    the cache touches it. A build deletes the libraries of its toolchain
+    built from other sources that have gone unused for `STALE_AFTER_S`;
+    those of other compilers or machines sharing the cache stay."""
     source = resources.files(__package__).joinpath("_adam.c")
     command = [*_compiler(), *ADAM_CFLAGS]
     toolchain = hashlib.sha256(b"\0".join(
         (shlex.join(command).encode(), platform.machine().encode()))).hexdigest()[:12]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "colearn"
     lib = cache / f"adam-{toolchain}-{hashlib.sha256(source.read_bytes()).hexdigest()[:12]}.so"
-    if not lib.exists():
+    if lib.exists():
+        try:
+            os.utime(lib)  # used now: other sources' builds keep it
+        except OSError:
+            pass
+    else:
         cache.mkdir(parents=True, exist_ok=True)
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
         try:
@@ -266,10 +279,12 @@ def _build_adam() -> Path:
         finally:
             tmp.unlink(missing_ok=True)
         # another process's build in progress is a .tmp file and stays
+        unused_since = time.time() - STALE_AFTER_S
         for stale in cache.glob(f"adam-{toolchain}-*.so"):
             if stale != lib:
                 try:
-                    stale.unlink()
+                    if stale.stat().st_mtime < unused_since:
+                        stale.unlink()
                 except OSError:
                     pass
     return lib

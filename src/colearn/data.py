@@ -38,16 +38,19 @@ def as_features(x) -> np.ndarray:
     return x if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
 
 
-def decode(x: np.ndarray) -> np.ndarray:
-    """Feature rows as float64 values: uint8 pixel bytes are scaled by 1/255
-    into a new array, float64 rows are returned as they are.
+def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Feature rows as `dtype` values: uint8 pixel bytes are scaled by 1/255
+    into a new array, float64 rows are returned as they are (or rounded to
+    `dtype` into a new array).
 
-    The cast from uint8 is exact and the divide correctly rounded, so each
-    element is the double that `x.astype(np.float64) / 255.0` gives.
+    The cast from uint8 is exact and the divide correctly rounded in
+    `dtype`, so each float64 element is the double that
+    `x.astype(np.float64) / 255.0` gives, and each float32 one is the
+    nearest float32 to byte / 255.
     """
     if x.dtype == np.uint8:
-        return np.divide(x, 255.0)
-    return x
+        return np.divide(x, 255.0, dtype=dtype)
+    return x.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,21 @@ hidden layer of 300 units) and HL2 (two ReLU hidden layers of 500 and 300
 units). Parameters live in one flat float64 vector; per-layer weight
 matrices and bias vectors are zero-copy views into it.
 
-There is one layer loop, `_activations`: prediction, loss, gradient and
+There is one layer loop, `_activations`: prediction, gradient and
 evaluation all run through it. A gradient is a `forward_pass` plus
 `backprop` through that pass's activations, so a caller that has already
 predicted on a batch backpropagates from the same pass.
+
+Evaluation counts the rows whose argmax logit of a float64 pass over their
+EVAL_CHUNK chunk matches the label, but mostly computes in float32: each
+chunk is scored in float32 first, with a proven bound on each logit's
+distance from exact arithmetic on the float64 inputs and parameters
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
+A row whose top logit beats every other by more than their bounds is
+counted from the float32 pass; the rows left open are scored again in
+float64 under the same kind of bound, and only a row still open there (a
+near tie, or a non-finite value) is settled by the float64 pass over its
+whole chunk. The counts are those of that chunk pass on every row.
 """
 
 from __future__ import annotations
@@ -25,7 +36,11 @@ from .parallel import AgentPool
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
-EVAL_CHUNK = 1024  # rows per evaluation chunk; fixed, as a count's bits depend on it
+# Rows per evaluation chunk. The float64 pass that settles near ties runs
+# over a whole chunk, and its bits may depend on the chunk's rows, so the
+# chunk is fixed; the float32 screening and the float64 rescoring give the
+# same counts at any chunk size.
+EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -102,14 +117,16 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
-    """The one layer loop: each layer's input, then the output logits."""
+    """The one layer loop: each layer's input, then the output logits, in
+    x_mat's dtype (float64, or float32 with the parameters rounded to it)."""
     if x_mat.shape[1] != arch.input_dim:
         raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
     layers = param_views(arch, theta)
     acts = [x_mat]
     for l, (w, b) in enumerate(layers):
-        z = acts[-1] @ w
-        z += b  # in place: one new array per layer, with the bits of `acts[-1] @ w + b`
+        z = acts[-1] @ w.astype(x_mat.dtype, copy=False)
+        # in place: one new array per layer, with the bits of `acts[-1] @ w + b`
+        z += b.astype(x_mat.dtype, copy=False)
         acts.append(kernels.relu(z) if l < len(layers) - 1 else z)
     return acts
 
@@ -136,11 +153,6 @@ def _check_labels(arch: Architecture, y) -> np.ndarray:
     if y.size and (y.min() < 0 or y.max() >= arch.num_classes):
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
     return y
-
-
-def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
-    """Mean cross-entropy over the batch."""
-    return kernels.xent_mean(forward_pass(arch, theta, x)[1], _check_labels(arch, y))
 
 
 def backprop(arch: Architecture, theta: np.ndarray, acts: list[np.ndarray], probs: np.ndarray,
@@ -278,23 +290,151 @@ def train_epochs(
     return theta
 
 
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = nu / (1 - nu): the relative error bound of an n-term dot
+    product or sum computed in unit roundoff u, in any order."""
+    return n * u / (1.0 - n * u)
+
+
+def _norm_up(sq, n: int, dtype=np.float64):
+    """Upper bounds on the 2-norms of n-element vectors whose sums of squares
+    were computed in `dtype` as `sq`: the factor covers the rounding of the
+    squares and the sum, and of the float64 root and this expression; the
+    added term covers squares that underflowed."""
+    finfo = np.finfo(dtype)
+    return ((np.sqrt(np.asarray(sq, dtype=np.float64)) + np.sqrt(n * float(finfo.tiny)))
+            * (1.0 + 2.0 * _gamma(n + 2, float(finfo.eps) / 2.0)))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Upper bounds on the 2-norm of each row of `a`, summed in its dtype."""
+    return _norm_up(np.einsum("ij,ij->i", a, a), a.shape[1], a.dtype)
+
+
+def _weight_norms(arch: Architecture, theta: np.ndarray) -> list[tuple]:
+    """Per layer, upper bounds on the 2-norm of each weight column, the
+    Frobenius norm of the weights and the 2-norm of the bias, and |bias|."""
+    norms = []
+    for w, b in param_views(arch, theta):
+        n, dout = w.shape
+        col = np.einsum("ij,ij->j", w, w)
+        norms.append((_norm_up(col, n), _norm_up(col.sum(), (n + 1) * dout),
+                      _norm_up(b @ b, dout), np.abs(b)))
+    return norms
+
+
+def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -> np.ndarray:
+    """Per row and class, a bound on the distance between the logits of an
+    `_activations` pass, `acts[-1]`, and those of exact arithmetic on the
+    float64 inputs and parameters, for a pass in float64 or in float32.
+
+    `norms` are the model's `_weight_norms`, `t_in` the `_row_norms` of
+    `acts[0]`. Per layer, with unit roundoff u, fan-in n, input row â with
+    error at most eps in 2-norm, and eta the dtype's smallest normal number
+    (more than any error of an underflow), each output j of `â @ W + b`
+    computed as `fl(fl(â @ Ŵ) + b̂)` is within
+
+        ((gamma_n + 2u)|â| + (1 + 2u) eps) |W_j| + u|b_j| + u/(1-u) |ẑ_j|
+            + eta (2 sqrt(n) (|â| + eps) + n + 1)
+
+    of exact: the dot product's rounding, the input's error, the rounding of
+    W and b to the dtype, the bias add, and underflow. ReLU is 1-Lipschitz,
+    so the next layer's eps is the 2-norm of these bounds over j, where
+    u/(1-u) |ẑ_j| is at most 2u (|â| |W_j| + |b_j|) plus the underflow term
+    (for fan-ins below 1 / (3u)). A float32 input is the rounded float64
+    one, so eps starts at u(1 + 2u)|x̂| plus sqrt(n) eta for inputs that
+    underflow; a float64 input is exact. Norms are `_norm_up` bounds.
+
+    None of this holds where the pass overflowed, so a row gets an infinite
+    bound unless at every layer (|â| + 1) max_j |W_j| + max |b| is below a
+    quarter of the dtype's largest number: then no weight, partial sum or
+    output can have overflowed.
+    """
+    finfo = np.finfo(acts[-1].dtype)
+    u, tiny = float(finfo.eps) / 2.0, float(finfo.tiny)
+    n = acts[0].shape[1]
+    eps = 0.0 if finfo.dtype == np.float64 else u * (1.0 + 2.0 * u) * t_in + np.sqrt(n) * tiny
+    safe = np.ones(acts[0].shape[0], dtype=bool)
+    for l, (col, frob, bnorm, babs) in enumerate(norms):
+        n = acts[l].shape[1]
+        t = t_in if l == 0 else _row_norms(acts[l])
+        safe &= (t + 1.0) * col.max() + babs.max() < float(finfo.max) / 4.0
+        k = (_gamma(n, u) + 2.0 * u) * t + (1.0 + 2.0 * u) * eps
+        under = tiny * (2.0 * np.sqrt(n) * (t + eps) + n + 1)
+        if l < len(norms) - 1:
+            eps = (k * frob + u * bnorm + 2.0 * u * (t * frob + bnorm)
+                   + 2.0 * np.sqrt(col.size) * under)
+    bound = (k[:, None] * col + u * babs + u / (1.0 - u) * np.abs(acts[-1], dtype=np.float64)
+             + under[:, None])
+    bound[~safe] = np.inf
+    return bound
+
+
+def _certain(logits: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax, and whether the bounds prove it: the top logit
+    minus its bound beats every other logit plus its bound. The bounds are
+    inflated by 2^-20, more than the error of the float64 chunk pass
+    relative to a float32 bound (below 2^-29) and than the bounds' own
+    rounding, and by 2^-40 |logit| for the rounding of this comparison. A
+    row with a non-finite logit or bound is never certain."""
+    z = logits.astype(np.float64)
+    margin = bound * (1.0 + 2.0**-20) + 2.0**-40 * np.abs(z)
+    top = kernels.argmax_rows(z)
+    rows = np.arange(z.shape[0])
+    low = z[rows, top] - margin[rows, top]
+    high = z + margin
+    high[rows, top] = -np.inf
+    return top, (low > high.max(axis=1)) & np.isfinite(margin).all(axis=1)
+
+
+def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np.ndarray,
+            t_in: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_certain` of one pass over `x_mat` in its dtype, with the bound
+    scaled by `slack`."""
+    with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
+        acts = _activations(arch, theta, x_mat)
+        return _certain(acts[-1], slack * _logit_bound(acts, norms, t_in))
+
+
 def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
                pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
-    fraction of samples whose argmax logit (lowest index on ties) matches the
-    label. Each EVAL_CHUNK rows are decoded once and scored by every model.
-    With a pool, chunks run side by side; the chunks are the same at any pool
-    size, so the counts are too."""
+    fraction of samples whose argmax logit (lowest index on ties) of the
+    float64 pass over their EVAL_CHUNK chunk matches the label.
+
+    Each chunk is decoded to float32 once and scored by every model in
+    float32; a row is counted from there when its bound proves its argmax.
+    A model's open rows are scored again in float64, where the bound is
+    doubled, as the chunk pass carries one of its own; the rows open there
+    take the chunk pass's argmax. With a pool, chunks run side by side; the
+    chunks are the same at any pool size, so the counts are too."""
     x, y = _as_xy(eval_set)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
+    pool = pool or AgentPool()
+    norms = pool.map(lambda model: _weight_norms(*model), models)
 
     def correct(s: int) -> list[int]:
-        x_chunk = np.ascontiguousarray(decode(x[s : s + EVAL_CHUNK]))
-        return [int((kernels.argmax_rows(_activations(arch, theta, x_chunk)[-1])
-                     == y[s : s + EVAL_CHUNK]).sum()) for arch, theta in models]
+        rows, labels = x[s : s + EVAL_CHUNK], y[s : s + EVAL_CHUNK]
+        x32 = np.ascontiguousarray(decode(rows, np.float32))
+        t32 = _row_norms(x32)
+        chunk = []  # the chunk pass's float64 decode, once a row needs it
+        counts = []
+        for (arch, theta), norm in zip(models, norms):
+            pred, certain = _screen(arch, theta, norm, x32, t32, 1.0)
+            open_rows = np.flatnonzero(~certain)
+            if open_rows.size:
+                x64 = np.ascontiguousarray(decode(rows[open_rows]))
+                pred[open_rows], certain = _screen(arch, theta, norm, x64, _row_norms(x64), 2.0)
+                ties = open_rows[~certain]
+                if ties.size:
+                    if not chunk:
+                        chunk.append(np.ascontiguousarray(decode(rows)))
+                    pred[ties] = kernels.argmax_rows(_activations(arch, theta, chunk[0])[-1])[ties]
+            counts.append(int((pred == labels).sum()))
+        return counts
 
-    per_chunk = (pool or AgentPool()).map(correct, range(0, x.shape[0], EVAL_CHUNK))
+    per_chunk = pool.map(correct, range(0, x.shape[0], EVAL_CHUNK))
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
 
 
@@ -314,9 +454,6 @@ class Learner:
     @classmethod
     def create(cls, arch: Architecture, seed: int, rule: UpdateRule | None = None) -> "Learner":
         return cls(arch=arch, params=init_params(arch, seed), rule=rule or Adam())
-
-    def predict_proba(self, x) -> np.ndarray:
-        return forward(self.arch, self.params, x)
 
     def train(self, train_set, batch_size: int, epochs: int, seed: int) -> None:
         train_epochs(self.arch, self.params, self.rule, train_set, batch_size, epochs, seed)

@@ -1,6 +1,7 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
-numpy Adam step and portable C loop, and the optional Fashion-MNIST
-directory for dataset-gated tests."""
+numpy Adam step and portable C loop, the forced float64 evaluation, the
+optional Fashion-MNIST directory for dataset-gated tests, and the loss and
+prediction helpers that only tests use."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colearn import _kernels
+from colearn import _kernels, learner
 from colearn.cli import FMNIST_NAMES
 from colearn.config import (
     CollectiveSpec,
@@ -21,6 +22,7 @@ from colearn.config import (
     TrainingSpec,
 )
 from colearn.data import write_idx
+from colearn.learner import Architecture, Learner, _check_labels, forward, forward_pass
 from colearn.seeding import rng_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +84,24 @@ def portable_adam(monkeypatch):
     lib = _kernels._build_adam()
     monkeypatch.setattr(_kernels, "_adam", (_kernels._c_loop(ctypes.CDLL(str(lib)), "portable"),
                                             f"native portable ({lib})"))
+
+
+@pytest.fixture
+def float64_eval(monkeypatch):
+    """Every row of every evaluation in the test is taken by the float64
+    pass over its chunk, as if no bound proved any row's argmax."""
+    monkeypatch.setattr(learner, "_certain", lambda logits, bound: (
+        _kernels.argmax_rows(logits), np.zeros(logits.shape[0], dtype=bool)))
+
+
+def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
+    """Mean cross-entropy of labels `y` over the batch `x`."""
+    return _kernels.xent_mean(forward_pass(arch, theta, x)[1], _check_labels(arch, y))
+
+
+def predict_proba(agent: Learner, x) -> np.ndarray:
+    """An agent's class probabilities for one sample or a batch."""
+    return forward(agent.arch, agent.params, x)
 
 
 @pytest.fixture

@@ -14,11 +14,12 @@ from colearn.collective import fuse_and_label, RoundMessage
 from colearn.config import load_config, override
 from colearn.graph import DirectedGraph, build_weight_matrix_log
 from colearn.harness import montecarlo, run_mode, summarize
-from colearn.learner import Architecture, grad, init_params, loss, forward
+from colearn.learner import Architecture, grad, init_params, forward
 from colearn.seeding import rng_for
 
 from conftest import (
     CONFIG_DIR,
+    loss,
     blob_config,
     fashion_mnist_dir,
     requires_fmnist,

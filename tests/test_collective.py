@@ -30,6 +30,8 @@ from colearn.learner import (
 from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
 
+from conftest import predict_proba
+
 
 def constant_predictor(num_classes: int, winner: int, input_dim: int = 4) -> Learner:
     """SHL that predicts `winner` with probability exactly 1 (the other
@@ -126,8 +128,8 @@ class TestFuseAndLabel:
         a = fixed_vector_predictor([0.9, 0.1])
         b = fixed_vector_predictor([0.2, 0.8])
         messages = [
-            RoundMessage(sender=0, predictions=a.predict_proba(batch)),
-            RoundMessage(sender=1, predictions=b.predict_proba(batch)),
+            RoundMessage(sender=0, predictions=predict_proba(a, batch)),
+            RoundMessage(sender=1, predictions=predict_proba(b, batch)),
         ]
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
         fused = kernels.fuse_rows(np.stack([m.predictions for m in messages]), w)
@@ -179,7 +181,7 @@ class TestCollectiveRound:
         learner = Learner.create(Architecture("SHL", 4, 3), seed=1, rule=Adam(alpha=0.01))
         learner.train(ds, batch_size=10, epochs=30, seed=2)
         batch = ds.features[:7]
-        expected = np.argmax(learner.predict_proba(batch), axis=1)
+        expected = np.argmax(predict_proba(learner, batch), axis=1)
         agent = AgentState(id=0, learner=learner)
         labels = collective_round([agent], np.array([[1.0]]), batch)
         assert np.array_equal(labels[0], expected)
@@ -203,8 +205,8 @@ class TestCollectiveRound:
         a = fixed_vector_predictor([0.9, 0.1])
         b = fixed_vector_predictor([0.2, 0.8])
         agents = [AgentState(id=0, learner=a), AgentState(id=1, learner=b)]
-        pre_a = a.predict_proba(batch).copy()
-        pre_b = b.predict_proba(batch).copy()
+        pre_a = predict_proba(a, batch).copy()
+        pre_b = predict_proba(b, batch).copy()
         w = np.full((2, 2), 0.5)
         labels = collective_round(agents, w, batch)
         manual = np.argmax(0.5 * pre_a + 0.5 * pre_b, axis=1)
@@ -237,7 +239,7 @@ class TestCollectiveRound:
         # the round as it ran before one forward pass served both halves:
         # every agent predicts, then each gradient runs the layers again
         def two_pass_round(agents, weights, batch, grad_buf):
-            messages = [RoundMessage(sender=a.id, predictions=a.learner.predict_proba(batch))
+            messages = [RoundMessage(sender=a.id, predictions=predict_proba(a.learner, batch))
                         for a in agents]
             labels = [fuse_and_label(messages, weights[i]) for i in range(len(agents))]
             for agent, lab in zip(agents, labels):

@@ -14,7 +14,10 @@ Every Adam step gives the same bytes: the fused C step that runs wherever it
 can be compiled, in its AVX2+FMA loop where the CPU has those instructions
 and in its portable loop elsewhere, and the blocked numpy step that runs
 where it cannot be compiled (`test_golden_digest_portable_adam` and
-`test_golden_digest_numpy_adam` force the last two).
+`test_golden_digest_numpy_adam` force the last two). Every accuracy count
+is that of the float64 pass over each evaluation chunk, whether a row's
+argmax was proven in float32 or in float64 or taken from that pass
+(`test_golden_digest_float64_eval` takes every row from it).
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build on one CPU family. They do not depend on thread counts: colearn
@@ -171,6 +174,13 @@ def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest_portable_adam(name, tmp_path, portable_adam):
     # the same pins where the CPU lacks AVX2 or FMA
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_float64_eval(name, tmp_path, float64_eval):
+    # the same pins with every evaluated row counted from the float64 pass
+    # over its chunk, as no row is screened in float32
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == GOLDEN[name]
 
 

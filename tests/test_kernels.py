@@ -7,8 +7,10 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +308,11 @@ def _toolchain(lib):
     return lib.name.split("-")[1]
 
 
+def _last_used(path, seconds_ago: float) -> None:
+    stamp = time.time() - seconds_ago
+    os.utime(path, (stamp, stamp))
+
+
 @needs_compiler
 def test_build_deletes_stale_libraries(fresh_adam):
     # learn this toolchain's key from one build, then build again in an
@@ -313,18 +320,56 @@ def test_build_deletes_stale_libraries(fresh_adam):
     toolchain = _toolchain(kernels._build_adam())
     shutil.rmtree(fresh_adam)
     fresh_adam.mkdir(parents=True)
+    week = kernels.STALE_AFTER_S
     stale = fresh_adam / f"adam-{toolchain}-{'0' * 12}.so"
-    stale.write_bytes(b"a library of an older source")
+    stale.write_bytes(b"a library of an older source, unused for over a week")
+    _last_used(stale, week + 3600)
+    recent = fresh_adam / f"adam-{toolchain}-{'3' * 12}.so"
+    recent.write_bytes(b"a library of another source, used within the week")
+    _last_used(recent, week - 3600)
     other = fresh_adam / f"adam-{'f' * 12}-{'0' * 12}.so"
     other.write_bytes(b"a library of another compiler or machine")
+    _last_used(other, week + 3600)
     building = fresh_adam / f"adam-{toolchain}-{'1' * 12}.so.4242.tmp"
     building.write_bytes(b"another process's build in progress")
+    _last_used(building, week + 3600)
     undeletable = fresh_adam / f"adam-{toolchain}-{'2' * 12}.so"
     undeletable.mkdir()  # unlink fails; the build goes on
+    _last_used(undeletable, week + 3600)
     assert kernels.adam_kernel().startswith("native ")
     lib = kernels._build_adam()
     assert sorted(p.name for p in fresh_adam.iterdir()) == sorted(
-        [lib.name, other.name, building.name, undeletable.name])
+        [lib.name, recent.name, other.name, building.name, undeletable.name])
+
+
+@needs_compiler
+def test_two_sources_used_in_turn_compile_once_each(fresh_adam, monkeypatch, tmp_path):
+    # two checkouts whose _adam.c differ share one cache, as alternating
+    # benchmark runs of two versions do; the package's source is looked up
+    # in whichever is in use
+    shipped = resources.files("colearn").joinpath("_adam.c").read_text()
+    sources = []
+    for name, text in (("a", shipped), ("b", shipped + "/* another version */\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "_adam.c").write_text(text)
+        sources.append(tmp_path / name)
+    runs, run = [], subprocess.run
+    monkeypatch.setattr(kernels.subprocess, "run",
+                        lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+    libs = []
+    for source in sources * 3:
+        monkeypatch.setattr(kernels.resources, "files", lambda package, source=source: source)
+        libs.append(kernels._build_adam())
+    assert len(runs) == 2
+    assert len(set(libs)) == 2 and all(lib.exists() for lib in libs)
+
+
+@needs_compiler
+def test_loading_marks_the_library_used(fresh_adam):
+    lib = kernels._build_adam()
+    _last_used(lib, kernels.STALE_AFTER_S + 3600)
+    assert kernels._build_adam() == lib
+    assert time.time() - lib.stat().st_mtime < 3600
 
 
 @needs_compiler

@@ -15,12 +15,13 @@ from colearn.learner import (
     forward,
     grad,
     init_params,
-    loss,
     param_count,
     param_views,
     train_epochs,
 )
 from colearn.seeding import rng_for
+
+from conftest import loss
 
 SMALL_ARCHS = [
     Architecture("SHL", input_dim=7, num_classes=4),
