@@ -8,18 +8,16 @@ The Adam step runs in C where it can. `_adam.c`, shipped in this package, is
 compiled on the first Adam step of a process with the compiler Python
 reports (`sysconfig` CC, else `cc`) and the flags in `ADAM_CFLAGS`, cached
 under `$XDG_CACHE_HOME/colearn` (else `~/.cache/colearn`) keyed by the
-source, the command and the machine type, and loaded with ctypes. Each use
-of a cached library touches it, and a build deletes the libraries its
-compiler and machine built from other sources that have gone unused for
-`STALE_AFTER_S`, so two sources used in turn keep one library each.
-Its one pass over the parameters replaces the 14 ufunc passes of the numpy
-step, and a ctypes call releases the interpreter lock, so the agent pool's
-threads run whole Adam steps side by side. The library holds two loops:
-an AVX2+FMA one without the bias corrections' divides, which runs where the
-CPU has those instructions, and the portable one. Where no compiler or
-cache works, a `RuntimeWarning` says why and the numpy step runs instead;
-`adam_kernel()` names the step and the loop this process runs. All give the
-same bits.
+source, the command and the machine type, and loaded with ctypes. Every
+source and toolchain keeps its own library: one is built only where it is
+missing, and none is ever deleted. Its one pass over the parameters
+replaces the 14 ufunc passes of the numpy step, and a ctypes call releases
+the interpreter lock, so the agent pool's threads run whole Adam steps side
+by side. The library holds two loops: an AVX2+FMA one without the bias
+corrections' divides, which runs where the CPU has those instructions, and
+the portable one. Where no compiler or cache works, a `RuntimeWarning` says
+why and the numpy step runs instead; `adam_kernel()` names the step and the
+loop this process runs. All give the same bits.
 
 The numpy optimizer steps (SGD, and Adam's fallback) update their arrays in
 place and walk the parameter vector in cache-sized blocks, writing every
@@ -43,16 +41,11 @@ import shutil
 import subprocess
 import sysconfig
 import threading
-import time
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-# Probabilities are clamped here before log to avoid -inf loss on confident
-# wrong predictions.
-PROB_FLOOR = 1e-12
 
 # Elements per block of the optimizer steps: 512 KB per float64 array, so a
 # block's operands stay in a 2 MB L2 cache between ufunc calls.
@@ -79,11 +72,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
     return shifted
-
-
-def xent_mean(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(labels.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -180,10 +168,6 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
 # instructions from a target attribute and runs only where the CPU has them.
 ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
-# A build deletes its toolchain's libraries of other sources that have gone
-# unused this long (a week).
-STALE_AFTER_S = 7 * 24 * 3600
-
 # (C step or None, description) once resolved; guarded by _adam_lock
 _adam: tuple | None = None
 _adam_lock = threading.Lock()
@@ -210,14 +194,7 @@ def _adam_choice() -> tuple:
 def _load_adam() -> tuple:
     try:
         lib = _build_adam()
-        try:
-            library = ctypes.CDLL(str(lib))
-        except OSError:
-            if lib.exists():
-                raise
-            # a build of another source deleted it after it was found
-            lib = _build_adam()
-            library = ctypes.CDLL(str(lib))
+        library = ctypes.CDLL(str(lib))
         loop = "fma" if library.colearn_adam_has_fma() else "portable"
         step = _c_loop(library, loop)
     except subprocess.CalledProcessError as e:
@@ -253,22 +230,16 @@ def _build_adam() -> Path:
     temporary name and rename it into place, so none loads a partial file.
 
     A library is named adam-<toolchain key>-<source key>.so, the toolchain
-    key hashing the command and the machine type. Finding the library in
-    the cache touches it. A build deletes the libraries of its toolchain
-    built from other sources that have gone unused for `STALE_AFTER_S`;
-    those of other compilers or machines sharing the cache stay."""
+    key hashing the command and the machine type. Every source and
+    toolchain keeps its own library: a build deletes nothing but its own
+    temporary file."""
     source = resources.files(__package__).joinpath("_adam.c")
     command = [*_compiler(), *ADAM_CFLAGS]
     toolchain = hashlib.sha256(b"\0".join(
         (shlex.join(command).encode(), platform.machine().encode()))).hexdigest()[:12]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "colearn"
     lib = cache / f"adam-{toolchain}-{hashlib.sha256(source.read_bytes()).hexdigest()[:12]}.so"
-    if lib.exists():
-        try:
-            os.utime(lib)  # used now: other sources' builds keep it
-        except OSError:
-            pass
-    else:
+    if not lib.exists():
         cache.mkdir(parents=True, exist_ok=True)
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
         try:
@@ -278,15 +249,6 @@ def _build_adam() -> Path:
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
-        # another process's build in progress is a .tmp file and stays
-        unused_since = time.time() - STALE_AFTER_S
-        for stale in cache.glob(f"adam-{toolchain}-*.so"):
-            if stale != lib:
-                try:
-                    if stale.stat().st_mtime < unused_since:
-                        stale.unlink()
-                except OSError:
-                    pass
     return lib
 
 

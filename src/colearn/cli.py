@@ -84,7 +84,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
+
+
 def _cmd_montecarlo(args) -> int:
+    _check_jobs(args)
     config = load_config(args.config)
     out = _out_dir(args)
     manifest_dir = out / "manifests"
@@ -101,6 +107,7 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_jobs(args)
     base = load_config(args.config)
     values = [_parse_value(v.strip()) for v in args.values.split(",") if v.strip() != ""]
     if not values:

@@ -114,8 +114,13 @@ class TrainingSpec:
         _check(self, "training.",
                ints=(("batch_size", 1), ("self_train_epochs", 0), ("fs_epochs", 1)),
                floats=(("alpha", None), ("beta1", None), ("beta2", None), ("eps", None)))
-        if self.alpha <= 0:
-            raise ConfigError(f"training.alpha: must be positive, got {self.alpha}")
+        # the ranges Adam needs, so that a bad value fails here, naming its field
+        for name in ("alpha", "eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"training.{name}: must be positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"training.{name}: must lie in (0, 1), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

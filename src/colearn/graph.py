@@ -43,10 +43,6 @@ class DirectedGraph:
     def complete(cls, n: int) -> "DirectedGraph":
         return cls.from_edges(n, ((j, i) for j in range(n) for i in range(n) if j != i))
 
-    @classmethod
-    def empty(cls, n: int) -> "DirectedGraph":
-        return cls(n=n, edges=frozenset())
-
 
 @dataclass(frozen=True)
 class StaticSchedule:
@@ -193,24 +189,6 @@ def build_weight_matrix_log(g: DirectedGraph, log_scores: np.ndarray) -> np.ndar
         shifted = np.exp(log_scores[nbrs] - log_scores[nbrs].max())
         w[i, nbrs] = shifted / shifted.sum()
     return w
-
-
-def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> None:
-    """Raise unless w satisfies the mixing-matrix invariants for g."""
-    if w.shape != (g.n, g.n):
-        raise ValueError(f"shape {w.shape} does not match n={g.n}")
-    if np.any(w < 0.0):
-        raise ValueError("negative entry")
-    if np.any(np.diag(w) <= 0.0):
-        raise ValueError("diagonal entry not positive")
-    rows = w.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > tol):
-        raise ValueError(f"row sums deviate from 1 by {np.abs(rows - 1.0).max():g}")
-    for i in range(g.n):
-        nbrs = in_neighbors(g, i)
-        for j in range(g.n):
-            if (w[i, j] > 0.0) != (j in nbrs):
-                raise ValueError(f"sparsity mismatch at ({i}, {j})")
 
 
 def format_edge_list(g: DirectedGraph) -> str:

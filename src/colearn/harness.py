@@ -22,7 +22,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .collective import AgentState, MetricsRecord, RunResult, run_collective
-from .config import ExperimentConfig, SynthSpec
+from .config import ConfigError, ExperimentConfig, SynthSpec
 from .data import Dataset, Partition, load_idx, make_partition, synth_blobs, write_manifest
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
 from .learner import Adam, Architecture, Learner, Sgd, train_epochs
@@ -202,6 +202,13 @@ def run_mode(
         seed=subseed(config.master_seed, run_index, "partition"), test=test,
         common_val=config.common_val,
     )
+    if config.mode == "CL" and partition.shared_indices.size == 0:
+        # checked before self-training, which would run in vain
+        val_blocks = 1 if config.common_val else config.n_agents
+        raise ConfigError(
+            f"partition.train_size, partition.val_size: {config.n_agents} agents x "
+            f"{config.train_size} train + {val_blocks} x {config.val_size} val use all "
+            f"{source.m} samples, leaving CL no shared pool")
     if manifest_path is not None:
         write_manifest(partition, manifest_path)
     agents = _make_agents(config, run_index, source.d, source.num_classes)

@@ -94,9 +94,16 @@ def float64_eval(monkeypatch):
         _kernels.argmax_rows(logits), np.zeros(logits.shape[0], dtype=bool)))
 
 
+# Probabilities are clamped here before log, so that a confident wrong
+# prediction gives a large finite loss instead of inf.
+PROB_FLOOR = 1e-12
+
+
 def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
     """Mean cross-entropy of labels `y` over the batch `x`."""
-    return _kernels.xent_mean(forward_pass(arch, theta, x)[1], _check_labels(arch, y))
+    labels = _check_labels(arch, y)
+    picked = forward_pass(arch, theta, x)[1][np.arange(labels.shape[0]), labels]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def predict_proba(agent: Learner, x) -> np.ndarray:

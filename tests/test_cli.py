@@ -86,6 +86,17 @@ def test_montecarlo_writes_outputs(tiny_config, tmp_path):
     assert (out / "manifests" / "run_000.txt").is_file()
 
 
+@pytest.mark.parametrize("command", ["montecarlo", "sweep --param gamma --values 1"],
+                         ids=lambda command: command.split()[0])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_1(tiny_config, tmp_path, capsys, command, jobs):
+    name, *rest = command.split()
+    code = main([name, str(tiny_config), *rest, "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
 def test_sweep_emits_one_table_per_value(tiny_config, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main([
@@ -113,6 +124,8 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("n_agents", "3", "n_agents"),
     # a complete graph reads no p: each value would run the same experiment
     ("p", "0.1,0.5", "graph.p: not read by a 'complete' graph"),
+    ("training.beta1", "0.9,1.5", "training.beta1"),
+    ("training.eps", "1e-8,0", "training.eps"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):

@@ -359,7 +359,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
+            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
             seed=3, metric_stride=450,
         )
         assert result.stats["iterations"] == 900
@@ -422,7 +422,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=1,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
+            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
             seed=3, metric_stride=20,
         )
         iters = [r.iteration for r in result.records]
@@ -474,7 +474,7 @@ class TestEngine:
                 batch_size=10, epochs_over_shared=2,
             )
             return run_collective(
-                agents, part, StaticSchedule(DirectedGraph.empty(1)), config,
+                agents, part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
                 seed=9, metric_stride=25,
             )
 
@@ -508,7 +508,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
+            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
             seed=3, metric_stride=10, max_iterations=35,
         )
         assert result.stats["iterations"] == 35
@@ -524,7 +524,7 @@ class TestEngine:
         )
         with pytest.raises(RuntimeError, match=r"agent 0 at iteration \d+"):
             run_collective(
-                [agent], part, StaticSchedule(DirectedGraph.empty(1)), config,
+                [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
                 seed=3, metric_stride=10,
             )
 
@@ -533,7 +533,7 @@ class TestEngine:
         part = make_partition(source, 3, 10, 10, seed=7, test=synth_blobs(10, 3, 4, 6.0, seed=8))
         agents = [AgentState(id=i, learner=constant_predictor(3, i)) for i in (2, 0, 1)]
         with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
-            run_collective(agents, part, StaticSchedule(DirectedGraph.empty(3)),
+            run_collective(agents, part, StaticSchedule(DirectedGraph.from_edges(3, ())),
                            CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):
@@ -544,5 +544,5 @@ class TestEngine:
         )
         with pytest.raises(ValueError, match="agent ids"):
             run_collective(
-                [agent], part, StaticSchedule(DirectedGraph.empty(1)), config, seed=0
+                [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config, seed=0
             )

@@ -8,7 +8,6 @@ from colearn.graph import (
     ErdosRenyiSchedule,
     StaticSchedule,
     build_weight_matrix_log,
-    check_weight_matrix,
     format_edge_list,
     graph_at,
     in_neighbors,
@@ -35,6 +34,24 @@ def random_graph(n: int, p: float, rng) -> DirectedGraph:
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
     return DirectedGraph.from_edges(n, zip(src.tolist(), dst.tolist()))
+
+
+def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> None:
+    """Raise unless w satisfies the mixing-matrix invariants for g."""
+    if w.shape != (g.n, g.n):
+        raise ValueError(f"shape {w.shape} does not match n={g.n}")
+    if np.any(w < 0.0):
+        raise ValueError("negative entry")
+    if np.any(np.diag(w) <= 0.0):
+        raise ValueError("diagonal entry not positive")
+    rows = w.sum(axis=1)
+    if np.any(np.abs(rows - 1.0) > tol):
+        raise ValueError(f"row sums deviate from 1 by {np.abs(rows - 1.0).max():g}")
+    for i in range(g.n):
+        nbrs = in_neighbors(g, i)
+        for j in range(g.n):
+            if (w[i, j] > 0.0) != (j in nbrs):
+                raise ValueError(f"sparsity mismatch at ({i}, {j})")
 
 
 class TestGraphAt:
@@ -74,7 +91,7 @@ class TestGraphAt:
 
 class TestInNeighbors:
     def test_self_loop_only(self):
-        assert in_neighbors(DirectedGraph.empty(4), 2) == {2}
+        assert in_neighbors(DirectedGraph.from_edges(4, ()), 2) == {2}
 
     def test_senders_into_node(self):
         g = DirectedGraph.from_edges(3, [(0, 2), (1, 2)])
@@ -99,7 +116,7 @@ class TestStrongConnectivity:
         assert not is_strongly_connected(g)
 
     def test_single_node(self):
-        assert is_strongly_connected(DirectedGraph.empty(1))
+        assert is_strongly_connected(DirectedGraph.from_edges(1, ()))
 
     def test_agrees_with_closure_oracle_small(self):
         rng = rng_for(7, "oracle-small")
@@ -154,7 +171,7 @@ class TestJointConnectivity:
 
     def test_union_graph_requires_matching_sizes(self):
         with pytest.raises(ValueError):
-            union_graph([DirectedGraph.empty(2), DirectedGraph.empty(3)])
+            union_graph([DirectedGraph.from_edges(2, ()), DirectedGraph.from_edges(3, ())])
 
 
 def plain_weights(g: DirectedGraph, scores: np.ndarray) -> np.ndarray:

@@ -273,6 +273,14 @@ class TestOverride:
         with pytest.raises(ConfigError, match="graph.p: not read by a 'complete' graph"):
             override(er, "graph.kind", "complete")
 
+    def test_adam_hyperparameters_checked(self):
+        # the values Adam itself would reject, failing here with the field's name
+        config = blob_config()
+        for name, value in (("beta1", 1.5), ("beta1", 0.0), ("beta2", -1.0), ("beta2", 1.0),
+                            ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan"))):
+            with pytest.raises(ConfigError, match=rf"training\.{name}: must"):
+                override(config, f"training.{name}", value)
+
     @pytest.mark.parametrize("mode", ["CL", "ST", "FS"])
     def test_metric_stride_checked(self, mode):
         with pytest.raises(ConfigError, match="metric_stride: must be >= 1"):
@@ -300,6 +308,19 @@ class TestRunMode:
         out = run_mode(config, 0)
         first = [r for r in out.records if r.iteration == 0]
         assert [r.test_accuracy for r in first] == out.final_test
+
+    def test_cl_without_a_shared_pool_fails_before_self_training(self, monkeypatch):
+        # 2 agents x (20 train + 5 val) take all 50 samples
+        config = blob_config(n_per_class=10, train_size=20, val_size=5, self_train_epochs=2,
+                             architectures=("SHL", "SHL"))
+        monkeypatch.setattr(harness.Learner, "train",
+                            lambda *args, **kwargs: pytest.fail("self-training started"))
+        with pytest.raises(ConfigError, match=r"^partition\.train_size, partition\.val_size: "
+                                              r"2 agents x 20 train \+ 2 x 5 val use all 50 "):
+            run_mode(config, 0)
+        # the baselines read no pool
+        monkeypatch.undo()
+        assert len(run_mode(override(config, "mode", "ST"), 0).final_test) == 2
 
     @pytest.mark.parametrize("mode, settings, updates", [
         ("CL", {"max_iterations": 20}, 20),

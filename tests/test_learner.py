@@ -21,7 +21,7 @@ from colearn.learner import (
 )
 from colearn.seeding import rng_for
 
-from conftest import loss
+from conftest import PROB_FLOOR, loss
 
 SMALL_ARCHS = [
     Architecture("SHL", input_dim=7, num_classes=4),
@@ -128,6 +128,13 @@ class TestLoss:
         w, b = param_views(arch, theta)[0]
         b[:] = [50.0, -50.0]
         assert loss(arch, theta, np.zeros((1, 3)), [0]) < 1e-6
+
+    def test_confident_wrong_is_clamped(self):
+        # the label's probability underflows to zero: the loss stays finite
+        arch = Architecture("SHL", 3, 2)
+        theta = np.zeros(param_count(arch))
+        param_views(arch, theta)[0][1][:] = [1000.0, -1000.0]
+        assert loss(arch, theta, np.zeros((1, 3)), [1]) == pytest.approx(-np.log(PROB_FLOOR))
 
     def test_uniform_prediction_is_log_c(self):
         arch = Architecture("SHL", 5, 10)
