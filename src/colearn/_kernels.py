@@ -1,7 +1,7 @@
 """Hot numeric kernels: numpy, plus one fused C loop for the Adam step.
 
 Layer matmuls go through BLAS; the kernels here cover the elementwise-heavy
-work: activations, softmax cross-entropy, optimizer steps and prediction
+work: activations, softmax cross-entropy, the Adam step and prediction
 fusion.
 
 The Adam step runs in C where it can. `_adam.c`, shipped in this package, is
@@ -19,12 +19,12 @@ the portable one. Where no compiler or cache works, a `RuntimeWarning` says
 why and the numpy step runs instead; `adam_kernel()` names the step and the
 loop this process runs. All give the same bits.
 
-The numpy optimizer steps (SGD, and Adam's fallback) update their arrays in
-place and walk the parameter vector in cache-sized blocks, writing every
-intermediate into a small reused scratch buffer instead of allocating
-parameter-sized temporaries. Each element still goes through the same
-correctly rounded operations in the same order as the textbook one-line
-expression, so the results are bit for bit those of that expression.
+The numpy Adam step, the fallback, updates its arrays in place and walks
+the parameter vector in cache-sized blocks, writing every intermediate into
+a small reused scratch buffer instead of allocating parameter-sized
+temporaries. Each element still goes through the same correctly rounded
+operations in the same order as the textbook one-line expression, so the
+results are bit for bit those of that expression.
 
 All kernels expect C-contiguous float64 arrays (labels int64); reductions
 accumulate in a fixed order, so results are reproducible run to run.
@@ -47,11 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
-# Elements per block of the optimizer steps: 512 KB per float64 array, so a
+# Elements per block of the numpy Adam step: 512 KB per float64 array, so a
 # block's operands stay in a 2 MB L2 cache between ufunc calls.
 _BLOCK = 65536
 
-# Per-thread scratch of the optimizer steps: two block-sized rows, allocated
+# Per-thread scratch of the numpy Adam step: two block-sized rows, allocated
 # on a thread's first step and reused by all its later ones. Per thread, so
 # that steps running in different threads never share it.
 _scratch = threading.local()
@@ -81,24 +81,6 @@ def dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     d[np.arange(b), labels] -= 1.0
     d /= b
     return d
-
-
-def _scratch_rows(dtype):
-    buf = getattr(_scratch, "rows", None)
-    if buf is None or buf.dtype != dtype:
-        buf = _scratch.rows = np.empty((2, _BLOCK), dtype)
-    return buf
-
-
-def sgd_step(theta: np.ndarray, grad: np.ndarray, alpha: float) -> None:
-    # theta -= alpha * grad, one block at a time
-    n = theta.shape[0]
-    tmp = _scratch_rows(theta.dtype)[0]
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        t = tmp[: e - s]
-        np.multiply(alpha, grad[s:e], out=t)
-        theta[s:e] -= t
 
 
 def adam_step(theta, grad, m, v, step, alpha, beta1, beta2, eps) -> None:
@@ -137,7 +119,9 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
     # updates, one block at a time. Each element meets the same operations in
     # the same order as in that one-line expression, which keeps the bits.
     n = theta.shape[0]
-    rows = _scratch_rows(theta.dtype)
+    rows = getattr(_scratch, "rows", None)
+    if rows is None:
+        rows = _scratch.rows = np.empty((2, _BLOCK))
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         num, den = rows[0, : e - s], rows[1, : e - s]

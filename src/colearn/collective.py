@@ -182,7 +182,7 @@ def collective_round(
 def review_step(agent: AgentState, train_set, batch_size: int, seed,
                 grad_buf: np.ndarray | None = None) -> None:
     """One supervised epoch over the agent's private training set, keeping
-    the agent's update-rule state. `grad_buf`, a flat scratch at least as
+    the agent's Adam state. `grad_buf`, a flat scratch at least as
     long as the agent's parameters, receives each gradient; without it one
     is allocated for the call."""
     learner = agent.learner

@@ -9,6 +9,7 @@ YAML.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,7 +101,6 @@ def _edges(raw) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class TrainingSpec:
-    update_rule: str = "adam"  # adam | sgd
     alpha: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -110,7 +110,6 @@ class TrainingSpec:
     fs_epochs: int = 3
 
     def __post_init__(self):
-        _as_str(self.update_rule, "training.update_rule", ("adam", "sgd"))
         _check(self, "training.",
                ints=(("batch_size", 1), ("self_train_epochs", 0), ("fs_epochs", 1)),
                floats=(("alpha", None), ("beta1", None), ("beta2", None), ("eps", None)))
@@ -204,6 +203,8 @@ def _as_float(value, path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value

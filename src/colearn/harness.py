@@ -23,9 +23,11 @@ import numpy as np
 
 from .collective import AgentState, MetricsRecord, RunResult, run_collective
 from .config import ConfigError, ExperimentConfig, SynthSpec
-from .data import Dataset, Partition, load_idx, make_partition, synth_blobs, write_manifest
+from .data import (
+    Dataset, IdxFormatError, Partition, load_idx, make_partition, synth_blobs, write_manifest,
+)
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
-from .learner import Adam, Architecture, Learner, Sgd, train_epochs
+from .learner import Adam, Architecture, Learner, train_epochs
 from .parallel import AgentPool, share_cores
 from .seeding import rng_for, subseed
 
@@ -122,21 +124,15 @@ def resolve_architectures(config: ExperimentConfig, run_index: int) -> list[str]
     return kinds
 
 
-def _make_rule(config: ExperimentConfig):
-    t = config.training
-    if t.update_rule == "sgd":
-        return Sgd(alpha=t.alpha)
-    return Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps)
-
-
 def _make_agents(config: ExperimentConfig, run_index: int, input_dim: int,
                  num_classes: int) -> list[AgentState]:
+    t = config.training
     agents = []
     for i, kind in enumerate(resolve_architectures(config, run_index)):
         arch = Architecture(kind=kind, input_dim=input_dim, num_classes=num_classes)
         learner = Learner.create(
             arch, seed=subseed(config.master_seed, run_index, "agent-init", i),
-            rule=_make_rule(config),
+            rule=Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps),
         )
         agents.append(AgentState(id=i, learner=learner))
     return agents
@@ -197,18 +193,21 @@ def run_mode(
     """Execute one run of the configured mode; deterministic in
     (config, run_index)."""
     source, test = _load_corpus(config.dataset, config.master_seed)
+    val_blocks = 1 if config.common_val else config.n_agents
+    needed = config.n_agents * config.train_size + val_blocks * config.val_size
+    if needed > source.m or (config.mode == "CL" and needed == source.m):
+        # checked before self-training, which would run in vain
+        raise ConfigError(
+            f"partition.train_size, partition.val_size: {config.n_agents} agents x "
+            f"{config.train_size} train + {val_blocks} x {config.val_size} val "
+            + (f"need {needed} samples, but the corpus has only {source.m}"
+               if needed > source.m else
+               f"use all {source.m} samples, leaving CL no shared pool"))
     partition = make_partition(
         source, config.n_agents, config.train_size, config.val_size,
         seed=subseed(config.master_seed, run_index, "partition"), test=test,
         common_val=config.common_val,
     )
-    if config.mode == "CL" and partition.shared_indices.size == 0:
-        # checked before self-training, which would run in vain
-        val_blocks = 1 if config.common_val else config.n_agents
-        raise ConfigError(
-            f"partition.train_size, partition.val_size: {config.n_agents} agents x "
-            f"{config.train_size} train + {val_blocks} x {config.val_size} val use all "
-            f"{source.m} samples, leaving CL no shared pool")
     if manifest_path is not None:
         write_manifest(partition, manifest_path)
     agents = _make_agents(config, run_index, source.d, source.num_classes)
@@ -270,9 +269,9 @@ def _run_for_pool(args) -> RunOutput:
     try:
         return run_mode(config, run_index, manifest_path)
     except Exception as e:
-        raise RuntimeError(
-            f"run {run_index} (master seed {config.master_seed}) failed: {e}"
-        ) from e
+        # a config or data error keeps its class, so the CLI exits 1 as under `run`
+        kind = type(e) if isinstance(e, (ConfigError, IdxFormatError)) else RuntimeError
+        raise kind(f"run {run_index} (master seed {config.master_seed}) failed: {e}") from e
 
 
 def montecarlo(

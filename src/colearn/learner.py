@@ -1,5 +1,5 @@
 """Agent-local classifiers: fully-connected softmax networks with exact
-backpropagation and pluggable update rules.
+backpropagation, trained with Adam.
 
 Three architectures are supported: SHL (no hidden layer), HL1 (one ReLU
 hidden layer of 300 units) and HL2 (two ReLU hidden layers of 500 and 300
@@ -26,7 +26,7 @@ whole chunk. The counts are those of that chunk pass on every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -184,20 +184,6 @@ def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = N
 
 
 @dataclass
-class Sgd:
-    """Plain stochastic gradient descent with a fixed step size."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.alpha}")
-
-    def apply(self, theta: np.ndarray, g: np.ndarray) -> None:
-        kernels.sgd_step(theta, g, self.alpha)
-
-
-@dataclass
 class Adam:
     """Adam with bias correction; moment state is owned per instance and
     persists for the lifetime of the agent."""
@@ -220,17 +206,14 @@ class Adam:
         if self._m is None:
             self._m, self._v = np.zeros_like(theta), np.zeros_like(theta)
         if self._m.shape != theta.shape:
-            raise ValueError("update-rule state does not match parameter shape")
+            raise ValueError("Adam state does not match parameter shape")
         self._steps += 1
         kernels.adam_step(theta, g, self._m, self._v, self._steps,
                           self.alpha, self.beta1, self.beta2, self.eps)
 
 
-UpdateRule = Union[Sgd, Adam]
-
-
-def apply_update(rule: UpdateRule, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Advance theta in place by one step of the rule; returns theta."""
+def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Advance theta in place by one Adam step; returns theta."""
     if theta.shape != g.shape:
         raise ValueError(f"gradient shape {g.shape} does not match params {theta.shape}")
     rule.apply(theta, g)
@@ -249,7 +232,7 @@ def _as_xy(train_set) -> tuple[np.ndarray, np.ndarray]:
 def train_epochs(
     arch: Architecture,
     theta: np.ndarray,
-    rule: UpdateRule,
+    rule: Adam,
     train_set,
     batch_size: int,
     epochs: int,
@@ -445,14 +428,14 @@ def accuracy(arch: Architecture, theta: np.ndarray, eval_set) -> float:
 
 @dataclass
 class Learner:
-    """An agent's classifier: architecture, flat parameters, update rule."""
+    """An agent's classifier: architecture, flat parameters, Adam state."""
 
     arch: Architecture
     params: np.ndarray
-    rule: UpdateRule
+    rule: Adam
 
     @classmethod
-    def create(cls, arch: Architecture, seed: int, rule: UpdateRule | None = None) -> "Learner":
+    def create(cls, arch: Architecture, seed: int, rule: Adam | None = None) -> "Learner":
         return cls(arch=arch, params=init_params(arch, seed), rule=rule or Adam())
 
     def train(self, train_set, batch_size: int, epochs: int, seed: int) -> None:

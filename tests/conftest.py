@@ -183,7 +183,7 @@ def blob_config(
         ),
         graph=GraphSpec(kind="complete"),
         training=TrainingSpec(
-            update_rule="adam", alpha=alpha, batch_size=10,
+            alpha=alpha, batch_size=10,
             self_train_epochs=self_train_epochs, fs_epochs=5,
         ),
         collective=CollectiveSpec(

@@ -27,15 +27,6 @@ from conftest import (
 )
 from test_graph import closure_connected, random_graph
 
-ALL_PRESETS = (
-    "desk_blobs_cl.yaml",
-    "table1_cl.yaml", "table1_st.yaml", "table1_fs.yaml",
-    "fig_train_size.yaml", "fig_review_period.yaml",
-    "fig_gamma_500.yaml", "fig_gamma_300.yaml",
-    "large_network.yaml",
-)
-
-
 def _fmnist_config(name: str, **overrides):
     config = load_config(CONFIG_DIR / name)
     data_dir = fashion_mnist_dir()
@@ -220,10 +211,12 @@ def standin_dir(tmp_path_factory):
 
 class TestCriterion6PresetsAndSmoke:
     def test_all_presets_parse(self):
-        for name in ALL_PRESETS:
-            config = load_config(CONFIG_DIR / name)
-            assert config.n_agents >= 1, name
-        print(f"\nACCEPTANCE 6a presets parse: PASS ({len(ALL_PRESETS)} configs)")
+        presets = sorted(CONFIG_DIR.glob("*.yaml"))
+        assert len(presets) == 9
+        for path in presets:
+            config = load_config(path)
+            assert config.n_agents >= 1, path.name
+        print(f"\nACCEPTANCE 6a presets parse: PASS ({len(presets)} configs)")
 
     def _smoked(self, name: str, standin_dir, **overrides):
         config = load_config(CONFIG_DIR / name)

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from colearn.cli import main
 from colearn.data import write_idx
 
-from conftest import MISSPELLED_KEYS, with_key
+from conftest import FMNIST_NAMES, MISSPELLED_KEYS, synthetic_idx_dataset, with_key
 
 TINY_CONFIG = """
 mode: CL
@@ -126,6 +127,8 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("p", "0.1,0.5", "graph.p: not read by a 'complete' graph"),
     ("training.beta1", "0.9,1.5", "training.beta1"),
     ("training.eps", "1e-8,0", "training.eps"),
+    ("gamma", "1,nan", "collective.gamma"),
+    ("alpha", "inf", "training.alpha"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):
@@ -144,6 +147,65 @@ def test_run_misspelled_key_exits_1(tmp_path, capsys, section, key):
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
     assert f"{name}: unknown field" in capsys.readouterr().err
     assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def test_run_removed_update_rule_exits_1(tmp_path, capsys):
+    # Adam is the one update rule: a config still choosing one names a field
+    # that no longer exists
+    config = tmp_path / "rule.yaml"
+    config.write_text(TINY_CONFIG.replace("training:\n", "training:\n  update_rule: adam\n"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "training.update_rule: unknown field" in capsys.readouterr().err
+
+
+def test_run_non_finite_yaml_value_exits_1(tmp_path, capsys):
+    config = tmp_path / "nan.yaml"
+    config.write_text(TINY_CONFIG.replace("gamma: 1.0", "gamma: .nan"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "collective.gamma: must be finite, got nan" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+@pytest.mark.parametrize("mode", ["CL", "ST"])
+def test_run_partition_larger_than_corpus_exits_1(tmp_path, capsys, mode):
+    # 2 agents x (100 train + 10 val) = 220 samples of the 180 the corpus has
+    config = tmp_path / "big.yaml"
+    config.write_text(TINY_CONFIG.replace("mode: CL", f"mode: {mode}")
+                      .replace("train_size: 10", "train_size: 100"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "partition.train_size, partition.val_size" in err
+    assert "need 220 samples, but the corpus has only 180" in err
+
+
+@pytest.mark.parametrize("runs, jobs", [(1, "1"), (2, "2")])
+def test_montecarlo_no_shared_pool_exits_1(tmp_path, capsys, runs, jobs):
+    # 2 agents x (80 train + 10 val) take all 180 samples; in a worker
+    # process too, the error keeps its class and the exit code of `run`
+    config = tmp_path / "full.yaml"
+    config.write_text(TINY_CONFIG.replace("train_size: 10", "train_size: 80")
+                      .replace("montecarlo_runs: 1", f"montecarlo_runs: {runs}"))
+    code = main(["montecarlo", str(config), "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run 0 (master seed 3) failed: partition.train_size" in err
+    assert "leaving CL no shared pool" in err
+
+
+def test_montecarlo_truncated_idx_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    synthetic_idx_dataset(data, m_train=60, m_test=20)
+    images = data / FMNIST_NAMES[0]
+    images.write_bytes(images.read_bytes()[:-100])
+    raw = yaml.safe_load(TINY_CONFIG)
+    keys = ("train_images", "train_labels", "test_images", "test_labels")
+    raw["dataset"] = {"kind": "fashion-mnist",
+                      **{key: str(data / name) for key, name in zip(keys, FMNIST_NAMES)}}
+    config = tmp_path / "idx.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    code = main(["montecarlo", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "truncated file" in capsys.readouterr().err
 
 
 def test_graph_dump_static(tiny_config, capsys):

@@ -24,7 +24,7 @@ from colearn.graph import (
     DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix_log,
 )
 from colearn.learner import (
-    Adam, Architecture, Learner, Sgd, apply_update, forward, grad, init_params, param_count,
+    Adam, Architecture, Learner, apply_update, forward, grad, init_params, param_count,
     param_views,
 )
 from colearn.parallel import AgentPool
@@ -40,7 +40,7 @@ def constant_predictor(num_classes: int, winner: int, input_dim: int = 4) -> Lea
     theta = np.zeros(param_count(arch))
     _, b = param_views(arch, theta)[0]
     b[winner] = 1000.0
-    return Learner(arch=arch, params=theta, rule=Sgd(alpha=0.1))
+    return Learner(arch=arch, params=theta, rule=Adam())
 
 
 def fixed_vector_predictor(probs: list[float], input_dim: int = 4) -> Learner:
@@ -49,7 +49,7 @@ def fixed_vector_predictor(probs: list[float], input_dim: int = 4) -> Learner:
     theta = np.zeros(param_count(arch))
     _, b = param_views(arch, theta)[0]
     b[:] = np.log(probs)
-    return Learner(arch=arch, params=theta, rule=Sgd(alpha=0.1))
+    return Learner(arch=arch, params=theta, rule=Adam())
 
 
 def labeled(features: np.ndarray, labels: list[int], num_classes: int) -> Dataset:
@@ -324,7 +324,7 @@ class TestReviewStep:
 
     def test_review_recovers_from_label_corruption(self):
         ds = synth_blobs(30, 3, 5, 100.0, seed=6)
-        learner = Learner.create(Architecture("SHL", 5, 3), seed=3, rule=Sgd(alpha=0.1))
+        learner = Learner.create(Architecture("SHL", 5, 3), seed=3, rule=Adam(alpha=0.1))
         learner.train(ds, batch_size=10, epochs=20, seed=1)
         baseline = learner.accuracy(ds)
         assert baseline >= 0.99

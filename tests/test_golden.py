@@ -85,11 +85,7 @@ def _idx_fs(data_dir: Path):
 CASES = {
     "CL": lambda _: _short("CL", runs=2),
     "ST": lambda _: _short("ST", runs=2),
-    # FS also drives the SGD step, which no other end-to-end test pins
-    "FS": lambda _: override(
-        override(_short("FS", max_iterations=150), "training.update_rule", "sgd"),
-        "training.alpha", 0.05,
-    ),
+    "FS": lambda _: _short("FS", max_iterations=150),
     "CL-er": lambda _: dataclasses.replace(
         _short("CL", seed=77), graph=GraphSpec(kind="erdos-renyi", p=0.4, period=7),
     ),
@@ -105,9 +101,9 @@ GOLDEN = {
     "ST": ("a8aef152d05fcff7fe7eee0839d38270461ae8f874d305be083c2be38c783b17",
            "db64d3c839b38af309c7f24e469fd85811c4168bc2ee45b90e3e89128ded4874",
            "44967f1c0631575e5fdeb5e7d2d241a21c7bc08cc65b5741fcd3522da438a95a"),
-    "FS": ("57074315705459e6374301001c56418ee5ba021c0d704523fe4e251c749ffde7",
-           "92a5dbb3a62ccab556014dc0cb7338af55f819bcb6700bf92203982c1d540798",
-           "6f66b74db1b0796ca1a5b3d090f651740347034fe5394e779eb830f2c411db17"),
+    "FS": ("14aaa433d28afaddbb5a39e318a153164ebae318f6055433b84fb5da9677ac52",
+           "02f4b33f1ae101e6e13cd5e094f819072dd5d4dcf87c66e3de9854b8ff4e3334",
+           "b329063189e15846a16baf06943303809003d864c4e375a2dacbf32d93d3c515"),
     "CL-er": ("9f38385d8b76fb278be32389c8481591b18d9c70effd086aefa773be4972e1e8",
               "c77c06b4f4b0441405aa02140575cd681f8d512ab096c9caffcd69e0c930029a",
               "77a957e8c4a692cdc49c1af1d3d6deea39c6bcf2289cb94509110f4780737c52"),

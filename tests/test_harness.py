@@ -51,7 +51,6 @@ partition:
   train_size: 20
   val_size: 10
 training:
-  update_rule: adam
   alpha: 0.003
   batch_size: 10
   self_train_epochs: 5
@@ -233,8 +232,8 @@ class TestOverride:
         config = blob_config()
         with pytest.raises(ConfigError, match="mode"):
             override(config, "mode", "st")
-        with pytest.raises(ConfigError, match="training.update_rule"):
-            override(config, "training.update_rule", "SGD")
+        with pytest.raises(ConfigError, match="graph.kind"):
+            override(config, "graph.kind", "Complete")
 
     def test_value_of_wrong_type_rejected(self):
         config = blob_config()
@@ -469,12 +468,20 @@ class TestMontecarlo:
         rows_parallel, _ = montecarlo(config, jobs=2)
         assert rows_serial == rows_parallel
 
-    def test_failed_run_reports_run_and_seed(self):
+    def test_failed_run_reports_run_and_seed(self, monkeypatch):
         # partitioning is infeasible for this corpus: the failure must name
-        # the run and the master seed
+        # the run and the master seed, and stay a config error
         config = blob_config(mode="ST", runs=1, seed=31337, n_per_class=10,
                              train_size=400, val_size=10)
-        with pytest.raises(RuntimeError, match=r"run 0 \(master seed 31337\)"):
+        with pytest.raises(ConfigError, match=r"run 0 \(master seed 31337\) failed: partition"):
+            montecarlo(config)
+
+        # any other failure is a runtime error, naming them too
+        def fail(*args):
+            raise FloatingPointError("non-finite activations in forward pass")
+
+        monkeypatch.setattr(harness, "run_mode", fail)
+        with pytest.raises(RuntimeError, match=r"run 0 \(master seed 31337\) failed: non-finite"):
             montecarlo(config)
 
     def test_common_val_flag_flows_through(self, tmp_path):

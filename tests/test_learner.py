@@ -1,4 +1,4 @@
-"""Forward/loss/gradient correctness, update rules, and training loops."""
+"""Forward/loss/gradient correctness, the Adam step, and training loops."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from colearn.learner import (
     Adam,
     Architecture,
     Learner,
-    Sgd,
     accuracy,
     apply_update,
     forward,
@@ -209,26 +208,12 @@ class TestGrad:
 
 
 class TestApplyUpdate:
-    def test_sgd_exact_step(self):
-        theta = np.array([1.0, 1.0])
-        g = np.array([1.0, -1.0])
-        out = apply_update(Sgd(alpha=0.1), theta, g)
-        assert np.allclose(out, [0.9, 1.1])
-        assert np.array_equal(out, np.ones(2) - 0.1 * g)
-        assert out is theta  # in-place
-
-    def test_sgd_zero_grad_identity(self):
-        theta = np.array([2.0, -3.0])
-        before = theta.copy()
-        apply_update(Sgd(alpha=0.5), theta, np.zeros(2))
-        assert np.array_equal(theta, before)
-
     def test_adam_first_step_closed_form(self):
         # constant positive gradient c: step 1 moves by -alpha * c / (c + eps)
         c, alpha, eps = 3.7, 1e-3, 1e-8
         rule = Adam(alpha=alpha, eps=eps)
         theta = np.zeros(5)
-        apply_update(rule, theta, np.full(5, c))
+        assert apply_update(rule, theta, np.full(5, c)) is theta  # in place
         assert np.allclose(theta, -alpha * c / (c + eps), rtol=1e-12)
 
     def test_adam_zero_grad_identity_from_rest(self):
@@ -241,11 +226,9 @@ class TestApplyUpdate:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_update(Sgd(alpha=0.1), np.zeros(3), np.zeros(4))
+            apply_update(Adam(), np.zeros(3), np.zeros(4))
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            Sgd(alpha=0.0)
         with pytest.raises(ValueError):
             Adam(beta1=1.0)
 
@@ -284,7 +267,7 @@ class TestTrainEpochs:
         ds = synth_blobs(20, 3, 5, 100.0, seed=7)
         arch = Architecture("SHL", 5, 3)
         theta = init_params(arch, seed=0)
-        train_epochs(arch, theta, Sgd(0.1), ds, batch_size=10, epochs=20, seed=1)
+        train_epochs(arch, theta, Adam(alpha=0.1), ds, batch_size=10, epochs=20, seed=1)
         assert accuracy(arch, theta, ds) >= 0.99
 
     def test_loss_decreases_on_average(self):
@@ -314,7 +297,7 @@ class TestAccuracy:
         ds = synth_blobs(10, 2, 3, 100.0, seed=0)
         arch = Architecture("SHL", 3, 2)
         theta = init_params(arch, seed=0)
-        train_epochs(arch, theta, Sgd(0.1), ds, batch_size=5, epochs=10, seed=0)
+        train_epochs(arch, theta, Adam(alpha=0.1), ds, batch_size=5, epochs=10, seed=0)
         assert accuracy(arch, theta, ds) == 1.0
 
     def test_uniform_predictor_scores_class_zero_frequency(self):
