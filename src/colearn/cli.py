@@ -9,7 +9,10 @@ from pathlib import Path
 from .config import ConfigError, load_config, override
 from .data import IdxFormatError, load_idx
 from .graph import format_edge_list, graph_at
-from .harness import build_schedule, emit_csv, emit_plot, format_summary, montecarlo, read_csv, run_mode, summarize
+from .harness import (
+    build_schedule, check_partition, corpus_size, emit_csv, emit_plot, format_summary, montecarlo,
+    read_csv, run_mode, summarize,
+)
 
 FMNIST_NAMES = (
     "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -112,8 +115,11 @@ def _cmd_sweep(args) -> int:
     values = [_parse_value(v.strip()) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigError("--values: expected at least one value")
-    # every value is checked before the first run starts
+    # every value, and its partition against its corpus, is checked before
+    # the first run starts
     configs = [override(base, args.param, value) for value in values]
+    for config in configs:
+        check_partition(config, corpus_size(config.dataset))
     out = _out_dir(args)
     for value, config in zip(values, configs):
         sub = out / f"{args.param}_{value}"

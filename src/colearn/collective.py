@@ -32,11 +32,11 @@ import numpy as np
 
 from . import _kernels as kernels
 from .config import CollectiveSpec
-from .data import Partition, decode, shuffled_batches
+from .data import Partition, decode, epoch_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
 from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
 from .parallel import AgentPool
-from .seeding import rng_for, subseed
+from .seeding import subseed
 
 
 @dataclass
@@ -126,11 +126,30 @@ def refresh_scores(
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
 
-    def measure(agent: AgentState, val) -> None:
+    def score(agent: AgentState, val) -> None:
         agent.last_accuracy = agent.learner.accuracy(val)
         agent.log_score = gamma * agent.last_accuracy
 
-    (pool or AgentPool()).each(measure, agents, validation_sets, where=_at(k))
+    (pool or AgentPool()).each(score, agents, validation_sets, where=_at(k))
+
+
+def measure(agents: Sequence[AgentState], vals: Sequence, test, k: int, run_index: int,
+            pool: AgentPool | None = None, proxy_rates=None) -> list[MetricsRecord]:
+    """Each agent's metrics record at iteration (or update) `k`: its test
+    accuracy, from one `accuracies` call for all, its accuracy on its set in
+    `vals`, and its rate in `proxy_rates` (None without). Non-finite
+    parameters raise a RuntimeError naming the agent and `k`."""
+    for a in agents:
+        if not np.all(np.isfinite(a.learner.params)):
+            raise RuntimeError(f"non-finite parameters for agent {a.id} at iteration {k}")
+    pool = pool or AgentPool()
+    # one decode of each test chunk, scored by every agent
+    tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], test, pool=pool)
+    val_accs = pool.each(lambda a, val: a.learner.accuracy(val), agents, vals, where=_at(k))
+    rates = [None] * len(agents) if proxy_rates is None else proxy_rates
+    return [MetricsRecord(run=run_index, iteration=k, agent=a.id, arch=a.learner.arch.kind,
+                          test_accuracy=t, val_accuracy=v, proxy_match_rate=r)
+            for a, t, v, r in zip(agents, tests, val_accs, rates)]
 
 
 def collective_round(
@@ -207,8 +226,9 @@ def run_collective(
     """Run the full collective-training phase over the shared pool.
 
     Deterministic given (agents' initial state, partition, schedule, spec,
-    seed). Reviews take minibatches of train_batch private samples. Emits a
-    metrics record per agent at iteration 0, at every metric_stride
+    seed). Iteration k trains on batch k of the pool's "shared-order"
+    `epoch_batches`, reviews on minibatches of train_batch private samples.
+    Emits a metrics record per agent at iteration 0, at every metric_stride
     iterations, and at the final iteration.
     """
     n = len(agents)
@@ -224,11 +244,6 @@ def run_collective(
     shared_idx = partition.shared_indices
     true_labels = partition.shared_true_labels
 
-    n_batches = -(-shared_idx.size // spec.batch_size)
-    total = spec.epochs_over_shared * n_batches
-    if max_iterations is not None:
-        total = min(total, max_iterations)
-
     stats = {
         "iterations": 0,
         "score_refresh_events": 0,
@@ -240,32 +255,10 @@ def run_collective(
     proxy_hits = np.zeros(n, dtype=np.int64)
     proxy_seen = 0
 
-    def check_finite(k: int) -> None:
-        for a in agents:
-            if not np.all(np.isfinite(a.learner.params)):
-                raise RuntimeError(
-                    f"non-finite parameters for agent {a.id} at iteration {k}"
-                )
-
     def emit_metrics(k: int) -> None:
         nonlocal proxy_seen
-        check_finite(k)
-        # one decode of each test chunk, scored by every agent
-        tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], partition.test,
-                           pool=pool)
-        vals = pool.each(lambda a, val: a.learner.accuracy(val), agents, partition.val,
-                         where=_at(k))
-        for i, a in enumerate(agents):
-            rate = None if proxy_seen == 0 else proxy_hits[i] / proxy_seen
-            records.append(MetricsRecord(
-                run=run_index,
-                iteration=k,
-                agent=a.id,
-                arch=a.learner.arch.kind,
-                test_accuracy=tests[i],
-                val_accuracy=vals[i],
-                proxy_match_rate=rate,
-            ))
+        rates = None if proxy_seen == 0 else proxy_hits / proxy_seen
+        records.extend(measure(agents, partition.val, partition.test, k, run_index, pool, rates))
         proxy_hits[:] = 0
         proxy_seen = 0
 
@@ -280,53 +273,45 @@ def run_collective(
         emit_metrics(0)
 
         k = 0
-        done = False
-        for epoch in range(spec.epochs_over_shared):
-            if done:
-                break
-            order = shuffled_batches(
-                shared_idx.size, spec.batch_size, rng_for(seed, "shared-order", epoch)
-            )
-            for idx in order:
-                k += 1
-                if k > total:
-                    done = True
-                    break
+        for k, idx in enumerate(epoch_batches(shared_idx.size, spec.batch_size,
+                                              spec.epochs_over_shared, seed, "shared-order",
+                                              max_iterations), 1):
+            refresh = k % spec.score_refresh_period == 0
+            if refresh:
+                refresh_scores(agents, partition.val, spec.gamma, pool, k)
+                stats["score_refresh_events"] += 1
+            rnd = schedule_round(schedule, k)
+            if refresh or rnd != current_round:
+                if rnd != current_round:
+                    current_round = rnd
+                    graph = graph_at(schedule, k)
+                weights = build_weight_matrix_log(
+                    graph, np.array([a.log_score for a in agents])
+                )
+                stats["weight_rebuilds"] += 1
 
-                refresh = k % spec.score_refresh_period == 0
-                if refresh:
-                    refresh_scores(agents, partition.val, spec.gamma, pool, k)
-                    stats["score_refresh_events"] += 1
-                rnd = schedule_round(schedule, k)
-                if refresh or rnd != current_round:
-                    if rnd != current_round:
-                        current_round = rnd
-                        graph = graph_at(schedule, k)
-                    weights = build_weight_matrix_log(
-                        graph, np.array([a.log_score for a in agents])
-                    )
-                    stats["weight_rebuilds"] += 1
+            # gather and decode the batch's rows; the shared pool is never copied whole
+            batch_x = decode(source_x[shared_idx[idx]])
+            labels = collective_round(agents, weights, batch_x, pool, k)
 
-                # gather and decode the batch's rows; the shared pool is never copied whole
-                batch_x = decode(source_x[shared_idx[idx]])
-                labels = collective_round(agents, weights, batch_x, pool, k)
+            proxy_hits += (labels == true_labels[idx]).sum(axis=1)
+            proxy_seen += idx.shape[0]
 
-                proxy_hits += (labels == true_labels[idx]).sum(axis=1)
-                proxy_seen += idx.shape[0]
+            if k % spec.review_period == 0:
+                # one seed for every agent's review epoch
+                review_seed = subseed(seed, "review", k)
+                pool.each(
+                    lambda a, train: review_step(a, train, train_batch, review_seed,
+                                                 pool.grad_buf(a.learner.params.size)),
+                    agents, partition.train, where=_at(k),
+                )
+                stats["reviews"] += n
+                stats["review_iterations"].extend((k, i) for i in range(n))
 
-                if k % spec.review_period == 0:
-                    # one seed for every agent's review epoch
-                    review_seed = subseed(seed, "review", k)
-                    pool.each(
-                        lambda a, train: review_step(a, train, train_batch, review_seed,
-                                                     pool.grad_buf(a.learner.params.size)),
-                        agents, partition.train, where=_at(k),
-                    )
-                    stats["reviews"] += n
-                    stats["review_iterations"].extend((k, i) for i in range(n))
+            if k % metric_stride == 0:
+                emit_metrics(k)
+        if k % metric_stride:
+            emit_metrics(k)
 
-                if k % metric_stride == 0 or k == total:
-                    emit_metrics(k)
-
-    stats["iterations"] = min(k, total)
+    stats["iterations"] = k
     return RunResult(records=records, stats=stats)

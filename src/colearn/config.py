@@ -202,7 +202,10 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_float(value, path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got an integer beyond float range") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
     if minimum is not None and value < minimum:
@@ -352,14 +355,15 @@ def _replace_path(obj, path: tuple[str, ...], value):
 
 
 def _like(current, value):
-    """`value` as the type of the field's current value. An int widens to a
-    float and an integral float narrows to an int; nothing else converts,
-    and a bool never stands in for a number or the other way round."""
+    """`value` as the type of the field's current value. An int stands in
+    for a float and an integral float narrows to an int; nothing else
+    converts, and a bool never stands in for a number or the other way
+    round."""
     wrong = ConfigError(f"expected {type(current).__name__}, got {value!r}")
     if isinstance(current, bool) != isinstance(value, bool):
         raise wrong
     if isinstance(current, float) and isinstance(value, int):
-        return float(value)
+        return value  # the spec's own check makes it a float, naming the field
     if isinstance(current, int) and isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, type(current)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -114,6 +115,23 @@ def _read_be32(f, path: Path, what: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
 
 
+def _read_count(f, path: Path, magic: int, item: str) -> int:
+    """The item count of an IDX file's header, once its magic number checks."""
+    found = _read_be32(f, path, "magic number")
+    if found != magic:
+        raise IdxFormatError(
+            f"{path}: wrong magic number 0x{found:08x} (expected 0x{magic:08x} for {item}s)"
+        )
+    return _read_be32(f, path, f"{item} count")
+
+
+def idx_count(images_path) -> int:
+    """The image count in an IDX images file's header; the pixels are not read."""
+    images_path = Path(images_path)
+    with open(images_path, "rb") as f:
+        return _read_count(f, images_path, IDX_IMAGES_MAGIC, "image")
+
+
 def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Load an IDX image/label file pair (the Fashion-MNIST wire format).
 
@@ -125,24 +143,12 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic number")
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: wrong magic number 0x{magic:08x} "
-                f"(expected 0x{IDX_IMAGES_MAGIC:08x} for images)"
-            )
-        m = _read_be32(f, images_path, "image count")
+        m = _read_count(f, images_path, IDX_IMAGES_MAGIC, "image")
         rows = _read_be32(f, images_path, "row count")
         cols = _read_be32(f, images_path, "column count")
         raw = _read_exact(f, m * rows * cols, images_path, "pixel data")
     with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic number")
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: wrong magic number 0x{magic:08x} "
-                f"(expected 0x{IDX_LABELS_MAGIC:08x} for labels)"
-            )
-        m_labels = _read_be32(f, labels_path, "label count")
+        m_labels = _read_count(f, labels_path, IDX_LABELS_MAGIC, "label")
         if m_labels != m:
             raise IdxFormatError(
                 f"label count {m_labels} in {labels_path} does not match "
@@ -280,15 +286,27 @@ def write_manifest(partition: Partition, path) -> None:
         f.write(" ".join(map(str, partition.shared_indices)) + "\n")
 
 
-def shuffled_batches(m: int, batch_size: int, seed) -> list[np.ndarray]:
-    """Index arrays for one shuffled pass; the final short batch is kept.
-
-    `seed` may be an int or a numpy Generator.
-    """
+def shuffled_batches(m: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Index arrays for one pass in the order of a permutation drawn from
+    `rng`; the final short batch is kept."""
     if m < 1:
         raise ValueError("cannot batch an empty set")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "batch-order")
     perm = rng.permutation(m)
     return [perm[s : s + batch_size] for s in range(0, m, batch_size)]
+
+
+def epoch_batches(m: int, batch_size: int, epochs: int, seed, stream: str,
+                  cap: int | None = None) -> Iterator[np.ndarray]:
+    """The one minibatch stream: `epochs` shuffled passes over m samples,
+    epoch e in the order of rng_for(seed, stream, e), stopped after `cap`
+    batches when given. An epoch's order is drawn when its first batch is."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    batches = (idx for e in range(epochs)
+               for idx in shuffled_batches(m, batch_size, rng_for(seed, stream, e)))
+    # zip stops when the range ends, before it draws another batch
+    return batches if cap is None else (idx for _, idx in zip(range(cap), batches))

@@ -21,10 +21,11 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .collective import AgentState, MetricsRecord, RunResult, run_collective
+from .collective import AgentState, MetricsRecord, RunResult, measure, run_collective
 from .config import ConfigError, ExperimentConfig, SynthSpec
 from .data import (
-    Dataset, IdxFormatError, Partition, load_idx, make_partition, synth_blobs, write_manifest,
+    Dataset, IdxFormatError, Partition, idx_count, load_idx, make_partition, synth_blobs,
+    write_manifest,
 )
 from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
 from .learner import Adam, Architecture, Learner, train_epochs
@@ -102,6 +103,27 @@ def _corpus(spec, key) -> tuple[Dataset, Dataset]:
 _load_corpus.cache_clear = _corpus.cache_clear
 
 
+def corpus_size(spec) -> int:
+    """The sample count of the source corpus `spec` names, without loading
+    it: the blobs' count, or the count in the IDX images header."""
+    if isinstance(spec, SynthSpec):
+        return spec.n_per_class * spec.num_classes
+    return idx_count(spec.train_images)
+
+
+def check_partition(config: ExperimentConfig, m: int) -> None:
+    """Raise a ConfigError, naming the partition fields, unless the
+    partition fits a corpus of m samples and, in CL, leaves a shared pool."""
+    val_blocks = 1 if config.common_val else config.n_agents
+    needed = config.n_agents * config.train_size + val_blocks * config.val_size
+    if needed > m or (config.mode == "CL" and needed == m):
+        raise ConfigError(
+            f"partition.train_size, partition.val_size: {config.n_agents} agents x "
+            f"{config.train_size} train + {val_blocks} x {config.val_size} val "
+            + (f"need {needed} samples, but the corpus has only {m}" if needed > m else
+               f"use all {m} samples, leaving CL no shared pool"))
+
+
 def build_schedule(config: ExperimentConfig) -> GraphSchedule:
     g = config.graph
     if g.kind == "complete":
@@ -141,44 +163,30 @@ def _make_agents(config: ExperimentConfig, run_index: int, input_dim: int,
 # --- baseline training with a metrics trace ----------------------------------
 
 
-def _train_traced(
-    agent: AgentState,
-    train_set: Dataset,
-    partition: Partition,
-    batch_size: int,
-    epochs: int,
-    seed: int,
-    run_index: int,
-    metric_stride: int,
-    max_updates: int | None = None,
-) -> list[MetricsRecord]:
-    """Mini-batch training that emits the same record schema as the
-    collective engine, with iteration = update-step count."""
+def _train_traced(agent: AgentState, train_set: Dataset, partition: Partition, batch_size: int,
+                  epochs: int, seed: int, run_index: int, metric_stride: int,
+                  max_updates: int | None = None) -> list[MetricsRecord]:
+    """`train_epochs` with the collective engine's metrics records, the
+    iteration being the update count: at 0, at every metric_stride updates
+    and after the last update."""
     learner = agent.learner
     records = []
 
     def emit(step: int) -> None:
-        records.append(MetricsRecord(
-            run=run_index, iteration=step, agent=agent.id, arch=learner.arch.kind,
-            test_accuracy=learner.accuracy(partition.test),
-            val_accuracy=learner.accuracy(partition.val[agent.id]),
-            proxy_match_rate=None,
-        ))
-
-    n_batches = -(-train_set.m // batch_size)
-    total = epochs * n_batches
-    if max_updates is not None:
-        total = min(total, max_updates)
+        records.extend(measure([agent], [partition.val[agent.id]], partition.test, step,
+                               run_index))
 
     def on_step(step: int) -> None:
-        if step % metric_stride == 0 or step == total:
+        if step % metric_stride == 0:
             emit(step)
 
     emit(0)
-    train_epochs(
+    steps = train_epochs(
         learner.arch, learner.params, learner.rule, train_set, batch_size, epochs, seed,
         max_updates=max_updates, on_step=on_step,
     )
+    if steps % metric_stride:
+        emit(steps)
     return records
 
 
@@ -193,16 +201,8 @@ def run_mode(
     """Execute one run of the configured mode; deterministic in
     (config, run_index)."""
     source, test = _load_corpus(config.dataset, config.master_seed)
-    val_blocks = 1 if config.common_val else config.n_agents
-    needed = config.n_agents * config.train_size + val_blocks * config.val_size
-    if needed > source.m or (config.mode == "CL" and needed == source.m):
-        # checked before self-training, which would run in vain
-        raise ConfigError(
-            f"partition.train_size, partition.val_size: {config.n_agents} agents x "
-            f"{config.train_size} train + {val_blocks} x {config.val_size} val "
-            + (f"need {needed} samples, but the corpus has only {source.m}"
-               if needed > source.m else
-               f"use all {source.m} samples, leaving CL no shared pool"))
+    # checked before self-training, which would run in vain
+    check_partition(config, source.m)
     partition = make_partition(
         source, config.n_agents, config.train_size, config.val_size,
         seed=subseed(config.master_seed, run_index, "partition"), test=test,
@@ -251,9 +251,8 @@ def run_mode(
         records.extend(result.records)
         stats = result.stats
 
-    # Every mode's last record per agent is taken after its last update
-    # (CL at k == total, ST/FS at step == total), so it already holds the
-    # final test accuracy of the final parameters.
+    # Every mode's last record per agent is taken after its last update, so
+    # it already holds the final test accuracy of the final parameters.
     last_test = {r.agent: r.test_accuracy for r in records}
     return RunOutput(
         run_index=run_index,

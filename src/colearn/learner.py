@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .data import Dataset, as_features, decode, shuffled_batches
+from .data import Dataset, as_features, decode, epoch_batches
 from .parallel import AgentPool
 from .seeding import rng_for
 
@@ -203,19 +203,16 @@ class Adam:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
     def apply(self, theta: np.ndarray, g: np.ndarray) -> None:
-        if self._m is None:
-            self._m, self._v = np.zeros_like(theta), np.zeros_like(theta)
-        if self._m.shape != theta.shape:
-            raise ValueError("Adam state does not match parameter shape")
-        self._steps += 1
-        kernels.adam_step(theta, g, self._m, self._v, self._steps,
+        # the state changes only once adam_step has checked every array
+        m, v = ((np.zeros_like(theta), np.zeros_like(theta)) if self._m is None
+                else (self._m, self._v))
+        kernels.adam_step(theta, g, m, v, self._steps + 1,
                           self.alpha, self.beta1, self.beta2, self.eps)
+        self._m, self._v, self._steps = m, v, self._steps + 1
 
 
 def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Advance theta in place by one Adam step; returns theta."""
-    if theta.shape != g.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match params {theta.shape}")
     rule.apply(theta, g)
     return theta
 
@@ -241,36 +238,29 @@ def train_epochs(
     max_updates: int | None = None,
     on_step: Callable[[int], None] | None = None,
     grad_buf: np.ndarray | None = None,
-) -> np.ndarray:
-    """Shuffled mini-batch passes over a labeled set; updates theta in place.
+) -> int:
+    """Shuffled mini-batch passes over a labeled set, the `epoch_batches`
+    stream "train-epoch" capped at `max_updates`; updates theta in place and
+    returns the number of updates taken.
 
     This is the one supervised training loop: self-training, the baselines
     and the review epochs of the collective phase all run through it.
     `train_set` is a labeled Dataset or an (X, y) pair; uint8 features are
-    decoded one minibatch at a time. With epochs=0 or max_updates=0 the
-    parameters are returned unchanged; otherwise training stops after
-    `max_updates` steps when given. `on_step(step)` is called
-    after each update with the 1-based step count. `grad_buf`, a flat
-    scratch at least as long as theta, receives each gradient in its head;
-    without it one is allocated for the call.
+    decoded one minibatch at a time. `on_step(step)` is called after each
+    update with the 1-based step count. `grad_buf`, a flat scratch at least
+    as long as theta, receives each gradient in its head; without it one is
+    allocated for the call.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if max_updates is not None and max_updates < 0:
-        raise ValueError(f"max_updates must be >= 0, got {max_updates}")
     x, y = _as_xy(train_set)
     g = np.empty_like(theta) if grad_buf is None else grad_buf[: theta.size]
     step = 0
-    for e in range(epochs):
-        for idx in shuffled_batches(x.shape[0], batch_size, rng_for(seed, "train-epoch", e)):
-            if step == max_updates:
-                return theta
-            grad(arch, theta, decode(x[idx]), y[idx], out=g)
-            apply_update(rule, theta, g)
-            step += 1
-            if on_step is not None:
-                on_step(step)
-    return theta
+    for step, idx in enumerate(
+            epoch_batches(x.shape[0], batch_size, epochs, seed, "train-epoch", max_updates), 1):
+        grad(arch, theta, decode(x[idx]), y[idx], out=g)
+        apply_update(rule, theta, g)
+        if on_step is not None:
+            on_step(step)
+    return step
 
 
 def _gamma(n: int, u: float) -> float:

@@ -31,18 +31,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# (set, get) names of OpenBLAS's thread-count calls: numpy's bundled build
-# exports them with a prefix and a suffix, a system build without
-_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
+# (prefix, suffix) of OpenBLAS's exported names: numpy's bundled build
+# exports them with both, a system build with a plain prefix
+_NAMINGS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
 
 
 def _find_thread_calls():
     """The (set, get) thread-count calls of the OpenBLAS this process has
-    loaded, or None. Loaded libraries are read from /proc/self/maps."""
+    loaded and its get-corename call (None where not exported), or None.
+    Loaded libraries are read from /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
             paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
@@ -53,12 +50,16 @@ def _find_thread_calls():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for set_name, get_name in _THREAD_CALLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        for prefix, suffix in _NAMINGS:
+            set_threads, get_threads, corename = (
+                getattr(lib, f"{prefix}{call}{suffix}", None)
+                for call in ("set_num_threads", "get_num_threads", "get_corename"))
+            if set_threads is not None and get_threads is not None:
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return set_threads, get_threads, corename
     return None
 
 
@@ -75,6 +76,14 @@ def blas_threads() -> int | None:
     """OpenBLAS's thread count, read back from the library; None where its
     thread-count calls were not found."""
     return None if _calls is None else int(_calls[1]())
+
+
+def blas_kernel() -> str | None:
+    """The name of the kernel OpenBLAS chose for this CPU when it loaded (or
+    the one OPENBLAS_CORETYPE forced), e.g. "SkylakeX"; None where its
+    get-corename call was not found."""
+    corename = None if _calls is None else _calls[2]
+    return None if corename is None else corename().decode()
 
 
 def usable_cores() -> int:

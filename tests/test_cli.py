@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output files, and formats."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -129,6 +131,8 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     ("training.eps", "1e-8,0", "training.eps"),
     ("gamma", "1,nan", "collective.gamma"),
     ("alpha", "inf", "training.alpha"),
+    pytest.param("alpha", "0.01,1" + "0" * 400, "training.alpha: must be finite",
+                 id="alpha-1e400-training.alpha"),
 ])
 def test_sweep_checks_every_value_before_any_run(tiny_config, tmp_path, capsys, param,
                                                  values, field):
@@ -166,6 +170,54 @@ def test_run_non_finite_yaml_value_exits_1(tmp_path, capsys):
     assert not list(tmp_path.rglob("metrics.csv"))
 
 
+HUGE = "1" + "0" * 400  # an integer beyond float range
+
+
+def test_run_huge_integer_yaml_value_exits_1(tmp_path, capsys):
+    config = tmp_path / "huge.yaml"
+    config.write_text(TINY_CONFIG.replace("alpha: 0.003", f"alpha: {HUGE}"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "training.alpha: must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def _idx_config(tmp_path, data) -> Path:
+    raw = yaml.safe_load(TINY_CONFIG)
+    keys = ("train_images", "train_labels", "test_images", "test_labels")
+    raw["dataset"] = {"kind": "fashion-mnist",
+                      **{key: str(data / name) for key, name in zip(keys, FMNIST_NAMES)}}
+    config = tmp_path / "idx.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    return config
+
+
+@pytest.mark.parametrize("corpus", ["blobs", "idx"])
+def test_sweep_checks_partition_before_any_run(tiny_config, tmp_path, capsys, corpus):
+    # 2 agents x (100 train + 10 val) = 220 samples of the 180 either corpus
+    # has; the run at train_size 10 would fit, but none starts
+    config = tiny_config
+    if corpus == "idx":
+        synthetic_idx_dataset(tmp_path / "data", m_train=180, m_test=20)
+        config = _idx_config(tmp_path, tmp_path / "data")
+    code = main(["sweep", str(config), "--param", "train_size", "--values", "10,100",
+                 "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert ("partition.train_size, partition.val_size: 2 agents x 100 train + 2 x 10 val "
+            "need 220 samples, but the corpus has only 180") in capsys.readouterr().err
+    assert not (tmp_path / "s" / "train_size_10").exists()
+
+
+def test_sweep_bad_idx_header_exits_1(tmp_path, capsys):
+    synthetic_idx_dataset(tmp_path / "data", m_train=60, m_test=20)
+    images = tmp_path / "data" / FMNIST_NAMES[0]
+    images.write_bytes(b"\0\0\x08\x01" + images.read_bytes()[4:])  # a labels magic number
+    code = main(["sweep", str(_idx_config(tmp_path, tmp_path / "data")), "--param", "gamma",
+                 "--values", "1,2", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "wrong magic number 0x00000801" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("mode", ["CL", "ST"])
 def test_run_partition_larger_than_corpus_exits_1(tmp_path, capsys, mode):
     # 2 agents x (100 train + 10 val) = 220 samples of the 180 the corpus has
@@ -197,13 +249,7 @@ def test_montecarlo_truncated_idx_exits_1(tmp_path, capsys):
     synthetic_idx_dataset(data, m_train=60, m_test=20)
     images = data / FMNIST_NAMES[0]
     images.write_bytes(images.read_bytes()[:-100])
-    raw = yaml.safe_load(TINY_CONFIG)
-    keys = ("train_images", "train_labels", "test_images", "test_labels")
-    raw["dataset"] = {"kind": "fashion-mnist",
-                      **{key: str(data / name) for key, name in zip(keys, FMNIST_NAMES)}}
-    config = tmp_path / "idx.yaml"
-    config.write_text(yaml.safe_dump(raw))
-    code = main(["montecarlo", str(config), "--out", str(tmp_path / "out")])
+    code = main(["montecarlo", str(_idx_config(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "truncated file" in capsys.readouterr().err
 

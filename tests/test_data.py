@@ -10,6 +10,8 @@ from colearn.data import (
     Dataset,
     IdxFormatError,
     decode,
+    epoch_batches,
+    idx_count,
     load_idx,
     make_partition,
     shuffled_batches,
@@ -17,6 +19,7 @@ from colearn.data import (
     write_idx,
     write_manifest,
 )
+from colearn.seeding import rng_for
 
 
 def hand_built_idx_pair(tmp_path):
@@ -103,6 +106,19 @@ class TestLoadIdx:
         images_path.write_bytes(images_path.read_bytes()[:10])
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx(images_path, labels_path)
+
+    def test_idx_count_reads_only_the_header(self, tmp_path):
+        images_path, _, _ = hand_built_idx_pair(tmp_path)
+        images_path.write_bytes(images_path.read_bytes()[:8])  # magic and count
+        assert idx_count(images_path) == 2
+
+    def test_idx_count_bad_header(self, tmp_path):
+        images_path, labels_path, _ = hand_built_idx_pair(tmp_path)
+        with pytest.raises(IdxFormatError, match="wrong magic number"):
+            idx_count(labels_path)
+        images_path.write_bytes(images_path.read_bytes()[:6])
+        with pytest.raises(IdxFormatError, match="truncated"):
+            idx_count(images_path)
 
     def test_load_holds_only_the_file_bytes(self, tmp_path):
         # the pixel bytes as read, plus each label as one raw byte and one
@@ -238,29 +254,63 @@ class TestMakePartition:
         assert not np.intersect1d(part.val_indices[0], part.shared_indices).size
 
 
+def _order(seed):
+    return rng_for(seed, "batch-order")
+
+
 class TestBatches:
     def test_final_short_batch_kept(self):
-        sizes = [len(b) for b in shuffled_batches(25, 10, seed=0)]
+        sizes = [len(b) for b in shuffled_batches(25, 10, _order(0))]
         assert sizes == [10, 10, 5]
 
     def test_singletons_cover_all_indices(self):
-        idx = shuffled_batches(5, 1, seed=1)
+        idx = shuffled_batches(5, 1, _order(1))
         assert sorted(np.concatenate(idx).tolist()) == [0, 1, 2, 3, 4]
         assert all(len(b) == 1 for b in idx)
 
     def test_deterministic_order(self):
-        a = [b.tolist() for b in shuffled_batches(40, 7, seed=3)]
-        b = [b.tolist() for b in shuffled_batches(40, 7, seed=3)]
+        a = [b.tolist() for b in shuffled_batches(40, 7, _order(3))]
+        b = [b.tolist() for b in shuffled_batches(40, 7, _order(3))]
         assert a == b
 
     def test_epoch_visits_each_index_once(self):
         for seed in range(5):
-            idx = np.concatenate(shuffled_batches(101, 8, seed=seed))
+            idx = np.concatenate(shuffled_batches(101, 8, _order(seed)))
             assert sorted(idx.tolist()) == list(range(101))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            shuffled_batches(0, 4, seed=0)
+            shuffled_batches(0, 4, _order(0))
+
+
+class TestEpochBatches:
+    @staticmethod
+    def _chained(m, b, epochs, seed, stream):
+        return [idx.tolist() for e in range(epochs)
+                for idx in shuffled_batches(m, b, rng_for(seed, stream, e))]
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 3, 4, 5, 9, 10**30])
+    def test_chains_epochs_and_stops_at_cap(self, cap):
+        # 10 samples in batches of 4: 3 per epoch, so caps 3 and 4 fall on
+        # and just past an epoch boundary, 9 is all 3 epochs and 10**30 more
+        want = self._chained(10, 4, 3, 7, "s")
+        got = [idx.tolist() for idx in epoch_batches(10, 4, 3, 7, "s", cap)]
+        assert got == want[:cap]
+
+    def test_stream_names_the_orders(self):
+        a = [i.tolist() for i in epoch_batches(30, 30, 2, 1, "a")]
+        b = [i.tolist() for i in epoch_batches(30, 30, 2, 1, "b")]
+        assert a == self._chained(30, 30, 2, 1, "a") and a != b
+
+    def test_zero_epochs_draw_nothing(self):
+        # an empty set is only an error once a batch is drawn from it
+        assert list(epoch_batches(0, 4, 0, 1, "s")) == []
+        assert list(epoch_batches(0, 4, 2, 1, "s", cap=0)) == []
+
+    @pytest.mark.parametrize("epochs, cap", [(-1, None), (1, -1)])
+    def test_negative_counts_rejected(self, epochs, cap):
+        with pytest.raises(ValueError):
+            epoch_batches(10, 4, epochs, 1, "s", cap)
 
 
 def test_dataset_validation():

@@ -20,13 +20,16 @@ argmax was proven in float32 or in float64 or taken from that pass
 (`test_golden_digest_float64_eval` takes every row from it).
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
-BLAS build on one CPU family. They do not depend on thread counts: colearn
-pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says, and the size of
-a run's agent pool or the number of Monte Carlo workers changes no bits
-(`test_digest_independent_of_blas_env`, `test_jobs_give_same_digests` and
-tests/test_parallel.py check this). To re-pin, run this file as a script; it
-prints the BLAS thread count, the agent-pool size and the Adam step it ran
-with, then the digests of the named cases (all by default):
+BLAS build and one OpenBLAS kernel: the pins hold for the `SkylakeX` kernel
+(`parallel.blas_kernel()`), which OpenBLAS picks on CPUs with AVX-512. Under
+another kernel (OPENBLAS_CORETYPE=Haswell, say) the metrics.csv and
+summary.txt digests have held, and the parameter digests change. The bytes
+do not depend on thread counts: colearn pins BLAS to one thread whatever
+OPENBLAS_NUM_THREADS says, and the size of a run's agent pool or the number
+of Monte Carlo workers changes no bits (`test_digest_independent_of_blas_env`,
+`test_jobs_give_same_digests` and tests/test_parallel.py check this). To re-pin, run this file as a script; it
+prints the BLAS kernel and thread count, the agent-pool size and the Adam
+step it ran with, then the digests of the named cases (all by default):
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
@@ -212,10 +215,10 @@ def _parse_script_output(text: str) -> dict:
 
 def main(names) -> None:
     """Print the digests of the named cases (all by default) as GOLDEN
-    entries, after the thread counts they ran with."""
+    entries, after the BLAS kernel and thread counts they ran with."""
     import tempfile
 
-    print(f"# BLAS threads {parallel.blas_threads()}, "
+    print(f"# BLAS kernel {parallel.blas_kernel()}, threads {parallel.blas_threads()}, "
           f"agent pool up to {parallel.max_pool_size()} threads, "
           f"Adam step {_kernels.adam_kernel()}")
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from colearn import harness
+from colearn import harness, learner
 from colearn.collective import MetricsRecord
 from colearn.config import (
     CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, load_config, override,
@@ -350,6 +350,27 @@ class TestRunMode:
         test = harness._load_corpus(config.dataset, config.master_seed)[1]
         assert out.final_test == [a.learner.accuracy(test) for a in made]
         assert all(r.iteration == updates for r in last.values())
+
+    @pytest.mark.parametrize("mode", ["ST", "FS"])
+    def test_diverged_baseline_names_agent_and_update(self, monkeypatch, mode):
+        # agent 1 (the SHL) has NaN parameters after its fifth update, a
+        # multiple of the stride: the record taken there fails, naming both
+        shl_size = learner.param_count(learner.Architecture("SHL", 20, 5))
+        apply_update = learner.apply_update
+
+        def diverge(rule, theta, g):
+            apply_update(rule, theta, g)
+            if rule._steps == 5 and theta.size == shl_size:
+                theta[0] = np.nan
+            return theta
+
+        monkeypatch.setattr(learner, "apply_update", diverge)
+        config = blob_config(mode=mode, n_per_class=60, train_size=50, val_size=10,
+                             self_train_epochs=3, metric_stride=5, max_iterations=10,
+                             architectures=("HL1", "SHL"))
+        with pytest.raises(RuntimeError, match=r"^agent 1 in training: RuntimeError: "
+                                               r"non-finite parameters for agent 1 at iteration 5$"):
+            run_mode(config, 0)
 
     def test_fs_reaches_ceiling_on_separable_data(self):
         config = blob_config(

@@ -4,8 +4,11 @@ inside a pool task names its agent and iteration."""
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,27 @@ def test_blas_pinned_to_one_thread():
     if parallel.blas_threads() is None:
         pytest.skip("no OpenBLAS thread-count calls in this numpy")
     assert parallel.blas_threads() == 1
+
+
+def test_blas_kernel_follows_forced_coretype():
+    if parallel.blas_kernel() is None:
+        pytest.skip("no OpenBLAS get-corename call in this numpy")
+    # Haswell's kernel runs on any CPU with AVX2 and FMA
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            flags = f.read().split()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+    if not {"avx2", "fma"} <= set(flags):
+        pytest.skip("this CPU has no AVX2 and FMA")
+    src = Path(parallel.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "from colearn import parallel; print(parallel.blas_kernel())"],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "Haswell"
 
 
 class TestPoolSize:
