@@ -112,13 +112,17 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_jobs(args)
     base = load_config(args.config)
-    values = [_parse_value(v.strip()) for v in args.values.split(",") if v.strip() != ""]
-    if not values:
+    texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
+    if not texts:
         raise ConfigError("--values: expected at least one value")
+    values = [_parse_value(text) for text in texts]
     # every value, and its partition against its corpus, is checked before
     # the first run starts
     configs = [override(base, args.param, value) for value in values]
-    for config in configs:
+    for i, config in enumerate(configs):
+        if config in configs[:i]:
+            raise ConfigError(f"--values: {texts[configs.index(config)]} and {texts[i]} "
+                              "run the same experiment")
         check_partition(config, corpus_size(config.dataset))
     out = _out_dir(args)
     for value, config in zip(values, configs):
@@ -166,7 +170,10 @@ def _cmd_data_check(args) -> int:
 def _cmd_plot(args) -> int:
     if not args.csv.is_file():
         raise ConfigError(f"plot: file not found: {args.csv}")
-    emit_plot(read_csv(args.csv), args.svg)
+    records = read_csv(args.csv)
+    if not records:
+        raise ConfigError(f"plot: {args.csv}:2: no records after the header")
+    emit_plot(records, args.svg)
     print(f"wrote {args.svg}")
     return 0
 

@@ -39,20 +39,6 @@ from .parallel import AgentPool
 from .seeding import subseed
 
 
-@dataclass
-class AgentState:
-    """One agent: its learner plus its current performance score.
-
-    The score exp(gamma * accuracy) is held in log space so that extreme
-    sharpening exponents cannot overflow.
-    """
-
-    id: int
-    learner: Learner
-    log_score: float = 0.0
-    last_accuracy: float = 0.0
-
-
 @dataclass(frozen=True)
 class RoundMessage:
     """What an agent broadcasts in a round: predictions for the shared batch."""
@@ -106,54 +92,55 @@ def _at(k: int | None) -> str:
     return "" if k is None else f"at iteration {k}"
 
 
-def _check_ids(agents: Sequence[AgentState]) -> None:
+def _check_ids(agents: Sequence[Learner]) -> None:
     # weight rows and scores are indexed by list position
     for i, a in enumerate(agents):
         if a.id != i:
             raise ValueError(f"agent ids must be 0..n-1 in list order: agents[{i}] has id {a.id}")
 
 
+def _val_accuracies(agents: Sequence[Learner], vals: Sequence, pool: AgentPool,
+                    k: int | None) -> list[float]:
+    return pool.each(lambda a, val: a.accuracy(val), agents, vals, where=_at(k))
+
+
 def refresh_scores(
-    agents: Sequence[AgentState],
+    agents: Sequence[Learner],
     validation_sets: Sequence,
     gamma: float,
     pool: AgentPool | None = None,
     k: int | None = None,
-) -> None:
-    """Re-measure validation accuracy and set score = exp(gamma * accuracy).
-    With a pool the agents measure side by side; a failure names the agent
-    and iteration `k`."""
+) -> np.ndarray:
+    """Each agent's log score, gamma times its validation accuracy: the
+    score exp(gamma * accuracy) is held in log space so that extreme
+    sharpening exponents cannot overflow. With a pool the agents measure
+    side by side; a failure names the agent and iteration `k`."""
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-
-    def score(agent: AgentState, val) -> None:
-        agent.last_accuracy = agent.learner.accuracy(val)
-        agent.log_score = gamma * agent.last_accuracy
-
-    (pool or AgentPool()).each(score, agents, validation_sets, where=_at(k))
+    return gamma * np.array(_val_accuracies(agents, validation_sets, pool or AgentPool(), k))
 
 
-def measure(agents: Sequence[AgentState], vals: Sequence, test, k: int, run_index: int,
+def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: int,
             pool: AgentPool | None = None, proxy_rates=None) -> list[MetricsRecord]:
     """Each agent's metrics record at iteration (or update) `k`: its test
     accuracy, from one `accuracies` call for all, its accuracy on its set in
     `vals`, and its rate in `proxy_rates` (None without). Non-finite
     parameters raise a RuntimeError naming the agent and `k`."""
     for a in agents:
-        if not np.all(np.isfinite(a.learner.params)):
+        if not np.all(np.isfinite(a.params)):
             raise RuntimeError(f"non-finite parameters for agent {a.id} at iteration {k}")
     pool = pool or AgentPool()
     # one decode of each test chunk, scored by every agent
-    tests = accuracies([(a.learner.arch, a.learner.params) for a in agents], test, pool=pool)
-    val_accs = pool.each(lambda a, val: a.learner.accuracy(val), agents, vals, where=_at(k))
+    tests = accuracies([(a.arch, a.params) for a in agents], test, pool=pool)
+    val_accs = _val_accuracies(agents, vals, pool, k)
     rates = [None] * len(agents) if proxy_rates is None else proxy_rates
-    return [MetricsRecord(run=run_index, iteration=k, agent=a.id, arch=a.learner.arch.kind,
+    return [MetricsRecord(run=run_index, iteration=k, agent=a.id, arch=a.arch.kind,
                           test_accuracy=t, val_accuracy=v, proxy_match_rate=r)
             for a, t, v, r in zip(agents, tests, val_accs, rates)]
 
 
 def collective_round(
-    agents: Sequence[AgentState],
+    agents: Sequence[Learner],
     weights: np.ndarray,
     batch_features: np.ndarray,
     pool: AgentPool | None = None,
@@ -176,19 +163,18 @@ def collective_round(
     _check_ids(agents)
     if weights.shape != (n, n):
         raise ValueError(f"weight matrix shape {weights.shape} does not match {n} agents")
-    num_classes = agents[0].learner.arch.num_classes
-    if any(a.learner.arch.num_classes != num_classes for a in agents):
+    num_classes = agents[0].arch.num_classes
+    if any(a.arch.num_classes != num_classes for a in agents):
         raise ValueError("all agents must share the same number of classes")
     pool = pool or AgentPool()
 
-    def predict(agent: AgentState):
-        return forward_pass(agent.learner.arch, agent.learner.params, batch_features)
+    def predict(agent: Learner):
+        return forward_pass(agent.arch, agent.params, batch_features)
 
-    def update(agent: AgentState, forward, proxy: np.ndarray) -> None:
-        learner = agent.learner
-        g = backprop(learner.arch, learner.params, *forward, proxy,
-                     out=pool.grad_buf(learner.params.size))
-        apply_update(learner.rule, learner.params, g)
+    def update(agent: Learner, forward, proxy: np.ndarray) -> None:
+        g = backprop(agent.arch, agent.params, *forward, proxy,
+                     out=pool.grad_buf(agent.params.size))
+        apply_update(agent.rule, agent.params, g)
 
     passes = pool.each(predict, agents, where=_at(k))
     messages = [RoundMessage(sender=a.id, predictions=probs)
@@ -198,21 +184,20 @@ def collective_round(
     return labels
 
 
-def review_step(agent: AgentState, train_set, batch_size: int, seed,
+def review_step(agent: Learner, train_set, batch_size: int, seed,
                 grad_buf: np.ndarray | None = None) -> None:
     """One supervised epoch over the agent's private training set, keeping
     the agent's Adam state. `grad_buf`, a flat scratch at least as
     long as the agent's parameters, receives each gradient; without it one
     is allocated for the call."""
-    learner = agent.learner
     train_epochs(
-        learner.arch, learner.params, learner.rule,
+        agent.arch, agent.params, agent.rule,
         train_set, batch_size, epochs=1, seed=seed, grad_buf=grad_buf,
     )
 
 
 def run_collective(
-    agents: Sequence[AgentState],
+    agents: Sequence[Learner],
     partition: Partition,
     schedule: GraphSchedule,
     spec: CollectiveSpec,
@@ -266,10 +251,10 @@ def run_collective(
     with AgentPool.for_agents(n) as pool:
         # Scores must be valid before the first round; measure them right
         # after self-training, then build the initial weight matrix.
-        refresh_scores(agents, partition.val, spec.gamma, pool, 0)
+        log_scores = refresh_scores(agents, partition.val, spec.gamma, pool, 0)
         current_round = schedule_round(schedule, 0)
         graph = graph_at(schedule, 0)
-        weights = build_weight_matrix_log(graph, np.array([a.log_score for a in agents]))
+        weights = build_weight_matrix_log(graph, log_scores)
         emit_metrics(0)
 
         k = 0
@@ -278,16 +263,14 @@ def run_collective(
                                               max_iterations), 1):
             refresh = k % spec.score_refresh_period == 0
             if refresh:
-                refresh_scores(agents, partition.val, spec.gamma, pool, k)
+                log_scores = refresh_scores(agents, partition.val, spec.gamma, pool, k)
                 stats["score_refresh_events"] += 1
             rnd = schedule_round(schedule, k)
             if refresh or rnd != current_round:
                 if rnd != current_round:
                     current_round = rnd
                     graph = graph_at(schedule, k)
-                weights = build_weight_matrix_log(
-                    graph, np.array([a.log_score for a in agents])
-                )
+                weights = build_weight_matrix_log(graph, log_scores)
                 stats["weight_rebuilds"] += 1
 
             # gather and decode the batch's rows; the shared pool is never copied whole
@@ -302,7 +285,7 @@ def run_collective(
                 review_seed = subseed(seed, "review", k)
                 pool.each(
                     lambda a, train: review_step(a, train, train_batch, review_seed,
-                                                 pool.grad_buf(a.learner.params.size)),
+                                                 pool.grad_buf(a.params.size)),
                     agents, partition.train, where=_at(k),
                 )
                 stats["reviews"] += n

@@ -32,13 +32,6 @@ class IdxFormatError(ValueError):
     """Raised when an IDX file does not parse as expected."""
 
 
-def as_features(x) -> np.ndarray:
-    """`x` as a feature array: uint8 pixel bytes stay bytes, anything else
-    becomes float64."""
-    x = np.asarray(x)
-    return x if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
-
-
 def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Feature rows as `dtype` values: uint8 pixel bytes are scaled by 1/255
     into a new array, float64 rows are returned as they are (or rounded to
@@ -56,19 +49,23 @@ def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with optional class labels.
+    """Feature matrix with class labels: the one labeled-set type.
 
     `features` is float64, or uint8 pixel bytes whose values are `decode`d
     a batch at a time by the code that consumes them; a byte matrix is
-    finite by construction and is not scanned.
+    finite by construction and is not scanned. Features of any other dtype
+    become float64.
     """
 
     features: np.ndarray  # (m, d) float64, or uint8 bytes standing for byte / 255
-    labels: np.ndarray | None  # (m,) int64 in [0, num_classes)
+    labels: np.ndarray  # (m,) int64 in [0, num_classes)
     num_classes: int
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(as_features(self.features))
+        feats = np.asarray(self.features)
+        if feats.dtype != np.uint8:
+            feats = feats.astype(np.float64, copy=False)
+        feats = np.ascontiguousarray(feats)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         # min and max propagate NaN and +-inf, and allocate no m x d mask
@@ -77,16 +74,13 @@ class Dataset:
             raise ValueError("features must be finite")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
+        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        if labels.shape != (feats.shape[0],):
+            raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} rows")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         object.__setattr__(self, "features", feats)
-        if self.labels is not None:
-            labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-            if labels.shape != (feats.shape[0],):
-                raise ValueError(
-                    f"labels shape {labels.shape} does not match {feats.shape[0]} rows"
-                )
-            if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-                raise ValueError(f"labels must lie in [0, {self.num_classes})")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:
@@ -98,8 +92,7 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.features[indices], labels, self.num_classes)
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 def _read_exact(f, count: int, path: Path, what: str) -> bytes:
@@ -233,10 +226,6 @@ def make_partition(
     With common_val, one validation block is drawn and every agent scores
     against it (per-agent disjoint sets otherwise).
     """
-    if source.labels is None:
-        raise ValueError("source corpus must be labeled")
-    if test.labels is None:
-        raise ValueError("test set must be labeled")
     if n_agents < 1 or train_size_per_agent < 1 or val_size_per_agent < 1:
         raise ValueError("n_agents and per-agent sizes must be positive")
     n_val_blocks = 1 if common_val else n_agents

@@ -1,9 +1,10 @@
 """Time-varying directed communication graphs and mixing-weight matrices.
 
-Graphs are immutable; self-loops are implicit (every node always receives
-its own message) and generators never emit explicit (i, i) edges. Random
-schedules derive each round's graph from (seed, round index), so any round
-can be generated without replaying history.
+A graph is held as its receive matrix: `hears[i, j]` is True when node i
+receives node j's messages. Every node always receives its own message, so
+the diagonal is always True. Graphs are read-only. Random schedules derive
+each round's graph from (seed, round index), so any round can be generated
+without replaying history.
 """
 
 from __future__ import annotations
@@ -16,32 +17,43 @@ import numpy as np
 from .seeding import rng_for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Directed graph on nodes 0..n-1; edge (j, i) means j sends to i."""
+    """Directed graph on nodes 0..n-1: `hears[i, j]` is True when j sends to
+    i. The matrix is a read-only copy with a True diagonal."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    hears: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        clean = set()
-        for j, i in self.edges:
-            j, i = int(j), int(i)
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError(f"edge ({j}, {i}) out of range for n={self.n}")
-            if j != i:  # self-loops are implicit, never stored
-                clean.add((j, i))
-        object.__setattr__(self, "edges", frozenset(clean))
+        hears = np.array(self.hears, dtype=bool)
+        if hears.ndim != 2 or hears.shape[0] != hears.shape[1] or hears.shape[0] < 1:
+            raise ValueError(f"expected a square matrix on >= 1 nodes, got shape {hears.shape}")
+        np.fill_diagonal(hears, True)
+        hears.flags.writeable = False
+        object.__setattr__(self, "hears", hears)
+
+    @property
+    def n(self) -> int:
+        return self.hears.shape[0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedGraph) and np.array_equal(self.hears, other.hears)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        return cls(n=n, edges=frozenset((int(j), int(i)) for j, i in edges))
+        """The graph on n nodes whose edge (j, i) means j sends to i."""
+        pairs = np.array([(int(j), int(i)) for j, i in edges], dtype=np.int64).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if bad.any():
+            j, i = pairs[bad][0]
+            raise ValueError(f"edge ({j}, {i}) out of range for n={n}")
+        hears = np.zeros((n, n), dtype=bool)
+        hears[pairs[:, 1], pairs[:, 0]] = True
+        return cls(hears)
 
     @classmethod
     def complete(cls, n: int) -> "DirectedGraph":
-        return cls.from_edges(n, ((j, i) for j in range(n) for i in range(n) if j != i))
+        return cls(np.ones((n, n), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -92,10 +104,9 @@ def graph_at(schedule: GraphSchedule, k: int) -> DirectedGraph:
     if isinstance(schedule, StaticSchedule):
         return schedule.base
     rng = rng_for(schedule.seed, "er-round", rnd)
+    # mask[j, i]: j sends to i; the drawn diagonal is overwritten
     mask = rng.random((schedule.n, schedule.n)) < schedule.p
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return DirectedGraph.from_edges(schedule.n, zip(src.tolist(), dst.tolist()))
+    return DirectedGraph(mask.T)
 
 
 def n_nodes(schedule: GraphSchedule) -> int:
@@ -104,40 +115,19 @@ def n_nodes(schedule: GraphSchedule) -> int:
     return schedule.n
 
 
-def in_neighbors(g: DirectedGraph, i: int) -> set[int]:
-    """Senders into node i, always including i itself."""
-    if not 0 <= i < g.n:
-        raise IndexError(f"node {i} out of range for n={g.n}")
-    nbrs = {j for (j, dst) in g.edges if dst == i}
-    nbrs.add(i)
-    return nbrs
-
-
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every node reaches every other along directed edges."""
-    if g.n == 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    rev: list[list[int]] = [[] for _ in range(g.n)]
-    for j, i in g.edges:
-        fwd[j].append(i)
-        rev[i].append(j)
-    return _reaches_all(fwd, g.n) and _reaches_all(rev, g.n)
+    return _reaches_all(g.hears.T) and _reaches_all(g.hears)
 
 
-def _reaches_all(adj: list[list[int]], n: int) -> bool:
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+def _reaches_all(step: np.ndarray) -> bool:
+    """Whether node 0 reaches every node, where step[u, v] is an edge u -> v
+    (and step[u, u] is True)."""
+    seen = frontier = step[0]
+    while frontier.any():
+        frontier = step[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
 def union_graph(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
@@ -147,10 +137,7 @@ def union_graph(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share the same node count")
-    edges: set[tuple[int, int]] = set()
-    for g in graphs:
-        edges |= g.edges
-    return DirectedGraph(n=n, edges=frozenset(edges))
+    return DirectedGraph(np.logical_or.reduce([g.hears for g in graphs]))
 
 
 def is_jointly_strongly_connected(schedule: GraphSchedule, k0: int, window: int) -> bool:
@@ -185,7 +172,9 @@ def build_weight_matrix_log(g: DirectedGraph, log_scores: np.ndarray) -> np.ndar
         raise ValueError("scores must be finite")
     w = np.zeros((g.n, g.n))
     for i in range(g.n):
-        nbrs = sorted(in_neighbors(g, i))
+        # one row at a time: numpy sums 8 or more elements of a 2-D row sum
+        # in another order, and the bits would change
+        nbrs = g.hears[i]
         shifted = np.exp(log_scores[nbrs] - log_scores[nbrs].max())
         w[i, nbrs] = shifted / shifted.sum()
     return w
@@ -193,4 +182,5 @@ def build_weight_matrix_log(g: DirectedGraph, log_scores: np.ndarray) -> np.ndar
 
 def format_edge_list(g: DirectedGraph) -> str:
     """One "j i" line per edge (j sends to i), sorted; self-loops omitted."""
-    return "\n".join(f"{j} {i}" for j, i in sorted(g.edges))
+    sends = g.hears.T & ~np.eye(g.n, dtype=bool)
+    return "\n".join(f"{j} {i}" for j, i in np.argwhere(sends))

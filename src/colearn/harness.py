@@ -21,7 +21,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .collective import AgentState, MetricsRecord, RunResult, measure, run_collective
+from .collective import MetricsRecord, RunResult, measure, run_collective
 from .config import ConfigError, ExperimentConfig, SynthSpec
 from .data import (
     Dataset, IdxFormatError, Partition, idx_count, load_idx, make_partition, synth_blobs,
@@ -147,29 +147,27 @@ def resolve_architectures(config: ExperimentConfig, run_index: int) -> list[str]
 
 
 def _make_agents(config: ExperimentConfig, run_index: int, input_dim: int,
-                 num_classes: int) -> list[AgentState]:
+                 num_classes: int) -> list[Learner]:
     t = config.training
     agents = []
     for i, kind in enumerate(resolve_architectures(config, run_index)):
         arch = Architecture(kind=kind, input_dim=input_dim, num_classes=num_classes)
-        learner = Learner.create(
+        agents.append(Learner.create(
             arch, seed=subseed(config.master_seed, run_index, "agent-init", i),
-            rule=Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps),
-        )
-        agents.append(AgentState(id=i, learner=learner))
+            rule=Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps), id=i,
+        ))
     return agents
 
 
 # --- baseline training with a metrics trace ----------------------------------
 
 
-def _train_traced(agent: AgentState, train_set: Dataset, partition: Partition, batch_size: int,
+def _train_traced(agent: Learner, train_set: Dataset, partition: Partition, batch_size: int,
                   epochs: int, seed: int, run_index: int, metric_stride: int,
                   max_updates: int | None = None) -> list[MetricsRecord]:
     """`train_epochs` with the collective engine's metrics records, the
     iteration being the update count: at 0, at every metric_stride updates
     and after the last update."""
-    learner = agent.learner
     records = []
 
     def emit(step: int) -> None:
@@ -182,7 +180,7 @@ def _train_traced(agent: AgentState, train_set: Dataset, partition: Partition, b
 
     emit(0)
     steps = train_epochs(
-        learner.arch, learner.params, learner.rule, train_set, batch_size, epochs, seed,
+        agent.arch, agent.params, agent.rule, train_set, batch_size, epochs, seed,
         max_updates=max_updates, on_step=on_step,
     )
     if steps % metric_stride:
@@ -217,7 +215,7 @@ def run_mode(
     t = config.training
 
     if config.mode in ("FS", "ST"):
-        def train_alone(agent: AgentState) -> list[MetricsRecord]:
+        def train_alone(agent: Learner) -> list[MetricsRecord]:
             if config.mode == "FS":
                 train_set, epochs, stream = source, t.fs_epochs, "fs-train"
             else:
@@ -236,7 +234,7 @@ def run_mode(
     else:  # CL
         with AgentPool.for_agents(len(agents)) as pool:
             pool.each(
-                lambda a: a.learner.train(
+                lambda a: a.train(
                     partition.train[a.id], t.batch_size, t.self_train_epochs,
                     seed=subseed(config.master_seed, run_index, "self-train", a.id),
                 ),
@@ -257,7 +255,7 @@ def run_mode(
     return RunOutput(
         run_index=run_index,
         records=records,
-        arch_kinds=[a.learner.arch.kind for a in agents],
+        arch_kinds=[a.arch.kind for a in agents],
         final_test=[last_test[a.id] for a in agents],
         stats=stats,
     )
@@ -343,18 +341,25 @@ def emit_csv(records: Sequence[MetricsRecord], path) -> None:
 
 
 def read_csv(path) -> list[MetricsRecord]:
+    """The records of a metrics CSV in `emit_csv`'s schema; a malformed file
+    raises a ConfigError naming the path and line."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_HEADER:
+            raise ConfigError(f"{path}:1: expected the CSV header {','.join(CSV_HEADER)}, "
+                              f"got {header}")
         for row in reader:
-            records.append(MetricsRecord(
-                run=int(row[0]), iteration=int(row[1]), agent=int(row[2]), arch=row[3],
-                test_accuracy=float(row[4]), val_accuracy=float(row[5]),
-                proxy_match_rate=None if row[6] == "" else float(row[6]),
-            ))
+            try:
+                run, iteration, agent, arch, test, val, proxy = row
+                records.append(MetricsRecord(
+                    run=int(run), iteration=int(iteration), agent=int(agent), arch=arch,
+                    test_accuracy=float(test), val_accuracy=float(val),
+                    proxy_match_rate=None if proxy == "" else float(proxy),
+                ))
+            except ValueError as e:
+                raise ConfigError(f"{path}:{reader.line_num}: {e}") from None
     return records
 
 

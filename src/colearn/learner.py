@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .data import Dataset, as_features, decode, epoch_batches
+from .data import Dataset, decode, epoch_batches
 from .parallel import AgentPool
 from .seeding import rng_for
 
@@ -217,20 +217,11 @@ def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _as_xy(train_set) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(train_set, Dataset):
-        if train_set.labels is None:
-            raise ValueError("training set must be labeled")
-        return train_set.features, train_set.labels
-    x, y = train_set
-    return as_features(x), np.asarray(y, dtype=np.int64)
-
-
 def train_epochs(
     arch: Architecture,
     theta: np.ndarray,
     rule: Adam,
-    train_set,
+    train_set: Dataset,
     batch_size: int,
     epochs: int,
     seed: int,
@@ -245,13 +236,12 @@ def train_epochs(
 
     This is the one supervised training loop: self-training, the baselines
     and the review epochs of the collective phase all run through it.
-    `train_set` is a labeled Dataset or an (X, y) pair; uint8 features are
-    decoded one minibatch at a time. `on_step(step)` is called after each
-    update with the 1-based step count. `grad_buf`, a flat scratch at least
-    as long as theta, receives each gradient in its head; without it one is
-    allocated for the call.
+    uint8 features are decoded one minibatch at a time. `on_step(step)` is
+    called after each update with the 1-based step count. `grad_buf`, a flat
+    scratch at least as long as theta, receives each gradient in its head;
+    without it one is allocated for the call.
     """
-    x, y = _as_xy(train_set)
+    x, y = train_set.features, train_set.labels
     g = np.empty_like(theta) if grad_buf is None else grad_buf[: theta.size]
     step = 0
     for step, idx in enumerate(
@@ -369,7 +359,7 @@ def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np
         return _certain(acts[-1], slack * _logit_bound(acts, norms, t_in))
 
 
-def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
+def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Dataset,
                pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
     fraction of samples whose argmax logit (lowest index on ties) of the
@@ -381,7 +371,7 @@ def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
     doubled, as the chunk pass carries one of its own; the rows open there
     take the chunk pass's argmax. With a pool, chunks run side by side; the
     chunks are the same at any pool size, so the counts are too."""
-    x, y = _as_xy(eval_set)
+    x, y = eval_set.features, eval_set.labels
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
     pool = pool or AgentPool()
@@ -411,26 +401,29 @@ def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set,
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
 
 
-def accuracy(arch: Architecture, theta: np.ndarray, eval_set) -> float:
+def accuracy(arch: Architecture, theta: np.ndarray, eval_set: Dataset) -> float:
     """`accuracies` of the one model `(arch, theta)`."""
     return accuracies([(arch, theta)], eval_set)[0]
 
 
 @dataclass
 class Learner:
-    """An agent's classifier: architecture, flat parameters, Adam state."""
+    """An agent: its classifier's architecture, flat parameters and Adam
+    state, and its id, the agent's row in weight matrices and metrics."""
 
     arch: Architecture
     params: np.ndarray
     rule: Adam
+    id: int = 0
 
     @classmethod
-    def create(cls, arch: Architecture, seed: int, rule: Adam | None = None) -> "Learner":
-        return cls(arch=arch, params=init_params(arch, seed), rule=rule or Adam())
+    def create(cls, arch: Architecture, seed: int, rule: Adam | None = None,
+               id: int = 0) -> "Learner":
+        return cls(arch=arch, params=init_params(arch, seed), rule=rule or Adam(), id=id)
 
-    def train(self, train_set, batch_size: int, epochs: int, seed: int) -> None:
+    def train(self, train_set: Dataset, batch_size: int, epochs: int, seed: int) -> None:
         train_epochs(self.arch, self.params, self.rule, train_set, batch_size, epochs, seed)
 
-    def accuracy(self, eval_set) -> float:
+    def accuracy(self, eval_set: Dataset) -> float:
         return accuracy(self.arch, self.params, eval_set)
 

@@ -112,7 +112,7 @@ def largest_first(agents: Sequence) -> list[int]:
     """Positions of `agents` by parameter count, largest first, ties by id:
     the order in which `AgentPool.each` starts their tasks."""
     return sorted(range(len(agents)),
-                  key=lambda i: (-agents[i].learner.params.size, agents[i].id))
+                  key=lambda i: (-agents[i].params.size, agents[i].id))
 
 
 class AgentPool:

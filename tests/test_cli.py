@@ -113,6 +113,17 @@ def test_sweep_emits_one_table_per_value(tiny_config, tmp_path, capsys):
         assert (out / f"gamma_{value}" / "summary.txt").is_file()
 
 
+@pytest.mark.parametrize("values", ["0.1,0.10", "1,1.0", "2,1,2"])
+def test_sweep_duplicate_values_exit_1(tiny_config, tmp_path, capsys, values):
+    # equal values would run one experiment twice, into one directory or two
+    out = tmp_path / "s"
+    code = main(["sweep", str(tiny_config), "--param", "gamma", "--values", values,
+                 "--out", str(out)])
+    assert code == 1
+    assert "--values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     code = main(["sweep", str(tiny_config), "--param", "nonsense", "--values", "1,2",
                  "--out", str(tmp_path / "s")])
@@ -321,3 +332,21 @@ def test_plot_command_roundtrip(tiny_config, tmp_path):
 def test_plot_missing_csv_exits_1(tmp_path, capsys):
     code = main(["plot", str(tmp_path / "no.csv"), str(tmp_path / "o.svg")])
     assert code == 1
+
+
+HEADER = "run,iter,agent,arch,test_acc,val_acc,proxy_correct\n"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    (HEADER, 2, "no records after the header"),
+    ("run,iteration,agent\n0,0,0\n", 1, "expected the CSV header"),
+    (HEADER + "0,0,0,SHL,0.5,0.5,\n0,10,0,SHL\n", 3, "not enough values to unpack"),
+    (HEADER + "0,0,0,SHL,high,0.5,\n", 2, "could not convert string to float: 'high'"),
+], ids=["header-only", "wrong-header", "short-row", "non-numeric-test-acc"])
+def test_plot_bad_csv_exits_1_naming_the_line(tmp_path, capsys, text, where, message):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text(text)
+    assert main(["plot", str(csv_path), str(tmp_path / "o.svg")]) == 1
+    err = capsys.readouterr().err
+    assert f"{csv_path}:{where}: " in err and message in err
+    assert not (tmp_path / "o.svg").exists()

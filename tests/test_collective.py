@@ -9,7 +9,6 @@ import pytest
 from colearn import _kernels as kernels
 from colearn import collective
 from colearn.collective import (
-    AgentState,
     RoundMessage,
     collective_round,
     fuse_and_label,
@@ -33,23 +32,23 @@ from colearn.seeding import rng_for
 from conftest import predict_proba
 
 
-def constant_predictor(num_classes: int, winner: int, input_dim: int = 4) -> Learner:
+def constant_predictor(num_classes: int, winner: int, input_dim: int = 4, id: int = 0) -> Learner:
     """SHL that predicts `winner` with probability exactly 1 (the other
     logits underflow to zero in the softmax)."""
     arch = Architecture("SHL", input_dim, num_classes)
     theta = np.zeros(param_count(arch))
     _, b = param_views(arch, theta)[0]
     b[winner] = 1000.0
-    return Learner(arch=arch, params=theta, rule=Adam())
+    return Learner(arch=arch, params=theta, rule=Adam(), id=id)
 
 
-def fixed_vector_predictor(probs: list[float], input_dim: int = 4) -> Learner:
+def fixed_vector_predictor(probs: list[float], input_dim: int = 4, id: int = 0) -> Learner:
     """SHL whose output on x=0 is softmax(log p) = p for a normalized p."""
     arch = Architecture("SHL", input_dim, len(probs))
     theta = np.zeros(param_count(arch))
     _, b = param_views(arch, theta)[0]
     b[:] = np.log(probs)
-    return Learner(arch=arch, params=theta, rule=Adam())
+    return Learner(arch=arch, params=theta, rule=Adam(), id=id)
 
 
 def labeled(features: np.ndarray, labels: list[int], num_classes: int) -> Dataset:
@@ -59,62 +58,56 @@ def labeled(features: np.ndarray, labels: list[int], num_classes: int) -> Datase
 class TestRefreshScores:
     def test_gamma_zero_gives_unit_scores(self):
         agents = [
-            AgentState(id=0, learner=constant_predictor(3, 0)),
-            AgentState(id=1, learner=constant_predictor(3, 1)),
+            constant_predictor(3, 0, id=0),
+            constant_predictor(3, 1, id=1),
         ]
         vals = [
             labeled(np.zeros((4, 4)), [0, 0, 1, 2], 3),
             labeled(np.zeros((4, 4)), [0, 0, 1, 2], 3),
         ]
-        refresh_scores(agents, vals, gamma=0.0)
-        assert [np.exp(a.log_score) for a in agents] == [1.0, 1.0]
-        assert agents[0].last_accuracy == 0.5
-        assert agents[1].last_accuracy == 0.25
+        assert np.exp(refresh_scores(agents, vals, gamma=0.0)).tolist() == [1.0, 1.0]
+        # at gamma 1 the log scores are the validation accuracies
+        assert refresh_scores(agents, vals, gamma=1.0).tolist() == [0.5, 0.25]
 
     def test_gamma_one_exact_exponentials(self):
         agents = [
-            AgentState(id=0, learner=constant_predictor(2, 0)),
-            AgentState(id=1, learner=constant_predictor(2, 0)),
+            constant_predictor(2, 0, id=0),
+            constant_predictor(2, 0, id=1),
         ]
         vals = [
             labeled(np.zeros((10, 4)), [0] * 5 + [1] * 5, 2),   # accuracy 0.5
             labeled(np.zeros((10, 4)), [0] * 7 + [1] * 3, 2),   # accuracy 0.7
         ]
-        refresh_scores(agents, vals, gamma=1.0)
-        assert np.exp(agents[0].log_score) == pytest.approx(1.64872, abs=1e-5)
-        assert np.exp(agents[1].log_score) == pytest.approx(2.01375, abs=1e-5)
+        scores = np.exp(refresh_scores(agents, vals, gamma=1.0))
+        assert scores == pytest.approx([1.64872, 2.01375], abs=1e-5)
 
     def test_large_gamma_weight_ratio(self):
         # accuracies 0.80 vs 0.81 at gamma=100: score ratio is e
         agents = [
-            AgentState(id=0, learner=constant_predictor(2, 0)),
-            AgentState(id=1, learner=constant_predictor(2, 0)),
+            constant_predictor(2, 0, id=0),
+            constant_predictor(2, 0, id=1),
         ]
         vals = [
             labeled(np.zeros((100, 4)), [0] * 80 + [1] * 20, 2),
             labeled(np.zeros((100, 4)), [0] * 81 + [1] * 19, 2),
         ]
-        refresh_scores(agents, vals, gamma=100.0)
-        scores = [np.exp(a.log_score) for a in agents]
+        log_scores = refresh_scores(agents, vals, gamma=100.0)
+        scores = np.exp(log_scores)
         assert scores[1] / scores[0] == pytest.approx(np.e, rel=1e-9)
-        w = build_weight_matrix_log(
-            DirectedGraph.complete(2), np.array([a.log_score for a in agents])
-        )
+        w = build_weight_matrix_log(DirectedGraph.complete(2), log_scores)
         assert w[0, 1] / w[0, 0] == pytest.approx(np.e, rel=1e-9)
 
     def test_extreme_gamma_does_not_overflow(self):
         agents = [
-            AgentState(id=0, learner=constant_predictor(2, 0)),
-            AgentState(id=1, learner=constant_predictor(2, 0)),
+            constant_predictor(2, 0, id=0),
+            constant_predictor(2, 0, id=1),
         ]
         vals = [
             labeled(np.zeros((10, 4)), [0] * 8 + [1] * 2, 2),   # accuracy 0.8
             labeled(np.zeros((10, 4)), [0] * 9 + [1] * 1, 2),   # accuracy 0.9
         ]
-        refresh_scores(agents, vals, gamma=1000.0)
-        w = build_weight_matrix_log(
-            DirectedGraph.complete(2), np.array([a.log_score for a in agents])
-        )
+        w = build_weight_matrix_log(DirectedGraph.complete(2),
+                                    refresh_scores(agents, vals, gamma=1000.0))
         assert np.all(np.isfinite(w))
         assert np.allclose(w.sum(axis=1), 1.0)
         # exp(1000*(0.8-0.9)) = e^-100: the better agent dominates both rows
@@ -182,16 +175,12 @@ class TestCollectiveRound:
         learner.train(ds, batch_size=10, epochs=30, seed=2)
         batch = ds.features[:7]
         expected = np.argmax(predict_proba(learner, batch), axis=1)
-        agent = AgentState(id=0, learner=learner)
-        labels = collective_round([agent], np.array([[1.0]]), batch)
+        labels = collective_round([learner], np.array([[1.0]]), batch)
         assert np.array_equal(labels[0], expected)
 
     def test_identical_predictions_ignore_weights(self):
         batch = np.zeros((3, 4))
-        agents = [
-            AgentState(id=i, learner=fixed_vector_predictor([0.1, 0.6, 0.3]))
-            for i in range(3)
-        ]
+        agents = [fixed_vector_predictor([0.1, 0.6, 0.3], id=i) for i in range(3)]
         rng = rng_for(4, "row-stochastic")
         w = rng.random((3, 3))
         w /= w.sum(axis=1, keepdims=True)
@@ -203,8 +192,8 @@ class TestCollectiveRound:
         # both agents receive the same fused labels computed before any update
         batch = np.zeros((1, 4))
         a = fixed_vector_predictor([0.9, 0.1])
-        b = fixed_vector_predictor([0.2, 0.8])
-        agents = [AgentState(id=0, learner=a), AgentState(id=1, learner=b)]
+        b = fixed_vector_predictor([0.2, 0.8], id=1)
+        agents = [a, b]
         pre_a = predict_proba(a, batch).copy()
         pre_b = predict_proba(b, batch).copy()
         w = np.full((2, 2), 0.5)
@@ -220,7 +209,7 @@ class TestCollectiveRound:
 
         def make_agents():
             return [
-                AgentState(id=i, learner=Learner.create(Architecture(kind, 4, 3), seed=i))
+                Learner.create(Architecture(kind, 4, 3), seed=i, id=i)
                 for i, kind in enumerate(("SHL", "HL2", "HL1"))
             ]
 
@@ -233,27 +222,25 @@ class TestCollectiveRound:
                     labels = collective_round(shared, w, batch, pool)
                     for a, b, la, lb in zip(fresh, shared, expected, labels):
                         assert np.array_equal(la, lb)
-                        assert np.array_equal(a.learner.params, b.learner.params)
+                        assert np.array_equal(a.params, b.params)
 
     def test_one_pass_round_matches_two_pass_reference(self):
         # the round as it ran before one forward pass served both halves:
         # every agent predicts, then each gradient runs the layers again
         def two_pass_round(agents, weights, batch, grad_buf):
-            messages = [RoundMessage(sender=a.id, predictions=predict_proba(a.learner, batch))
+            messages = [RoundMessage(sender=a.id, predictions=predict_proba(a, batch))
                         for a in agents]
             labels = [fuse_and_label(messages, weights[i]) for i in range(len(agents))]
             for agent, lab in zip(agents, labels):
-                learner = agent.learner
-                g = grad(learner.arch, learner.params, batch, lab,
-                         out=grad_buf[: learner.params.size])
-                apply_update(learner.rule, learner.params, g)
+                g = grad(agent.arch, agent.params, batch, lab, out=grad_buf[: agent.params.size])
+                apply_update(agent.rule, agent.params, g)
             return labels
 
         def make_agents():
             kinds = [("SHL", None), ("HL1", None), ("HL2", (10, 8))]
             return [
-                AgentState(id=i, learner=Learner.create(
-                    Architecture(kind, 12, 4, hidden=hidden), seed=20 + i, rule=Adam(alpha=0.01)))
+                Learner.create(Architecture(kind, 12, 4, hidden=hidden), seed=20 + i,
+                               rule=Adam(alpha=0.01), id=i)
                 for i, (kind, hidden) in enumerate(kinds)
             ]
 
@@ -262,22 +249,22 @@ class TestCollectiveRound:
         w = rng.random((3, 3))
         w /= w.sum(axis=1, keepdims=True)
         got, want = make_agents(), make_agents()
-        want_buf = np.empty(max(a.learner.params.size for a in want))
+        want_buf = np.empty(max(a.params.size for a in want))
         with AgentPool(1) as pool:
             for _ in range(2):
                 labels = collective_round(got, w, batch, pool)
                 expected = two_pass_round(want, w, batch, want_buf)
                 assert np.stack(labels).tobytes() == np.stack(expected).tobytes()
         for a, b in zip(got, want):
-            assert a.learner.rule._steps == b.learner.rule._steps == 2
-            assert a.learner.params.tobytes() == b.learner.params.tobytes()
-            assert a.learner.rule._m.tobytes() == b.learner.rule._m.tobytes()
-            assert a.learner.rule._v.tobytes() == b.learner.rule._v.tobytes()
+            assert a.rule._steps == b.rule._steps == 2
+            assert a.params.tobytes() == b.params.tobytes()
+            assert a.rule._m.tobytes() == b.rule._m.tobytes()
+            assert a.rule._v.tobytes() == b.rule._v.tobytes()
 
     def test_class_count_mismatch_rejected(self):
         agents = [
-            AgentState(id=0, learner=fixed_vector_predictor([0.5, 0.5])),
-            AgentState(id=1, learner=fixed_vector_predictor([0.3, 0.3, 0.4])),
+            fixed_vector_predictor([0.5, 0.5], id=0),
+            fixed_vector_predictor([0.3, 0.3, 0.4], id=1),
         ]
         with pytest.raises(ValueError, match="classes"):
             collective_round(agents, np.full((2, 2), 0.5), np.zeros((1, 4)))
@@ -285,7 +272,7 @@ class TestCollectiveRound:
     def test_agents_out_of_id_order_rejected(self):
         # weight row i is agent i's: with the identity matrix, the agent with
         # id 2 listed first would label with agent 0's predictions
-        agents = [AgentState(id=i, learner=constant_predictor(3, i)) for i in (2, 0, 1)]
+        agents = [constant_predictor(3, i, id=i) for i in (2, 0, 1)]
         with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
             collective_round(agents, np.eye(3), np.zeros((2, 4)))
 
@@ -303,8 +290,7 @@ class TestReviewStep:
         learner = constant_predictor(3, winner=0)
         train = labeled(rng_for(5, "review").random((12, 4)), [0] * 12, 3)
         before = learner.params.copy()
-        agent = AgentState(id=0, learner=learner)
-        review_step(agent, train, batch_size=4, seed=0)
+        review_step(learner, train, batch_size=4, seed=0)
         assert np.array_equal(learner.params, before)
 
     def test_run_buffer_keeps_bits(self):
@@ -313,9 +299,8 @@ class TestReviewStep:
         results = []
         for buf in (None, np.full(param_count(arch) + 40, np.nan)):
             learner = Learner.create(arch, seed=2, rule=Adam(alpha=1e-2))
-            agent = AgentState(id=0, learner=learner)
             for r in range(2):
-                review_step(agent, ds, batch_size=5, seed=r, grad_buf=buf)
+                review_step(learner, ds, batch_size=5, seed=r, grad_buf=buf)
             results.append((learner.params, learner.rule._m, learner.rule._v,
                             learner.rule._steps))
         assert results[0][3] == results[1][3] == 16
@@ -332,9 +317,8 @@ class TestReviewStep:
         wrong = Dataset(ds.features, (ds.labels + 1) % 3, 3)
         learner.train(wrong, batch_size=10, epochs=3, seed=2)
         assert learner.accuracy(ds) < baseline
-        agent = AgentState(id=0, learner=learner)
         for r in range(3):
-            review_step(agent, ds, batch_size=10, seed=10 + r)
+            review_step(learner, ds, batch_size=10, seed=10 + r)
             if learner.accuracy(ds) >= baseline:
                 break
         assert learner.accuracy(ds) >= baseline
@@ -353,7 +337,7 @@ class TestEngine:
         test = synth_blobs(40, 3, 4, 6.0, seed=1)
         part = make_partition(source, 1, 30, 30, seed=0, test=test)
         assert part.shared_indices.size == 3000
-        agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=0)
         config = CollectiveSpec(
             score_refresh_period=100, review_period=300, gamma=1.0,
             batch_size=10, epochs_over_shared=3,
@@ -373,7 +357,7 @@ class TestEngine:
         test = synth_blobs(30, 3, 4, 5.0, seed=41)
         part = make_partition(source, 2, 20, 10, seed=42, test=test)
         agents = [
-            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=50 + i))
+            Learner.create(Architecture("SHL", 4, 3), seed=50 + i, id=i)
             for i in range(2)
         ]
         config = CollectiveSpec(
@@ -400,7 +384,7 @@ class TestEngine:
 
         monkeypatch.setattr(collective, "collective_round", spy)
         agents = [
-            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=i))
+            Learner.create(Architecture("SHL", 4, 3), seed=i, id=i)
             for i in range(2)
         ]
         config = CollectiveSpec(score_refresh_period=5, review_period=7, gamma=1.0,
@@ -416,7 +400,7 @@ class TestEngine:
 
     def test_metric_records_structure(self):
         part = single_agent_partition()
-        agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=0)
         config = CollectiveSpec(
             score_refresh_period=10, review_period=25, gamma=1.0,
             batch_size=10, epochs_over_shared=1,
@@ -448,11 +432,10 @@ class TestEngine:
             shared_indices=np.arange(pool.m),
         )
         agents = [
-            AgentState(id=i, learner=Learner.create(
-                Architecture("HL1", 4, 3, hidden=(5,)), seed=42, rule=Adam()))
+            Learner.create(Architecture("HL1", 4, 3, hidden=(5,)), seed=42, rule=Adam(), id=i)
             for i in range(2)
         ]
-        assert np.array_equal(agents[0].learner.params, agents[1].learner.params)
+        assert np.array_equal(agents[0].params, agents[1].params)
         config = CollectiveSpec(
             score_refresh_period=7, review_period=13, gamma=0.0,
             batch_size=10, epochs_over_shared=2,
@@ -461,13 +444,13 @@ class TestEngine:
             agents, part, StaticSchedule(DirectedGraph.complete(2)), config, seed=5,
             metric_stride=30,
         )
-        assert np.array_equal(agents[0].learner.params, agents[1].learner.params)
+        assert np.array_equal(agents[0].params, agents[1].params)
 
     def test_full_run_determinism(self):
         def one_run():
             part = single_agent_partition(seed=3)
             agents = [
-                AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=7)),
+                Learner.create(Architecture("SHL", 4, 3), seed=7, id=0),
             ]
             config = CollectiveSpec(
                 score_refresh_period=11, review_period=17, gamma=2.0,
@@ -487,7 +470,7 @@ class TestEngine:
         test = synth_blobs(30, 3, 4, 5.0, seed=21)
         part = make_partition(source, 3, 20, 10, seed=22, test=test)
         agents = [
-            AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=30 + i))
+            Learner.create(Architecture("SHL", 4, 3), seed=30 + i, id=i)
             for i in range(3)
         ]
         config = CollectiveSpec(
@@ -502,7 +485,7 @@ class TestEngine:
 
     def test_max_iterations_cap(self):
         part = single_agent_partition(seed=4)
-        agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=0)
         config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
             batch_size=10, epochs_over_shared=3,
@@ -516,8 +499,8 @@ class TestEngine:
 
     def test_aborts_on_non_finite_params(self):
         part = single_agent_partition(seed=5)
-        agent = AgentState(id=0, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
-        agent.learner.params[:] = np.nan
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=0)
+        agent.params[:] = np.nan
         config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
             batch_size=10, epochs_over_shared=1,
@@ -531,14 +514,14 @@ class TestEngine:
     def test_agents_out_of_id_order_rejected(self):
         source = synth_blobs(60, 3, 4, 6.0, seed=7)
         part = make_partition(source, 3, 10, 10, seed=7, test=synth_blobs(10, 3, 4, 6.0, seed=8))
-        agents = [AgentState(id=i, learner=constant_predictor(3, i)) for i in (2, 0, 1)]
+        agents = [constant_predictor(3, i, id=i) for i in (2, 0, 1)]
         with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
             run_collective(agents, part, StaticSchedule(DirectedGraph.from_edges(3, ())),
                            CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):
         part = single_agent_partition(seed=6)
-        agent = AgentState(id=1, learner=Learner.create(Architecture("SHL", 4, 3), seed=2))
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=1)
         config = CollectiveSpec(
             score_refresh_period=10, review_period=20, gamma=1.0,
         )

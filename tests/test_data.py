@@ -315,7 +315,7 @@ class TestEpochBatches:
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="finite"):
-        Dataset(np.array([[np.nan, 1.0]]), None, 2)
+        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), 2)
     with pytest.raises(ValueError, match="labels"):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
     with pytest.raises(ValueError):
@@ -327,7 +327,7 @@ def test_dataset_rejects_each_non_finite_value(bad):
     feats = np.zeros((4, 3))
     feats[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        Dataset(feats, None, 2)
+        Dataset(feats, np.zeros(4, dtype=int), 2)
     feats[0, 0] = -bad  # +inf with -inf, NaN with NaN
     with pytest.raises(ValueError, match="finite"):
         Dataset(feats, np.zeros(4, dtype=int), 2)
@@ -336,9 +336,10 @@ def test_dataset_rejects_each_non_finite_value(bad):
 
 def test_finiteness_check_allocates_no_mask():
     feats = np.random.default_rng(7).random((5000, 784))
+    labels = np.zeros(5000, dtype=np.int64)
     tracemalloc.start()
     try:
-        Dataset(feats, None, 10)
+        Dataset(feats, labels, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,4 +354,4 @@ def test_dataset_keeps_pixel_bytes():
     assert part.features.dtype == np.uint8
     assert np.array_equal(part.features, pixels[[3, 1]])
     # other integer features are values, not bytes
-    assert Dataset(pixels.astype(np.int64), None, 2).features.dtype == np.float64
+    assert Dataset(pixels.astype(np.int64), np.zeros(4), 2).features.dtype == np.float64

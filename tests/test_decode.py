@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from colearn import collective
-from colearn.collective import AgentState, run_collective
+from colearn.collective import run_collective
 from colearn.config import CollectiveSpec
 from colearn.data import Dataset, decode, load_idx, make_partition
 from colearn.graph import DirectedGraph, StaticSchedule
@@ -78,8 +78,8 @@ def _collective(source: Dataset, test: Dataset, monkeypatch):
     part = make_partition(source, 3, 40, 30, seed=7, test=test)
     kinds = [("SHL", ()), ("HL1", (10,)), ("HL2", (10, 8))]
     agents = [
-        AgentState(id=i, learner=Learner.create(
-            Architecture(kind, 784, 10, hidden=hidden), seed=10 + i, rule=Adam(alpha=0.01)))
+        Learner.create(Architecture(kind, 784, 10, hidden=hidden), seed=10 + i,
+                       rule=Adam(alpha=0.01), id=i)
         for i, (kind, hidden) in enumerate(kinds)
     ]
     proxies = []
@@ -94,7 +94,7 @@ def _collective(source: Dataset, test: Dataset, monkeypatch):
                             batch_size=10, epochs_over_shared=1)
     result = run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
                             seed=8, metric_stride=20, max_iterations=50)
-    params = [a.learner.params.tobytes() for a in agents]
+    params = [a.params.tobytes() for a in agents]
     return result.records, np.stack(proxies), params
 
 

@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from colearn import _kernels as kernels  # noqa: E402
 from colearn import learner  # noqa: E402
-from colearn.data import decode  # noqa: E402
+from colearn.data import Dataset, decode  # noqa: E402
 from colearn.learner import (  # noqa: E402
     EVAL_CHUNK,
     Architecture,
     _activations,
-    _as_xy,
     _certain,
     _logit_bound,
     _row_norms,
@@ -33,7 +32,7 @@ from colearn.parallel import AgentPool  # noqa: E402
 def oracle_accuracies(models, eval_set, pool=None):
     """Evaluation as it was before float32 screening: each chunk decoded to
     float64 once and scored by every model's float64 pass."""
-    x, y = _as_xy(eval_set)
+    x, y = eval_set.features, eval_set.labels
 
     def correct(s):
         x_chunk = np.ascontiguousarray(decode(x[s : s + EVAL_CHUNK]))
@@ -61,8 +60,10 @@ def assert_oracle_counts(models, x, seed=0):
     for size in (1, 2):
         with AgentPool(size) as pool:
             for arch, theta in models:
-                assert accuracies([(arch, theta)], (x, chunk_argmax(arch, theta, x)), pool) == [1.0]
-            assert accuracies(models, (x, y), pool) == oracle_accuracies(models, (x, y))
+                own = Dataset(x, chunk_argmax(arch, theta, x), num_classes)
+                assert accuracies([(arch, theta)], own, pool) == [1.0]
+            labeled = Dataset(x, y, num_classes)
+            assert accuracies(models, labeled, pool) == oracle_accuracies(models, labeled)
 
 
 def shl(weights, bias) -> tuple[Architecture, np.ndarray]:
@@ -171,7 +172,7 @@ def test_each_tier_is_reached(monkeypatch):
 
     activations = learner._activations
     monkeypatch.setattr(learner, "_activations", spy)
-    assert accuracies([model], (x, [2, 1, 0] * 10)) == [1.0]
+    assert accuracies([model], Dataset(x, [2, 1, 0] * 10, 3)) == [1.0]
     assert passes == [("float32", 30), ("float64", 20), ("float64", 30)]
 
 
@@ -182,7 +183,7 @@ def test_float64_eval_fixture_takes_every_row_from_the_chunk_pass(float64_eval, 
         (x_mat.dtype.name, x_mat.shape[0])) or activations(arch, theta, x_mat))
     model = net("HL1", 4, 3, seed=11)
     x = np.random.default_rng(6).standard_normal((40, 4))
-    assert accuracies([model], (x, chunk_argmax(*model, x))) == [1.0]
+    assert accuracies([model], Dataset(x, chunk_argmax(*model, x), 3)) == [1.0]
     assert passes == [("float32", 40), ("float64", 40), ("float64", 40)]
 
 

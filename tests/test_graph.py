@@ -1,5 +1,7 @@
 """Graph generation, connectivity checks, and weight-matrix invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,16 @@ from colearn.graph import (
     build_weight_matrix_log,
     format_edge_list,
     graph_at,
-    in_neighbors,
     is_jointly_strongly_connected,
     is_strongly_connected,
     union_graph,
 )
-from colearn.seeding import rng_for
+from colearn.seeding import rng_for, subseed
 
 
 def closure_connected(g: DirectedGraph) -> bool:
     """Brute-force oracle: transitive closure via repeated boolean products."""
-    a = np.eye(g.n, dtype=bool)
-    for j, i in g.edges:
-        a[j, i] = True
+    a = g.hears.T  # a[j, i]: j sends to i
     reach = a.copy()
     for _ in range(g.n):
         reach = reach | (reach @ a)
@@ -30,10 +29,8 @@ def closure_connected(g: DirectedGraph) -> bool:
 
 
 def random_graph(n: int, p: float, rng) -> DirectedGraph:
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return DirectedGraph.from_edges(n, zip(src.tolist(), dst.tolist()))
+    mask = rng.random((n, n)) < p  # mask[j, i]: j sends to i
+    return DirectedGraph(mask.T)
 
 
 def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> None:
@@ -47,11 +44,9 @@ def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> N
     rows = w.sum(axis=1)
     if np.any(np.abs(rows - 1.0) > tol):
         raise ValueError(f"row sums deviate from 1 by {np.abs(rows - 1.0).max():g}")
-    for i in range(g.n):
-        nbrs = in_neighbors(g, i)
-        for j in range(g.n):
-            if (w[i, j] > 0.0) != (j in nbrs):
-                raise ValueError(f"sparsity mismatch at ({i}, {j})")
+    mismatch = np.argwhere((w > 0.0) != g.hears)
+    if mismatch.size:
+        raise ValueError(f"sparsity mismatch at {tuple(mismatch[0])}")
 
 
 class TestGraphAt:
@@ -61,49 +56,57 @@ class TestGraphAt:
 
     def test_same_round_same_edges(self):
         sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
-        assert graph_at(sched, 3).edges == graph_at(sched, 7).edges
-        assert graph_at(sched, 0).edges == graph_at(sched, 9).edges
+        assert graph_at(sched, 3) == graph_at(sched, 7)
+        assert graph_at(sched, 0) == graph_at(sched, 9)
 
     def test_is_pure_function(self):
         sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
         for k in (0, 10, 25, 999):
-            assert graph_at(sched, k).edges == graph_at(sched, k).edges
+            assert graph_at(sched, k) == graph_at(sched, k)
 
     def test_rounds_differ(self):
         sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
-        assert graph_at(sched, 0).edges != graph_at(sched, 10).edges
+        assert graph_at(sched, 0) != graph_at(sched, 10)
 
     def test_expected_edge_count(self):
         # p * n * (n-1) = 0.1 * 30 * 29 = 87 directed edges on average
         sched = ErdosRenyiSchedule(n=30, p=0.1, period=10, seed=42)
-        counts = [len(graph_at(sched, k * 10).edges) for k in range(1000)]
+        counts = [graph_at(sched, k * 10).hears.sum() - 30 for k in range(1000)]
         assert np.mean(counts) == pytest.approx(87.0, rel=0.05)
 
     def test_never_emits_self_loops(self):
+        # self-loops are implicit: every node hears itself, no edge lists one
         sched = ErdosRenyiSchedule(n=8, p=0.9, period=1, seed=0)
         for k in range(20):
-            assert all(j != i for j, i in graph_at(sched, k).edges)
+            g = graph_at(sched, k)
+            assert g.hears.diagonal().all()
+            edges = [line.split() for line in format_edge_list(g).split("\n")]
+            assert all(j != i for j, i in edges)
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
             graph_at(StaticSchedule(DirectedGraph.complete(3)), -1)
 
 
-class TestInNeighbors:
+class TestHears:
     def test_self_loop_only(self):
-        assert in_neighbors(DirectedGraph.from_edges(4, ()), 2) == {2}
+        assert np.flatnonzero(DirectedGraph.from_edges(4, ()).hears[2]).tolist() == [2]
 
     def test_senders_into_node(self):
         g = DirectedGraph.from_edges(3, [(0, 2), (1, 2)])
-        assert in_neighbors(g, 2) == {0, 1, 2}
-        assert in_neighbors(g, 0) == {0}
+        assert np.flatnonzero(g.hears[2]).tolist() == [0, 1, 2]
+        assert np.flatnonzero(g.hears[0]).tolist() == [0]
 
     def test_complete_graph(self):
-        assert in_neighbors(DirectedGraph.complete(4), 0) == {0, 1, 2, 3}
+        assert np.flatnonzero(DirectedGraph.complete(4).hears[0]).tolist() == [0, 1, 2, 3]
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            in_neighbors(DirectedGraph.complete(4), 4)
+    def test_read_only_copy(self):
+        mask = np.zeros((3, 3), dtype=bool)
+        g = DirectedGraph(mask)
+        mask[1, 0] = True
+        assert not g.hears[1, 0] and not mask[0, 0]
+        with pytest.raises(ValueError):
+            g.hears[1, 0] = True
 
 
 class TestStrongConnectivity:
@@ -178,7 +181,7 @@ def plain_weights(g: DirectedGraph, scores: np.ndarray) -> np.ndarray:
     """Reference: w_ij = s_j / sum of s_m over i's in-neighborhood, by loops."""
     w = np.zeros((g.n, g.n))
     for i in range(g.n):
-        nbrs = in_neighbors(g, i)
+        nbrs = np.flatnonzero(g.hears[i])
         total = sum(scores[m] for m in nbrs)
         for j in nbrs:
             w[i, j] = scores[j] / total
@@ -228,6 +231,23 @@ class TestWeightMatrix:
         assert np.allclose(w.sum(axis=1), 1.0)
         assert w[0, 1] > w[0, 2] > w[0, 0]
 
+    def test_pinned_bits_at_30_agents(self):
+        # rows of 8 or more in-neighbours, which no golden case (at most 4
+        # agents) reaches: the complete graph and large_network.yaml's
+        # Erdos-Renyi rounds 0-19, with scores gamma * accuracy at gamma 10.
+        # Pinned before graphs were held as boolean matrices.
+        schedule = ErdosRenyiSchedule(n=30, p=0.1, period=10,
+                                      seed=subseed(7401, "graph-schedule"))
+        graphs = [DirectedGraph.complete(30)] + [graph_at(schedule, 10 * r) for r in range(20)]
+        assert max(g.hears.sum(axis=1).max() for g in graphs[1:]) >= 8
+        rng = rng_for(18, "weight-pin")
+        digest = hashlib.sha256()
+        for g in graphs:
+            w = build_weight_matrix_log(g, 10.0 * rng.uniform(0.7, 0.99, size=30))
+            digest.update(w.tobytes())
+        assert digest.hexdigest() == (
+            "8cf16e26872c6d2e52d1114f93ffccab11d03517bf5ce06d50529543de547d99")
+
     def test_rejects_bad_scores(self):
         g = DirectedGraph.complete(3)
         for bad in (np.nan, np.inf, -np.inf):
@@ -241,7 +261,8 @@ class TestWeightMatrix:
 
 def test_explicit_self_loops_are_dropped():
     g = DirectedGraph.from_edges(3, [(0, 0), (0, 1)])
-    assert g.edges == frozenset({(0, 1)})
+    assert g == DirectedGraph.from_edges(3, [(0, 1)])
+    assert format_edge_list(g) == "0 1"
 
 
 def test_edge_out_of_range_rejected():

@@ -205,7 +205,7 @@ class TestConfigLoading:
         path.write_text(VALID_YAML)
         sched = build_schedule(load_config(path))
         assert isinstance(sched, StaticSchedule)
-        assert len(sched.base.edges) == 2  # both directions on 2 nodes
+        assert sched.base.hears.all()  # both directions on 2 nodes
 
 
 class TestOverride:
@@ -348,7 +348,7 @@ class TestRunMode:
         assert out.final_test == [last[a.id].test_accuracy for a in made]
         # ... and that record measured the agent's final parameters
         test = harness._load_corpus(config.dataset, config.master_seed)[1]
-        assert out.final_test == [a.learner.accuracy(test) for a in made]
+        assert out.final_test == [a.accuracy(test) for a in made]
         assert all(r.iteration == updates for r in last.values())
 
     @pytest.mark.parametrize("mode", ["ST", "FS"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from colearn.data import shuffled_batches, synth_blobs
+from colearn.data import Dataset, shuffled_batches, synth_blobs
 from colearn.learner import (
     EVAL_CHUNK,
     Adam,
@@ -397,7 +397,7 @@ class TestAccuracy:
         labels = rng.integers(0, 10, size=200)
         x = rng.standard_normal((200, 4))
         expected = (labels == 0).mean()
-        assert accuracy(arch, theta, (x, labels)) == pytest.approx(expected)
+        assert accuracy(arch, theta, Dataset(x, labels, 10)) == pytest.approx(expected)
 
     def test_matches_per_sample_recount(self):
         # more rows than one evaluation chunk, so a ragged second chunk counts too
@@ -410,7 +410,7 @@ class TestAccuracy:
         recount = np.mean([
             int(np.argmax(forward(arch, theta, xi)) == yi) for xi, yi in zip(x, y)
         ])
-        assert accuracy(arch, theta, (x, y)) == pytest.approx(recount)
+        assert accuracy(arch, theta, Dataset(x, y, arch.num_classes)) == pytest.approx(recount)
 
     def test_ranks_by_logits_not_probabilities(self):
         # class 1's logit is above class 0's by less than softmax resolves:
@@ -422,12 +422,13 @@ class TestAccuracy:
         x = rng_for(8, "logit-rank").standard_normal((6, 4))
         probs = forward(arch, theta, x)
         assert np.array_equal(probs[:, 0], probs[:, 1])
-        assert accuracy(arch, theta, (x, np.ones(6, dtype=int))) == 1.0
+        assert accuracy(arch, theta, Dataset(x, np.ones(6, dtype=int), 3)) == 1.0
 
     def test_empty_set_rejected(self):
         arch = SMALL_ARCHS[0]
         with pytest.raises(ValueError):
-            accuracy(arch, np.zeros(param_count(arch)), (np.zeros((0, 7)), np.zeros(0, dtype=int)))
+            accuracy(arch, np.zeros(param_count(arch)),
+                     Dataset(np.zeros((0, 7)), np.zeros(0, dtype=int), arch.num_classes))
 
 
 def test_learner_facade_trains():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from colearn import collective, harness, parallel
-from colearn.collective import AgentState, collective_round, run_collective
+from colearn.collective import collective_round, run_collective
 from colearn.config import CollectiveSpec
 from colearn.data import make_partition, synth_blobs
 from colearn.graph import DirectedGraph, StaticSchedule
@@ -120,7 +120,7 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
     monkeypatch.setattr(harness, "_make_agents", capture)
     out = harness.run_mode(config, 0)
     assert out.stats["reviews"] == 5 and out.stats["iterations"] == 28
-    return out.records, [a.learner.params.tobytes() for a in agents], threads
+    return out.records, [a.params.tobytes() for a in agents], threads
 
 
 def test_results_do_not_depend_on_pool_size(monkeypatch):
@@ -147,8 +147,8 @@ def test_results_do_not_depend_on_task_order(monkeypatch):
 
 
 def _agents(kinds, input_dim=4, num_classes=3):
-    return [AgentState(id=i, learner=Learner.create(
-        Architecture(kind, input_dim, num_classes), seed=90 + i)) for i, kind in enumerate(kinds)]
+    return [Learner.create(Architecture(kind, input_dim, num_classes), seed=90 + i, id=i)
+            for i, kind in enumerate(kinds)]
 
 
 def test_largest_agents_first_ties_by_id():
@@ -178,9 +178,9 @@ def test_stress_more_threads_than_cores():
     w /= w.sum(axis=1, keepdims=True)
 
     def agents():
-        return [AgentState(id=i, learner=Learner.create(
+        return [Learner.create(
             Architecture(("SHL", "HL1", "HL2")[i % 3], 6, 4, hidden=(8,) * (i % 3)),
-            seed=70 + i, rule=Adam(alpha=0.01))) for i in range(8)]
+            seed=70 + i, rule=Adam(alpha=0.01), id=i) for i in range(8)]
 
     serial, threaded = agents(), agents()
     with AgentPool(1) as pool:
@@ -195,7 +195,7 @@ def test_stress_more_threads_than_cores():
     assert np.array_equal(np.stack([np.stack(r) for r in got]),
                           np.stack([np.stack(r) for r in want]))
     for a, b in zip(threaded, serial):
-        assert a.learner.params.tobytes() == b.learner.params.tobytes()
+        assert a.params.tobytes() == b.params.tobytes()
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -203,7 +203,7 @@ def test_failure_names_agent_and_iteration(monkeypatch, cores):
     _cores(monkeypatch, cores)
     source = synth_blobs(60, 3, 4, 6.0, seed=80)
     part = make_partition(source, 3, 10, 10, seed=81, test=synth_blobs(10, 3, 4, 6.0, 82))
-    agents = [AgentState(id=i, learner=Learner.create(Architecture("SHL", 4, 3), seed=83 + i))
+    agents = [Learner.create(Architecture("SHL", 4, 3), seed=83 + i, id=i)
               for i in range(3)]
     calls = 0
     round_fn = collective.collective_round
@@ -213,7 +213,7 @@ def test_failure_names_agent_and_iteration(monkeypatch, cores):
         nonlocal calls
         calls += 1
         if calls == 5:
-            agents[1].learner.params[:] = np.nan
+            agents[1].params[:] = np.nan
         return round_fn(agents, *args)
 
     monkeypatch.setattr(collective, "collective_round", poison)
@@ -240,7 +240,7 @@ def test_two_failures_name_the_lower_agent_id(monkeypatch, cores):
     def poison(agents, weights, batch, pool=None, k=None):
         if k == 2:
             for i in (1, 3):
-                agents[i].learner.params[:] = np.nan
+                agents[i].params[:] = np.nan
         return round_fn(agents, weights, batch, pool, k)
 
     monkeypatch.setattr(collective, "collective_round", poison)
@@ -258,7 +258,7 @@ def test_run_failure_names_run_agent_and_iteration(monkeypatch):
 
     def poison(agents, weights, batch, pool=None, k=None):
         if k == 3:
-            agents[2].learner.params[:] = np.nan
+            agents[2].params[:] = np.nan
         return round_fn(agents, weights, batch, pool, k)
 
     monkeypatch.setattr(collective, "collective_round", poison)
