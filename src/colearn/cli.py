@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, override
-from .data import IdxFormatError, load_idx
+from .data import IdxFormatError, load_idx_corpus
 from .graph import format_edge_list, graph_at
 from .harness import (
     build_schedule, check_partition, corpus_size, emit_csv, emit_plot, format_summary, montecarlo,
@@ -161,8 +161,7 @@ def _cmd_data_check(args) -> int:
     for p in paths:
         if not p.is_file():
             raise ConfigError(f"data-check: file not found: {p}")
-    train = load_idx(paths[0], paths[1])
-    test = load_idx(paths[2], paths[3])
+    train, test = load_idx_corpus(*paths)
     print(f"{train.m} train / {test.m} test")
     return 0
 

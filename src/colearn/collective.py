@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels as kernels
 from .config import CollectiveSpec
 from .data import Partition, decode, epoch_batches
-from .graph import GraphSchedule, build_weight_matrix_log, graph_at, n_nodes, schedule_round
+from .graph import GraphSchedule, build_weight_matrix_log, graph_at, schedule_round
 from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
 from .parallel import AgentPool
 from .seeding import subseed
@@ -115,8 +115,6 @@ def refresh_scores(
     score exp(gamma * accuracy) is held in log space so that extreme
     sharpening exponents cannot overflow. With a pool the agents measure
     side by side; a failure names the agent and iteration `k`."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
     return gamma * np.array(_val_accuracies(agents, validation_sets, pool or AgentPool(), k))
 
 
@@ -219,11 +217,9 @@ def run_collective(
     n = len(agents)
     if n != partition.n_agents:
         raise ValueError(f"{n} agents but partition holds {partition.n_agents}")
-    if n != n_nodes(schedule):
-        raise ValueError(f"{n} agents but graph schedule has {n_nodes(schedule)} nodes")
+    if n != schedule.n:
+        raise ValueError(f"{n} agents but graph schedule has {schedule.n} nodes")
     _check_ids(agents)
-    if metric_stride < 1:
-        raise ValueError("metric_stride must be >= 1")
 
     source_x = partition.source_features
     shared_idx = partition.shared_indices

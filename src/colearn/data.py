@@ -109,13 +109,17 @@ def _read_be32(f, path: Path, what: str) -> int:
 
 
 def _read_count(f, path: Path, magic: int, item: str) -> int:
-    """The item count of an IDX file's header, once its magic number checks."""
+    """The item count of an IDX file's header, once its magic number and the
+    count's sign check."""
     found = _read_be32(f, path, "magic number")
     if found != magic:
         raise IdxFormatError(
             f"{path}: wrong magic number 0x{found:08x} (expected 0x{magic:08x} for {item}s)"
         )
-    return _read_be32(f, path, f"{item} count")
+    count = _read_be32(f, path, f"{item} count")
+    if count < 0:
+        raise IdxFormatError(f"{path}: {item} count {count} is negative")
+    return count
 
 
 def idx_count(images_path) -> int:
@@ -132,13 +136,17 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     uint8 bytes read from the file, in a read-only array over the read
     buffer: no float64 copy is made, and a stray in-place write raises
     instead of corrupting the corpus. Their values are byte / 255, applied
-    per batch by `decode`.
+    per batch by `decode`. An image of no pixels, or a label outside
+    [0, num_classes), raises an IdxFormatError naming its file.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
         m = _read_count(f, images_path, IDX_IMAGES_MAGIC, "image")
         rows = _read_be32(f, images_path, "row count")
         cols = _read_be32(f, images_path, "column count")
+        if rows < 1 or cols < 1:
+            raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels; "
+                                 "rows and columns must be >= 1")
         raw = _read_exact(f, m * rows * cols, images_path, "pixel data")
     with open(labels_path, "rb") as f:
         m_labels = _read_count(f, labels_path, IDX_LABELS_MAGIC, "label")
@@ -150,8 +158,26 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
         raw_labels = _read_exact(f, m_labels, labels_path, "label data")
 
     features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols)
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, num_classes)
+    labels = np.frombuffer(raw_labels, dtype=np.uint8)
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        raise IdxFormatError(f"{labels_path}: label {labels[bad[0]]} of item {bad[0]} "
+                             f"is not in [0, {num_classes})")
+    return Dataset(features, labels.astype(np.int64), num_classes)
+
+
+def load_idx_corpus(train_images, train_labels, test_images,
+                    test_labels) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair of two `load_idx` file pairs. Test images that
+    are missing or of another size than the training images raise an
+    IdxFormatError naming both images files, before any training."""
+    train = load_idx(train_images, train_labels)
+    test = load_idx(test_images, test_labels)
+    if test.m == 0 or test.d != train.d:
+        found = "no images" if test.m == 0 else f"images of {test.d} pixels"
+        raise IdxFormatError(f"{test_images}: {found}, but the training images in "
+                             f"{train_images} have {train.d} pixels each")
+    return train, test
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
@@ -174,8 +200,6 @@ def synth_blobs(
     n_per_class: int, num_classes: int, d: int, separation: float, seed: int
 ) -> Dataset:
     """Gaussian blobs: class c has unit variance around separation * e_{c mod d}."""
-    if n_per_class < 1 or num_classes < 1 or d < 1:
-        raise ValueError("n_per_class, num_classes and d must be positive")
     rng = rng_for(seed, "synth-blobs")
     m = n_per_class * num_classes
     features = rng.standard_normal((m, d))
@@ -225,17 +249,12 @@ def make_partition(
 
     With common_val, one validation block is drawn and every agent scores
     against it (per-agent disjoint sets otherwise).
+
+    The sizes are taken as checked: the config's partition fields are >= 1,
+    and `harness.check_partition` fits them to the corpus before a run.
     """
-    if n_agents < 1 or train_size_per_agent < 1 or val_size_per_agent < 1:
-        raise ValueError("n_agents and per-agent sizes must be positive")
     n_val_blocks = 1 if common_val else n_agents
     needed = n_agents * train_size_per_agent + n_val_blocks * val_size_per_agent
-    if needed > source.m:
-        raise ValueError(
-            f"need {needed} samples for {n_agents} agents "
-            f"({train_size_per_agent} train + {val_size_per_agent} val each) "
-            f"but source has only {source.m}"
-        )
     perm = rng_for(seed, "partition").permutation(source.m)
     train_idx = [
         np.sort(perm[i * train_size_per_agent : (i + 1) * train_size_per_agent])

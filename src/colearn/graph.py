@@ -2,18 +2,20 @@
 
 A graph is held as its receive matrix: `hears[i, j]` is True when node i
 receives node j's messages. Every node always receives its own message, so
-the diagonal is always True. Graphs are read-only. Random schedules derive
-each round's graph from (seed, round index), so any round can be generated
-without replaying history.
+the diagonal is always True. Graphs are read-only. A run's schedule is its
+config's GraphSpec, checked there and read here as it is; an Erdos-Renyi
+round's graph is drawn from (seed, round index), so any round can be
+generated without replaying history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
+from .config import GraphSpec
 from .seeding import rng_for
 
 
@@ -57,62 +59,37 @@ class DirectedGraph:
 
 
 @dataclass(frozen=True)
-class StaticSchedule:
-    """Same graph at every iteration."""
-
-    base: DirectedGraph
-
-
-@dataclass(frozen=True)
-class ErdosRenyiSchedule:
-    """A fresh Erdos-Renyi directed graph every `period` iterations.
-
-    Each ordered pair (j, i), j != i, is an edge independently with
-    probability p. The graph for round r = k // period is a pure function
-    of (seed, r).
+class GraphSchedule:
+    """The graph in force at each iteration of a run on n agents, as `spec`
+    describes it: one complete or edge-list graph throughout, or an
+    Erdos-Renyi graph redrawn every `spec.period` iterations, in which each
+    ordered pair (j, i), j != i, is an edge independently with probability
+    `spec.p`. Round r = k // period's graph is a pure function of (seed, r).
     """
 
+    spec: GraphSpec
     n: int
-    p: float
-    period: int
     seed: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability must be in [0, 1], got {self.p}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-
-
-GraphSchedule = Union[StaticSchedule, ErdosRenyiSchedule]
 
 
 def schedule_round(schedule: GraphSchedule, k: int) -> int:
-    """Index of the graph in force at iteration k (constant for static)."""
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    if isinstance(schedule, ErdosRenyiSchedule):
-        return k // schedule.period
+    """Index of the graph in force at iteration k >= 0 (0 for a static graph)."""
+    if schedule.spec.kind == "erdos-renyi":
+        return k // schedule.spec.period
     return 0
 
 
 def graph_at(schedule: GraphSchedule, k: int) -> DirectedGraph:
     """Graph at iteration k: a pure function of (schedule, k)."""
-    rnd = schedule_round(schedule, k)
-    if isinstance(schedule, StaticSchedule):
-        return schedule.base
-    rng = rng_for(schedule.seed, "er-round", rnd)
+    spec, n = schedule.spec, schedule.n
+    if spec.kind == "complete":
+        return DirectedGraph.complete(n)
+    if spec.kind == "edges":
+        return DirectedGraph.from_edges(n, spec.edges)
+    rng = rng_for(schedule.seed, "er-round", schedule_round(schedule, k))
     # mask[j, i]: j sends to i; the drawn diagonal is overwritten
-    mask = rng.random((schedule.n, schedule.n)) < schedule.p
+    mask = rng.random((n, n)) < spec.p
     return DirectedGraph(mask.T)
-
-
-def n_nodes(schedule: GraphSchedule) -> int:
-    if isinstance(schedule, StaticSchedule):
-        return schedule.base.n
-    return schedule.n
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,10 +25,10 @@ import numpy as np
 from .collective import MetricsRecord, RunResult, measure, run_collective
 from .config import ConfigError, ExperimentConfig, SynthSpec
 from .data import (
-    Dataset, IdxFormatError, Partition, idx_count, load_idx, make_partition, synth_blobs,
+    Dataset, IdxFormatError, Partition, idx_count, load_idx_corpus, make_partition, synth_blobs,
     write_manifest,
 )
-from .graph import DirectedGraph, ErdosRenyiSchedule, GraphSchedule, StaticSchedule
+from .graph import GraphSchedule
 from .learner import Adam, Architecture, Learner, train_epochs
 from .parallel import AgentPool, share_cores
 from .seeding import rng_for, subseed
@@ -94,9 +95,8 @@ def _corpus(spec, key) -> tuple[Dataset, Dataset]:
             subseed(key, "synth-test"),
         )
         return source, test
-    source = load_idx(spec.train_images, spec.train_labels)
-    test = load_idx(spec.test_images, spec.test_labels)
-    return source, test
+    return load_idx_corpus(spec.train_images, spec.train_labels, spec.test_images,
+                           spec.test_labels)
 
 
 # clearing drops every cached corpus, so a pool worker loads its own
@@ -125,15 +125,8 @@ def check_partition(config: ExperimentConfig, m: int) -> None:
 
 
 def build_schedule(config: ExperimentConfig) -> GraphSchedule:
-    g = config.graph
-    if g.kind == "complete":
-        return StaticSchedule(DirectedGraph.complete(config.n_agents))
-    if g.kind == "edges":
-        return StaticSchedule(DirectedGraph.from_edges(config.n_agents, g.edges))
-    return ErdosRenyiSchedule(
-        n=config.n_agents, p=g.p, period=g.period,
-        seed=subseed(config.master_seed, "graph-schedule"),
-    )
+    return GraphSchedule(config.graph, config.n_agents,
+                         subseed(config.master_seed, "graph-schedule"))
 
 
 def resolve_architectures(config: ExperimentConfig, run_index: int) -> list[str]:
@@ -343,23 +336,28 @@ def emit_csv(records: Sequence[MetricsRecord], path) -> None:
 def read_csv(path) -> list[MetricsRecord]:
     """The records of a metrics CSV in `emit_csv`'s schema; a malformed file
     raises a ConfigError naming the path and line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8: byte 0x{raw[e.start]:02x}") from None
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ConfigError(f"{path}:1: expected the CSV header {','.join(CSV_HEADER)}, "
-                              f"got {header}")
-        for row in reader:
-            try:
-                run, iteration, agent, arch, test, val, proxy = row
-                records.append(MetricsRecord(
-                    run=int(run), iteration=int(iteration), agent=int(agent), arch=arch,
-                    test_accuracy=float(test), val_accuracy=float(val),
-                    proxy_match_rate=None if proxy == "" else float(proxy),
-                ))
-            except ValueError as e:
-                raise ConfigError(f"{path}:{reader.line_num}: {e}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise ConfigError(f"{path}:1: expected the CSV header {','.join(CSV_HEADER)}, "
+                          f"got {header}")
+    for row in reader:
+        try:
+            run, iteration, agent, arch, test, val, proxy = row
+            records.append(MetricsRecord(
+                run=int(run), iteration=int(iteration), agent=int(agent), arch=arch,
+                test_accuracy=float(test), val_accuracy=float(val),
+                proxy_match_rate=None if proxy == "" else float(proxy),
+            ))
+        except ValueError as e:
+            raise ConfigError(f"{path}:{reader.line_num}: {e}") from None
     return records
 
 

@@ -196,12 +196,6 @@ class Adam:
     _v: np.ndarray | None = field(default=None, repr=False)
     _steps: int = field(default=0, repr=False)
 
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.eps <= 0.0:
-            raise ValueError("alpha and eps must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-
     def apply(self, theta: np.ndarray, g: np.ndarray) -> None:
         # the state changes only once adam_step has checked every array
         m, v = ((np.zeros_like(theta), np.zeros_like(theta)) if self._m is None

@@ -13,20 +13,16 @@ def seed_sequence(seed: int, *tags: int | str) -> np.random.SeedSequence:
 
     String tags are hashed with crc32 so the derivation is stable across
     processes and platforms; integer tags (run indices, round counters,
-    agent ids) are used as-is and must be non-negative.
+    agent ids) are used as-is. The seed and integer tags must be
+    non-negative: SeedSequence raises a ValueError for a negative word, and
+    a config's master_seed is checked to be >= 0 where it is read.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed]
+    words = [int(seed)]
     for tag in tags:
         if isinstance(tag, str):
             words.append(zlib.crc32(tag.encode("utf-8")))
         else:
-            tag = int(tag)
-            if tag < 0:
-                raise ValueError(f"integer tags must be non-negative, got {tag}")
-            words.append(tag)
+            words.append(int(tag))
     return np.random.SeedSequence(words)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from colearn import harness
 from colearn.cli import main
 from colearn.data import write_idx
 
@@ -272,6 +273,12 @@ def test_graph_dump_static(tiny_config, capsys):
     assert out == ["0 1", "1 0"]
 
 
+def test_graph_dump_negative_iter_exits_1(tiny_config, capsys):
+    # graph_at takes its iteration as checked here
+    assert main(["graph-dump", str(tiny_config), "--iter", "-1"]) == 1
+    assert "--iter: must be >= 0" in capsys.readouterr().err
+
+
 def test_graph_dump_er_changes_between_rounds(tmp_path, capsys):
     config = tmp_path / "er.yaml"
     config.write_text(TINY_CONFIG.replace(
@@ -321,6 +328,47 @@ def test_data_check_bad_magic_exits_1(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def _spoil(data: Path, case: str) -> list[Path]:
+    """Write a 60/20-image corpus to `data` with one fault; returns the files
+    an error about it must name."""
+    synthetic_idx_dataset(data, m_train=60, m_test=20)
+    paths = [data / name for name in FMNIST_NAMES]
+    labels = np.arange(20, dtype=np.uint8) % 10
+    if case == "label-10":
+        raw = bytearray(paths[1].read_bytes())
+        raw[8 + 7] = 10  # the eighth training label
+        paths[1].write_bytes(bytes(raw))
+        return [paths[1]]
+    if case == "negative-count":
+        raw = bytearray(paths[0].read_bytes())
+        raw[4:8] = (-1).to_bytes(4, "big", signed=True)
+        paths[0].write_bytes(bytes(raw))
+        return [paths[0]]
+    if case == "no-columns":
+        write_idx(np.zeros((60, 28, 0), np.uint8), np.arange(60, dtype=np.uint8) % 10,
+                  paths[0], paths[1])
+        return [paths[0]]
+    images = np.zeros((20, 20, 20) if case == "test-20x20" else (0, 28, 28), np.uint8)
+    write_idx(images, labels[: len(images)], paths[2], paths[3])
+    return [paths[2], paths[0]]
+
+
+@pytest.mark.parametrize("case", ["label-10", "negative-count", "no-columns", "test-20x20",
+                                  "no-test-images"])
+def test_bad_idx_corpus_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, case):
+    named = _spoil(tmp_path / "data", case)
+    assert main(["data-check", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in named), err
+    # `run` fails the same way before self-training starts
+    monkeypatch.setattr(harness.Learner, "train",
+                        lambda *args, **kwargs: pytest.fail("self-training started"))
+    out = tmp_path / "out"
+    assert main(["run", str(_idx_config(tmp_path, tmp_path / "data")), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_plot_command_roundtrip(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(tiny_config), "--out", str(out)]) == 0
@@ -342,10 +390,11 @@ HEADER = "run,iter,agent,arch,test_acc,val_acc,proxy_correct\n"
     ("run,iteration,agent\n0,0,0\n", 1, "expected the CSV header"),
     (HEADER + "0,0,0,SHL,0.5,0.5,\n0,10,0,SHL\n", 3, "not enough values to unpack"),
     (HEADER + "0,0,0,SHL,high,0.5,\n", 2, "could not convert string to float: 'high'"),
-], ids=["header-only", "wrong-header", "short-row", "non-numeric-test-acc"])
+    ((HEADER + "0,0,0,SHL,0.5,0.5,\n").encode() + b"\xff\xfe\n", 3, "not UTF-8: byte 0xff"),
+], ids=["header-only", "wrong-header", "short-row", "non-numeric-test-acc", "non-utf8"])
 def test_plot_bad_csv_exits_1_naming_the_line(tmp_path, capsys, text, where, message):
     csv_path = tmp_path / "m.csv"
-    csv_path.write_text(text)
+    csv_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["plot", str(csv_path), str(tmp_path / "o.svg")]) == 1
     err = capsys.readouterr().err
     assert f"{csv_path}:{where}: " in err and message in err

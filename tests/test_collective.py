@@ -17,11 +17,9 @@ from colearn.collective import (
     review_step,
     run_collective,
 )
-from colearn.config import CollectiveSpec
+from colearn.config import CollectiveSpec, GraphSpec
 from colearn.data import Dataset, Partition, make_partition, shuffled_batches, synth_blobs
-from colearn.graph import (
-    DirectedGraph, ErdosRenyiSchedule, StaticSchedule, build_weight_matrix_log,
-)
+from colearn.graph import DirectedGraph, GraphSchedule, build_weight_matrix_log
 from colearn.learner import (
     Adam, Architecture, Learner, apply_update, forward, grad, init_params, param_count,
     param_views,
@@ -343,7 +341,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
+            [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config,
             seed=3, metric_stride=450,
         )
         assert result.stats["iterations"] == 900
@@ -365,7 +363,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=1,
         )
         result = run_collective(
-            agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
+            agents, part, GraphSchedule(GraphSpec(), 2, seed=0), config,
             seed=51, metric_stride=100,
         )  # 30 iterations
         assert result.stats["review_iterations"] == [
@@ -389,7 +387,7 @@ class TestEngine:
         ]
         config = CollectiveSpec(score_refresh_period=5, review_period=7, gamma=1.0,
                                 batch_size=10, epochs_over_shared=2)
-        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(2)), config,
+        run_collective(agents, part, GraphSchedule(GraphSpec(), 2, seed=0), config,
                        seed=15, metric_stride=100)
         order = [idx for e in range(2) for idx in shuffled_batches(
             part.shared_indices.size, 10, rng_for(15, "shared-order", e))]
@@ -406,7 +404,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=1,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
+            [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config,
             seed=3, metric_stride=20,
         )
         iters = [r.iteration for r in result.records]
@@ -441,7 +439,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=2,
         )
         run_collective(
-            agents, part, StaticSchedule(DirectedGraph.complete(2)), config, seed=5,
+            agents, part, GraphSchedule(GraphSpec(), 2, seed=0), config, seed=5,
             metric_stride=30,
         )
         assert np.array_equal(agents[0].params, agents[1].params)
@@ -457,7 +455,7 @@ class TestEngine:
                 batch_size=10, epochs_over_shared=2,
             )
             return run_collective(
-                agents, part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
+                agents, part, GraphSchedule(GraphSpec(), 1, seed=0), config,
                 seed=9, metric_stride=25,
             )
 
@@ -477,7 +475,7 @@ class TestEngine:
             score_refresh_period=1000, review_period=1000, gamma=1.0,
             batch_size=10, epochs_over_shared=1,
         )
-        schedule = ErdosRenyiSchedule(n=3, p=0.6, period=5, seed=8)
+        schedule = GraphSchedule(GraphSpec("erdos-renyi", p=0.6, period=5), 3, seed=8)
         result = run_collective(agents, part, schedule, config, seed=31, metric_stride=100)
         iters = result.stats["iterations"]
         # graph round changes every 5 iterations; each change rebuilds weights
@@ -491,7 +489,7 @@ class TestEngine:
             batch_size=10, epochs_over_shared=3,
         )
         result = run_collective(
-            [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
+            [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config,
             seed=3, metric_stride=10, max_iterations=35,
         )
         assert result.stats["iterations"] == 35
@@ -507,7 +505,7 @@ class TestEngine:
         )
         with pytest.raises(RuntimeError, match=r"agent 0 at iteration \d+"):
             run_collective(
-                [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config,
+                [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config,
                 seed=3, metric_stride=10,
             )
 
@@ -516,7 +514,7 @@ class TestEngine:
         part = make_partition(source, 3, 10, 10, seed=7, test=synth_blobs(10, 3, 4, 6.0, seed=8))
         agents = [constant_predictor(3, i, id=i) for i in (2, 0, 1)]
         with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
-            run_collective(agents, part, StaticSchedule(DirectedGraph.from_edges(3, ())),
+            run_collective(agents, part, GraphSchedule(GraphSpec("edges", edges=()), 3, seed=0),
                            CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):
@@ -527,5 +525,5 @@ class TestEngine:
         )
         with pytest.raises(ValueError, match="agent ids"):
             run_collective(
-                [agent], part, StaticSchedule(DirectedGraph.from_edges(1, ())), config, seed=0
+                [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config, seed=0
             )

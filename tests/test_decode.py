@@ -14,9 +14,9 @@ import pytest
 
 from colearn import collective
 from colearn.collective import run_collective
-from colearn.config import CollectiveSpec
+from colearn.config import CollectiveSpec, GraphSpec
 from colearn.data import Dataset, decode, load_idx, make_partition
-from colearn.graph import DirectedGraph, StaticSchedule
+from colearn.graph import GraphSchedule
 from colearn.learner import (
     Adam, Architecture, Learner, accuracies, accuracy, init_params, train_epochs,
 )
@@ -92,7 +92,7 @@ def _collective(source: Dataset, test: Dataset, monkeypatch):
     monkeypatch.setattr(collective, "collective_round", spy)
     config = CollectiveSpec(score_refresh_period=9, review_period=25, gamma=2.0,
                             batch_size=10, epochs_over_shared=1)
-    result = run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
+    result = run_collective(agents, part, GraphSchedule(GraphSpec(), 3, seed=0), config,
                             seed=8, metric_stride=20, max_iterations=50)
     params = [a.params.tobytes() for a in agents]
     return result.records, np.stack(proxies), params

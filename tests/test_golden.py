@@ -28,7 +28,10 @@ pair per case. The parameter digests differ between kernels, so `PARAMS`
 holds one per case for each of `SkylakeX` (picked on CPUs with AVX-512),
 `Haswell`, `Sandybridge` and `Katmai` (what OPENBLAS_CORETYPE=Prescott
 runs). On a kernel with no pins the golden tests fail, naming the kernel
-and the command that prints its digests. The bytes do not depend on thread
+and the command that prints its digests.
+`test_golden_digests_under_each_blas_kernel` runs this file as a script
+under each of those kernels the CPU can run (forced by OPENBLAS_CORETYPE) and
+compares what it prints with the pins. The bytes do not depend on thread
 counts: colearn pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says,
 and the size of a run's agent pool or the number of Monte Carlo workers
 changes no bits (`test_digest_independent_of_blas_env`,
@@ -49,6 +52,8 @@ import ast
 import dataclasses
 import hashlib
 import os
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +263,40 @@ def test_digest_independent_of_blas_env(case, tmp_path):
         assert done.returncode == 0, done.stderr
         digests[threads] = _parse_script_output(done.stdout)[case]
     assert digests == {"1": _pinned(case), "2": _pinned(case), None: _pinned(case)}
+
+
+# OPENBLAS_CORETYPE values, each with the /proc/cpuinfo flags its kernel needs
+FORCED_KERNELS = {
+    "SkylakeX": ("avx512f",), "Haswell": ("avx2", "fma"), "Sandybridge": ("avx",), "Prescott": (),
+}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+@pytest.mark.parametrize("coretype", FORCED_KERNELS)
+def test_golden_digests_under_each_blas_kernel(coretype, tmp_path):
+    # every case in a process forced onto each kernel this CPU can run, whose
+    # pins the in-process tests above never compare
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS's {coretype} kernel is x86-64 code")
+    lacking = [flag for flag in FORCED_KERNELS[coretype] if flag not in _cpu_flags()]
+    if lacking:
+        pytest.skip(f"the CPU cannot run OpenBLAS's {coretype} kernel: no {', '.join(lacking)}")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(Path(__file__))], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kernel = re.match(r"# BLAS kernel (\S+),", done.stdout).group(1)
+    assert kernel in PARAMS, f"OPENBLAS_CORETYPE={coretype} runs {kernel}, which has no pins"
+    assert _parse_script_output(done.stdout) == {
+        name: (*GOLDEN[name], PARAMS[kernel][name]) for name in CASES}
 
 
 def test_jobs_give_same_digests(tmp_path):

@@ -5,10 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from colearn.config import GraphSpec
 from colearn.graph import (
     DirectedGraph,
-    ErdosRenyiSchedule,
-    StaticSchedule,
+    GraphSchedule,
     build_weight_matrix_log,
     format_edge_list,
     graph_at,
@@ -33,6 +33,10 @@ def random_graph(n: int, p: float, rng) -> DirectedGraph:
     return DirectedGraph(mask.T)
 
 
+def erdos_renyi(n: int, p: float, period: int, seed: int) -> GraphSchedule:
+    return GraphSchedule(GraphSpec("erdos-renyi", p=p, period=period), n, seed)
+
+
 def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> None:
     """Raise unless w satisfies the mixing-matrix invariants for g."""
     if w.shape != (g.n, g.n):
@@ -51,41 +55,40 @@ def check_weight_matrix(w: np.ndarray, g: DirectedGraph, tol: float = 1e-9) -> N
 
 class TestGraphAt:
     def test_static_schedule_is_constant(self):
-        sched = StaticSchedule(DirectedGraph.complete(4))
-        assert graph_at(sched, 0) == graph_at(sched, 1234) == sched.base
+        sched = GraphSchedule(GraphSpec(), 4, seed=0)
+        assert graph_at(sched, 0) == graph_at(sched, 1234) == DirectedGraph.complete(4)
+        sched = GraphSchedule(GraphSpec("edges", edges=((0, 1), (2, 1))), 3, seed=0)
+        assert graph_at(sched, 0) == graph_at(sched, 99) == DirectedGraph.from_edges(
+            3, [(0, 1), (2, 1)])
 
     def test_same_round_same_edges(self):
-        sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
+        sched = erdos_renyi(12, 0.3, 10, 5)
         assert graph_at(sched, 3) == graph_at(sched, 7)
         assert graph_at(sched, 0) == graph_at(sched, 9)
 
     def test_is_pure_function(self):
-        sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
+        sched = erdos_renyi(12, 0.3, 10, 5)
         for k in (0, 10, 25, 999):
             assert graph_at(sched, k) == graph_at(sched, k)
 
     def test_rounds_differ(self):
-        sched = ErdosRenyiSchedule(n=12, p=0.3, period=10, seed=5)
+        sched = erdos_renyi(12, 0.3, 10, 5)
         assert graph_at(sched, 0) != graph_at(sched, 10)
 
     def test_expected_edge_count(self):
         # p * n * (n-1) = 0.1 * 30 * 29 = 87 directed edges on average
-        sched = ErdosRenyiSchedule(n=30, p=0.1, period=10, seed=42)
+        sched = erdos_renyi(30, 0.1, 10, 42)
         counts = [graph_at(sched, k * 10).hears.sum() - 30 for k in range(1000)]
         assert np.mean(counts) == pytest.approx(87.0, rel=0.05)
 
     def test_never_emits_self_loops(self):
         # self-loops are implicit: every node hears itself, no edge lists one
-        sched = ErdosRenyiSchedule(n=8, p=0.9, period=1, seed=0)
+        sched = erdos_renyi(8, 0.9, 1, 0)
         for k in range(20):
             g = graph_at(sched, k)
             assert g.hears.diagonal().all()
             edges = [line.split() for line in format_edge_list(g).split("\n")]
             assert all(j != i for j, i in edges)
-
-    def test_negative_iteration_rejected(self):
-        with pytest.raises(ValueError):
-            graph_at(StaticSchedule(DirectedGraph.complete(3)), -1)
 
 
 class TestHears:
@@ -139,7 +142,7 @@ class TestStrongConnectivity:
 
 class TestJointConnectivity:
     def test_static_complete_any_window(self):
-        sched = StaticSchedule(DirectedGraph.complete(5))
+        sched = GraphSchedule(GraphSpec(), 5, seed=0)
         assert is_jointly_strongly_connected(sched, 0, 0)
         assert is_jointly_strongly_connected(sched, 17, 40)
 
@@ -147,7 +150,7 @@ class TestJointConnectivity:
         # a sparse graph redrawn every iteration: a window is jointly strongly
         # connected exactly when the union of its iterations' graphs is, and
         # that union can be connected while none of its graphs is alone
-        sched = ErdosRenyiSchedule(n=6, p=0.15, period=1, seed=5)
+        sched = erdos_renyi(6, 0.15, 1, 5)
         outcomes, union_only = [], False
         for k0 in range(0, 60, 3):
             for window in (0, 1, 2, 4, 8):
@@ -159,13 +162,13 @@ class TestJointConnectivity:
         assert union_only and not all(outcomes)
 
     def test_static_single_edge_never(self):
-        sched = StaticSchedule(DirectedGraph.from_edges(2, [(0, 1)]))
+        sched = GraphSchedule(GraphSpec("edges", edges=((0, 1),)), 2, seed=0)
         assert not is_jointly_strongly_connected(sched, 0, 0)
         assert not is_jointly_strongly_connected(sched, 0, 50)
 
     def test_sparse_random_windows_mostly_connected(self):
         # seed-pinned statistical check: unions over 31 iterations (4 rounds)
-        sched = ErdosRenyiSchedule(n=30, p=0.1, period=10, seed=42)
+        sched = erdos_renyi(30, 0.1, 10, 42)
         ok = sum(
             is_jointly_strongly_connected(sched, k0, 30)
             for k0 in range(0, 200 * 30, 30)
@@ -236,8 +239,7 @@ class TestWeightMatrix:
         # agents) reaches: the complete graph and large_network.yaml's
         # Erdos-Renyi rounds 0-19, with scores gamma * accuracy at gamma 10.
         # Pinned before graphs were held as boolean matrices.
-        schedule = ErdosRenyiSchedule(n=30, p=0.1, period=10,
-                                      seed=subseed(7401, "graph-schedule"))
+        schedule = erdos_renyi(30, 0.1, 10, subseed(7401, "graph-schedule"))
         graphs = [DirectedGraph.complete(30)] + [graph_at(schedule, 10 * r) for r in range(20)]
         assert max(g.hears.sum(axis=1).max() for g in graphs[1:]) >= 8
         rng = rng_for(18, "weight-pin")

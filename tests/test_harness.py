@@ -9,15 +9,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from colearn import harness, learner
+from colearn import data, harness, learner
 from colearn.collective import MetricsRecord
 from colearn.config import (
-    CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, load_config, override,
-    parse_config,
+    CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, SynthSpec, load_config,
+    override, parse_config,
 )
 from colearn.data import load_idx
 from colearn.harness import (
     build_schedule,
+    check_partition,
     emit_csv,
     emit_plot,
     format_summary,
@@ -27,7 +28,8 @@ from colearn.harness import (
     run_mode,
     summarize,
 )
-from colearn.graph import ErdosRenyiSchedule, StaticSchedule
+from colearn.graph import DirectedGraph, graph_at, schedule_round
+from colearn.seeding import subseed
 
 from conftest import (
     FMNIST_NAMES, MISSPELLED_KEYS, blob_config, synthetic_idx_dataset, with_key,
@@ -162,6 +164,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: not read by a '"):
             load_config(path)
 
+    def test_erdos_renyi_ranges_checked(self):
+        # graph_at takes p and period as checked here, naming the field
+        for fields, message in ((dict(p=1.5), "graph.p: must be <= 1"),
+                                (dict(p=-0.1), "graph.p: must be >= 0"),
+                                (dict(p=0.5, period=0), "graph.period: must be >= 1")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                GraphSpec(kind="erdos-renyi", **fields)
+
+    def test_no_agents_rejected(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace("  architectures: [HL1, SHL]", "  architectures: []"))
+        with pytest.raises(ConfigError, match="agents: exactly one of"):
+            load_config(path)
+
     def test_erdos_renyi_period_defaults_to_10(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(VALID_YAML.replace(
@@ -197,15 +213,16 @@ class TestConfigLoading:
         ))
         config = load_config(path)
         sched = build_schedule(config)
-        assert isinstance(sched, ErdosRenyiSchedule)
-        assert sched.p == 0.4 and sched.period == 7
+        assert sched.spec is config.graph and sched.n == 2
+        assert sched.seed == subseed(config.master_seed, "graph-schedule")
+        assert [schedule_round(sched, k) for k in (0, 6, 7, 20)] == [0, 0, 1, 2]
 
     def test_complete_schedule_built(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(VALID_YAML)
         sched = build_schedule(load_config(path))
-        assert isinstance(sched, StaticSchedule)
-        assert sched.base.hears.all()  # both directions on 2 nodes
+        assert schedule_round(sched, 500) == 0
+        assert graph_at(sched, 500) == DirectedGraph.complete(2)  # both directions
 
 
 class TestOverride:
@@ -273,10 +290,11 @@ class TestOverride:
             override(er, "graph.kind", "complete")
 
     def test_adam_hyperparameters_checked(self):
-        # the values Adam itself would reject, failing here with the field's name
+        # Adam takes its hyperparameters as checked here, naming the field
         config = blob_config()
-        for name, value in (("beta1", 1.5), ("beta1", 0.0), ("beta2", -1.0), ("beta2", 1.0),
-                            ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan"))):
+        for name, value in (("beta1", 1.5), ("beta1", 1.0), ("beta1", 0.0), ("beta2", -1.0),
+                            ("beta2", 1.0), ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
+                            ("alpha", 0.0), ("alpha", -1e-3)):
             with pytest.raises(ConfigError, match=rf"training\.{name}: must"):
                 override(config, f"training.{name}", value)
 
@@ -284,6 +302,29 @@ class TestOverride:
     def test_metric_stride_checked(self, mode):
         with pytest.raises(ConfigError, match="metric_stride: must be >= 1"):
             override(blob_config(mode=mode), "metric_stride", 0)
+
+    def test_master_seed_checked(self):
+        # every stream derives from it, and SeedSequence takes no negative word
+        with pytest.raises(ConfigError, match="master_seed: must be >= 0"):
+            override(blob_config(), "master_seed", -1)
+
+    def test_synth_sizes_checked(self):
+        # synth_blobs takes its sizes as checked here, naming the field
+        for name, value, minimum in (("n_per_class", 0, 1), ("num_classes", 1, 2), ("dim", 0, 1),
+                                     ("test_n_per_class", 0, 1)):
+            sizes = {**dict(n_per_class=2, num_classes=2, dim=2, test_n_per_class=2), name: value}
+            with pytest.raises(ConfigError, match=rf"dataset\.{name}: must be >= {minimum}"):
+                SynthSpec(separation=1.0, **sizes)
+
+    def test_partition_checked(self):
+        # make_partition takes its sizes as checked here: 4 agents x (20 train
+        # + 10 val) need 120 samples
+        config = blob_config(train_size=20, val_size=10)
+        with pytest.raises(ConfigError, match="need 120 samples, but the corpus has only 100"):
+            check_partition(config, 100)
+        for name in ("train_size", "val_size"):
+            with pytest.raises(ConfigError, match=rf"partition\.{name}: must be >= 1"):
+                override(config, name, 0)
 
 
 class TestCollectiveSpec:
@@ -403,13 +444,13 @@ class TestCorpusCache:
         synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
         spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
         calls = []
-        load_idx = harness.load_idx
+        load_idx = data.load_idx
 
         def counted(*args):
             calls.append(args)
             return load_idx(*args)
 
-        monkeypatch.setattr(harness, "load_idx", counted)
+        monkeypatch.setattr(data, "load_idx", counted)
         configs = [
             dataclasses.replace(
                 blob_config(mode="ST", seed=seed, train_size=10, val_size=10,

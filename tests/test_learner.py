@@ -316,10 +316,6 @@ class TestApplyUpdate:
         assert rule._steps == 1
         assert np.array_equal(rule._m, m) and np.array_equal(rule._v, v)
 
-    def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)
-
 
 class TestTrainEpochs:
     def test_zero_epochs_unchanged(self):

@@ -15,9 +15,9 @@ import pytest
 
 from colearn import collective, harness, parallel
 from colearn.collective import collective_round, run_collective
-from colearn.config import CollectiveSpec
+from colearn.config import CollectiveSpec, GraphSpec
 from colearn.data import make_partition, synth_blobs
-from colearn.graph import DirectedGraph, StaticSchedule
+from colearn.graph import GraphSchedule
 from colearn.learner import Adam, Architecture, Learner
 from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
@@ -221,7 +221,7 @@ def test_failure_names_agent_and_iteration(monkeypatch, cores):
                             batch_size=10, epochs_over_shared=1)
     with pytest.raises(RuntimeError, match=r"^agent 1 at iteration 5: FloatingPointError: "
                                             r"non-finite activations") as got:
-        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(3)), config,
+        run_collective(agents, part, GraphSchedule(GraphSpec(), 3, seed=0), config,
                        seed=84, metric_stride=100)
     assert isinstance(got.value.__cause__, FloatingPointError)
 
@@ -247,7 +247,7 @@ def test_two_failures_name_the_lower_agent_id(monkeypatch, cores):
     config = CollectiveSpec(score_refresh_period=100, review_period=100, gamma=1.0,
                             batch_size=10, epochs_over_shared=1)
     with pytest.raises(RuntimeError, match=r"^agent 1 at iteration 2: FloatingPointError"):
-        run_collective(agents, part, StaticSchedule(DirectedGraph.complete(4)), config,
+        run_collective(agents, part, GraphSchedule(GraphSpec(), 4, seed=0), config,
                        seed=88, metric_stride=100)
 
 
