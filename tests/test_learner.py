@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from colearn.config import TrainingSpec
 from colearn.data import Dataset, shuffled_batches, synth_blobs
 from colearn.learner import (
     EVAL_CHUNK,
@@ -315,6 +316,11 @@ class TestApplyUpdate:
                 rule.apply(t, g)
         assert rule._steps == 1
         assert np.array_equal(rule._m, m) and np.array_equal(rule._v, v)
+
+    def test_hyperparameter_validation(self):
+        # TrainingSpec is the one check of the hyperparameters every Adam is built from
+        with pytest.raises(ValueError, match=r"training\.beta1: must lie in \(0, 1\)"):
+            TrainingSpec(beta1=1.0)
 
 
 class TestTrainEpochs:
