@@ -4,26 +4,27 @@ Layer matmuls go through BLAS; the kernels here cover the elementwise-heavy
 work: activations, softmax cross-entropy, the Adam step and prediction
 fusion.
 
-The Adam step runs in C where it can. `_adam.c`, shipped in this package, is
-compiled on the first Adam step of a process with the compiler Python
-reports (`sysconfig` CC, else `cc`) and the flags in `ADAM_CFLAGS`, cached
-under `$XDG_CACHE_HOME/colearn` (else `~/.cache/colearn`) keyed by the
-source, the command and the machine type, and loaded with ctypes. Every
-source and toolchain keeps its own library: one is built only where it is
-missing, and none is ever deleted. Its one pass over the parameters
-replaces the 14 ufunc passes of the numpy step, and a ctypes call releases
-the interpreter lock, so the agent pool's threads run whole Adam steps side
-by side. The library holds two loops: an AVX2+FMA one without the bias
-corrections' divides, which runs where the CPU has those instructions, and
-the portable one. Where no compiler or cache works, a `RuntimeWarning` says
-why and the numpy step runs instead; `adam_kernel()` names the step and the
-loop this process runs. All give the same bits.
+The Adam step folds its bias corrections into the step size and epsilon
+(Kingma & Ba, Adam, ICLR 2015, section 2), so each element takes one
+divide and one square root, and runs in C where it can. `_adam.c`, shipped
+in this package, is compiled on the first Adam step of a process with the
+compiler Python reports (`sysconfig` CC, else `cc`) and the flags in
+`ADAM_CFLAGS`, cached under `$XDG_CACHE_HOME/colearn` (else
+`~/.cache/colearn`) keyed by the source, the command and the machine type,
+and loaded with ctypes. Every source and toolchain keeps its own library:
+one is built only where it is missing, and none is ever deleted. Its one
+pass over the parameters replaces the 12 ufunc passes of the numpy step,
+and a ctypes call releases the interpreter lock, so the agent pool's
+threads run whole Adam steps side by side. Where no compiler or cache
+works, a `RuntimeWarning` says why and the numpy step runs instead;
+`adam_kernel()` names the step this process runs. Both give the same bits
+on any CPU.
 
 The numpy Adam step, the fallback, updates its arrays in place and walks
 the parameter vector in cache-sized blocks, writing every intermediate into
 a small reused scratch buffer instead of allocating parameter-sized
 temporaries. Each element still goes through the same correctly rounded
-operations in the same order as the textbook one-line expression, so the
+operations in the same order as the one-line folded expression, so the
 results are bit for bit those of that expression.
 
 All kernels expect C-contiguous float64 arrays (labels int64); reductions
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shlex
@@ -84,22 +86,25 @@ def dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def adam_step(theta, grad, m, v, step, alpha, beta1, beta2, eps) -> None:
-    """One Adam step, in place: the moment updates, then theta -= alpha *
-    (m / bc1) / (sqrt(v / bc2) + eps). Runs the fused C loop where it could
-    be built, else the blocked numpy step; both give the textbook bits.
+    """One Adam step, in place: the moment updates, then theta -= alpha_t *
+    m / (sqrt(v) + eps_t), with the bias corrections folded into alpha_t =
+    alpha * sqrt(1 - beta2**step) / (1 - beta1**step) and eps_t = eps *
+    sqrt(1 - beta2**step). Runs the fused C loop where it could be built,
+    else the blocked numpy step; both give the bits of that expression.
 
     The four arrays must be 1-D, C-contiguous float64 of one length, and
     theta, m and v writeable: the C loop trusts its pointers, so anything
     else raises ValueError here instead of corrupting memory there."""
     _check_adam_arrays(theta, grad, m, v)
-    bc1 = 1.0 - beta1**step
-    bc2 = 1.0 - beta2**step
+    root = math.sqrt(1.0 - beta2**step)
+    alpha_t = alpha * root / (1.0 - beta1**step)
+    eps_t = eps * root
     native = _adam_choice()[0]
     if native is None:
-        _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2)
+        _adam_numpy(theta, grad, m, v, alpha_t, beta1, beta2, eps_t)
     else:
         native(theta.ctypes.data, grad.ctypes.data, m.ctypes.data, v.ctypes.data,
-               theta.shape[0], alpha, beta1, beta2, eps, bc1, bc2)
+               theta.shape[0], alpha_t, beta1, beta2, eps_t)
 
 
 def _check_adam_arrays(theta, grad, m, v) -> None:
@@ -114,10 +119,10 @@ def _check_adam_arrays(theta, grad, m, v) -> None:
             raise ValueError(f"adam_step: {name} is read-only")
 
 
-def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
-    # theta -= alpha * (m / bc1) / (np.sqrt(v / bc2) + eps) after the moment
-    # updates, one block at a time. Each element meets the same operations in
-    # the same order as in that one-line expression, which keeps the bits.
+def _adam_numpy(theta, grad, m, v, alpha_t, beta1, beta2, eps_t) -> None:
+    # theta -= alpha_t * m / (np.sqrt(v) + eps_t) after the moment updates,
+    # one block at a time. Each element meets the same operations in the same
+    # order as in that one-line expression, which keeps the bits.
     n = theta.shape[0]
     rows = getattr(_scratch, "rows", None)
     if rows is None:
@@ -133,11 +138,9 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
         np.multiply(1.0 - beta2, num, out=num)
         vb *= beta2
         vb += num
-        np.divide(mb, bc1, out=num)
-        np.multiply(alpha, num, out=num)
-        np.divide(vb, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += eps
+        np.multiply(alpha_t, mb, out=num)
+        np.sqrt(vb, out=den)
+        den += eps_t
         num /= den
         theta[s:e] -= num
 
@@ -146,10 +149,8 @@ def _adam_numpy(theta, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2) -> None:
 
 # -O3 vectorizes the loop (-O2 does not). -ffp-contract=off keeps the compiler
 # from fusing a multiply and an add into one differently rounded operation,
-# which would change the bits wherever the CPU has FMA; the FMA loop states
-# its own fused operations. No -march: the cache is keyed by machine type
-# only, so the library must load on any CPU of it, and the FMA loop takes its
-# instructions from a target attribute and runs only where the CPU has them.
+# which would change the bits wherever the CPU has FMA. No -march: the cache
+# is keyed by machine type only, so the library must load on any CPU of it.
 ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 # (C step or None, description) once resolved; guarded by _adam_lock
@@ -158,9 +159,9 @@ _adam_lock = threading.Lock()
 
 
 def adam_kernel() -> str:
-    """Which Adam step this process runs: "native fma (<library>)",
-    "native portable (<library>)" or "numpy (<why the C step is
-    unavailable>)". Builds the C step if no step has been chosen yet."""
+    """Which Adam step this process runs: "native (<library>)" or "numpy
+    (<why the C step is unavailable>)". Builds the C step if no step has
+    been chosen yet."""
     return _adam_choice()[1]
 
 
@@ -178,22 +179,14 @@ def _adam_choice() -> tuple:
 def _load_adam() -> tuple:
     try:
         lib = _build_adam()
-        library = ctypes.CDLL(str(lib))
-        loop = "fma" if library.colearn_adam_has_fma() else "portable"
-        step = _c_loop(library, loop)
+        step = ctypes.CDLL(str(lib)).colearn_adam_step
     except subprocess.CalledProcessError as e:
         return _fallback(f"{shlex.join(e.cmd)} failed: {(e.stderr or '').strip()[-500:]}")
     except (OSError, RuntimeError, subprocess.SubprocessError) as e:
         return _fallback(f"{type(e).__name__}: {e}")
-    return step, f"native {loop} ({lib})"
-
-
-def _c_loop(library: ctypes.CDLL, loop: str):
-    """The library's `loop` ("fma" or "portable") as a callable C step."""
-    step = getattr(library, f"colearn_adam_step_{loop}")
-    step.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 6
+    step.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 4
     step.restype = None
-    return step
+    return step, f"native ({lib})"
 
 
 def _fallback(reason: str) -> tuple:

@@ -15,6 +15,7 @@ float64 copy of a whole IDX corpus is ever made.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,7 +97,9 @@ class Dataset:
 
 
 def _read_exact(f, count: int, path: Path, what: str) -> bytes:
-    data = f.read(count)
+    # at most what the file holds, so that a header claiming more fails here
+    # instead of allocating for it
+    data = f.read(min(count, os.fstat(f.fileno()).st_size - f.tell()))
     if len(data) != count:
         raise IdxFormatError(
             f"{path}: truncated file, expected {count} more bytes for {what}, got {len(data)}"

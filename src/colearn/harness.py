@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import html
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -432,7 +432,7 @@ def _render_panel(kind: str, series: dict[int, list[float]], x0: int, y0: int) -
         f'<rect x="{x0}" y="{y0}" width="{_PANEL_W}" height="{_PANEL_H}" '
         f'fill="none" stroke="black"/>',
         f'<text x="{x0 + _PANEL_W / 2:.2f}" y="{y0 - 8}" font-size="12" '
-        f'text-anchor="middle">{escape(kind)}</text>',
+        f'text-anchor="middle">{html.escape(kind, quote=False)}</text>',
         f'<polygon points="{" ".join(band_pts)}" fill="#9ecae1" fill-opacity="0.5" '
         f'stroke="none"/>',
         f'<polyline points="{line_pts}" fill="none" stroke="#08519c" stroke-width="1.5"/>',

@@ -1,11 +1,10 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
-numpy Adam step and portable C loop, the forced float64 evaluation, the
-optional Fashion-MNIST directory for dataset-gated tests, and the loss and
-prediction helpers that only tests use."""
+numpy Adam step, the forced float64 evaluation, the optional Fashion-MNIST
+directory for dataset-gated tests, and the loss and prediction helpers that
+only tests use."""
 
 from __future__ import annotations
 
-import ctypes
 import os
 from pathlib import Path
 
@@ -73,17 +72,6 @@ def numpy_adam(monkeypatch):
     """Every Adam step of the test runs the numpy step, as in a process where
     the C step could not be built."""
     monkeypatch.setattr(_kernels, "_adam", (None, "numpy (forced by a test)"))
-
-
-@pytest.fixture
-def portable_adam(monkeypatch):
-    """Every Adam step of the test runs the C library's portable loop, as on
-    a CPU without AVX2 and FMA."""
-    if _kernels._adam_choice()[0] is None:
-        pytest.skip(f"no C Adam step: {_kernels.adam_kernel()}")
-    lib = _kernels._build_adam()
-    monkeypatch.setattr(_kernels, "_adam", (_kernels._c_loop(ctypes.CDLL(str(lib)), "portable"),
-                                            f"native portable ({lib})"))
 
 
 @pytest.fixture

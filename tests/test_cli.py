@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output files, and formats."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,12 @@ def _spoil(data: Path, case: str) -> list[Path]:
         raw[4:8] = (-1).to_bytes(4, "big", signed=True)
         paths[0].write_bytes(bytes(raw))
         return [paths[0]]
+    if case == "huge-header":
+        # 2^31 - 1 images of 32768 x 32768 pixels claimed, 60 of 28 x 28 held
+        raw = bytearray(paths[0].read_bytes())
+        raw[4:16] = struct.pack(">iii", 2**31 - 1, 32768, 32768)
+        paths[0].write_bytes(bytes(raw))
+        return [paths[0]]
     if case == "no-columns":
         write_idx(np.zeros((60, 28, 0), np.uint8), np.arange(60, dtype=np.uint8) % 10,
                   paths[0], paths[1])
@@ -353,8 +360,8 @@ def _spoil(data: Path, case: str) -> list[Path]:
     return [paths[2], paths[0]]
 
 
-@pytest.mark.parametrize("case", ["label-10", "negative-count", "no-columns", "test-20x20",
-                                  "no-test-images"])
+@pytest.mark.parametrize("case", ["label-10", "negative-count", "huge-header", "no-columns",
+                                  "test-20x20", "no-test-images"])
 def test_bad_idx_corpus_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, case):
     named = _spoil(tmp_path / "data", case)
     assert main(["data-check", str(tmp_path / "data")]) == 1

@@ -11,10 +11,8 @@ catches it. A change that alters the numbers on purpose re-pins the digests
 in the same commit and says why in CHANGES.md.
 
 Every Adam step gives the same bytes: the fused C step that runs wherever it
-can be compiled, in its AVX2+FMA loop where the CPU has those instructions
-and in its portable loop elsewhere, and the blocked numpy step that runs
-where it cannot be compiled (`test_golden_digest_portable_adam` and
-`test_golden_digest_numpy_adam` force the last two). Every accuracy count
+can be compiled, and the blocked numpy step that runs where it cannot be
+(`test_golden_digest_numpy_adam` forces it). Every accuracy count
 is that of the float64 pass over each evaluation chunk, whether a row's
 argmax was proven in float32 or in float64 or taken from that pass
 (`test_golden_digest_float64_eval` takes every row from it).
@@ -131,36 +129,36 @@ GOLDEN = {
 # (`parallel.blas_kernel()`); OPENBLAS_CORETYPE=Prescott runs `Katmai`
 PARAMS = {
     "SkylakeX": {
-        "CL": "3b76c03a373be5aff94ebd80a6050012aea139921840c41bc1d650749f8f8b88",
-        "ST": "44967f1c0631575e5fdeb5e7d2d241a21c7bc08cc65b5741fcd3522da438a95a",
-        "FS": "b329063189e15846a16baf06943303809003d864c4e375a2dacbf32d93d3c515",
-        "CL-er": "77a957e8c4a692cdc49c1af1d3d6deea39c6bcf2289cb94509110f4780737c52",
-        "CL-idx": "94ccdd227f1103db6cffe4f2b94736042a8a4871abdbc40e1b4a087b0c58460e",
-        "FS-idx": "3a262dcd728db53b78788f431fe186157c5d0d36be106af4cc3e6d17ed9d79a5",
+        "CL": "d2d565b298d57caccee7a02ef4a277d322130e4d8468957fecde6e0f8ee29451",
+        "ST": "679950723b2dc06e216a825a338817a91a31868aac5ec6edc5057f867c8f2aa7",
+        "FS": "3d896f289966fcd476e758c98bc6118bd1b93b4a45ee5b8a4de8a31ae9f12d1a",
+        "CL-er": "a833fd331242a86183b6801056cb4905a272c52c83f99977231d9b9b6dd12a37",
+        "CL-idx": "2c3e77aa68f4dd5905071f50498ab055aaa57d7726ca884d387c3cbfb648e803",
+        "FS-idx": "0a39847843dfabbddf208c9e4b8139eee41947e6304bbc27a76fab98edba5852",
     },
     "Haswell": {
-        "CL": "2eedb533221dee84f1102f2806af629ee3a19f57cb05de267f1aa79d1ea9ecb1",
-        "ST": "331dc07664310b27a26146fd43cf72af19387a87497f3c056e62dd562d12b234",
-        "FS": "1a80e0efc838e9db5820bc12f380a7febc2647d95d137647f2771a9684a10985",
-        "CL-er": "eae10ac084055487d47b4699ed550115df7c470aa84d300eddb46b7c5beb2cef",
-        "CL-idx": "185608c2709a847aac5269b39f82e6105d38c0bb6b7f525b44ab6e029a7dbb43",
-        "FS-idx": "8464a687a7c1a6656b08a78f0bd03d7baa79b277886b85d76650b9453b1a8633",
+        "CL": "8cf0306457c66880bca49eb3ded37d9561f84753e600f30427017cb4bace1452",
+        "ST": "e167cc6f740ad00f5b6f56927e798b76a2dec95e4175769a267cc64c6aeba432",
+        "FS": "f9b7b62f02b9970ab28970b358d5c86256f27de466ef94b08e00f2f97530a367",
+        "CL-er": "846b027a265c9c4d6345d1ce3a9e254abadbb00952e3cfee8cade5889bd0515a",
+        "CL-idx": "25a22d1c2d4e51c3afa7a49e09a8e72993e4c1dbede94a468c0aa9578d0b17c5",
+        "FS-idx": "f18c246a6d1efecd013a97feace3966df4dae75d9a8c2657888866f808538b84",
     },
     "Sandybridge": {
-        "CL": "d5927152eddf2807c3c65fcaaf18577c49eb4857658e795fc29f4d46e53c9485",
-        "ST": "fd359d0dd8b8a4b6b8900bcf6e8f809314dedd8c1765e87084323181a15f287c",
-        "FS": "d86ba768755d3c720ab49123fa7b97e1e78cb04b3676b10829a52864ba6f0eb4",
-        "CL-er": "d949ed599f63901b72583a4627f17a6eb702ccb7b9335bf30f9297c6163d9fa9",
-        "CL-idx": "89dcde70535330d7ae9ab7bb72b0ac2caae9e2d9c1b2228e7e78f1db9cd0e8c6",
-        "FS-idx": "6ea0aa8747aab22657d1c55bb5b2fd443086988ec1787108bdd6da7f1df60abf",
+        "CL": "a1fc64b29f5c59ca9e32fb981d4fb840ec90cef471b9e10003643aef22870afa",
+        "ST": "9fb8da63f61866f34101f634a451d1d1b92a3cd9bfbd3e18029e9d53245b29c6",
+        "FS": "af218a652e8a9a213a6ad16d54ca993335a906b64143381ea0874aa3b2ead54f",
+        "CL-er": "f79e3d4bdc52ce24775052e8dfb955eb936b18d9e9a53976f7264dca4e4a892b",
+        "CL-idx": "640f35f7519baed916762b312359eee2b818694a945d83d4fb4dd17bb3f753fa",
+        "FS-idx": "93090dc9ba94c62c0cc9fdd1682a429221e7802d0831d01babd39a6b85339dc1",
     },
     "Katmai": {
-        "CL": "f314598ae37b19801b60c2e868cddec1b8e24cbf3c9dd0b48803ae74cdab94bc",
-        "ST": "9db3f45d724fd42b8ff5c821c82b4cb6e3f9e8db3003e7edf39b6cefeffbe964",
-        "FS": "2bad9e8e3d28c17a3a6f24318ee06eac29524115bacfbc75351a92acf78c9580",
-        "CL-er": "d0aa1bbcda1de5676b2b5ef1cd989e93ccc374cde4e58f6458e0bc77917d57d2",
-        "CL-idx": "a39de754376f380035af45652e31e7b56eae7a0f36a7dd549b6a91269d1d0741",
-        "FS-idx": "e8227ac6db762bd2dc00e83abaa0ab0150908a8518b2d93dbc638c5e195e0b17",
+        "CL": "8137b8efd4406b12471022ead12b32cff908317b900933a063d79832aeba743a",
+        "ST": "79de6c49c3dc0de350b006b2e243ed7c6e46333d9db63f8b7f5c9e74e037143d",
+        "FS": "c7fc35b7601948c8dd55a695a99b5c0457902a51e5d01f78fcbda75da38f3628",
+        "CL-er": "1168652c8cec86fc63a8359d85c6e8e0aadf85d04ed95869947f94addc56d389",
+        "CL-idx": "29e86ebec5dd589a057da91982d3098211e72898230159a072eb21a5a66f5203",
+        "FS-idx": "38f355485548b61fb59a877caa00e7d733492c3f6b3fd32b52840f4eebffc2f2",
     },
 }
 
@@ -230,12 +228,6 @@ def test_golden_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
     # the same pins where the C Adam step could not be built
-    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest_portable_adam(name, tmp_path, portable_adam):
-    # the same pins where the CPU lacks AVX2 or FMA
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
 
 

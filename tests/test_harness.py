@@ -568,6 +568,29 @@ class TestMontecarlo:
             means.append(np.mean([a for o in outs for a in o.final_test]))
         assert means[0] < means[1] < means[2]
 
+    @pytest.mark.parametrize("corpus", ["blobs", "idx"])
+    def test_st_last_record_is_cl_iteration_0(self, corpus, tmp_path):
+        # a CL run self-trains each agent on the streams ST trains it on, so
+        # ST's final accuracies are CL's at iteration 0; neither config sets
+        # max_iterations, which caps ST's self-training and not CL's
+        if corpus == "blobs":
+            config = blob_config(mode="CL", runs=2, n_per_class=100, self_train_epochs=20,
+                                 epochs_over_shared=1, metric_stride=50)
+        else:
+            synthetic_idx_dataset(tmp_path, m_train=400, m_test=100, seed=5)
+            config = dataclasses.replace(
+                blob_config(mode="CL", runs=2, self_train_epochs=5, epochs_over_shared=1,
+                            metric_stride=50, architectures=("SHL", "HL1", "SHL")),
+                dataset=IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES)))
+        _, cl = montecarlo(config)
+        _, st = montecarlo(dataclasses.replace(config, mode="ST"))
+        for cl_out, st_out in zip(cl, st, strict=True):
+            st_last = {r.agent: (r.test_accuracy, r.val_accuracy) for r in st_out.records}
+            cl_first = {r.agent: (r.test_accuracy, r.val_accuracy)
+                        for r in cl_out.records if r.iteration == 0}
+            assert st_last == cl_first
+            assert len(cl_first) == len(config.architectures)
+
     def test_summarize_pools_same_arch_agents(self):
         config = blob_config(mode="ST", runs=2, n_per_class=60, train_size=10,
                              val_size=10, self_train_epochs=1,
@@ -662,6 +685,12 @@ class TestPlot:
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 3
         text = (tmp_path / "p.svg").read_text()
         assert text.index("HL2") < text.index("HL1") < text.index("SHL")
+
+    def test_arch_name_is_escaped(self, tmp_path):
+        records = [dataclasses.replace(r, arch="a&<b>") for r in sample_records()]
+        emit_plot(records, tmp_path / "p.svg")
+        text = (tmp_path / "p.svg").read_text()
+        assert ">a&amp;&lt;b&gt;</text>" in text and "a&<b>" not in text
 
 
 def test_summary_ordering_and_modes():
