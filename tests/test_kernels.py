@@ -3,6 +3,7 @@ cached and checked."""
 
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -153,6 +154,40 @@ def native_adam(built_adam, monkeypatch):
     monkeypatch.setattr(kernels, "_adam", choice)
 
 
+def _has_avx2_fma() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return bool(features.get("AVX2") and features.get("FMA3"))
+
+
+@pytest.fixture(scope="session")
+def fma_adam(tmp_path_factory):
+    """The C step built as the package builds it, but with AVX2 and FMA
+    instructions open to the compiler, in a cache of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("fma-cache")))
+        patch.setattr(kernels, "ADAM_CFLAGS", (*kernels.ADAM_CFLAGS, "-mavx2", "-mfma"))
+        return kernels._load_adam()
+
+
+@pytest.fixture(params=["fma", "portable"])
+def c_loop(request, built_adam, monkeypatch):
+    """Every Adam step of the test runs the C loop built with FMA open to
+    the compiler, where this CPU has AVX2 and FMA, or as the package builds
+    it for any CPU of the machine type. -ffp-contract=off must keep both to
+    the same bits."""
+    if request.param == "fma":
+        if platform.machine() not in ("x86_64", "AMD64") or not _has_avx2_fma():
+            pytest.skip("this CPU lacks AVX2 or FMA")
+        choice = request.getfixturevalue("fma_adam")
+    else:
+        choice = built_adam[0]
+    assert choice[0] is not None, choice[1]
+    monkeypatch.setattr(kernels, "_adam", choice)
+
+
 @pytest.fixture
 def fresh_adam(monkeypatch, tmp_path):
     """No Adam step chosen yet in this process, and an empty cache."""
@@ -179,7 +214,7 @@ def test_native_adam_step_is_textbook_bit_for_bit(n, rng, native_adam):
 
 @needs_compiler
 @pytest.mark.parametrize("betas", BETAS)
-def test_c_adam_loop_every_bias_correction(betas, rng, native_adam):
+def test_c_adam_loop_every_bias_correction(betas, rng, c_loop):
     # 37 elements: an odd count, so the vectorized loop has a scalar tail
     _adam_matches_textbook(37, rng, EVERY_STEP, betas)
 
