@@ -1,15 +1,16 @@
 """The collective-training engine.
 
 Each iteration is round-synchronous: every agent predicts on the current
-shared batch with its pre-round parameters, the predictions are exchanged
-and fused with row-stochastic weights into per-agent proxy labels, and each
-agent takes one update step on the batch under its own proxies. An agent
-runs its layers once per round: the update backpropagates the proxy labels
-through the activations of the forward pass that made its predictions. The
-periods come from the run's CollectiveSpec: every score_refresh_period
-iterations all scores (and with them the weight matrix) refresh, and every
-review_period iterations each agent runs one supervised epoch over its
-private training set.
+shared batch with its pre-round parameters (`forward`), the predictions are
+exchanged and fused with row-stochastic weights into per-agent proxy labels
+(`fuse_and_label`), and each agent takes one update step on the batch under
+its own proxies (`grad`, then `apply_update`). An agent runs its layers once
+per round: the update takes the gradient of the proxy labels through the
+activations of the forward pass that made its predictions. The periods come
+from the run's CollectiveSpec: every score_refresh_period iterations all
+scores (and with them the weight matrix) refresh, and every review_period
+iterations each agent runs one supervised epoch over its private training
+set.
 
 A run spreads its agents' independent work over a `parallel.AgentPool`:
 every forward pass, every update, every review epoch and every validation
@@ -34,7 +35,7 @@ from . import _kernels as kernels
 from .config import CollectiveSpec
 from .data import Partition, decode, epoch_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, schedule_round
-from .learner import Learner, accuracies, apply_update, backprop, forward_pass, train_epochs
+from .learner import Learner, accuracy, apply_update, forward, grad, train_epochs
 from .parallel import AgentPool
 from .seeding import subseed
 
@@ -64,11 +65,12 @@ class RunResult:
     stats: dict = field(default_factory=dict)
 
 
-def fuse_round(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndarray:
+def fuse_and_label(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndarray:
     """Every receiver's labeling step at once: receiver i takes the average
-    of the received predictions weighted by row i of `weights` (indexed by
-    sender id), then the argmax per sample. Returns (receivers, batch)
-    labels.
+    of the received predictions weighted by row i of `weights` (receivers x
+    senders, indexed by sender id), then the argmax per sample. Returns
+    (receivers, batch) labels; one receiver's are those of its row,
+    `weights[i:i + 1]`.
 
     This is the entire interface an agent has to its neighbors: prediction
     vectors and scalar weights, nothing else.
@@ -82,26 +84,14 @@ def fuse_round(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndar
     return kernels.argmax_rows(fused)
 
 
-def fuse_and_label(messages: Sequence[RoundMessage], weight_row: np.ndarray) -> np.ndarray:
-    """One agent's labeling step: `fuse_round` for the one receiver whose
-    weights are `weight_row`."""
-    return fuse_round(messages, np.asarray(weight_row)[None, :])[0]
-
-
 def _at(k: int | None) -> str:
     return "" if k is None else f"at iteration {k}"
 
 
-def _check_ids(agents: Sequence[Learner]) -> None:
-    # weight rows and scores are indexed by list position
-    for i, a in enumerate(agents):
-        if a.id != i:
-            raise ValueError(f"agent ids must be 0..n-1 in list order: agents[{i}] has id {a.id}")
-
-
-def _val_accuracies(agents: Sequence[Learner], vals: Sequence, pool: AgentPool,
-                    k: int | None) -> list[float]:
-    return pool.each(lambda a, val: a.accuracy(val), agents, vals, where=_at(k))
+def _val_accuracy(agents: Sequence[Learner], vals: Sequence, pool: AgentPool,
+                  k: int | None) -> list[float]:
+    return pool.each(lambda a, val: accuracy([(a.arch, a.params)], val)[0], agents, vals,
+                     where=_at(k))
 
 
 def refresh_scores(
@@ -115,13 +105,13 @@ def refresh_scores(
     score exp(gamma * accuracy) is held in log space so that extreme
     sharpening exponents cannot overflow. With a pool the agents measure
     side by side; a failure names the agent and iteration `k`."""
-    return gamma * np.array(_val_accuracies(agents, validation_sets, pool or AgentPool(), k))
+    return gamma * np.array(_val_accuracy(agents, validation_sets, pool or AgentPool(), k))
 
 
 def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: int,
             pool: AgentPool | None = None, proxy_rates=None) -> list[MetricsRecord]:
     """Each agent's metrics record at iteration (or update) `k`: its test
-    accuracy, from one `accuracies` call for all, its accuracy on its set in
+    accuracy, from one `accuracy` call for all, its accuracy on its set in
     `vals`, and its rate in `proxy_rates` (None without). Non-finite
     parameters raise a RuntimeError naming the agent and `k`."""
     for a in agents:
@@ -129,8 +119,8 @@ def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: 
             raise RuntimeError(f"non-finite parameters for agent {a.id} at iteration {k}")
     pool = pool or AgentPool()
     # one decode of each test chunk, scored by every agent
-    tests = accuracies([(a.arch, a.params) for a in agents], test, pool=pool)
-    val_accs = _val_accuracies(agents, vals, pool, k)
+    tests = accuracy([(a.arch, a.params) for a in agents], test, pool=pool)
+    val_accs = _val_accuracy(agents, vals, pool, k)
     rates = [None] * len(agents) if proxy_rates is None else proxy_rates
     return [MetricsRecord(run=run_index, iteration=k, agent=a.id, arch=a.arch.kind,
                           test_accuracy=t, val_accuracy=v, proxy_match_rate=r)
@@ -148,36 +138,27 @@ def collective_round(
 
     Every agent predicts with its pre-round parameters; no agent sees a
     neighbor's post-update state within the round. Each agent's update
-    backpropagates its proxy labels through the forward pass that made its
-    predictions. Returns each agent's proxy labels for the batch, one row
-    per agent.
+    takes the gradient of its proxy labels through the forward pass that
+    made its predictions. Returns each agent's proxy labels for the batch,
+    one row per agent.
 
     With a pool the agents' forward passes run side by side, then fusion
     runs on the calling thread for all agents at once, then the agents'
     updates run side by side, each writing its gradient into its thread's
-    buffer. A failure names the agent and iteration `k`.
+    buffer. A failure names the agent and iteration `k`. The agents and
+    `weights` are as `run_collective` checked and built them: agents in id
+    order sharing one class count, and an n x n weight matrix.
     """
-    n = len(agents)
-    _check_ids(agents)
-    if weights.shape != (n, n):
-        raise ValueError(f"weight matrix shape {weights.shape} does not match {n} agents")
-    num_classes = agents[0].arch.num_classes
-    if any(a.arch.num_classes != num_classes for a in agents):
-        raise ValueError("all agents must share the same number of classes")
     pool = pool or AgentPool()
 
-    def predict(agent: Learner):
-        return forward_pass(agent.arch, agent.params, batch_features)
-
-    def update(agent: Learner, forward, proxy: np.ndarray) -> None:
-        g = backprop(agent.arch, agent.params, *forward, proxy,
-                     out=pool.grad_buf(agent.params.size))
+    def update(agent: Learner, passed, proxy: np.ndarray) -> None:
+        g = grad(agent.arch, agent.params, *passed, proxy, out=pool.grad_buf(agent.params.size))
         apply_update(agent.rule, agent.params, g)
 
-    passes = pool.each(predict, agents, where=_at(k))
+    passes = pool.each(lambda a: forward(a.arch, a.params, batch_features), agents, where=_at(k))
     messages = [RoundMessage(sender=a.id, predictions=probs)
                 for a, (_, probs) in zip(agents, passes)]
-    labels = fuse_round(messages, weights)
+    labels = fuse_and_label(messages, weights)
     pool.each(update, agents, passes, labels, where=_at(k))
     return labels
 
@@ -219,7 +200,12 @@ def run_collective(
         raise ValueError(f"{n} agents but partition holds {partition.n_agents}")
     if n != schedule.n:
         raise ValueError(f"{n} agents but graph schedule has {schedule.n} nodes")
-    _check_ids(agents)
+    # weight rows and scores are indexed by list position
+    for i, a in enumerate(agents):
+        if a.id != i:
+            raise ValueError(f"agent ids must be 0..n-1 in list order: agents[{i}] has id {a.id}")
+    if len({a.arch.num_classes for a in agents}) > 1:
+        raise ValueError("all agents must share the same number of classes")
 
     source_x = partition.source_features
     shared_idx = partition.shared_indices

@@ -291,13 +291,32 @@ def parse_config(raw) -> ExperimentConfig:
     return config
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key given twice in one mapping, where
+    yaml's own would silently keep the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a merge key (`<<`) is no key of its own; a key may override a merged one
+            if (not isinstance(key_node, yaml.ScalarNode)
+                    or key_node.tag == "tag:yaml.org,2002:merge"):
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"{mark.name}:{mark.line + 1}: duplicate key {key!r}")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: invalid YAML: {e}") from e
     return parse_config(raw)

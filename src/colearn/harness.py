@@ -334,8 +334,8 @@ def emit_csv(records: Sequence[MetricsRecord], path) -> None:
 
 
 def read_csv(path) -> list[MetricsRecord]:
-    """The records of a metrics CSV in `emit_csv`'s schema; a malformed file
-    raises a ConfigError naming the path and line."""
+    """The records of a metrics CSV in `emit_csv`'s schema; a malformed file,
+    or a rate outside [0, 1], raises a ConfigError naming the path and line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -351,10 +351,15 @@ def read_csv(path) -> list[MetricsRecord]:
     for row in reader:
         try:
             run, iteration, agent, arch, test, val, proxy = row
+            rates = {"test_acc": float(test), "val_acc": float(val),
+                     "proxy_correct": None if proxy == "" else float(proxy)}
+            for name, rate in rates.items():
+                if rate is not None and not 0.0 <= rate <= 1.0:  # NaN fails too
+                    raise ValueError(f"{name} must lie in [0, 1], got {rate}")
             records.append(MetricsRecord(
                 run=int(run), iteration=int(iteration), agent=int(agent), arch=arch,
-                test_accuracy=float(test), val_accuracy=float(val),
-                proxy_match_rate=None if proxy == "" else float(proxy),
+                test_accuracy=rates["test_acc"], val_accuracy=rates["val_acc"],
+                proxy_match_rate=rates["proxy_correct"],
             ))
         except ValueError as e:
             raise ConfigError(f"{path}:{reader.line_num}: {e}") from None

@@ -1,15 +1,16 @@
 """Agent-local classifiers: fully-connected softmax networks with exact
-backpropagation, trained with Adam.
+gradients, trained with Adam.
 
 Three architectures are supported: SHL (no hidden layer), HL1 (one ReLU
 hidden layer of 300 units) and HL2 (two ReLU hidden layers of 500 and 300
 units). Parameters live in one flat float64 vector; per-layer weight
 matrices and bias vectors are zero-copy views into it.
 
-There is one layer loop, `_activations`: prediction, gradient and
-evaluation all run through it. A gradient is a `forward_pass` plus
-`backprop` through that pass's activations, so a caller that has already
-predicted on a batch backpropagates from the same pass.
+There is one function per phase, which self-training, the collective
+rounds, reviews, score refreshes and the baselines all call: `forward`
+predicts, `grad` takes the gradient back through that pass's activations,
+`apply_update` takes the Adam step and `accuracy` evaluates. Prediction,
+gradient and evaluation run through the one layer loop, `_activations`.
 
 Evaluation counts the rows whose argmax logit of a float64 pass over their
 EVAL_CHUNK chunk matches the label, but mostly computes in float32: each
@@ -110,10 +111,9 @@ def _as_matrix(x) -> np.ndarray:
         raise TypeError(
             "inputs are uint8 pixel bytes; scale them with colearn.data.decode first"
         )
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
-    return np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be a 2-D batch, got shape {x.shape}")
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
@@ -131,21 +131,15 @@ def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> li
     return acts
 
 
-def forward_pass(arch: Architecture, theta: np.ndarray, x) -> tuple[list[np.ndarray], np.ndarray]:
+def forward(arch: Architecture, theta: np.ndarray, x) -> tuple[list[np.ndarray], np.ndarray]:
     """One forward pass over a batch: its activations (each layer's input,
-    then the logits) and its class probabilities. `backprop` takes both, so
-    one pass serves a prediction and the gradient step that follows it."""
+    then the logits) and its class probabilities. `grad` takes both, so one
+    pass serves a prediction and the gradient step that follows it."""
     acts = _activations(arch, theta, _as_matrix(x))
     probs = kernels.softmax_rows(acts[-1])
     if not np.all(np.isfinite(probs)):
         raise FloatingPointError("non-finite activations in forward pass")
     return acts, probs
-
-
-def forward(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
-    """Class-probability vector(s) for one sample or a batch."""
-    probs = forward_pass(arch, theta, x)[1]
-    return probs[0] if np.ndim(x) == 1 else probs
 
 
 def _check_labels(arch: Architecture, y) -> np.ndarray:
@@ -155,10 +149,10 @@ def _check_labels(arch: Architecture, y) -> np.ndarray:
     return y
 
 
-def backprop(arch: Architecture, theta: np.ndarray, acts: list[np.ndarray], probs: np.ndarray,
-             y, out: np.ndarray | None = None) -> np.ndarray:
+def grad(arch: Architecture, theta: np.ndarray, acts: list[np.ndarray], probs: np.ndarray,
+         y, out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of the mean cross-entropy of labels `y`, as a flat
-    vector, backpropagated through a `forward_pass` at these parameters.
+    vector, taken back through a `forward` pass at these parameters.
 
     With `out` (a flat buffer shaped like theta) the gradient is written
     there and `out` is returned; otherwise a new vector is allocated.
@@ -177,16 +171,11 @@ def backprop(arch: Architecture, theta: np.ndarray, acts: list[np.ndarray], prob
     return g
 
 
-def grad(arch: Architecture, theta: np.ndarray, x, y, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy loss on a batch: one forward
-    pass and its `backprop` (`out` as there)."""
-    return backprop(arch, theta, *forward_pass(arch, theta, x), y, out)
-
-
 @dataclass
 class Adam:
-    """Adam with bias correction; moment state is owned per instance and
-    persists for the lifetime of the agent."""
+    """Adam with bias correction: its hyperparameters, and moment state that
+    is owned per instance and persists for the lifetime of the agent.
+    `apply_update` takes its steps."""
 
     alpha: float = 1e-3
     beta1: float = 0.9
@@ -196,18 +185,16 @@ class Adam:
     _v: np.ndarray | None = field(default=None, repr=False)
     _steps: int = field(default=0, repr=False)
 
-    def apply(self, theta: np.ndarray, g: np.ndarray) -> None:
-        # the state changes only once adam_step has checked every array
-        m, v = ((np.zeros_like(theta), np.zeros_like(theta)) if self._m is None
-                else (self._m, self._v))
-        kernels.adam_step(theta, g, m, v, self._steps + 1,
-                          self.alpha, self.beta1, self.beta2, self.eps)
-        self._m, self._v, self._steps = m, v, self._steps + 1
-
 
 def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Advance theta in place by one Adam step; returns theta."""
-    rule.apply(theta, g)
+    """Advance theta in place by one Adam step of `rule`, allocating its
+    moments on the first; returns theta."""
+    # the state changes only once adam_step has checked every array
+    m, v = ((np.zeros_like(theta), np.zeros_like(theta)) if rule._m is None
+            else (rule._m, rule._v))
+    kernels.adam_step(theta, g, m, v, rule._steps + 1,
+                      rule.alpha, rule.beta1, rule.beta2, rule.eps)
+    rule._m, rule._v, rule._steps = m, v, rule._steps + 1
     return theta
 
 
@@ -240,7 +227,7 @@ def train_epochs(
     step = 0
     for step, idx in enumerate(
             epoch_batches(x.shape[0], batch_size, epochs, seed, "train-epoch", max_updates), 1):
-        grad(arch, theta, decode(x[idx]), y[idx], out=g)
+        grad(arch, theta, *forward(arch, theta, decode(x[idx])), y[idx], out=g)
         apply_update(rule, theta, g)
         if on_step is not None:
             on_step(step)
@@ -353,7 +340,7 @@ def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np
         return _certain(acts[-1], slack * _logit_bound(acts, norms, t_in))
 
 
-def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Dataset,
+def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Dataset,
                pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
     fraction of samples whose argmax logit (lowest index on ties) of the
@@ -395,11 +382,6 @@ def accuracies(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Data
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
 
 
-def accuracy(arch: Architecture, theta: np.ndarray, eval_set: Dataset) -> float:
-    """`accuracies` of the one model `(arch, theta)`."""
-    return accuracies([(arch, theta)], eval_set)[0]
-
-
 @dataclass
 class Learner:
     """An agent: its classifier's architecture, flat parameters and Adam
@@ -417,7 +399,4 @@ class Learner:
 
     def train(self, train_set: Dataset, batch_size: int, epochs: int, seed: int) -> None:
         train_epochs(self.arch, self.params, self.rule, train_set, batch_size, epochs, seed)
-
-    def accuracy(self, eval_set: Dataset) -> float:
-        return accuracy(self.arch, self.params, eval_set)
 

@@ -10,8 +10,9 @@ set them to anything. Where no such call is found, BLAS keeps its threads and
 agents run one after another.
 
 Parallelism comes from the agents instead. An `AgentPool` runs each agent's
-independent work (its forward pass, its backpropagation and update, its
-review epoch, its evaluation) as one task on a thread; numpy releases the
+independent work (its `forward` pass, its `grad` and `apply_update`, its
+review epoch, its validation `accuracy`) as one task on a thread, and
+test-set `accuracy` one chunk per task; numpy releases the
 interpreter lock inside BLAS and ufunc loops, and ctypes for the whole of
 the C Adam step (`_kernels`), so the tasks overlap. A pool starts a
 phase's agent tasks largest agent first, so that no large task starts last

@@ -1,7 +1,7 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
 numpy Adam step, the forced float64 evaluation, the optional Fashion-MNIST
-directory for dataset-gated tests, and the loss and prediction helpers that
-only tests use."""
+directory for dataset-gated tests, the loss and prediction helpers that
+only tests use, and which numpy `exp` loop the pinned digests ran with."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from colearn.config import (
     TrainingSpec,
 )
 from colearn.data import write_idx
-from colearn.learner import Architecture, Learner, _check_labels, forward, forward_pass
+from colearn.learner import Architecture, Learner, _check_labels, forward
 from colearn.seeding import rng_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -90,13 +90,27 @@ PROB_FLOOR = 1e-12
 def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
     """Mean cross-entropy of labels `y` over the batch `x`."""
     labels = _check_labels(arch, y)
-    picked = forward_pass(arch, theta, x)[1][np.arange(labels.shape[0]), labels]
+    picked = forward(arch, theta, x)[1][np.arange(labels.shape[0]), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+
+
+def exp_x86_v4() -> bool | str:
+    """Whether numpy's float64 `exp` runs its X86_V4 (AVX-512) loop, whose
+    bits differ from those of its X86_V3 and baseline loops (which agree
+    with each other); "unknown" where numpy cannot say (before numpy 2)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    loop = opt_func_info(func_name="^exp$", signature="float64").get("exp", {}).get("dd")
+    return "unknown" if loop is None else loop["current"] == "X86_V4"
 
 
 def predict_proba(agent: Learner, x) -> np.ndarray:
     """An agent's class probabilities for one sample or a batch."""
-    return forward(agent.arch, agent.params, x)
+    x = np.asarray(x)
+    probs = forward(agent.arch, agent.params, np.atleast_2d(x))[1]
+    return probs[0] if x.ndim == 1 else probs
 
 
 @pytest.fixture

@@ -80,7 +80,7 @@ class TestCriterion1Properties:
             theta = init_params(arch, seed=17)
             x = rng.standard_normal((5, 9))
             y = rng.integers(0, 5, size=5)
-            g = grad(arch, theta, x, y)
+            g = grad(arch, theta, *forward(arch, theta, x), y)
             for c in rng.choice(theta.size, size=min(60, theta.size), replace=False):
                 h = 1e-5
                 bump = theta.copy()
@@ -98,7 +98,7 @@ class TestCriterion1Properties:
         rng = rng_for(104, "acc-softmax")
         arch = Architecture("HL1", 12, 6, hidden=(9,))
         theta = init_params(arch, seed=3)
-        probs = forward(arch, theta, rng.standard_normal((200, 12)) * 30.0)
+        probs = forward(arch, theta, rng.standard_normal((200, 12)) * 30.0)[1]
         assert np.all(probs >= 0.0)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-6
         print("ACCEPTANCE 1d softmax normalization: PASS")
@@ -106,7 +106,7 @@ class TestCriterion1Properties:
     def test_labeling_argmax_invariance(self):
         rng = rng_for(105, "acc-lbl")
         preds = rng.random((5, 20, 7))
-        w = rng.random(5)
+        w = rng.random((1, 5))
         w /= w.sum()
         msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(5)]
         base = fuse_and_label(msgs, w)

@@ -398,7 +398,16 @@ HEADER = "run,iter,agent,arch,test_acc,val_acc,proxy_correct\n"
     (HEADER + "0,0,0,SHL,0.5,0.5,\n0,10,0,SHL\n", 3, "not enough values to unpack"),
     (HEADER + "0,0,0,SHL,high,0.5,\n", 2, "could not convert string to float: 'high'"),
     ((HEADER + "0,0,0,SHL,0.5,0.5,\n").encode() + b"\xff\xfe\n", 3, "not UTF-8: byte 0xff"),
-], ids=["header-only", "wrong-header", "short-row", "non-numeric-test-acc", "non-utf8"])
+    (HEADER + "0,0,0,SHL,0.5,0.5,\n0,10,0,SHL,nan,0.5,0.5\n", 3,
+     "test_acc must lie in [0, 1], got nan"),
+    (HEADER + "0,0,0,SHL,inf,0.5,\n", 2, "test_acc must lie in [0, 1], got inf"),
+    (HEADER + "0,0,0,SHL,1.7,0.5,\n", 2, "test_acc must lie in [0, 1], got 1.7"),
+    (HEADER + "0,0,0,SHL,0.5,-3,\n", 2, "val_acc must lie in [0, 1], got -3.0"),
+    (HEADER + "0,0,0,SHL,0.5,0.5,\n0,10,0,SHL,0.5,0.5,-inf\n", 3,
+     "proxy_correct must lie in [0, 1], got -inf"),
+], ids=["header-only", "wrong-header", "short-row", "non-numeric-test-acc", "non-utf8",
+        "nan-test-acc", "inf-test-acc", "test-acc-above-1", "negative-val-acc",
+        "negative-proxy"])
 def test_plot_bad_csv_exits_1_naming_the_line(tmp_path, capsys, text, where, message):
     csv_path = tmp_path / "m.csv"
     csv_path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -12,7 +12,6 @@ from colearn.collective import (
     RoundMessage,
     collective_round,
     fuse_and_label,
-    fuse_round,
     refresh_scores,
     review_step,
     run_collective,
@@ -21,8 +20,7 @@ from colearn.config import CollectiveSpec, GraphSpec
 from colearn.data import Dataset, Partition, make_partition, shuffled_batches, synth_blobs
 from colearn.graph import DirectedGraph, GraphSchedule, build_weight_matrix_log
 from colearn.learner import (
-    Adam, Architecture, Learner, apply_update, forward, grad, init_params, param_count,
-    param_views,
+    Adam, Architecture, Learner, accuracy, apply_update, forward, grad, param_count, param_views,
 )
 from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
@@ -125,14 +123,14 @@ class TestFuseAndLabel:
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
         fused = kernels.fuse_rows(np.stack([m.predictions for m in messages]), w)
         assert np.allclose(fused, [[[0.55, 0.45]], [[0.55, 0.45]]], atol=1e-9)
-        assert fuse_and_label(messages, w[0]).tolist() == [0]
-        assert fuse_and_label(messages, w[1]).tolist() == [0]
+        assert fuse_and_label(messages, w[0:1])[0].tolist() == [0]
+        assert fuse_and_label(messages, w[1:2])[0].tolist() == [0]
 
     def test_sender_order_does_not_matter(self):
         rng = rng_for(1, "fuse-order")
         preds = rng.random((3, 5, 4))
         msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(3)]
-        w = np.array([0.2, 0.5, 0.3])
+        w = np.array([[0.2, 0.5, 0.3]])
         forward_order = fuse_and_label(msgs, w)
         shuffled = fuse_and_label([msgs[2], msgs[0], msgs[1]], w)
         assert np.array_equal(forward_order, shuffled)
@@ -140,7 +138,7 @@ class TestFuseAndLabel:
     def test_positive_scaling_invariance(self):
         rng = rng_for(2, "scale-invariance")
         preds = rng.random((4, 8, 5))
-        w = rng.random(4)
+        w = rng.random((1, 4))
         w /= w.sum()
         msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(4)]
         scaled = [RoundMessage(sender=i, predictions=37.5 * preds[i]) for i in range(4)]
@@ -155,15 +153,13 @@ class TestFuseAndLabel:
         assert np.all(fused <= preds.max(axis=0) + 1e-12)
         assert np.all(fused >= preds.min(axis=0) - 1e-12)
 
-
-class TestFuseRound:
     def test_non_finite_fusion_rejected(self):
         messages = [RoundMessage(sender=0, predictions=np.array([[np.inf, 0.0]])),
                     RoundMessage(sender=1, predictions=np.array([[0.5, 0.5]]))]
         with pytest.raises(ValueError, match="finite"):
-            fuse_round(messages, np.full((2, 2), 0.5))
+            fuse_and_label(messages, np.full((2, 2), 0.5))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            fuse_and_label(messages, np.array([0.0, 1.0]))  # 0 * inf is NaN
+            fuse_and_label(messages, np.array([[0.0, 1.0]]))  # 0 * inf is NaN
 
 
 class TestCollectiveRound:
@@ -228,9 +224,10 @@ class TestCollectiveRound:
         def two_pass_round(agents, weights, batch, grad_buf):
             messages = [RoundMessage(sender=a.id, predictions=predict_proba(a, batch))
                         for a in agents]
-            labels = [fuse_and_label(messages, weights[i]) for i in range(len(agents))]
+            labels = [fuse_and_label(messages, weights[i:i + 1])[0] for i in range(len(agents))]
             for agent, lab in zip(agents, labels):
-                g = grad(agent.arch, agent.params, batch, lab, out=grad_buf[: agent.params.size])
+                g = grad(agent.arch, agent.params, *forward(agent.arch, agent.params, batch), lab,
+                         out=grad_buf[: agent.params.size])
                 apply_update(agent.rule, agent.params, g)
             return labels
 
@@ -259,27 +256,11 @@ class TestCollectiveRound:
             assert a.rule._m.tobytes() == b.rule._m.tobytes()
             assert a.rule._v.tobytes() == b.rule._v.tobytes()
 
-    def test_class_count_mismatch_rejected(self):
-        agents = [
-            fixed_vector_predictor([0.5, 0.5], id=0),
-            fixed_vector_predictor([0.3, 0.3, 0.4], id=1),
-        ]
-        with pytest.raises(ValueError, match="classes"):
-            collective_round(agents, np.full((2, 2), 0.5), np.zeros((1, 4)))
-
-    def test_agents_out_of_id_order_rejected(self):
-        # weight row i is agent i's: with the identity matrix, the agent with
-        # id 2 listed first would label with agent 0's predictions
-        agents = [constant_predictor(3, i, id=i) for i in (2, 0, 1)]
-        with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
-            collective_round(agents, np.eye(3), np.zeros((2, 4)))
-
     def test_privacy_boundary_is_structural(self):
         # what crosses between agents is a RoundMessage: sender + predictions,
-        # nothing else; both fusion entries take only messages and scalar weights
+        # nothing else; fusion takes only messages and scalar weights
         assert set(RoundMessage.__dataclass_fields__) == {"sender", "predictions"}
-        assert list(inspect.signature(fuse_and_label).parameters) == ["messages", "weight_row"]
-        assert list(inspect.signature(fuse_round).parameters) == ["messages", "weights"]
+        assert list(inspect.signature(fuse_and_label).parameters) == ["messages", "weights"]
 
 
 class TestReviewStep:
@@ -309,17 +290,21 @@ class TestReviewStep:
         ds = synth_blobs(30, 3, 5, 100.0, seed=6)
         learner = Learner.create(Architecture("SHL", 5, 3), seed=3, rule=Adam(alpha=0.1))
         learner.train(ds, batch_size=10, epochs=20, seed=1)
-        baseline = learner.accuracy(ds)
+
+        def score() -> float:
+            return accuracy([(learner.arch, learner.params)], ds)[0]
+
+        baseline = score()
         assert baseline >= 0.99
         # corrupt: several epochs against rotated labels
         wrong = Dataset(ds.features, (ds.labels + 1) % 3, 3)
         learner.train(wrong, batch_size=10, epochs=3, seed=2)
-        assert learner.accuracy(ds) < baseline
+        assert score() < baseline
         for r in range(3):
             review_step(learner, ds, batch_size=10, seed=10 + r)
-            if learner.accuracy(ds) >= baseline:
+            if score() >= baseline:
                 break
-        assert learner.accuracy(ds) >= baseline
+        assert score() >= baseline
 
 
 def single_agent_partition(m_shared_class: int = 200, seed: int = 0) -> Partition:
@@ -515,6 +500,17 @@ class TestEngine:
         agents = [constant_predictor(3, i, id=i) for i in (2, 0, 1)]
         with pytest.raises(ValueError, match=r"agents\[0\] has id 2"):
             run_collective(agents, part, GraphSchedule(GraphSpec("edges", edges=()), 3, seed=0),
+                           CollectiveSpec(gamma=1.0), seed=0)
+
+    def test_class_count_mismatch_rejected(self):
+        source = synth_blobs(60, 3, 4, 6.0, seed=7)
+        part = make_partition(source, 2, 10, 10, seed=7, test=synth_blobs(10, 3, 4, 6.0, seed=8))
+        agents = [
+            fixed_vector_predictor([0.5, 0.5], id=0),
+            fixed_vector_predictor([0.3, 0.3, 0.4], id=1),
+        ]
+        with pytest.raises(ValueError, match="classes"):
+            run_collective(agents, part, GraphSchedule(GraphSpec(), 2, seed=0),
                            CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):

@@ -18,7 +18,7 @@ from colearn.config import CollectiveSpec, GraphSpec
 from colearn.data import Dataset, decode, load_idx, make_partition
 from colearn.graph import GraphSchedule
 from colearn.learner import (
-    Adam, Architecture, Learner, accuracies, accuracy, init_params, train_epochs,
+    Adam, Architecture, Learner, accuracy, init_params, train_epochs,
 )
 
 from conftest import FMNIST_NAMES, synthetic_idx_dataset
@@ -65,13 +65,13 @@ def test_accuracy_same_over_several_chunks(corpora):
         # (255 times the values) ranks the classes differently
         theta[-10:] = np.random.default_rng(6 + i).normal(0.0, 3.0, size=10)
         models.append((arch, theta))
-    got = [accuracy(arch, theta, corpora["bytes"][0]) for arch, theta in models]
-    want = [accuracy(arch, theta, corpora["floats"][0]) for arch, theta in models]
+    got = [accuracy([model], corpora["bytes"][0])[0] for model in models]
+    want = [accuracy([model], corpora["floats"][0])[0] for model in models]
     assert got == want
     assert len(set(got)) == len(models)  # a mix-up of models would show
     # scoring every model on each decoded chunk gives each its own accuracy
     for source in (corpora["bytes"][0], corpora["floats"][0]):
-        assert accuracies(models, source) == got
+        assert accuracy(models, source) == got
 
 
 def _collective(source: Dataset, test: Dataset, monkeypatch):

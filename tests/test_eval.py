@@ -21,7 +21,7 @@ from colearn.learner import (  # noqa: E402
     _logit_bound,
     _row_norms,
     _weight_norms,
-    accuracies,
+    accuracy,
     init_params,
     param_count,
     param_views,
@@ -61,9 +61,9 @@ def assert_oracle_counts(models, x, seed=0):
         with AgentPool(size) as pool:
             for arch, theta in models:
                 own = Dataset(x, chunk_argmax(arch, theta, x), num_classes)
-                assert accuracies([(arch, theta)], own, pool) == [1.0]
+                assert accuracy([(arch, theta)], own, pool) == [1.0]
             labeled = Dataset(x, y, num_classes)
-            assert accuracies(models, labeled, pool) == oracle_accuracies(models, labeled)
+            assert accuracy(models, labeled, pool) == oracle_accuracies(models, labeled)
 
 
 def shl(weights, bias) -> tuple[Architecture, np.ndarray]:
@@ -172,7 +172,7 @@ def test_each_tier_is_reached(monkeypatch):
 
     activations = learner._activations
     monkeypatch.setattr(learner, "_activations", spy)
-    assert accuracies([model], Dataset(x, [2, 1, 0] * 10, 3)) == [1.0]
+    assert accuracy([model], Dataset(x, [2, 1, 0] * 10, 3)) == [1.0]
     assert passes == [("float32", 30), ("float64", 20), ("float64", 30)]
 
 
@@ -183,7 +183,7 @@ def test_float64_eval_fixture_takes_every_row_from_the_chunk_pass(float64_eval, 
         (x_mat.dtype.name, x_mat.shape[0])) or activations(arch, theta, x_mat))
     model = net("HL1", 4, 3, seed=11)
     x = np.random.default_rng(6).standard_normal((40, 4))
-    assert accuracies([model], Dataset(x, chunk_argmax(*model, x), 3)) == [1.0]
+    assert accuracy([model], Dataset(x, chunk_argmax(*model, x), 3)) == [1.0]
     assert passes == [("float32", 40), ("float64", 40), ("float64", 40)]
 
 

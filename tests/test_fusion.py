@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colearn import _kernels as kernels
-from colearn.collective import RoundMessage, fuse_and_label, fuse_round
+from colearn.collective import RoundMessage, fuse_and_label
 from colearn.graph import DirectedGraph, build_weight_matrix_log
 
 
@@ -62,10 +62,10 @@ def test_batched_matches_per_agent_fusion(round_):
     messages, w = round_
     stacked = np.stack([m.predictions for m in sorted(messages, key=lambda m: m.sender)])
     fused = kernels.fuse_rows(stacked, w)
-    labels = fuse_round(messages, w)
+    labels = fuse_and_label(messages, w)
     assert labels.shape == (w.shape[0], stacked.shape[1])
     for i in range(w.shape[0]):
         want = _fuse_one_agent(messages, w[i])
         assert fused[i].tobytes() == want.tobytes()
         assert labels[i].tobytes() == np.argmax(want, axis=1).tobytes()
-        assert labels[i].tobytes() == fuse_and_label(messages, w[i]).tobytes()
+        assert labels[i].tobytes() == fuse_and_label(messages, w[i:i + 1])[0].tobytes()

@@ -82,6 +82,28 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("line, again", [("mode: CL", "mode: ST"),
+                                             ("  gamma: 1.0", "  gamma: 50.0")],
+                             ids=["top-level", "in-a-section"])
+    def test_duplicate_key_rejected(self, tmp_path, line, again):
+        # yaml keeps the last of two equal keys; a config naming one twice is
+        # as ambiguous as a misspelled key, so it fails naming the line
+        lines = VALID_YAML.splitlines(keepends=True)
+        at = lines.index(line + "\n") + 1
+        lines.insert(at, again + "\n")
+        path = tmp_path / "exp.yaml"
+        path.write_text("".join(lines))
+        key = again.split(":")[0].strip()
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(str(path))}:{at + 1}: duplicate key '{key}'$"):
+            load_config(path)
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        # a key that overrides one merged in with `<<` is no duplicate
+        path = tmp_path / "exp.yaml"
+        path.write_text(VALID_YAML.replace("  gamma: 1.0\n", "  <<: {gamma: 5.0}\n  gamma: 1.0\n"))
+        assert load_config(path).collective.gamma == 1.0
+
     def test_error_names_missing_field(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(VALID_YAML.replace("  train_size: 20\n", ""))
@@ -389,7 +411,7 @@ class TestRunMode:
         assert out.final_test == [last[a.id].test_accuracy for a in made]
         # ... and that record measured the agent's final parameters
         test = harness._load_corpus(config.dataset, config.master_seed)[1]
-        assert out.final_test == [a.accuracy(test) for a in made]
+        assert out.final_test == [learner.accuracy([(a.arch, a.params)], test)[0] for a in made]
         assert all(r.iteration == updates for r in last.values())
 
     @pytest.mark.parametrize("mode", ["ST", "FS"])

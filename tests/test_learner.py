@@ -78,7 +78,7 @@ class TestForward:
     def test_zero_params_give_uniform(self):
         arch = Architecture("SHL", 784, 10)
         theta = np.zeros(param_count(arch))
-        p = forward(arch, theta, np.random.default_rng(0).random(784))
+        p = forward(arch, theta, np.random.default_rng(0).random((1, 784)))[1]
         assert np.allclose(p, 0.1)
 
     def test_zero_hidden_weights_pass_only_bias(self):
@@ -89,13 +89,13 @@ class TestForward:
         expected = np.exp(b_out - b_out.max())
         expected /= expected.sum()
         for x in np.random.default_rng(1).random((5, 7)):
-            assert np.allclose(forward(arch, theta, x), expected)
+            assert np.allclose(forward(arch, theta, x[None])[1], expected)
 
     @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=lambda a: a.kind)
     def test_outputs_are_probability_vectors(self, arch):
         rng = rng_for(2, "fwd", arch.kind)
         theta = init_params(arch, seed=4)
-        probs = forward(arch, theta, rng.standard_normal((40, arch.input_dim)))
+        probs = forward(arch, theta, rng.standard_normal((40, arch.input_dim)))[1]
         assert probs.shape == (40, arch.num_classes)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -103,12 +103,17 @@ class TestForward:
     def test_dimension_mismatch_rejected(self):
         arch = SMALL_ARCHS[0]
         with pytest.raises(ValueError, match="dimension"):
-            forward(arch, np.zeros(param_count(arch)), np.zeros(5))
+            forward(arch, np.zeros(param_count(arch)), np.zeros((1, 5)))
+
+    def test_one_sample_needs_a_batch_axis(self):
+        arch = SMALL_ARCHS[0]
+        with pytest.raises(ValueError, match="2-D batch"):
+            forward(arch, np.zeros(param_count(arch)), np.zeros(7))
 
 
 @pytest.mark.parametrize("call", [
     lambda arch, theta, x, y: forward(arch, theta, x),
-    lambda arch, theta, x, y: grad(arch, theta, x, y),
+    lambda arch, theta, x, y: grad(arch, theta, *forward(arch, theta, x), y),
     lambda arch, theta, x, y: loss(arch, theta, x, y),
 ], ids=["forward", "grad", "loss"])
 def test_pixel_bytes_rejected_before_any_matmul(call):
@@ -148,7 +153,7 @@ class TestLoss:
         theta = init_params(arch, seed=8)
         x = rng.standard_normal((9, arch.input_dim))
         y = rng.integers(0, arch.num_classes, size=9)
-        probs = forward(arch, theta, x)
+        probs = forward(arch, theta, x)[1]
         expected = -np.mean(np.log(np.maximum(probs[np.arange(9), y], 1e-12)))
         assert loss(arch, theta, x, y) == pytest.approx(expected, rel=1e-12)
 
@@ -164,9 +169,9 @@ def _gamma(n: int) -> float:
 
 
 def _grad_bound(arch, theta, x, y) -> np.ndarray:
-    """Per element, a bound on the distance of `grad(arch, theta, x, y)` from
-    the exact gradient, to first order in U and then doubled to cover the
-    higher-order terms.
+    """Per element, a bound on the distance of the gradient `grad` computes
+    on batch x and labels y from the exact gradient, to first order in U and
+    then doubled to cover the higher-order terms.
 
     Each value computed from inputs within e of exact is bounded in turn.
     A layer's output, fl(fl(a W) + b) over fan-in n, is within
@@ -224,7 +229,7 @@ class TestGrad:
         theta = np.zeros(param_count(arch))
         x = np.arange(1.0, 7.0)
         y = 2
-        g = grad(arch, theta, x, [y])
+        g = grad(arch, theta, *forward(arch, theta, x[None]), [y])
         gw, gb = param_views(arch, g)[0]
         delta = np.full(4, 0.25)
         delta[y] -= 1.0
@@ -237,7 +242,7 @@ class TestGrad:
         theta = init_params(arch, seed=12)
         x = rng.standard_normal((6, arch.input_dim))
         y = rng.integers(0, arch.num_classes, size=6)
-        g = grad(arch, theta, x, y)
+        g = grad(arch, theta, *forward(arch, theta, x), y)
         coords = rng.choice(theta.size, size=min(60, theta.size), replace=False)
         h = 1e-5
         for c in coords:
@@ -258,8 +263,8 @@ class TestGrad:
         arch = SMALL_ARCHS[1]
         theta = init_params(arch, seed=1)
         x = rng_for(5, "dup").standard_normal(arch.input_dim)
-        single = grad(arch, theta, x.reshape(1, -1), [1])
-        double = grad(arch, theta, np.stack([x, x]), [1, 1])
+        single = grad(arch, theta, *forward(arch, theta, x.reshape(1, -1)), [1])
+        double = grad(arch, theta, *forward(arch, theta, np.stack([x, x])), [1, 1])
         bound = (_grad_bound(arch, theta, x.reshape(1, -1), [1])
                  + _grad_bound(arch, theta, np.stack([x, x]), [1, 1]))
         assert np.all(np.abs(single - double) <= bound)
@@ -271,12 +276,13 @@ class TestGrad:
         rng = rng_for(6, "out", arch.kind)
         x = rng.standard_normal((5, arch.input_dim))
         y = rng.integers(0, arch.num_classes, size=5)
+        passed = forward(arch, theta, x)
         buf = np.full_like(theta, np.nan)
-        assert grad(arch, theta, x, y, out=buf) is buf
-        assert np.array_equal(buf, grad(arch, theta, x, y))
+        assert grad(arch, theta, *passed, y, out=buf) is buf
+        assert np.array_equal(buf, grad(arch, theta, *passed, y))
         for size in (theta.size - 1, theta.size + 1):
             with pytest.raises(ValueError):
-                grad(arch, theta, x, y, out=np.empty(size))
+                grad(arch, theta, *passed, y, out=np.empty(size))
 
 
 class TestApplyUpdate:
@@ -313,7 +319,7 @@ class TestApplyUpdate:
         m, v = rule._m.copy(), rule._v.copy()
         for t, g in [(theta, b) for b in bad] + [(np.zeros(4), np.ones(4))]:
             with pytest.raises(ValueError):
-                rule.apply(t, g)
+                apply_update(rule, t, g)
         assert rule._steps == 1
         assert np.array_equal(rule._m, m) and np.array_equal(rule._v, v)
 
@@ -351,7 +357,8 @@ class TestTrainEpochs:
         batches = [idx for e in range(2)
                    for idx in shuffled_batches(10, 4, rng_for(8, "train-epoch", e))][:5]
         for idx in batches:
-            apply_update(ref_rule, ref, grad(arch, ref, ds.features[idx], ds.labels[idx]))
+            g = grad(arch, ref, *forward(arch, ref, ds.features[idx]), ds.labels[idx])
+            apply_update(ref_rule, ref, g)
         assert np.array_equal(theta, ref)
 
     def test_separable_blobs_reach_high_train_accuracy(self):
@@ -359,7 +366,7 @@ class TestTrainEpochs:
         arch = Architecture("SHL", 5, 3)
         theta = init_params(arch, seed=0)
         train_epochs(arch, theta, Adam(alpha=0.1), ds, batch_size=10, epochs=20, seed=1)
-        assert accuracy(arch, theta, ds) >= 0.99
+        assert accuracy([(arch, theta)], ds)[0] >= 0.99
 
     def test_loss_decreases_on_average(self):
         drops = []
@@ -389,7 +396,7 @@ class TestAccuracy:
         arch = Architecture("SHL", 3, 2)
         theta = init_params(arch, seed=0)
         train_epochs(arch, theta, Adam(alpha=0.1), ds, batch_size=5, epochs=10, seed=0)
-        assert accuracy(arch, theta, ds) == 1.0
+        assert accuracy([(arch, theta)], ds)[0] == 1.0
 
     def test_uniform_predictor_scores_class_zero_frequency(self):
         # zero params -> uniform output -> tie-break always picks class 0
@@ -399,7 +406,7 @@ class TestAccuracy:
         labels = rng.integers(0, 10, size=200)
         x = rng.standard_normal((200, 4))
         expected = (labels == 0).mean()
-        assert accuracy(arch, theta, Dataset(x, labels, 10)) == pytest.approx(expected)
+        assert accuracy([(arch, theta)], Dataset(x, labels, 10))[0] == pytest.approx(expected)
 
     def test_matches_per_sample_recount(self):
         # more rows than one evaluation chunk, so a ragged second chunk counts too
@@ -410,9 +417,10 @@ class TestAccuracy:
         x = rng.standard_normal((m, arch.input_dim))
         y = rng.integers(0, arch.num_classes, size=m)
         recount = np.mean([
-            int(np.argmax(forward(arch, theta, xi)) == yi) for xi, yi in zip(x, y)
+            int(np.argmax(forward(arch, theta, xi[None])[1]) == yi) for xi, yi in zip(x, y)
         ])
-        assert accuracy(arch, theta, Dataset(x, y, arch.num_classes)) == pytest.approx(recount)
+        assert (accuracy([(arch, theta)], Dataset(x, y, arch.num_classes))[0]
+                == pytest.approx(recount))
 
     def test_ranks_by_logits_not_probabilities(self):
         # class 1's logit is above class 0's by less than softmax resolves:
@@ -422,14 +430,14 @@ class TestAccuracy:
         theta = np.zeros(param_count(arch))
         param_views(arch, theta)[0][1][:] = [0.0, 1e-20, -1.0]
         x = rng_for(8, "logit-rank").standard_normal((6, 4))
-        probs = forward(arch, theta, x)
+        probs = forward(arch, theta, x)[1]
         assert np.array_equal(probs[:, 0], probs[:, 1])
-        assert accuracy(arch, theta, Dataset(x, np.ones(6, dtype=int), 3)) == 1.0
+        assert accuracy([(arch, theta)], Dataset(x, np.ones(6, dtype=int), 3)) == [1.0]
 
     def test_empty_set_rejected(self):
         arch = SMALL_ARCHS[0]
         with pytest.raises(ValueError):
-            accuracy(arch, np.zeros(param_count(arch)),
+            accuracy([(arch, np.zeros(param_count(arch)))],
                      Dataset(np.zeros((0, 7)), np.zeros(0, dtype=int), arch.num_classes))
 
 
@@ -437,4 +445,4 @@ def test_learner_facade_trains():
     ds = synth_blobs(20, 3, 5, 5.0, seed=2)
     learner = Learner.create(Architecture("HL1", 5, 3, hidden=(6,)), seed=1, rule=Adam(alpha=0.01))
     learner.train(ds, batch_size=10, epochs=30, seed=4)
-    assert learner.accuracy(ds) >= 0.95
+    assert accuracy([(learner.arch, learner.params)], ds)[0] >= 0.95

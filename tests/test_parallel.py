@@ -97,13 +97,13 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
     if order is not None:
         monkeypatch.setattr(parallel, "largest_first", order)
     threads = set()
-    forward = collective.forward_pass
+    forward = collective.forward
 
     def spy(*args):
         threads.add(threading.current_thread().name)
         return forward(*args)
 
-    monkeypatch.setattr(collective, "forward_pass", spy)
+    monkeypatch.setattr(collective, "forward", spy)
     config = blob_config(
         mode="CL", n_per_class=80, train_size=12, val_size=12, self_train_epochs=3,
         score_refresh_period=10, review_period=20, epochs_over_shared=1, metric_stride=10,

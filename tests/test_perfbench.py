@@ -1,8 +1,12 @@
 """The benchmark's view of the package: every perfbench workload loads
-through the top-level exports, and its configs carry the fields that
-perfbench/rep.py reads. A trimmed export or a renamed config field then
-fails here rather than in a benchmark run."""
+through the top-level exports, its configs carry the fields that
+perfbench/rep.py reads, and its tracer times every phase of a run. A
+trimmed export, a renamed config field or a phase that bypasses its traced
+function then fails here rather than in a benchmark run."""
 
+import json
+import os
+import subprocess
 import sys
 
 import colearn
@@ -48,3 +52,54 @@ def test_every_workload_loads_with_the_fields_rep_reads(tmp_path):
                 assert spec.n_per_class * spec.num_classes >= 1
     for attr in ("montecarlo", "emit_csv", "read_csv", "_load_corpus"):
         assert callable(getattr(harness, attr)), attr
+
+
+# A blob CL run traced with every perfbench target, on the calling thread so
+# that the tracer's one span stack sees every call; prints what it counted.
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from colearn import harness, parallel
+from conftest import blob_config
+import tracer
+
+trace = tracer.Tracer(sys.argv[3], full=True)
+trace.install()
+parallel.share_cores(parallel.usable_cores())
+config = blob_config(mode="CL", n_per_class=60, train_size=20, val_size=10,
+                     self_train_epochs=3, score_refresh_period=10, review_period=20,
+                     epochs_over_shared=1, metric_stride=10, architectures=("HL1", "SHL"))
+out = harness.run_mode(config, 0)
+print(json.dumps({"absent": trace.absent, "counts": trace.counts, "stats": out.stats,
+                  "records": len(out.records)}))
+"""
+
+
+def test_tracer_sees_every_phase(tmp_path):
+    # in a subprocess, so that no timing wrapper leaks into other tests
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(REPO_ROOT / "tests"), str(PERFBENCH),
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    stats = got["stats"]
+
+    def count(name: str) -> int:  # a target never called has no count
+        return got["counts"].get(name, 0)
+
+    n, iterations, reviews = 2, stats["iterations"], stats["reviews"]
+    refreshes, emissions = count("collective.refresh_calls"), got["records"] // n
+    assert got["absent"] == []
+    assert reviews >= 1 and refreshes >= 2  # the one before the first round, and more
+    assert count("collective.fuse_calls") == count("collective.rounds") == iterations
+    # 2 minibatches per epoch over 20 private samples: 3 self-training
+    # epochs and each review epoch; one step per agent per round
+    steps = n * 3 * 2 + n * iterations + reviews * 2
+    assert (count("learner.predict_calls") == count("learner.grad_calls")
+            == count("learner.update_calls") == steps)
+    # each refresh and each emission measures every agent's validation
+    # accuracy; each emission also scores all agents on the test set at once
+    assert count("learner.eval_calls") == n * (refreshes + emissions) + emissions
