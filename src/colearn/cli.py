@@ -151,16 +151,13 @@ def _cmd_graph_dump(args) -> int:
 
 def _cmd_data_check(args) -> int:
     paths = args.paths
-    if len(paths) == 1 and paths[0].is_dir():
+    if len(paths) == 1 and not paths[0].is_file():
         paths = [paths[0] / name for name in FMNIST_NAMES]
     if len(paths) != 4:
         raise ConfigError(
             "data-check: expected a dataset directory or exactly 4 paths "
             "(train images, train labels, test images, test labels)"
         )
-    for p in paths:
-        if not p.is_file():
-            raise ConfigError(f"data-check: file not found: {p}")
     train, test = load_idx_corpus(*paths)
     print(f"{train.m} train / {test.m} test")
     return 0

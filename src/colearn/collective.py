@@ -4,13 +4,12 @@ Each iteration is round-synchronous: every agent predicts on the current
 shared batch with its pre-round parameters (`forward`), the predictions are
 exchanged and fused with row-stochastic weights into per-agent proxy labels
 (`fuse_and_label`), and each agent takes one update step on the batch under
-its own proxies (`grad`, then `apply_update`). An agent runs its layers once
-per round: the update takes the gradient of the proxy labels through the
-activations of the forward pass that made its predictions. The periods come
-from the run's CollectiveSpec: every score_refresh_period iterations all
-scores (and with them the weight matrix) refresh, and every review_period
-iterations each agent runs one supervised epoch over its private training
-set.
+its own proxies (`train_step`). An agent runs its layers once per round: the
+update takes the gradient of the proxy labels through the activations of the
+forward pass that made its predictions. The periods come from the run's
+CollectiveSpec: every score_refresh_period iterations all scores (and with
+them the weight matrix) refresh, and every review_period iterations each
+agent runs one supervised epoch over its private training set.
 
 A run spreads its agents' independent work over a `parallel.AgentPool`:
 every forward pass, every update, every review epoch and every validation
@@ -35,7 +34,7 @@ from . import _kernels as kernels
 from .config import CollectiveSpec
 from .data import Partition, decode, epoch_batches
 from .graph import GraphSchedule, build_weight_matrix_log, graph_at, schedule_round
-from .learner import Learner, accuracy, apply_update, forward, grad, train_epochs
+from .learner import Learner, accuracy, forward, train_epochs, train_step
 from .parallel import AgentPool
 from .seeding import subseed
 
@@ -90,8 +89,8 @@ def _at(k: int | None) -> str:
 
 def _val_accuracy(agents: Sequence[Learner], vals: Sequence, pool: AgentPool,
                   k: int | None) -> list[float]:
-    return pool.each(lambda a, val: accuracy([(a.arch, a.params)], val)[0], agents, vals,
-                     where=_at(k))
+    return pool.each(lambda a, val: accuracy([(a.arch, a.params)], eval_set=val)[0], agents,
+                     vals, where=_at(k))
 
 
 def refresh_scores(
@@ -119,7 +118,7 @@ def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: 
             raise RuntimeError(f"non-finite parameters for agent {a.id} at iteration {k}")
     pool = pool or AgentPool()
     # one decode of each test chunk, scored by every agent
-    tests = accuracy([(a.arch, a.params) for a in agents], test, pool=pool)
+    tests = accuracy([(a.arch, a.params) for a in agents], eval_set=test, pool=pool)
     val_accs = _val_accuracy(agents, vals, pool, k)
     rates = [None] * len(agents) if proxy_rates is None else proxy_rates
     return [MetricsRecord(run=run_index, iteration=k, agent=a.id, arch=a.arch.kind,
@@ -144,35 +143,26 @@ def collective_round(
 
     With a pool the agents' forward passes run side by side, then fusion
     runs on the calling thread for all agents at once, then the agents'
-    updates run side by side, each writing its gradient into its thread's
-    buffer. A failure names the agent and iteration `k`. The agents and
-    `weights` are as `run_collective` checked and built them: agents in id
-    order sharing one class count, and an n x n weight matrix.
+    `train_step`s run side by side. A failure names the agent and iteration
+    `k`. The agents and `weights` are as `run_collective` checked and built
+    them: agents in id order sharing one class count, and an n x n weight
+    matrix.
     """
     pool = pool or AgentPool()
-
-    def update(agent: Learner, passed, proxy: np.ndarray) -> None:
-        g = grad(agent.arch, agent.params, *passed, proxy, out=pool.grad_buf(agent.params.size))
-        apply_update(agent.rule, agent.params, g)
-
     passes = pool.each(lambda a: forward(a.arch, a.params, batch_features), agents, where=_at(k))
     messages = [RoundMessage(sender=a.id, predictions=probs)
                 for a, (_, probs) in zip(agents, passes)]
     labels = fuse_and_label(messages, weights)
-    pool.each(update, agents, passes, labels, where=_at(k))
+    pool.each(lambda a, passed, proxy: train_step(a.arch, a.params, a.rule, *passed, proxy),
+              agents, passes, labels, where=_at(k))
     return labels
 
 
-def review_step(agent: Learner, train_set, batch_size: int, seed,
-                grad_buf: np.ndarray | None = None) -> None:
+def review_step(agent: Learner, train_set, batch_size: int, seed) -> None:
     """One supervised epoch over the agent's private training set, keeping
-    the agent's Adam state. `grad_buf`, a flat scratch at least as
-    long as the agent's parameters, receives each gradient; without it one
-    is allocated for the call."""
-    train_epochs(
-        agent.arch, agent.params, agent.rule,
-        train_set, batch_size, epochs=1, seed=seed, grad_buf=grad_buf,
-    )
+    the agent's Adam state."""
+    train_epochs(agent.arch, agent.params, agent.rule, train_set, batch_size, epochs=1,
+                 seed=seed)
 
 
 def run_collective(
@@ -265,11 +255,8 @@ def run_collective(
             if k % spec.review_period == 0:
                 # one seed for every agent's review epoch
                 review_seed = subseed(seed, "review", k)
-                pool.each(
-                    lambda a, train: review_step(a, train, train_batch, review_seed,
-                                                 pool.grad_buf(a.params.size)),
-                    agents, partition.train, where=_at(k),
-                )
+                pool.each(lambda a, train: review_step(a, train, train_batch, review_seed),
+                          agents, partition.train, where=_at(k))
                 stats["reviews"] += n
                 stats["review_iterations"].extend((k, i) for i in range(n))
 

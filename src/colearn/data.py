@@ -96,6 +96,15 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
+def _open_idx(path: Path):
+    """`path` opened for reading bytes; a file that cannot be opened raises
+    an IdxFormatError naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise IdxFormatError(f"{path}: cannot read: {e.strerror}") from e
+
+
 def _read_exact(f, count: int, path: Path, what: str) -> bytes:
     # at most what the file holds, so that a header claiming more fails here
     # instead of allocating for it
@@ -128,7 +137,7 @@ def _read_count(f, path: Path, magic: int, item: str) -> int:
 def idx_count(images_path) -> int:
     """The image count in an IDX images file's header; the pixels are not read."""
     images_path = Path(images_path)
-    with open(images_path, "rb") as f:
+    with _open_idx(images_path) as f:
         return _read_count(f, images_path, IDX_IMAGES_MAGIC, "image")
 
 
@@ -139,11 +148,12 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     uint8 bytes read from the file, in a read-only array over the read
     buffer: no float64 copy is made, and a stray in-place write raises
     instead of corrupting the corpus. Their values are byte / 255, applied
-    per batch by `decode`. An image of no pixels, or a label outside
-    [0, num_classes), raises an IdxFormatError naming its file.
+    per batch by `decode`. A file that cannot be opened, an image of no
+    pixels, or a label outside [0, num_classes), raises an IdxFormatError
+    naming its file.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
+    with _open_idx(images_path) as f:
         m = _read_count(f, images_path, IDX_IMAGES_MAGIC, "image")
         rows = _read_be32(f, images_path, "row count")
         cols = _read_be32(f, images_path, "column count")
@@ -151,7 +161,7 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
             raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels; "
                                  "rows and columns must be >= 1")
         raw = _read_exact(f, m * rows * cols, images_path, "pixel data")
-    with open(labels_path, "rb") as f:
+    with _open_idx(labels_path) as f:
         m_labels = _read_count(f, labels_path, IDX_LABELS_MAGIC, "label")
         if m_labels != m:
             raise IdxFormatError(

@@ -9,8 +9,10 @@ matrices and bias vectors are zero-copy views into it.
 There is one function per phase, which self-training, the collective
 rounds, reviews, score refreshes and the baselines all call: `forward`
 predicts, `grad` takes the gradient back through that pass's activations,
-`apply_update` takes the Adam step and `accuracy` evaluates. Prediction,
-gradient and evaluation run through the one layer loop, `_activations`.
+`apply_update` takes the Adam step and `accuracy` evaluates. Every update
+is one `train_step`: `grad` into the calling thread's scratch, then
+`apply_update`. Prediction, gradient and evaluation run through the one
+layer loop, `_activations`.
 
 Evaluation counts the rows whose argmax logit of a float64 pass over their
 EVAL_CHUNK chunk matches the label, but mostly computes in float32: each
@@ -26,6 +28,7 @@ whole chunk. The counts are those of that chunk pass on every row.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -198,6 +201,21 @@ def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     return theta
 
 
+# Each thread's gradient scratch, as long as the largest model it has stepped.
+_scratch = threading.local()
+
+
+def train_step(arch: Architecture, theta: np.ndarray, rule: Adam, acts: list[np.ndarray],
+               probs: np.ndarray, y) -> np.ndarray:
+    """One update: the `grad` of labels `y` back through a `forward` pass at
+    theta, written into the calling thread's scratch, then `apply_update`
+    with `rule`; returns theta."""
+    buf = getattr(_scratch, "grad", None)
+    if buf is None or buf.size < theta.size:
+        buf = _scratch.grad = np.empty(theta.size)
+    return apply_update(rule, theta, grad(arch, theta, acts, probs, y, out=buf[: theta.size]))
+
+
 def train_epochs(
     arch: Architecture,
     theta: np.ndarray,
@@ -209,7 +227,6 @@ def train_epochs(
     *,
     max_updates: int | None = None,
     on_step: Callable[[int], None] | None = None,
-    grad_buf: np.ndarray | None = None,
 ) -> int:
     """Shuffled mini-batch passes over a labeled set, the `epoch_batches`
     stream "train-epoch" capped at `max_updates`; updates theta in place and
@@ -217,21 +234,17 @@ def train_epochs(
 
     This is the one supervised training loop: self-training, the baselines
     and the review epochs of the collective phase all run through it.
-    uint8 features are decoded one minibatch at a time. `on_step(step)` is
-    called after each update with the 1-based step count. `grad_buf`, a flat
-    scratch at least as long as theta, receives each gradient in its head;
-    without it one is allocated for the call.
+    uint8 features are decoded one minibatch at a time. `on_step(k)` is
+    called after each update with the 1-based update count.
     """
     x, y = train_set.features, train_set.labels
-    g = np.empty_like(theta) if grad_buf is None else grad_buf[: theta.size]
-    step = 0
-    for step, idx in enumerate(
+    k = 0
+    for k, idx in enumerate(
             epoch_batches(x.shape[0], batch_size, epochs, seed, "train-epoch", max_updates), 1):
-        grad(arch, theta, *forward(arch, theta, decode(x[idx])), y[idx], out=g)
-        apply_update(rule, theta, g)
+        train_step(arch, theta, rule, *forward(arch, theta, decode(x[idx])), y[idx])
         if on_step is not None:
-            on_step(step)
-    return step
+            on_step(k)
+    return k
 
 
 def _gamma(n: int, u: float) -> float:

@@ -10,15 +10,14 @@ set them to anything. Where no such call is found, BLAS keeps its threads and
 agents run one after another.
 
 Parallelism comes from the agents instead. An `AgentPool` runs each agent's
-independent work (its `forward` pass, its `grad` and `apply_update`, its
-review epoch, its validation `accuracy`) as one task on a thread, and
-test-set `accuracy` one chunk per task; numpy releases the
-interpreter lock inside BLAS and ufunc loops, and ctypes for the whole of
-the C Adam step (`_kernels`), so the tasks overlap. A pool starts a
-phase's agent tasks largest agent first, so that no large task starts last
-and runs alone. Each agent's arithmetic stays
-sequential and single-threaded, so the bits depend on neither thread count
-nor task order. `colearn montecarlo --jobs N` divides the usable
+independent work (its `forward` pass, its `train_step`, its review epoch,
+its validation `accuracy`) as one task on a thread, and test-set `accuracy`
+one chunk per task; numpy releases the interpreter lock inside BLAS and
+ufunc loops, and ctypes for the whole of the C Adam step (`_kernels`), so
+the tasks overlap. A pool starts a phase's agent tasks largest agent first,
+so that no large task starts last and runs alone. Each agent's arithmetic
+stays sequential and single-threaded, so the bits depend on neither thread
+count nor task order. `colearn montecarlo --jobs N` divides the usable
 cores between its N worker processes.
 """
 
@@ -26,11 +25,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
-
-import numpy as np
 
 # (prefix, suffix) of OpenBLAS's exported names: numpy's bundled build
 # exports them with both, a system build with a plain prefix
@@ -117,9 +113,8 @@ def largest_first(agents: Sequence) -> list[int]:
 
 
 class AgentPool:
-    """Runs a run's independent tasks side by side on `size` threads, and
-    keeps one gradient buffer per thread. With size 1 every task runs on the
-    calling thread.
+    """Runs a run's independent tasks side by side on `size` threads. With
+    size 1 every task runs on the calling thread.
 
     Open one per run and close it before the run returns (it is a context
     manager): a process forked later then inherits no pool threads. No task
@@ -132,7 +127,6 @@ class AgentPool:
         self.size = size
         self._executor = (ThreadPoolExecutor(size, thread_name_prefix="colearn-agent")
                           if size > 1 else None)
-        self._local = threading.local()
 
     @classmethod
     def for_agents(cls, n_agents: int) -> "AgentPool":
@@ -182,11 +176,3 @@ class AgentPool:
             # after a failure, tasks that have not started never do
             for f in futures:
                 f.cancel()
-
-    def grad_buf(self, n: int) -> np.ndarray:
-        """The calling thread's gradient buffer: n floats, reused by every
-        task that thread runs."""
-        buf = getattr(self._local, "buf", None)
-        if buf is None or buf.size < n:
-            buf = self._local.buf = np.empty(n)
-        return buf[:n]

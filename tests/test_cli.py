@@ -335,6 +335,9 @@ def _spoil(data: Path, case: str) -> list[Path]:
     synthetic_idx_dataset(data, m_train=60, m_test=20)
     paths = [data / name for name in FMNIST_NAMES]
     labels = np.arange(20, dtype=np.uint8) % 10
+    if case == "missing":
+        paths[0].unlink()
+        return [paths[0]]
     if case == "label-10":
         raw = bytearray(paths[1].read_bytes())
         raw[8 + 7] = 10  # the eighth training label
@@ -360,8 +363,8 @@ def _spoil(data: Path, case: str) -> list[Path]:
     return [paths[2], paths[0]]
 
 
-@pytest.mark.parametrize("case", ["label-10", "negative-count", "huge-header", "no-columns",
-                                  "test-20x20", "no-test-images"])
+@pytest.mark.parametrize("case", ["missing", "label-10", "negative-count", "huge-header",
+                                  "no-columns", "test-20x20", "no-test-images"])
 def test_bad_idx_corpus_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, case):
     named = _spoil(tmp_path / "data", case)
     assert main(["data-check", str(tmp_path / "data")]) == 1

@@ -2,12 +2,13 @@
 full engine loop."""
 
 import inspect
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from colearn import _kernels as kernels
-from colearn import collective
+from colearn import collective, learner as learner_module
 from colearn.collective import (
     RoundMessage,
     collective_round,
@@ -273,15 +274,25 @@ class TestReviewStep:
         assert np.array_equal(learner.params, before)
 
     def test_run_buffer_keeps_bits(self):
+        # two reviews on a fresh thread, and on one whose gradient scratch is
+        # larger than the model and full of NaN
         ds = synth_blobs(12, 3, 5, 2.0, seed=4)
         arch = Architecture("HL1", 5, 3, hidden=(6,))
-        results = []
-        for buf in (None, np.full(param_count(arch) + 40, np.nan)):
+
+        def reviews(scratch):
+            if scratch is not None:
+                learner_module._scratch.grad = scratch
             learner = Learner.create(arch, seed=2, rule=Adam(alpha=1e-2))
             for r in range(2):
-                review_step(learner, ds, batch_size=5, seed=r, grad_buf=buf)
-            results.append((learner.params, learner.rule._m, learner.rule._v,
-                            learner.rule._steps))
+                review_step(learner, ds, batch_size=5, seed=r)
+            if scratch is not None:
+                assert learner_module._scratch.grad is scratch  # reused, not replaced
+            return learner.params, learner.rule._m, learner.rule._v, learner.rule._steps
+
+        results = []
+        for scratch in (None, np.full(param_count(arch) + 40, np.nan)):
+            with ThreadPoolExecutor(1) as thread:
+                results.append(thread.submit(reviews, scratch).result())
         assert results[0][3] == results[1][3] == 16
         for a, b in zip(results[0][:3], results[1][:3]):
             assert np.array_equal(a, b)

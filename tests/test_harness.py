@@ -15,7 +15,7 @@ from colearn.config import (
     CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, SynthSpec, load_config,
     override, parse_config,
 )
-from colearn.data import load_idx
+from colearn.data import IdxFormatError, load_idx
 from colearn.harness import (
     build_schedule,
     check_partition,
@@ -512,11 +512,25 @@ class TestCorpusCache:
         synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
         (tmp_path / FMNIST_NAMES[2]).unlink()
         spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
-        with pytest.raises(FileNotFoundError) as got:
+        with pytest.raises(IdxFormatError) as got:
             harness._load_corpus(spec, 1)
-        with pytest.raises(FileNotFoundError) as want:
+        with pytest.raises(IdxFormatError) as want:
             load_idx(spec.test_images, spec.test_labels)
         assert str(got.value) == str(want.value)
+
+    def test_cache_clear_reads_the_files_again(self, tmp_path, monkeypatch):
+        # a benchmark clears the cache so that pool workers load their own corpus
+        synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        calls = []
+        load_idx = data.load_idx
+        monkeypatch.setattr(data, "load_idx", lambda *args: calls.append(args) or load_idx(*args))
+        first = harness._load_corpus(spec, 1)
+        assert harness._load_corpus(spec, 1) is first and len(calls) == 2
+        harness._load_corpus.cache_clear()
+        again = harness._load_corpus(spec, 1)
+        assert again is not first and len(calls) == 4
+        assert np.array_equal(again[0].features, first[0].features)
 
     def test_blobs_follow_the_seed(self):
         spec = blob_config().dataset

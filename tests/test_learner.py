@@ -1,5 +1,7 @@
 """Forward/loss/gradient correctness, the Adam step, and training loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,21 @@ class TestTrainEpochs:
             train_epochs(arch, theta, Adam(alpha=1e-3), ds, batch_size=4, epochs=3, seed=21)
             results.append(theta)
         assert np.array_equal(results[0], results[1])
+
+    def test_second_call_allocates_nothing_parameter_sized(self):
+        # a thread's first steps allocate the gradient scratch and the Adam
+        # moments that its later steps reuse
+        ds = synth_blobs(4, 10, 100, 2.0, seed=5)
+        arch = Architecture("HL1", 100, 10, hidden=(2000,))
+        theta, rule = init_params(arch, seed=4), Adam()
+        train_epochs(arch, theta, rule, ds, batch_size=4, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train_epochs(arch, theta, rule, ds, batch_size=4, epochs=1, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes // 4  # one gradient is theta.nbytes, 1.8 MB
 
 
 class TestAccuracy:

@@ -70,8 +70,10 @@ config = blob_config(mode="CL", n_per_class=60, train_size=20, val_size=10,
                      self_train_epochs=3, score_refresh_period=10, review_period=20,
                      epochs_over_shared=1, metric_stride=10, architectures=("HL1", "SHL"))
 out = harness.run_mode(config, 0)
+test_rows = config.dataset.test_n_per_class * config.dataset.num_classes
 print(json.dumps({"absent": trace.absent, "counts": trace.counts, "stats": out.stats,
-                  "records": len(out.records)}))
+                  "records": len(out.records), "test_rows": test_rows,
+                  "val_rows": config.val_size}))
 """
 
 
@@ -103,3 +105,5 @@ def test_tracer_sees_every_phase(tmp_path):
     # each refresh and each emission measures every agent's validation
     # accuracy; each emission also scores all agents on the test set at once
     assert count("learner.eval_calls") == n * (refreshes + emissions) + emissions
+    assert count("learner.eval_samples") == (emissions * got["test_rows"]
+                                             + n * (refreshes + emissions) * got["val_rows"])
