@@ -19,6 +19,12 @@ EVAL_CHUNK chunk matches the label, but mostly computes in float32: each
 chunk is scored in float32 first, with a proven bound on each logit's
 distance from exact arithmetic on the float64 inputs and parameters
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
+Each layer's bound is in two parts: the fresh error of its own rounding, and
+the error of its input carried through its weights. Where one hidden layer
+carries its error into another, and the set spans more than one chunk, the
+carried part goes through a proven upper bound on the weights' spectral norm
+(`_spectral_norm`, its products' rounding bounded as in section 3.5); every
+other part uses column and Frobenius norms.
 A row whose top logit beats every other by more than their bounds is
 counted from the float32 pass; the rows left open are scored again in
 float64 under the same kind of bound, and only a row still open there (a
@@ -268,15 +274,63 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return _norm_up(np.einsum("ij,ij->i", a, a), a.shape[1], a.dtype)
 
 
-def _weight_norms(arch: Architecture, theta: np.ndarray) -> list[tuple]:
+def _spectral_norm(w: np.ndarray) -> float:
+    """A proven upper bound on the spectral norm ‖w‖₂, or inf where a product
+    is not finite.
+
+    w is scaled by the power of two 2^-e that puts its largest |entry| in
+    [1/2, 1), which is exact but for entries that fall below the normal range.
+    With G the Gram matrix of the scaled w on its smaller side, ‖w‖₂^8 is
+    2^8e ‖G^4‖₂ ≤ 2^8e ‖G^4‖_F, and G^4 is G squared twice. A product of
+    p x q by q x r rounds by at most gamma_q ‖A‖_F ‖B‖_F in Frobenius norm
+    (Higham 2002, section 3.5), plus q sqrt(pr) times the smallest normal
+    number for underflow, and an error D in a factor adds D (2‖Ĝ‖_F + D) to
+    its square. The eighth root of ‖Ĝ^4‖_F plus these errors is taken by
+    three square roots, raised by 2^-48 for the rounding of this arithmetic
+    and of the scaled entries (the scaled norms are at least 2^-8), and
+    scaled back, with the smallest normal number added in case that rounds.
+    """
+    u, tiny = float(np.finfo(np.float64).eps) / 2.0, float(np.finfo(np.float64).tiny)
+    with np.errstate(all="ignore"):  # a NaN or overflow gives inf below
+        e = int(np.frexp(np.abs(w).max())[1])
+        a = np.ldexp(w, -e)
+        if a.shape[0] < a.shape[1]:
+            a = a.T
+        n, m = a.shape
+        f = _norm_up(np.vdot(a, a), a.size)
+        err = _gamma(n, u) * f * f + n * m * tiny
+        g = a.T @ a
+        for _ in range(2):
+            f = _norm_up(np.vdot(g, g), g.size)
+            err = _gamma(m, u) * f * f + m * m * tiny + err * (2.0 * f + err)
+            g = g @ g
+        top = _norm_up(np.vdot(g, g), g.size) + err
+    if not np.isfinite(top):
+        return np.inf
+    return float(np.ldexp(np.sqrt(np.sqrt(np.sqrt(top))) * (1.0 + 2.0**-48), e)) + tiny
+
+
+def _weight_norms(arch: Architecture, theta: np.ndarray, spectral: bool = True) -> list[tuple]:
     """Per layer, upper bounds on the 2-norm of each weight column, the
-    Frobenius norm of the weights and the 2-norm of the bias, and |bias|."""
+    Frobenius norm of the weights, their spectral norm and the 2-norm of the
+    bias, and |bias|.
+
+    The spectral norm bounds only the error a layer's input carries through
+    it. It is min(`_spectral_norm`, Frobenius) for the layers between two
+    hidden layers, when `spectral` is set, and the Frobenius norm elsewhere:
+    a float32 input's rounding is all that the first layer carries, far
+    below its fresh error, and the output layer's error is bounded per
+    column. `accuracy` sets `spectral` for sets longer than one EVAL_CHUNK;
+    on one chunk the Gram products cost more than the rescoring they spare.
+    """
+    layers = param_views(arch, theta)
     norms = []
-    for w, b in param_views(arch, theta):
+    for l, (w, b) in enumerate(layers):
         n, dout = w.shape
         col = np.einsum("ij,ij->j", w, w)
-        norms.append((_norm_up(col, n), _norm_up(col.sum(), (n + 1) * dout),
-                      _norm_up(b @ b, dout), np.abs(b)))
+        frob = _norm_up(col.sum(), (n + 1) * dout)
+        sigma = min(frob, _spectral_norm(w)) if spectral and 0 < l < len(layers) - 1 else frob
+        norms.append((_norm_up(col, n), frob, sigma, _norm_up(b @ b, dout), np.abs(b)))
     return norms
 
 
@@ -287,20 +341,29 @@ def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -
 
     `norms` are the model's `_weight_norms`, `t_in` the `_row_norms` of
     `acts[0]`. Per layer, with unit roundoff u, fan-in n, input row â with
-    error at most eps in 2-norm, and eta the dtype's smallest normal number
-    (more than any error of an underflow), each output j of `â @ W + b`
-    computed as `fl(fl(â @ Ŵ) + b̂)` is within
+    error e = â - a of 2-norm at most eps, and eta the dtype's smallest
+    normal number (more than any error of an underflow), each output j of
+    `â @ W + b` computed as `fl(fl(â @ Ŵ) + b̂)` is within
 
         ((gamma_n + 2u)|â| + (1 + 2u) eps) |W_j| + u|b_j| + u/(1-u) |ẑ_j|
             + eta (2 sqrt(n) (|â| + eps) + n + 1)
 
     of exact: the dot product's rounding, the input's error, the rounding of
     W and b to the dtype, the bias add, and underflow. ReLU is 1-Lipschitz,
-    so the next layer's eps is the 2-norm of these bounds over j, where
+    so the next layer's eps bounds the 2-norm of these errors over j, in two
+    parts. The fresh part, every term but the input's error, is the 2-norm
+    of its per-column bounds, which takes ‖W‖_F in place of |W_j|; there
     u/(1-u) |ẑ_j| is at most 2u (|â| |W_j| + |b_j|) plus the underflow term
-    (for fan-ins below 1 / (3u)). A float32 input is the rounded float64
-    one, so eps starts at u(1 + 2u)|x̂| plus sqrt(n) eta for inputs that
-    underflow; a float64 input is exact. Norms are `_norm_up` bounds.
+    (for fan-ins below 1 / (3u)). The carried part is eᵀŴ, whose 2-norm is
+    at most eps (σ̄ + u ‖W‖_F), σ̄ being the spectral-norm bound of
+    `_weight_norms` and u ‖W‖_F bounding ‖Ŵ - W‖₂. So
+
+        eps' = (gamma_n + 2u)|â| ‖W‖_F + eps (σ̄ + u ‖W‖_F) + u ‖b‖
+            + 2u (|â| ‖W‖_F + ‖b‖) + 2 sqrt(outputs) eta (2 sqrt(n) (|â| + eps) + n + 1).
+
+    A float32 input is the rounded float64 one, so eps starts at
+    u(1 + 2u)|x̂| plus sqrt(n) eta for inputs that underflow; a float64 input
+    is exact. Norms are `_norm_up` bounds.
 
     None of this holds where the pass overflowed, so a row gets an infinite
     bound unless at every layer (|â| + 1) max_j |W_j| + max |b| is below a
@@ -312,15 +375,16 @@ def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -
     n = acts[0].shape[1]
     eps = 0.0 if finfo.dtype == np.float64 else u * (1.0 + 2.0 * u) * t_in + np.sqrt(n) * tiny
     safe = np.ones(acts[0].shape[0], dtype=bool)
-    for l, (col, frob, bnorm, babs) in enumerate(norms):
+    for l, (col, frob, sigma, bnorm, babs) in enumerate(norms):
         n = acts[l].shape[1]
         t = t_in if l == 0 else _row_norms(acts[l])
         safe &= (t + 1.0) * col.max() + babs.max() < float(finfo.max) / 4.0
-        k = (_gamma(n, u) + 2.0 * u) * t + (1.0 + 2.0 * u) * eps
+        fresh = (_gamma(n, u) + 2.0 * u) * t
+        k = fresh + (1.0 + 2.0 * u) * eps
         under = tiny * (2.0 * np.sqrt(n) * (t + eps) + n + 1)
         if l < len(norms) - 1:
-            eps = (k * frob + u * bnorm + 2.0 * u * (t * frob + bnorm)
-                   + 2.0 * np.sqrt(col.size) * under)
+            eps = (fresh * frob + eps * (sigma + u * frob) + u * bnorm
+                   + 2.0 * u * (t * frob + bnorm) + 2.0 * np.sqrt(col.size) * under)
     bound = (k[:, None] * col + u * babs + u / (1.0 - u) * np.abs(acts[-1], dtype=np.float64)
              + under[:, None])
     bound[~safe] = np.inf
@@ -369,7 +433,7 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
     pool = pool or AgentPool()
-    norms = pool.map(lambda model: _weight_norms(*model), models)
+    norms = pool.map(lambda model: _weight_norms(*model, x.shape[0] > EVAL_CHUNK), models)
 
     def correct(s: int) -> list[int]:
         rows, labels = x[s : s + EVAL_CHUNK], y[s : s + EVAL_CHUNK]

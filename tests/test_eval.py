@@ -18,8 +18,8 @@ from colearn.learner import (  # noqa: E402
     Architecture,
     _activations,
     _certain,
-    _logit_bound,
     _row_norms,
+    _spectral_norm,
     _weight_norms,
     accuracy,
     init_params,
@@ -77,9 +77,15 @@ def shl(weights, bias) -> tuple[Architecture, np.ndarray]:
 
 
 def net(kind, input_dim, classes, seed, scale=1.0):
-    hidden = {"SHL": (), "HL1": (6,), "HL2": (7, 5)}[kind]
-    arch = Architecture(kind, input_dim, classes, hidden)
-    return arch, init_params(arch, seed) * scale
+    """A small net of `kind`; "HL2-rank1" is an HL2 whose middle layer is
+    rank one, so that its spectral norm is its Frobenius norm."""
+    hidden = {"SHL": (), "HL1": (6,), "HL2": (7, 5), "HL2-rank1": (12, 9)}[kind]
+    arch = Architecture(kind.split("-")[0], input_dim, classes, hidden)
+    theta = init_params(arch, seed) * scale
+    if kind == "HL2-rank1":
+        w = param_views(arch, theta)[1][0]
+        w[:] = np.outer(w[:, 0], np.sign(w[0]))
+    return arch, theta
 
 
 # --- the counts ---------------------------------------------------------------
@@ -148,8 +154,10 @@ def test_coherent_rounding():
 
 
 def test_ragged_last_chunk():
+    # longer than a chunk, so the HL2 net's bound carries its spectral norm
     x = np.random.default_rng(4).integers(0, 256, size=(EVAL_CHUNK + 37, 8), dtype=np.uint8)
-    assert_oracle_counts([net("HL1", 8, 4, seed=9), net("SHL", 8, 4, seed=10)], x)
+    assert_oracle_counts([net("HL1", 8, 4, seed=9), net("SHL", 8, 4, seed=10),
+                          net("HL2", 8, 4, seed=11)], x)
 
 
 def test_more_open_rows_than_a_chunk():
@@ -204,12 +212,14 @@ def exact_logits(arch, theta, x64):
     return a
 
 
-def _pass(arch, theta, x, dtype):
-    """One `_activations` pass in `dtype` and its `_logit_bound`."""
+def _pass(arch, theta, x, dtype, spectral=True):
+    """One `_activations` pass in `dtype` and its `_logit_bound`, with the
+    spectral-norm bound whatever the set's size unless `spectral` is off."""
     x_mat = np.ascontiguousarray(decode(x, dtype))
     with np.errstate(all="ignore"):
         acts = _activations(arch, theta, x_mat)
-        return acts, _logit_bound(acts, _weight_norms(arch, theta), _row_norms(x_mat))
+        return acts, learner._logit_bound(acts, _weight_norms(arch, theta, spectral),
+                                          _row_norms(x_mat))
 
 
 def _near_rounding_midpoints(a: np.ndarray) -> np.ndarray:
@@ -230,7 +240,7 @@ def assert_bound_covers_exact(arch, theta, x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["SHL", "HL1", "HL2"]), input_dim=st.integers(1, 6),
+@given(kind=st.sampled_from(["SHL", "HL1", "HL2", "HL2-rank1"]), input_dim=st.integers(1, 6),
        classes=st.integers(1, 4), seed=st.integers(0, 10**6),
        scale=st.sampled_from([1e-40, 1e-3, 1.0, 1e3, 1e30]),
        features=st.sampled_from(["pixels", "normal", "tiny", "huge", "midpoints"]))
@@ -248,14 +258,43 @@ def test_bound_covers_exact_arithmetic(kind, input_dim, classes, seed, scale, fe
     assert_bound_covers_exact(arch, theta, x)
 
 
-def test_bound_covers_coherent_rounding():
-    # every rounding of the float32 pass errs by nearly half a unit upwards
+def coherent_rounding():
+    """An SHL case where every rounding of the float32 pass errs by nearly
+    half a unit upwards."""
     near_up = 1.0 + 2.0**-24 + 2.0**-40
-    arch, theta = shl([[near_up]], [0.0])
-    assert_bound_covers_exact(arch, theta, np.array([[near_up]]))
+    return (*shl([[near_up]], [0.0]), np.array([[near_up]]))
 
 
-def documented_bound(acts, arch, theta):
+def hl2_midpoints():
+    """An HL2 case with inputs and parameters just below float32 rounding
+    midpoints; its errors come to more than 2^-10 of its bound."""
+    rng = np.random.default_rng(3)
+    arch, theta = net("HL2", 6, 4, seed=3)
+    x = _near_rounding_midpoints(rng.standard_normal((5, 6)))
+    return arch, _near_rounding_midpoints(theta) * np.sign(theta), x
+
+
+def test_bound_covers_coherent_rounding():
+    assert_bound_covers_exact(*coherent_rounding())
+
+
+@pytest.mark.parametrize("case", [coherent_rounding, hl2_midpoints])
+def test_a_bound_2_pow_10_too_small_fails_the_exact_check(case, monkeypatch):
+    # the exact check passes on each case, and fails on the bound scaled by 2^-10
+    assert_bound_covers_exact(*case())
+    bound = learner._logit_bound
+    monkeypatch.setattr(learner, "_logit_bound", lambda *args: bound(*args) * 2.0**-10)
+    with pytest.raises(AssertionError):
+        assert_bound_covers_exact(*case())
+
+
+def spectral_bound(w):
+    """σ̄ as `_spectral_norm`'s docstring states it, without its rounding
+    terms: ‖(WᵀW)⁴‖_F^(1/8)."""
+    return np.linalg.norm(np.linalg.matrix_power(w.T @ w, 4)) ** 0.125
+
+
+def documented_bound(acts, arch, theta, spectral=True):
     """The bound `_logit_bound`'s docstring states, from exact norms."""
     finfo = np.finfo(acts[-1].dtype)
     u, eta = float(finfo.eps) / 2, float(finfo.tiny)
@@ -272,7 +311,9 @@ def documented_bound(acts, arch, theta):
         under = eta * (2 * np.sqrt(n) * (t + eps) + n + 1)
         if l < len(layers) - 1:
             frob, bnorm = np.linalg.norm(w), np.linalg.norm(b)
-            eps = (k * frob + u * bnorm + 2 * u * (t * frob + bnorm)
+            sigma = min(spectral_bound(w), frob) if spectral and l > 0 else frob
+            fresh = (n * u / (1 - n * u) + 2 * u) * t * frob
+            eps = (fresh + eps * (sigma + u * frob) + u * bnorm + 2 * u * (t * frob + bnorm)
                    + 2 * np.sqrt(w.shape[1]) * under)
     return (k[:, None] * col + u * np.abs(b) + u / (1 - u) * np.abs(acts[-1].astype(np.float64))
             + under[:, None])
@@ -282,12 +323,14 @@ def documented_bound(acts, arch, theta):
 @pytest.mark.parametrize("kind", ["SHL", "HL2"])
 def test_bound_is_the_documented_one(kind, dtype):
     # at least the stated bound (every term of it, the float32 input's
-    # rounding included), and above it only by the rounding-up of the norms
+    # rounding included), and above it only by the rounding-up of the norms;
+    # with and without the spectral-norm bound
     arch, theta = net(kind, 6, 4, seed=12)
     x = np.random.default_rng(7).integers(0, 256, size=(9, 6), dtype=np.uint8)
-    acts, bound = _pass(arch, theta, x, dtype)
-    ratio = bound / documented_bound(acts, arch, theta)
-    assert np.all(ratio >= 1 - 2.0**-40) and np.all(ratio <= 1 + 2.0**-16)
+    for spectral in (True, False):
+        acts, bound = _pass(arch, theta, x, dtype, spectral)
+        ratio = bound / documented_bound(acts, arch, theta, spectral)
+        assert np.all(ratio >= 1 - 2.0**-40) and np.all(ratio <= 1 + 2.0**-16), spectral
 
 
 def test_overflowing_rows_get_no_finite_bound():
@@ -295,6 +338,67 @@ def test_overflowing_rows_get_no_finite_bound():
     x = np.array([[1.0, 1.0, 1.0], [1e-30, 0.0, 0.0]])
     _, bound = _pass(arch, theta, x, np.float32)
     assert np.all(np.isinf(bound[0])) and np.all(np.isfinite(bound[1]))
+
+
+# --- the spectral-norm bound --------------------------------------------------
+
+def _is_spectral_bound(s: float, w: np.ndarray) -> bool:
+    """Whether s² I - WᵀW is positive semidefinite in exact arithmetic, on
+    W's smaller side, by LDLᵀ elimination: every pivot is at least 0, and a
+    zero pivot's row beyond it is zero."""
+    small = _fractions(w if w.shape[0] <= w.shape[1] else w.T)
+    gram = small @ small.T
+    a = [[Fraction(s) ** 2 * (i == j) - gram[i, j] for j in range(len(gram))]
+         for i in range(len(gram))]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        if row[k]:
+            for below in a[k + 1:]:
+                f = below[k] / row[k]
+                below[k + 1:] = [v - f * r for v, r in zip(below[k + 1:], row[k + 1:])]
+    return True
+
+
+def _spectral_cases():
+    rng = np.random.default_rng(8)
+    single = np.zeros((4, 3))
+    single[2, 1] = -3.5
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
+    return {
+        "rank-one": np.outer(rng.standard_normal(12), rng.standard_normal(9)),
+        "single-entry": single,
+        "orthogonal-columns": np.vstack([hadamard, hadamard]) * [0.5, 3.0, 1.25, 3.0],
+        "tall": rng.standard_normal((9, 4)),
+        "wide": rng.standard_normal((3, 8)),
+        "zero": np.zeros((5, 3)),
+        "1e-160": rng.standard_normal((6, 4)) * 1e-160,
+        "1e150": rng.standard_normal((4, 6)) * 1e150,
+    }
+
+
+@pytest.mark.parametrize("name", list(_spectral_cases()))
+def test_spectral_norm_bounds_the_largest_singular_value(name):
+    # σ̄ bounds ‖W‖₂ in exact arithmetic, and is within its (rank)^(1/8)
+    # factor of it; at rank one that factor is 1, so a hair less is no bound
+    w = _spectral_cases()[name]
+    sigma = _spectral_norm(w)
+    assert _is_spectral_bound(sigma, w)
+    rank = 1 if name in ("rank-one", "single-entry") else min(w.shape)
+    assert sigma <= np.linalg.norm(w, 2) * rank**0.125 * (1 + 2.0**-40) or not w.any()
+    if rank == 1:
+        assert not _is_spectral_bound(sigma * (1 - 2.0**-30), w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_weights_give_no_finite_spectral_norm_or_bound(bad):
+    arch, theta = net("HL2", 4, 3, seed=14)
+    w = param_views(arch, theta)[1][0]
+    w[2, 1] = bad
+    assert _spectral_norm(w) == np.inf
+    x = np.random.default_rng(9).integers(0, 256, size=(6, 4), dtype=np.uint8)
+    for dtype in (np.float32, np.float64):
+        assert not np.isfinite(_pass(arch, theta, x, dtype)[1]).any()
 
 
 # --- certainty ----------------------------------------------------------------
