@@ -4,6 +4,10 @@ Layer matmuls go through BLAS; the kernels here cover the elementwise-heavy
 work: activations, softmax cross-entropy, the Adam step and prediction
 fusion.
 
+`exp`, for float64 arguments up to 0 and within 1.5 ulp on normal results,
+is built from numpy's correctly rounded operations alone, so that numpy's
+SIMD dispatch by CPU moves no bit of the softmax or the mixing weights.
+
 The Adam step folds its bias corrections into the step size and epsilon
 (Kingma & Ba, Adam, ICLR 2015, section 2), so each element takes one
 divide and one square root, and runs in C where it can. `_adam.c`, shipped
@@ -70,10 +74,33 @@ def relu_grad(upstream: np.ndarray, activated: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
+    shifted = exp(logits - logits.max(axis=1, keepdims=True))
     shifted /= shifted.sum(axis=1, keepdims=True)
     return shifted
+
+
+# exp's constants as 0-d arrays, which numpy takes faster than Python floats;
+# fdlibm's split of ln 2, whose high part times any |k| <= 1077 is exact
+_LN2_HI, _LN2_LO, _INV_LN2, _EXP_FLOOR = map(np.array, (
+    6.93147180369123816490e-01, 1.90821492927058770002e-10, 1.44269504088896338700e+00, -746.0))
+_TAYLOR = [np.array(1.0 / math.factorial(j)) for j in range(13, -1, -1)]  # 1/j!, highest first
+
+
+def exp(x: np.ndarray) -> np.ndarray:
+    """e**x for float64 x <= 0, as a new array: the degree-13 Taylor
+    polynomial of e**r in Horner form, r = x - k ln 2 with |r| <= ln(2)/2,
+    scaled by 2**k through `ldexp`; no libm and no FMA. x below about
+    -745.2, -inf included, gives 0, and NaN gives NaN, without a warning."""
+    x = np.maximum(x, _EXP_FLOOR)  # keeps NaN
+    k = np.rint(np.fmax(x, _EXP_FLOOR) * _INV_LN2)  # drops NaN: every k casts to int
+    x -= k * _LN2_HI
+    x -= k * _LN2_LO
+    p = x * _TAYLOR[0]
+    for c in _TAYLOR[1:-1]:
+        p += c
+        p *= x
+    p += _TAYLOR[-1]
+    return np.ldexp(p, k.astype(np.intc))
 
 
 def dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

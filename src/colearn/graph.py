@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._kernels import exp
 from .config import GraphSpec
 from .seeding import rng_for
 
@@ -152,7 +153,7 @@ def build_weight_matrix_log(g: DirectedGraph, log_scores: np.ndarray) -> np.ndar
         # one row at a time: numpy sums 8 or more elements of a 2-D row sum
         # in another order, and the bits would change
         nbrs = g.hears[i]
-        shifted = np.exp(log_scores[nbrs] - log_scores[nbrs].max())
+        shifted = exp(log_scores[nbrs] - log_scores[nbrs].max())
         w[i, nbrs] = shifted / shifted.sum()
     return w
 

@@ -14,10 +14,10 @@ is one `train_step`: `grad` into the calling thread's scratch, then
 `apply_update`. Prediction, gradient and evaluation run through the one
 layer loop, `_activations`.
 
-Evaluation counts the rows whose argmax logit of a float64 pass over their
-EVAL_CHUNK chunk matches the label, but mostly computes in float32: each
-chunk is scored in float32 first, with a proven bound on each logit's
-distance from exact arithmetic on the float64 inputs and parameters
+Evaluation counts the rows whose argmax logit of a float64 pass over the
+row alone matches the label, but mostly computes in float32: each
+EVAL_CHUNK chunk is scored in float32 first, with a proven bound on each
+logit's distance from exact arithmetic on the float64 inputs and parameters
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
 Each layer's bound is in two parts: the fresh error of its own rounding, and
 the error of its input carried through its weights. Where one hidden layer
@@ -28,8 +28,9 @@ other part uses column and Frobenius norms.
 A row whose top logit beats every other by more than their bounds is
 counted from the float32 pass; the rows left open are scored again in
 float64 under the same kind of bound, and only a row still open there (a
-near tie, or a non-finite value) is settled by the float64 pass over its
-whole chunk. The counts are those of that chunk pass on every row.
+near tie, or a non-finite value) is settled by that row's own float64 pass.
+The counts are those of the row pass on every row: they depend only on the
+row, the parameters and the BLAS kernel, not on the chunk size.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from .parallel import AgentPool
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
-# Rows per evaluation chunk. The float64 pass that settles near ties runs
-# over a whole chunk, and its bits may depend on the chunk's rows, so the
-# chunk is fixed; the float32 screening and the float64 rescoring give the
-# same counts at any chunk size.
+# Rows per evaluation chunk: a speed setting only, as the counts are the same
+# at any chunk size.
 EVAL_CHUNK = 1024
 
 
@@ -394,7 +393,7 @@ def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -
 def _certain(logits: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's argmax, and whether the bounds prove it: the top logit
     minus its bound beats every other logit plus its bound. The bounds are
-    inflated by 2^-20, more than the error of the float64 chunk pass
+    inflated by 2^-20, more than the error of the float64 row pass
     relative to a float32 bound (below 2^-29) and than the bounds' own
     rounding, and by 2^-40 |logit| for the rounding of this comparison. A
     row with a non-finite logit or bound is never certain."""
@@ -420,15 +419,15 @@ def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np
 def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Dataset,
                pool: AgentPool | None = None) -> list[float]:
     """Accuracy of each `(arch, theta)` in `models` on one labeled set: the
-    fraction of samples whose argmax logit (lowest index on ties) of the
-    float64 pass over their EVAL_CHUNK chunk matches the label.
+    fraction of samples whose argmax logit (lowest index on ties) of a
+    float64 pass over the sample alone matches the label.
 
-    Each chunk is decoded to float32 once and scored by every model in
-    float32; a row is counted from there when its bound proves its argmax.
-    A model's open rows are scored again in float64, where the bound is
-    doubled, as the chunk pass carries one of its own; the rows open there
-    take the chunk pass's argmax. With a pool, chunks run side by side; the
-    chunks are the same at any pool size, so the counts are too."""
+    Each EVAL_CHUNK chunk is decoded to float32 once and scored by every
+    model in float32; a row is counted from there when its bound proves its
+    argmax. A model's open rows are scored again in float64, where the bound
+    is doubled, as the row pass carries one of its own; the rows open there
+    take the row pass's argmax. With a pool, chunks run side by side; no
+    count depends on the chunks or the pool size."""
     x, y = eval_set.features, eval_set.labels
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
@@ -439,7 +438,6 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
         rows, labels = x[s : s + EVAL_CHUNK], y[s : s + EVAL_CHUNK]
         x32 = np.ascontiguousarray(decode(rows, np.float32))
         t32 = _row_norms(x32)
-        chunk = []  # the chunk pass's float64 decode, once a row needs it
         counts = []
         for (arch, theta), norm in zip(models, norms):
             pred, certain = _screen(arch, theta, norm, x32, t32, 1.0)
@@ -447,11 +445,9 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
             if open_rows.size:
                 x64 = np.ascontiguousarray(decode(rows[open_rows]))
                 pred[open_rows], certain = _screen(arch, theta, norm, x64, _row_norms(x64), 2.0)
-                ties = open_rows[~certain]
-                if ties.size:
-                    if not chunk:
-                        chunk.append(np.ascontiguousarray(decode(rows)))
-                    pred[ties] = kernels.argmax_rows(_activations(arch, theta, chunk[0])[-1])[ties]
+                for i in np.flatnonzero(~certain):  # the row pass
+                    z = _activations(arch, theta, x64[i : i + 1])[-1]
+                    pred[open_rows[i]] = kernels.argmax_rows(z)[0]
             counts.append(int((pred == labels).sum()))
         return counts
 

@@ -1,7 +1,7 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
 numpy Adam step, the forced float64 evaluation, the optional Fashion-MNIST
-directory for dataset-gated tests, the loss and prediction helpers that
-only tests use, and which numpy `exp` loop the pinned digests ran with."""
+directory for dataset-gated tests, and the loss and prediction helpers that
+only tests use."""
 
 from __future__ import annotations
 
@@ -76,8 +76,8 @@ def numpy_adam(monkeypatch):
 
 @pytest.fixture
 def float64_eval(monkeypatch):
-    """Every row of every evaluation in the test is taken by the float64
-    pass over its chunk, as if no bound proved any row's argmax."""
+    """Every row of every evaluation in the test is taken by a float64 pass
+    over the row alone, as if no bound proved any row's argmax."""
     monkeypatch.setattr(learner, "_certain", lambda logits, bound: (
         _kernels.argmax_rows(logits), np.zeros(logits.shape[0], dtype=bool)))
 
@@ -92,18 +92,6 @@ def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
     labels = _check_labels(arch, y)
     picked = forward(arch, theta, x)[1][np.arange(labels.shape[0]), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-
-
-def exp_x86_v4() -> bool | str:
-    """Whether numpy's float64 `exp` runs its X86_V4 (AVX-512) loop, whose
-    bits differ from those of its X86_V3 and baseline loops (which agree
-    with each other); "unknown" where numpy cannot say (before numpy 2)."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return "unknown"
-    loop = opt_func_info(func_name="^exp$", signature="float64").get("exp", {}).get("dd")
-    return "unknown" if loop is None else loop["current"] == "X86_V4"
 
 
 def predict_proba(agent: Learner, x) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Test-set evaluation: float32 screening under a proven error bound, the
-float64 rescoring of open rows, and the float64 chunk pass that settles near
-ties, against an oracle that scores every row with the chunk pass."""
+float64 rescoring of open rows, and the float64 row pass that settles near
+ties, against an oracle that scores every row with its row pass."""
 
 from fractions import Fraction
 
@@ -29,30 +29,22 @@ from colearn.learner import (  # noqa: E402
 from colearn.parallel import AgentPool  # noqa: E402
 
 
-def oracle_accuracies(models, eval_set, pool=None):
-    """Evaluation as it was before float32 screening: each chunk decoded to
-    float64 once and scored by every model's float64 pass."""
+def row_argmax(arch, theta, x):
+    """Every row's argmax from a float64 pass over that row alone."""
+    x64 = np.ascontiguousarray(decode(x))
+    return np.array([kernels.argmax_rows(_activations(arch, theta, x64[i : i + 1])[-1])[0]
+                     for i in range(x.shape[0])], dtype=np.int64)
+
+
+def oracle_accuracies(models, eval_set):
+    """Evaluation by its definition, with no screening: every row scored by
+    each model's float64 pass over that row alone."""
     x, y = eval_set.features, eval_set.labels
-
-    def correct(s):
-        x_chunk = np.ascontiguousarray(decode(x[s : s + EVAL_CHUNK]))
-        return [int((kernels.argmax_rows(_activations(arch, theta, x_chunk)[-1])
-                     == y[s : s + EVAL_CHUNK]).sum()) for arch, theta in models]
-
-    per_chunk = (pool or AgentPool()).map(correct, range(0, x.shape[0], EVAL_CHUNK))
-    return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
-
-
-def chunk_argmax(arch, theta, x):
-    """Every row's argmax from the float64 pass over its chunk."""
-    return np.concatenate([
-        kernels.argmax_rows(_activations(
-            arch, theta, np.ascontiguousarray(decode(x[s : s + EVAL_CHUNK])))[-1])
-        for s in range(0, x.shape[0], EVAL_CHUNK)])
+    return [int((row_argmax(arch, theta, x) == y).sum()) / x.shape[0] for arch, theta in models]
 
 
 def assert_oracle_counts(models, x, seed=0):
-    """Each model alone, labeled with its own chunk-pass argmax, scores 1.0,
+    """Each model alone, labeled with its own row-pass argmax, scores 1.0,
     so one row counted differently shows; all models together on random
     labels match the oracle. At pool sizes 1 and 2."""
     num_classes = models[0][0].num_classes
@@ -60,7 +52,7 @@ def assert_oracle_counts(models, x, seed=0):
     for size in (1, 2):
         with AgentPool(size) as pool:
             for arch, theta in models:
-                own = Dataset(x, chunk_argmax(arch, theta, x), num_classes)
+                own = Dataset(x, row_argmax(arch, theta, x), num_classes)
                 assert accuracy([(arch, theta)], own, pool) == [1.0]
             labeled = Dataset(x, y, num_classes)
             assert accuracy(models, labeled, pool) == oracle_accuracies(models, labeled)
@@ -78,13 +70,22 @@ def shl(weights, bias) -> tuple[Architecture, np.ndarray]:
 
 def net(kind, input_dim, classes, seed, scale=1.0):
     """A small net of `kind`; "HL2-rank1" is an HL2 whose middle layer is
-    rank one, so that its spectral norm is its Frobenius norm."""
-    hidden = {"SHL": (), "HL1": (6,), "HL2": (7, 5), "HL2-rank1": (12, 9)}[kind]
+    rank one, so that its spectral norm is its Frobenius norm, and
+    "HL2-biased" an HL2 with weights scaled by a further 2^-20 and positive
+    biases, near 1e3 at the output, so that the biases' terms lead its
+    bound."""
+    hidden = {"SHL": (), "HL1": (6,), "HL2": (7, 5), "HL2-rank1": (12, 9),
+              "HL2-biased": (7, 5)}[kind]
     arch = Architecture(kind.split("-")[0], input_dim, classes, hidden)
     theta = init_params(arch, seed) * scale
     if kind == "HL2-rank1":
         w = param_views(arch, theta)[1][0]
         w[:] = np.outer(w[:, 0], np.sign(w[0]))
+    if kind == "HL2-biased":
+        rng = np.random.default_rng(seed)
+        for l, (w, b) in enumerate(param_views(arch, theta)):
+            w *= 2.0**-20
+            b[:] = rng.uniform(0.5, 1.0, size=b.shape) * (1e3 if l == 2 else 1.0)
     return arch, theta
 
 
@@ -94,8 +95,8 @@ def net(kind, input_dim, classes, seed, scale=1.0):
 @given(kind=st.sampled_from(["SHL", "HL1", "HL2"]), input_dim=st.integers(1, 9),
        classes=st.integers(1, 5), rows=st.integers(1, 60), seed=st.integers(0, 10**6),
        pixels=st.booleans(), grid=st.booleans())
-def test_counts_equal_the_float64_chunk_pass(kind, input_dim, classes, rows, seed, pixels,
-                                             grid):
+def test_counts_equal_the_float64_row_pass(kind, input_dim, classes, rows, seed, pixels,
+                                           grid):
     rng = np.random.default_rng(seed)
     models = [net(kind, input_dim, classes, seed), net("SHL", input_dim, classes, seed + 1)]
     if grid:
@@ -106,20 +107,37 @@ def test_counts_equal_the_float64_chunk_pass(kind, input_dim, classes, rows, see
     assert_oracle_counts(models, x, seed)
 
 
-def test_exact_ties_from_duplicated_output_columns():
+def exact_ties():
+    """An HL1 model whose classes 1 and 2 tie on every row, and its rows."""
     arch, theta = net("HL1", 5, 4, seed=3)
     w, b = param_views(arch, theta)[-1]
-    w[:, 2], b[2] = w[:, 1], b[1]  # classes 1 and 2 tie on every row
+    w[:, 2], b[2] = w[:, 1], b[1]
     x = np.random.default_rng(0).integers(0, 256, size=(300, 5), dtype=np.uint8)
-    assert_oracle_counts([(arch, theta)], x)
+    return [(arch, theta)], x
+
+
+def near_ties():
+    """Class 1 beats class 0 by about 1e-12 of the logits where the second
+    feature is positive: float32 sees a tie, float64 does not; every third
+    row is an exact tie."""
+    x = np.abs(np.random.default_rng(1).standard_normal((200, 2)))
+    x[::3, 1] = 0.0
+    return [shl([[1.0, 1.0], [0.0, 1e-12]], [0.0, 0.0])], x
+
+
+def all_rows_open():
+    """Every row an exact tie, so every row of every chunk stays open, over
+    more rows than two chunks."""
+    x = np.random.default_rng(5).integers(0, 256, size=(2 * EVAL_CHUNK + 5, 3), dtype=np.uint8)
+    return [shl([[1.0, 1.0, 0.0]] * 3, [0.5, 0.5, 0.0])], x
+
+
+def test_exact_ties_from_duplicated_output_columns():
+    assert_oracle_counts(*exact_ties())
 
 
 def test_near_ties_below_float32_resolution():
-    # class 1 beats class 0 by about 1e-12 of the logits where the second
-    # feature is positive: float32 sees a tie, float64 does not
-    x = np.abs(np.random.default_rng(1).standard_normal((200, 2)))
-    x[::3, 1] = 0.0  # exact ties
-    assert_oracle_counts([shl([[1.0, 1.0], [0.0, 1e-12]], [0.0, 0.0])], x)
+    assert_oracle_counts(*near_ties())
 
 
 @pytest.mark.filterwarnings("error")  # the float32 pass's overflows are its own
@@ -161,15 +179,25 @@ def test_ragged_last_chunk():
 
 
 def test_more_open_rows_than_a_chunk():
-    # every row is an exact tie, so every row of every chunk stays open
-    arch, theta = shl([[1.0, 1.0, 0.0]] * 3, [0.5, 0.5, 0.0])
-    x = np.random.default_rng(5).integers(0, 256, size=(2 * EVAL_CHUNK + 5, 3), dtype=np.uint8)
-    assert_oracle_counts([(arch, theta)], x)
+    assert_oracle_counts(*all_rows_open())
+
+
+@pytest.mark.parametrize("case", [exact_ties, near_ties, all_rows_open])
+def test_counts_do_not_depend_on_the_chunk_size(case, monkeypatch):
+    # the same counts on random labels in 7-row chunks as in 1024-row ones,
+    # and still the row pass's on every row
+    models, x = case()
+    classes = models[0][0].num_classes
+    labeled = Dataset(x, np.random.default_rng(6).integers(0, classes, size=x.shape[0]), classes)
+    at_1024 = accuracy(models, labeled)
+    monkeypatch.setattr(learner, "EVAL_CHUNK", 7)
+    assert accuracy(models, labeled) == at_1024
+    assert_oracle_counts(models, x)
 
 
 def test_each_tier_is_reached(monkeypatch):
     # rows of class 2 are proven in float32, rows where class 1 leads class 0
-    # by 1e-10 only in float64, and exact ties of 0 and 1 by the chunk pass
+    # by 1e-10 only in float64, and exact ties of 0 and 1 by their row passes
     model = shl([[1.0, 1.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 4.0]], [0.0, 0.0, 0.0])
     x = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]] * 10)
     passes = []
@@ -181,18 +209,18 @@ def test_each_tier_is_reached(monkeypatch):
     activations = learner._activations
     monkeypatch.setattr(learner, "_activations", spy)
     assert accuracy([model], Dataset(x, [2, 1, 0] * 10, 3)) == [1.0]
-    assert passes == [("float32", 30), ("float64", 20), ("float64", 30)]
+    assert passes == [("float32", 30), ("float64", 20)] + [("float64", 1)] * 10
 
 
-def test_float64_eval_fixture_takes_every_row_from_the_chunk_pass(float64_eval, monkeypatch):
+def test_float64_eval_fixture_takes_every_row_from_the_row_pass(float64_eval, monkeypatch):
     passes = []
     activations = learner._activations
     monkeypatch.setattr(learner, "_activations", lambda arch, theta, x_mat: passes.append(
         (x_mat.dtype.name, x_mat.shape[0])) or activations(arch, theta, x_mat))
     model = net("HL1", 4, 3, seed=11)
     x = np.random.default_rng(6).standard_normal((40, 4))
-    assert accuracy([model], Dataset(x, chunk_argmax(*model, x), 3)) == [1.0]
-    assert passes == [("float32", 40), ("float64", 40), ("float64", 40)]
+    assert accuracy([model], Dataset(x, row_argmax(*model, x), 3)) == [1.0]
+    assert passes == [("float32", 40), ("float64", 40)] + [("float64", 1)] * 40
 
 
 # --- the bound ----------------------------------------------------------------
@@ -240,7 +268,8 @@ def assert_bound_covers_exact(arch, theta, x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["SHL", "HL1", "HL2", "HL2-rank1"]), input_dim=st.integers(1, 6),
+@given(kind=st.sampled_from(["SHL", "HL1", "HL2", "HL2-rank1", "HL2-biased"]),
+       input_dim=st.integers(1, 6),
        classes=st.integers(1, 4), seed=st.integers(0, 10**6),
        scale=st.sampled_from([1e-40, 1e-3, 1.0, 1e3, 1e30]),
        features=st.sampled_from(["pixels", "normal", "tiny", "huge", "midpoints"]))
@@ -294,24 +323,34 @@ def spectral_bound(w):
     return np.linalg.norm(np.linalg.matrix_power(w.T @ w, 4)) ** 0.125
 
 
-def documented_bound(acts, arch, theta, spectral=True):
-    """The bound `_logit_bound`'s docstring states, from exact norms."""
+def documented_bound(acts, arch, theta, spectral=True, own_norms=False):
+    """The bound `_logit_bound`'s docstring states, from exact norms, or with
+    `own_norms` from the code's own `_norm_up` bounds on them (`_row_norms`
+    and `_weight_norms`), which leaves only the rounding of the bound's own
+    arithmetic between the two."""
     finfo = np.finfo(acts[-1].dtype)
     u, eta = float(finfo.eps) / 2, float(finfo.tiny)
-    t = np.linalg.norm(acts[0].astype(np.float64), axis=1)
+    norms = _weight_norms(arch, theta, spectral) if own_norms else None
+
+    def row_norms(a):
+        return _row_norms(a) if own_norms else np.linalg.norm(a.astype(np.float64), axis=1)
+
+    t = row_norms(acts[0])
     n = acts[0].shape[1]
     eps = (u * (1 + 2 * u) * t + np.sqrt(n) * eta if finfo.dtype == np.float32
            else np.zeros_like(t))
     layers = param_views(arch, theta)
     for l, (w, b) in enumerate(layers):
         n = w.shape[0]
-        t = np.linalg.norm(acts[l].astype(np.float64), axis=1)
-        col = np.linalg.norm(w, axis=0)
+        t = row_norms(acts[l])
+        if own_norms:
+            col, frob, sigma, bnorm, _ = norms[l]
+        else:
+            col, frob, bnorm = np.linalg.norm(w, axis=0), np.linalg.norm(w), np.linalg.norm(b)
+            sigma = min(spectral_bound(w), frob) if spectral and 0 < l < len(layers) - 1 else frob
         k = (n * u / (1 - n * u) + 2 * u) * t + (1 + 2 * u) * eps
         under = eta * (2 * np.sqrt(n) * (t + eps) + n + 1)
         if l < len(layers) - 1:
-            frob, bnorm = np.linalg.norm(w), np.linalg.norm(b)
-            sigma = min(spectral_bound(w), frob) if spectral and l > 0 else frob
             fresh = (n * u / (1 - n * u) + 2 * u) * t * frob
             eps = (fresh + eps * (sigma + u * frob) + u * bnorm + 2 * u * (t * frob + bnorm)
                    + 2 * np.sqrt(w.shape[1]) * under)
@@ -320,17 +359,22 @@ def documented_bound(acts, arch, theta, spectral=True):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["SHL", "HL2"])
+@pytest.mark.parametrize("kind", ["SHL", "HL2", "HL2-biased"])
 def test_bound_is_the_documented_one(kind, dtype):
-    # at least the stated bound (every term of it, the float32 input's
-    # rounding included), and above it only by the rounding-up of the norms;
-    # with and without the spectral-norm bound
+    # at least the stated bound from exact norms (every term of it, the
+    # float32 input's rounding included), and above it only by the
+    # rounding-up of the norms; within 2^-40 either way of the stated bound
+    # from the code's own norms, so that a dropped term as small as the
+    # float32 u ‖W‖_F times the carried error shows; with and without the
+    # spectral-norm bound
     arch, theta = net(kind, 6, 4, seed=12)
     x = np.random.default_rng(7).integers(0, 256, size=(9, 6), dtype=np.uint8)
     for spectral in (True, False):
         acts, bound = _pass(arch, theta, x, dtype, spectral)
         ratio = bound / documented_bound(acts, arch, theta, spectral)
         assert np.all(ratio >= 1 - 2.0**-40) and np.all(ratio <= 1 + 2.0**-16), spectral
+        ratio = bound / documented_bound(acts, arch, theta, spectral, own_norms=True)
+        assert np.all(np.abs(ratio - 1) <= 2.0**-40), spectral
 
 
 def test_overflowing_rows_get_no_finite_bound():
@@ -338,6 +382,26 @@ def test_overflowing_rows_get_no_finite_bound():
     x = np.array([[1.0, 1.0, 1.0], [1e-30, 0.0, 0.0]])
     _, bound = _pass(arch, theta, x, np.float32)
     assert np.all(np.isinf(bound[0])) and np.all(np.isfinite(bound[1]))
+
+
+@pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
+def test_rows_past_a_quarter_of_the_largest_float_get_no_finite_bound(share):
+    # (|x| + 1) max_j |W_j| + max |b| at `share` of the largest float64: the
+    # pass is finite, but the guard must still give up on the row
+    big = float(np.sqrt(share * np.finfo(np.float64).max))
+    arch, theta = shl([[big, 1.0]], [0.0, 1.0])
+    acts, bound = _pass(arch, theta, np.array([[big], [1.0]]), np.float64)
+    assert np.all(np.isfinite(acts[-1])) and np.all(np.isinf(bound[0]))
+    assert np.all(np.isfinite(bound[1]))
+
+
+@pytest.mark.parametrize("dtype, entry", [(np.float64, 1e-200), (np.float32, 1e-30)])
+def test_row_norms_cover_squares_that_underflow(dtype, entry):
+    # every square underflows to 0 in `dtype`, yet the bound covers the norm
+    a = np.full((2, 5), entry, dtype=dtype)
+    a[1, ::2] = 0.0
+    for row, bound in zip(a, _row_norms(a)):
+        assert Fraction(float(bound)) ** 2 >= sum(Fraction(float(v)) ** 2 for v in row)
 
 
 # --- the spectral-norm bound --------------------------------------------------
@@ -405,7 +469,7 @@ def test_non_finite_weights_give_no_finite_spectral_norm_or_bound(bad):
 
 def test_certain_needs_a_margin_beyond_the_bounds():
     # class 1 leads by the two bounds plus `excess` of them: within 2^-20 of
-    # the bounds the float64 chunk pass (off by up to 2^-29 of a float32
+    # the bounds the float64 row pass (off by up to 2^-29 of a float32
     # bound) and the bounds' own rounding could still reorder the row
     bound = np.ones((1, 2))
 

@@ -18,14 +18,8 @@ from colearn.graph import (
 )
 from colearn.seeding import rng_for, subseed
 
-from conftest import exp_x86_v4
-
-# sha256 of test_pinned_bits_at_30_agents' weight matrices, keyed on whether
-# numpy's exp runs its X86_V4 loop
-WEIGHT_PINS = {
-    True: "8cf16e26872c6d2e52d1114f93ffccab11d03517bf5ce06d50529543de547d99",
-    False: "e0a522fce1a2ccf65da6016199c93c56f6444c0f7fa8e2ffc2a854dcddc5d5ae",
-}
+# sha256 of test_pinned_bits_at_30_agents' weight matrices
+WEIGHT_PIN = "1bff8c8e793aea7778f8671f0112b25f4843eb915559bd17558eb3f30b73d1b4"
 
 
 def closure_connected(g: DirectedGraph) -> bool:
@@ -247,8 +241,7 @@ class TestWeightMatrix:
         # rows of 8 or more in-neighbours, which no golden case (at most 4
         # agents) reaches: the complete graph and large_network.yaml's
         # Erdos-Renyi rounds 0-19, with scores gamma * accuracy at gamma 10.
-        # The X86_V4 pin predates graphs held as boolean matrices. Only
-        # numpy's exp loop moves these bits; none of the four BLAS kernels did.
+        # No BLAS kernel and no numpy SIMD loop moves these bits.
         schedule = erdos_renyi(30, 0.1, 10, subseed(7401, "graph-schedule"))
         graphs = [DirectedGraph.complete(30)] + [graph_at(schedule, 10 * r) for r in range(20)]
         assert max(g.hears.sum(axis=1).max() for g in graphs[1:]) >= 8
@@ -257,10 +250,7 @@ class TestWeightMatrix:
         for g in graphs:
             w = build_weight_matrix_log(g, 10.0 * rng.uniform(0.7, 0.99, size=30))
             digest.update(w.tobytes())
-        v4 = exp_x86_v4()
-        if v4 not in WEIGHT_PINS:
-            pytest.fail(f"no 30-agent weight pin where numpy's exp runs X86_V4: {v4}")
-        assert digest.hexdigest() == WEIGHT_PINS[v4]
+        assert digest.hexdigest() == WEIGHT_PIN
 
     def test_rejects_bad_scores(self):
         g = DirectedGraph.complete(3)

@@ -50,6 +50,49 @@ def test_softmax_is_stable_at_large_logits():
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
+# --- exp ----------------------------------------------------------------------
+
+# np.linspace's arguments for 1.1 million points of exp's domain, about 1.05
+# million of them with normal results
+EXP_GRID = (-745.0, 0.0, 1_100_001)
+
+
+def test_exp_is_within_1_5_ulp_of_a_long_double_exp():
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        pytest.skip("long double is float64 here: no wider exp to compare with")
+    x = np.linspace(*EXP_GRID)
+    y = kernels.exp(x)
+    exact = np.exp(x.astype(np.longdouble))
+    normal = y >= np.finfo(np.float64).tiny
+    ulps = np.abs(y.astype(np.longdouble) - exact) / np.spacing(exact.astype(np.float64))
+    assert normal.sum() >= 10**6 and ulps[normal].max() <= 1.5
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_at_the_edges_of_its_domain():
+    y = kernels.exp(np.array([0.0, -0.0, -745.0, -746.0, -1e300, -np.inf, np.nan]))
+    assert y[:2].tolist() == [1.0, 1.0] and 0.0 < y[2] < 1e-320
+    assert y[3:6].tolist() == [0.0, 0.0, 0.0] and np.isnan(y[6])
+
+
+def test_exp_bits_do_not_depend_on_numpys_simd_loops():
+    # the same bits with and without numpy's AVX-512, AVX2 and FMA loops,
+    # where numpy's own exp changes its bits without the AVX-512 one
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the numpy features named here are x86-64's")
+    script = ("import hashlib, numpy as np; from colearn._kernels import exp; "
+              f"print(hashlib.sha256(exp(np.linspace{EXP_GRID}).tobytes()).hexdigest())")
+    digests = set()
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR X86_V3 AVX2 FMA3"):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+               "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
+
+
 # --- the optimizer steps against their textbook expressions ------------------
 
 
