@@ -10,8 +10,8 @@ from .config import ConfigError, load_config, override
 from .data import IdxFormatError, load_idx_corpus
 from .graph import format_edge_list, graph_at
 from .harness import (
-    build_schedule, check_partition, corpus_size, emit_csv, emit_plot, format_summary, montecarlo,
-    read_csv, run_mode, summarize,
+    build_schedule, check_partition, corpus_size, emit_plot, montecarlo, read_csv, run_mode,
+    write_results,
 )
 
 FMNIST_NAMES = (
@@ -77,11 +77,8 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args)
     output = run_mode(config, run_index=0, manifest_path=out / "manifest.txt")
-    emit_csv(output.records, out / "metrics.csv")
+    text = write_results(out, config.mode, [output])
     emit_plot(output.records, out / "plot.svg")
-    rows = summarize(config.mode, [output])
-    text = format_summary(rows)
-    (out / "summary.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
     print(f"wrote {out}/metrics.csv, plot.svg, summary.txt, manifest.txt")
     return 0
@@ -98,12 +95,9 @@ def _cmd_montecarlo(args) -> int:
     out = _out_dir(args)
     manifest_dir = out / "manifests"
     manifest_dir.mkdir(exist_ok=True)
-    rows, outputs = montecarlo(config, jobs=args.jobs, manifest_dir=manifest_dir)
-    records = [r for o in outputs for r in o.records]
-    emit_csv(records, out / "metrics.csv")
-    emit_plot(records, out / "plot.svg")
-    text = format_summary(rows)
-    (out / "summary.txt").write_text(text + "\n", encoding="utf-8")
+    _, outputs = montecarlo(config, jobs=args.jobs, manifest_dir=manifest_dir)
+    text = write_results(out, config.mode, outputs)
+    emit_plot([r for o in outputs for r in o.records], out / "plot.svg")
     print(text)
     print(f"wrote {out}/metrics.csv, plot.svg, summary.txt, manifests/")
     return 0
@@ -128,11 +122,8 @@ def _cmd_sweep(args) -> int:
     for value, config in zip(values, configs):
         sub = out / f"{args.param}_{value}"
         sub.mkdir(parents=True, exist_ok=True)
-        rows, outputs = montecarlo(config, jobs=args.jobs)
-        records = [r for o in outputs for r in o.records]
-        emit_csv(records, sub / "metrics.csv")
-        text = format_summary(rows)
-        (sub / "summary.txt").write_text(text + "\n", encoding="utf-8")
+        _, outputs = montecarlo(config, jobs=args.jobs)
+        text = write_results(sub, config.mode, outputs)
         print(f"== {args.param} = {value}")
         print(text)
     return 0

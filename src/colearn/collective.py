@@ -59,9 +59,27 @@ class MetricsRecord:
 
 
 @dataclass
-class RunResult:
+class RunOutput:
+    """One run's result: its metrics records and the collective engine's
+    stats (empty outside CL). Every mode takes each agent's last record
+    after that agent's last update, so the final accuracies and the
+    architectures are read from those records, in agent order."""
+
+    run_index: int
     records: list[MetricsRecord]
     stats: dict = field(default_factory=dict)
+
+    def _last(self) -> list[MetricsRecord]:
+        last = {r.agent: r for r in self.records}
+        return [last[agent] for agent in sorted(last)]
+
+    @property
+    def final_test(self) -> list[float]:
+        return [r.test_accuracy for r in self._last()]
+
+    @property
+    def arch_kinds(self) -> list[str]:
+        return [r.arch for r in self._last()]
 
 
 def fuse_and_label(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndarray:
@@ -176,7 +194,7 @@ def run_collective(
     run_index: int = 0,
     metric_stride: int = 100,
     max_iterations: int | None = None,
-) -> RunResult:
+) -> RunOutput:
     """Run the full collective-training phase over the shared pool.
 
     Deterministic given (agents' initial state, partition, schedule, spec,
@@ -266,4 +284,4 @@ def run_collective(
             emit_metrics(k)
 
     stats["iterations"] = k
-    return RunResult(records=records, stats=stats)
+    return RunOutput(run_index, records, stats)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collective import MetricsRecord, RunResult, measure, run_collective
+from .collective import MetricsRecord, RunOutput, measure, run_collective
 from .config import ConfigError, ExperimentConfig, SynthSpec
 from .data import (
     Dataset, IdxFormatError, Partition, idx_count, load_idx_corpus, make_partition, synth_blobs,
@@ -46,15 +46,6 @@ class SummaryRow:
     mean: float
     std: float  # unbiased; defined as 0.0 for a single sample
     n: int
-
-
-@dataclass
-class RunOutput:
-    run_index: int
-    records: list[MetricsRecord]
-    arch_kinds: list[str]
-    final_test: list[float]
-    stats: dict
 
 
 # --- dataset plumbing --------------------------------------------------------
@@ -155,12 +146,17 @@ def _make_agents(config: ExperimentConfig, run_index: int, input_dim: int,
 # --- baseline training with a metrics trace ----------------------------------
 
 
-def _train_traced(agent: Learner, train_set: Dataset, partition: Partition, batch_size: int,
-                  epochs: int, seed: int, run_index: int, metric_stride: int,
-                  max_updates: int | None = None) -> list[MetricsRecord]:
-    """`train_epochs` with the collective engine's metrics records, the
-    iteration being the update count: at 0, at every metric_stride updates
-    and after the last update."""
+def _train_traced(agent: Learner, config: ExperimentConfig, source: Dataset,
+                  partition: Partition, run_index: int) -> list[MetricsRecord]:
+    """Train one agent alone as `config.mode` does (ST on its private set,
+    FS on the whole labeled corpus), with the collective engine's metrics
+    records, the iteration being the update count: at 0, at every
+    metric_stride updates and after the last update."""
+    t = config.training
+    if config.mode == "FS":
+        train_set, epochs, stream = source, t.fs_epochs, "fs-train"
+    else:
+        train_set, epochs, stream = partition.train[agent.id], t.self_train_epochs, "self-train"
     records = []
 
     def emit(step: int) -> None:
@@ -168,15 +164,16 @@ def _train_traced(agent: Learner, train_set: Dataset, partition: Partition, batc
                                run_index))
 
     def on_step(step: int) -> None:
-        if step % metric_stride == 0:
+        if step % config.metric_stride == 0:
             emit(step)
 
     emit(0)
     steps = train_epochs(
-        agent.arch, agent.params, agent.rule, train_set, batch_size, epochs, seed,
-        max_updates=max_updates, on_step=on_step,
+        agent.arch, agent.params, agent.rule, train_set, t.batch_size, epochs,
+        subseed(config.master_seed, run_index, stream, agent.id),
+        max_updates=config.max_iterations, on_step=on_step,
     )
-    if steps % metric_stride:
+    if steps % config.metric_stride:
         emit(steps)
     return records
 
@@ -202,55 +199,27 @@ def run_mode(
     if manifest_path is not None:
         write_manifest(partition, manifest_path)
     agents = _make_agents(config, run_index, source.d, source.num_classes)
-
-    records: list[MetricsRecord] = []
-    stats: dict = {}
     t = config.training
 
     if config.mode in ("FS", "ST"):
-        def train_alone(agent: Learner) -> list[MetricsRecord]:
-            if config.mode == "FS":
-                train_set, epochs, stream = source, t.fs_epochs, "fs-train"
-            else:
-                train_set, epochs, stream = (partition.train[agent.id], t.self_train_epochs,
-                                             "self-train")
-            return _train_traced(
-                agent, train_set, partition, t.batch_size, epochs,
-                seed=subseed(config.master_seed, run_index, stream, agent.id),
-                run_index=run_index, metric_stride=config.metric_stride,
-                max_updates=config.max_iterations,
-            )
-
         with AgentPool.for_agents(len(agents)) as pool:
-            for agent_records in pool.each(train_alone, agents, where="in training"):
-                records.extend(agent_records)
-    else:  # CL
-        with AgentPool.for_agents(len(agents)) as pool:
-            pool.each(
-                lambda a: a.train(
-                    partition.train[a.id], t.batch_size, t.self_train_epochs,
-                    seed=subseed(config.master_seed, run_index, "self-train", a.id),
-                ),
-                agents, where="in self-training",
-            )
-        result: RunResult = run_collective(
-            agents, partition, build_schedule(config), config.collective,
-            seed=subseed(config.master_seed, run_index, "collective"),
-            train_batch=t.batch_size, run_index=run_index, metric_stride=config.metric_stride,
-            max_iterations=config.max_iterations,
+            traces = pool.each(lambda a: _train_traced(a, config, source, partition, run_index),
+                               agents, where="in training")
+        return RunOutput(run_index, [r for trace in traces for r in trace])
+    # CL
+    with AgentPool.for_agents(len(agents)) as pool:
+        pool.each(
+            lambda a: a.train(
+                partition.train[a.id], t.batch_size, t.self_train_epochs,
+                seed=subseed(config.master_seed, run_index, "self-train", a.id),
+            ),
+            agents, where="in self-training",
         )
-        records.extend(result.records)
-        stats = result.stats
-
-    # Every mode's last record per agent is taken after its last update, so
-    # it already holds the final test accuracy of the final parameters.
-    last_test = {r.agent: r.test_accuracy for r in records}
-    return RunOutput(
-        run_index=run_index,
-        records=records,
-        arch_kinds=[a.arch.kind for a in agents],
-        final_test=[last_test[a.id] for a in agents],
-        stats=stats,
+    return run_collective(
+        agents, partition, build_schedule(config), config.collective,
+        seed=subseed(config.master_seed, run_index, "collective"),
+        train_batch=t.batch_size, run_index=run_index, metric_stride=config.metric_stride,
+        max_iterations=config.max_iterations,
     )
 
 
@@ -286,7 +255,6 @@ def montecarlo(
             outputs = list(pool.map(_run_for_pool, tasks))
     else:
         outputs = [_run_for_pool(task) for task in tasks]
-    outputs.sort(key=lambda o: o.run_index)
     return summarize(config.mode, outputs), outputs
 
 
@@ -331,6 +299,15 @@ def emit_csv(records: Sequence[MetricsRecord], path) -> None:
                 f"{r.run},{r.iteration},{r.agent},{r.arch},"
                 f"{r.test_accuracy:.6f},{r.val_accuracy:.6f},{proxy}\n"
             )
+
+
+def write_results(out, mode: str, outputs: Sequence[RunOutput]) -> str:
+    """Write the runs' `metrics.csv` and `summary.txt` into the directory
+    `out`, as every command does; returns the summary text."""
+    emit_csv([r for o in outputs for r in o.records], Path(out) / "metrics.csv")
+    text = format_summary(summarize(mode, outputs))
+    (Path(out) / "summary.txt").write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def read_csv(path) -> list[MetricsRecord]:

@@ -116,9 +116,13 @@ class AgentPool:
     """Runs a run's independent tasks side by side on `size` threads. With
     size 1 every task runs on the calling thread.
 
-    Open one per run and close it before the run returns (it is a context
-    manager): a process forked later then inherits no pool threads. No task
-    may wait on another task of the same pool.
+    Open one for a phase of a run and close it before that phase returns
+    (it is a context manager): a process forked later then inherits no pool
+    threads. A CL run opens two, one in `harness.run_mode` for self-training
+    and one in `collective.run_collective`. Self-training stays outside
+    `run_collective` because perfbench's `iter_per_s` divides the collective
+    iterations by the time spent inside `run_collective`. No task may wait on
+    another task of the same pool.
     """
 
     def __init__(self, size: int = 1):

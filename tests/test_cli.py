@@ -115,6 +115,24 @@ def test_sweep_emits_one_table_per_value(tiny_config, tmp_path, capsys):
         assert (out / f"gamma_{value}" / "summary.txt").is_file()
 
 
+def test_run_montecarlo_and_sweep_write_the_same_files(tiny_config, tmp_path, capsys):
+    # tiny_config is one run at gamma 1.0, so the three commands run one experiment
+    run, mc, sweep = tmp_path / "run", tmp_path / "mc", tmp_path / "sweep"
+    assert main(["run", str(tiny_config), "--out", str(run)]) == 0
+    assert main(["montecarlo", str(tiny_config), "--out", str(mc)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", str(tiny_config), "--param", "gamma", "--values", "1",
+                 "--out", str(sweep)]) == 0
+    summary = (run / "summary.txt").read_text()
+    assert capsys.readouterr().out == f"== gamma = 1\n{summary}"
+    for name in ("metrics.csv", "summary.txt"):
+        want = (run / name).read_bytes()
+        assert (mc / name).read_bytes() == want, name
+        assert (sweep / "gamma_1" / name).read_bytes() == want, name
+    assert (mc / "plot.svg").read_bytes() == (run / "plot.svg").read_bytes()
+    assert not list(sweep.rglob("plot.svg"))
+
+
 @pytest.mark.parametrize("values", ["0.1,0.10", "1,1.0", "2,1,2"])
 def test_sweep_duplicate_values_exit_1(tiny_config, tmp_path, capsys, values):
     # equal values would run one experiment twice, into one directory or two

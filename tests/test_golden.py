@@ -63,7 +63,7 @@ import pytest
 
 from colearn import _kernels, harness, parallel
 from colearn.config import GraphSpec, IdxSpec, override
-from colearn.harness import emit_csv, format_summary, montecarlo
+from colearn.harness import montecarlo, write_results
 
 from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
 
@@ -190,18 +190,16 @@ def _digests(config, out_dir: Path, jobs: int = 1) -> tuple[str, str, str]:
 
     harness.run_mode = run_capturing_params
     try:
-        rows, outputs = montecarlo(config, jobs=jobs)
+        _, outputs = montecarlo(config, jobs=jobs)
     finally:
         harness.run_mode = run_mode
-    csv_path = out_dir / "metrics.csv"
-    emit_csv([r for o in outputs for r in o.records], csv_path)
-    summary = (format_summary(rows) + "\n").encode("utf-8")
+    write_results(out_dir, config.mode, outputs)
     params = hashlib.sha256()
     for o in outputs:
         params.update(o.stats.pop("final_params"))
     return (
-        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-        hashlib.sha256(summary).hexdigest(),
+        hashlib.sha256((out_dir / "metrics.csv").read_bytes()).hexdigest(),
+        hashlib.sha256((out_dir / "summary.txt").read_bytes()).hexdigest(),
         params.hexdigest(),
     )
 

@@ -9,10 +9,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import colearn
 from colearn import harness
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, blob_config
 
 PERFBENCH = REPO_ROOT / "perfbench"
 
@@ -52,6 +54,27 @@ def test_every_workload_loads_with_the_fields_rep_reads(tmp_path):
                 assert spec.n_per_class * spec.num_classes >= 1
     for attr in ("montecarlo", "emit_csv", "read_csv", "_load_corpus"):
         assert callable(getattr(harness, attr)), attr
+
+
+@pytest.mark.parametrize("mode", ["CL", "ST"])
+def test_montecarlo_returns_what_rep_reads(mode):
+    # rep.py unpacks `_, outputs = harness.montecarlo(...)` and reads each
+    # output's run index, records, stats and final test accuracies
+    config = blob_config(mode=mode, runs=2, n_per_class=60, train_size=10, val_size=10,
+                         self_train_epochs=2, metric_stride=10, max_iterations=20,
+                         architectures=("HL1", "SHL"))
+    result = harness.montecarlo(config)
+    assert isinstance(result, tuple) and len(result) == 2
+    _, outputs = result
+    assert [o.run_index for o in outputs] == [0, 1]
+    for output in outputs:
+        assert output.records and isinstance(output.stats, dict)
+        assert {r.run for r in output.records} == {output.run_index}
+        if mode == "CL":
+            assert output.stats["iterations"] == output.records[-1].iteration
+        last = [max((r for r in output.records if r.agent == agent), key=lambda r: r.iteration)
+                for agent in range(config.n_agents)]
+        assert output.final_test == [r.test_accuracy for r in last]
 
 
 # A blob CL run traced with every perfbench target, on the calling thread so
