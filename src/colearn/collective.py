@@ -6,10 +6,12 @@ exchanged and fused with row-stochastic weights into per-agent proxy labels
 (`fuse_and_label`), and each agent takes one update step on the batch under
 its own proxies (`train_step`). An agent runs its layers once per round: the
 update takes the gradient of the proxy labels through the activations of the
-forward pass that made its predictions. The periods come from the run's
-CollectiveSpec: every score_refresh_period iterations all scores (and with
-them the weight matrix) refresh, and every review_period iterations each
-agent runs one supervised epoch over its private training set.
+forward pass that made its predictions. The first scores are the
+validation accuracies recorded at iteration 0, right after self-training.
+The periods come from the run's CollectiveSpec: every score_refresh_period
+iterations all scores (and with them the weight matrix) refresh, and every
+review_period iterations each agent runs one supervised epoch over its
+private training set.
 
 A run spreads its agents' independent work over a `parallel.AgentPool`:
 every forward pass, every update, every review epoch and every validation
@@ -176,6 +178,7 @@ def collective_round(
     return labels
 
 
+# only forwards to train_epochs; perfbench traces it as collective.review_s (ROADMAP item 5)
 def review_step(agent: Learner, train_set, batch_size: int, seed) -> None:
     """One supervised epoch over the agent's private training set, keeping
     the agent's Adam state."""
@@ -201,7 +204,8 @@ def run_collective(
     seed). Iteration k trains on batch k of the pool's "shared-order"
     `epoch_batches`, reviews on minibatches of train_batch private samples.
     Emits a metrics record per agent at iteration 0, at every metric_stride
-    iterations, and at the final iteration.
+    iterations, and at the final iteration; the first scores are iteration
+    0's recorded validation accuracies.
     """
     n = len(agents)
     if n != partition.n_agents:
@@ -239,13 +243,11 @@ def run_collective(
 
     # the run's threads: opened here and joined before the run returns
     with AgentPool.for_agents(n) as pool:
-        # Scores must be valid before the first round; measure them right
-        # after self-training, then build the initial weight matrix.
-        log_scores = refresh_scores(agents, partition.val, spec.gamma, pool, 0)
-        current_round = schedule_round(schedule, 0)
-        graph = graph_at(schedule, 0)
-        weights = build_weight_matrix_log(graph, log_scores)
+        # the first scores are the validation accuracies that iteration 0's
+        # records measure right after self-training
         emit_metrics(0)
+        log_scores = spec.gamma * np.array([r.val_accuracy for r in records])
+        weights = build_weight_matrix_log(graph_at(schedule, 0), log_scores)
 
         k = 0
         for k, idx in enumerate(epoch_batches(shared_idx.size, spec.batch_size,
@@ -255,12 +257,8 @@ def run_collective(
             if refresh:
                 log_scores = refresh_scores(agents, partition.val, spec.gamma, pool, k)
                 stats["score_refresh_events"] += 1
-            rnd = schedule_round(schedule, k)
-            if refresh or rnd != current_round:
-                if rnd != current_round:
-                    current_round = rnd
-                    graph = graph_at(schedule, k)
-                weights = build_weight_matrix_log(graph, log_scores)
+            if refresh or schedule_round(schedule, k) != schedule_round(schedule, k - 1):
+                weights = build_weight_matrix_log(graph_at(schedule, k), log_scores)
                 stats["weight_rebuilds"] += 1
 
             # gather and decode the batch's rows; the shared pool is never copied whole

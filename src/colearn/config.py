@@ -357,19 +357,21 @@ def override(config: ExperimentConfig, name: str, value) -> ExperimentConfig:
         raise ConfigError(f"cannot override {name!r}: {e}") from e
 
 
-def _replace_path(obj, path: tuple[str, ...], value):
+def _replace_path(obj, path: tuple[str, ...], value, walked: tuple[str, ...] = ()):
+    """`obj` with the field at `path` replaced; errors name the dotted path
+    from the config, `walked` being the part above `obj`."""
     if not dataclasses.is_dataclass(obj):
-        raise ConfigError(f"no such config section: {'.'.join(path)}")
+        raise ConfigError(f"no such config section: {'.'.join(walked)}")
     names = {f.name for f in dataclasses.fields(obj)}
     if path[0] not in names:
-        raise ConfigError(f"no such config field: {path[0]}")
+        raise ConfigError(f"no such config field: {'.'.join(walked + path[:1])}")
     if len(path) == 1:
         current = getattr(obj, path[0])
         if current is not None:
             value = _like(current, value)
         # replace() runs the spec's checks on the new value
         return dataclasses.replace(obj, **{path[0]: value})
-    child = _replace_path(getattr(obj, path[0]), path[1:], value)
+    child = _replace_path(getattr(obj, path[0]), path[1:], value, walked + path[:1])
     return dataclasses.replace(obj, **{path[0]: child})
 
 

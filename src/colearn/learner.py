@@ -470,6 +470,7 @@ class Learner:
                id: int = 0) -> "Learner":
         return cls(arch=arch, params=init_params(arch, seed), rule=rule or Adam(), id=id)
 
+    # only forwards to train_epochs; perfbench traces it as learner.self_train_s (ROADMAP item 5)
     def train(self, train_set: Dataset, batch_size: int, epochs: int, seed: int) -> None:
         train_epochs(self.arch, self.params, self.rule, train_set, batch_size, epochs, seed)
 

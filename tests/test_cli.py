@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from colearn import harness
+from colearn import cli, harness
 from colearn.cli import main
 from colearn.data import write_idx
 
@@ -199,6 +199,55 @@ def test_run_non_finite_yaml_value_exits_1(tmp_path, capsys):
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
     assert "collective.gamma: must be finite, got nan" in capsys.readouterr().err
     assert not list(tmp_path.rglob("metrics.csv"))
+
+
+RUN = "run {config} --out {out}"
+
+
+@pytest.mark.parametrize("command, old, new, error", [
+    pytest.param(RUN, "mode: CL", "mode: [CL", "bad.yaml: invalid YAML", id="invalid-yaml"),
+    pytest.param(RUN, "graph:\n  kind: complete", "graph: 3", "graph: expected a mapping",
+                 id="graph-not-mapping"),
+    pytest.param(RUN, "[HL1, SHL]", "HL1", "agents.architectures: expected a list",
+                 id="architectures-not-list"),
+    pytest.param(RUN, "train_size: 10", "train_size: ten",
+                 "partition.train_size: expected an integer", id="train_size-not-int"),
+    pytest.param(RUN, "gamma: 1.0", "gamma: high", "collective.gamma: expected a number",
+                 id="gamma-not-number"),
+    pytest.param(RUN, "mode: CL", "mode: 3", "mode: expected a string", id="mode-not-string"),
+    pytest.param(RUN, "val_size: 10", "val_size: 10\n  common_val: 3",
+                 "partition.common_val: expected a boolean", id="common_val-not-bool"),
+    pytest.param(RUN, "kind: complete", "kind: edges", "graph.edges: missing required field",
+                 id="edges-missing"),
+    pytest.param(RUN, "kind: complete", "kind: edges\n  edges: 3",
+                 "graph.edges: expected a list", id="edges-not-list"),
+    pytest.param(RUN, "kind: complete", "kind: edges\n  edges: [[0, 1, 2]]",
+                 "graph.edges[0]: expected a [from, to] pair", id="edges-triple"),
+    pytest.param("sweep {config} --param gamma --values , --out {out}", None, None,
+                 "--values: expected at least one value", id="sweep-no-values"),
+    pytest.param("data-check {config} {config}", None, None,
+                 "data-check: expected a dataset directory", id="data-check-two-paths"),
+])
+def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, command, old, new, error):
+    text = TINY_CONFIG
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new, 1)
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    argv = command.format(config=config, out=tmp_path / "out").split()
+    assert main(argv) == 1
+    assert error in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def test_runtime_failure_exits_2(tiny_config, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("engine failed")
+
+    monkeypatch.setattr(cli, "run_mode", fail)
+    assert main(["run", str(tiny_config), "--out", str(tmp_path / "out")]) == 2
+    assert "error: engine failed" in capsys.readouterr().err
 
 
 HUGE = "1" + "0" * 400  # an integer beyond float range

@@ -325,7 +325,15 @@ def single_agent_partition(m_shared_class: int = 200, seed: int = 0) -> Partitio
 
 
 class TestEngine:
-    def test_review_and_refresh_schedule(self):
+    def test_review_and_refresh_schedule(self, monkeypatch):
+        refreshed_at = []
+        measure_scores = collective.refresh_scores
+
+        def recording(agents, vals, gamma, pool=None, k=None):
+            refreshed_at.append(k)
+            return measure_scores(agents, vals, gamma, pool, k)
+
+        monkeypatch.setattr(collective, "refresh_scores", recording)
         # 3000 shared samples, batch 10, 3 epochs -> exactly 900 iterations
         source = synth_blobs(1020, 3, 4, 6.0, seed=0)
         test = synth_blobs(40, 3, 4, 6.0, seed=1)
@@ -342,9 +350,11 @@ class TestEngine:
         )
         assert result.stats["iterations"] == 900
         assert result.stats["review_iterations"] == [(300, 0), (600, 0), (900, 0)]
-        # weight matrix rebuilt at each refresh: 900 / 100 events
+        # weight matrix rebuilt at each refresh: 900 / 100 events; the first
+        # scores come from iteration 0's records, so no refresh runs there
         assert result.stats["score_refresh_events"] == 9
         assert result.stats["weight_rebuilds"] == 9
+        assert refreshed_at == list(range(100, 901, 100))
 
     def test_every_agent_reviews_in_agent_order(self):
         source = synth_blobs(120, 3, 4, 5.0, seed=40)
@@ -475,7 +485,7 @@ class TestEngine:
         result = run_collective(agents, part, schedule, config, seed=31, metric_stride=100)
         iters = result.stats["iterations"]
         # graph round changes every 5 iterations; each change rebuilds weights
-        assert result.stats["weight_rebuilds"] >= iters // 5 - 1
+        assert result.stats["weight_rebuilds"] == iters // 5
 
     def test_max_iterations_cap(self):
         part = single_agent_partition(seed=4)
@@ -522,6 +532,19 @@ class TestEngine:
         ]
         with pytest.raises(ValueError, match="classes"):
             run_collective(agents, part, GraphSchedule(GraphSpec(), 2, seed=0),
+                           CollectiveSpec(gamma=1.0), seed=0)
+
+    @pytest.mark.parametrize("part_agents, graph_nodes, message", [
+        (2, 1, "1 agents but partition holds 2"),
+        (1, 2, "1 agents but graph schedule has 2 nodes"),
+    ])
+    def test_agent_count_mismatch_rejected(self, part_agents, graph_nodes, message):
+        source = synth_blobs(60, 3, 4, 6.0, seed=7)
+        part = make_partition(source, part_agents, 10, 10, seed=7,
+                              test=synth_blobs(10, 3, 4, 6.0, seed=8))
+        agent = Learner.create(Architecture("SHL", 4, 3), seed=2, id=0)
+        with pytest.raises(ValueError, match=message):
+            run_collective([agent], part, GraphSchedule(GraphSpec(), graph_nodes, seed=0),
                            CollectiveSpec(gamma=1.0), seed=0)
 
     def test_agent_id_and_size_validation(self):

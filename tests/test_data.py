@@ -274,6 +274,10 @@ class TestBatches:
         with pytest.raises(ValueError):
             shuffled_batches(0, 4, _order(0))
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            shuffled_batches(5, 0, _order(0))
+
 
 class TestEpochBatches:
     @staticmethod
@@ -312,6 +316,19 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0]), 3)
+    with pytest.raises(ValueError, match=r"features must be 2-D, got shape \(2,\)"):
+        Dataset(np.zeros(2), np.array([0, 1]), 3)
+    with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
+        Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), 0)
+
+
+def test_write_idx_rejects_bad_shapes(tmp_path):
+    paths = tmp_path / "img", tmp_path / "lbl"
+    with pytest.raises(ValueError, match=r"images must be \(m, rows, cols\)"):
+        write_idx(np.zeros((3, 4)), np.zeros(3), *paths)
+    with pytest.raises(ValueError, match="labels length must match image count"):
+        write_idx(np.zeros((3, 2, 2)), np.zeros(2), *paths)
+    assert not paths[0].exists() and not paths[1].exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -106,6 +106,10 @@ class TestHears:
     def test_complete_graph(self):
         assert np.flatnonzero(DirectedGraph.complete(4).hears[0]).tolist() == [0, 1, 2, 3]
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"square matrix.*\(2, 3\)"):
+            DirectedGraph(np.zeros((2, 3), dtype=bool))
+
     def test_read_only_copy(self):
         mask = np.zeros((3, 3), dtype=bool)
         g = DirectedGraph(mask)
@@ -181,6 +185,15 @@ class TestJointConnectivity:
     def test_union_graph_requires_matching_sizes(self):
         with pytest.raises(ValueError):
             union_graph([DirectedGraph.from_edges(2, ()), DirectedGraph.from_edges(3, ())])
+
+    def test_union_of_no_graphs_rejected(self):
+        with pytest.raises(ValueError, match="at least one graph"):
+            union_graph([])
+
+    def test_negative_window_rejected(self):
+        sched = GraphSchedule(GraphSpec(), 3, seed=0)
+        with pytest.raises(ValueError, match="window must be >= 0, got -1"):
+            is_jointly_strongly_connected(sched, 0, -1)
 
 
 def plain_weights(g: DirectedGraph, scores: np.ndarray) -> np.ndarray:

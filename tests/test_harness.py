@@ -262,6 +262,15 @@ class TestOverride:
         with pytest.raises(ConfigError, match="no such config"):
             override(blob_config(), "bogus_knob", 1)
 
+    @pytest.mark.parametrize("name, error", [
+        ("mode.x", "no such config section: mode$"),
+        ("collective.gamma.x", "no such config section: collective.gamma$"),
+        ("collective.gama", "no such config field: collective.gama$"),
+    ])
+    def test_error_names_the_dotted_path(self, name, error):
+        with pytest.raises(ConfigError, match=error):
+            override(blob_config(), name, 1)
+
     def test_original_unchanged(self):
         config = blob_config()
         override(config, "gamma", 123.0)

@@ -49,6 +49,15 @@ class TestArchitecture:
         with pytest.raises(ValueError, match="unknown architecture"):
             Architecture("CNN", 784, 10)
 
+    @pytest.mark.parametrize("args, message", [
+        (("SHL", 0, 10), "input_dim and num_classes must be >= 1"),
+        (("SHL", 784, 0), "input_dim and num_classes must be >= 1"),
+        (("HL2", 784, 10, (500, 0)), r"hidden widths must be >= 1, got \(500, 0\)"),
+    ])
+    def test_sizes_below_one_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Architecture(*args)
+
     def test_views_share_storage(self):
         arch = SMALL_ARCHS[1]
         theta = init_params(arch, seed=0)
@@ -225,6 +234,13 @@ def _grad_bound(arch, theta, x, y) -> np.ndarray:
 
 
 class TestGrad:
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_outside_the_classes_rejected(self, label):
+        arch = Architecture("SHL", 6, 4)
+        theta = np.zeros(param_count(arch))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            grad(arch, theta, *forward(arch, theta, np.ones((1, 6))), [label])
+
     def test_closed_form_output_layer_at_zero(self):
         # at zero params: p = uniform, dW = x outer (p - onehot), db = p - onehot
         arch = Architecture("SHL", 6, 4)

@@ -57,6 +57,10 @@ def test_blas_kernel_follows_forced_coretype():
 
 
 class TestPoolSize:
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="pool size must be >= 1, got 0"):
+            AgentPool(0)
+
     def test_min_of_agents_and_cores(self, monkeypatch):
         monkeypatch.setattr(parallel, "_calls", (None, None))  # as if pinned
         _cores(monkeypatch, 4)

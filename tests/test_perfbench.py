@@ -118,7 +118,8 @@ def test_tracer_sees_every_phase(tmp_path):
     n, iterations, reviews = 2, stats["iterations"], stats["reviews"]
     refreshes, emissions = count("collective.refresh_calls"), got["records"] // n
     assert got["absent"] == []
-    assert reviews >= 1 and refreshes >= 2  # the one before the first round, and more
+    # iteration 0's records give the first scores: a refresh runs only every 10
+    assert reviews >= 1 and refreshes == iterations // 10
     assert count("collective.fuse_calls") == count("collective.rounds") == iterations
     # 2 minibatches per epoch over 20 private samples: 3 self-training
     # epochs and each review epoch; one step per agent per round
