@@ -21,8 +21,9 @@ alone at the end of a phase. Fusion runs on the calling thread between the
 two halves of a round, as one pass for all agents. Each agent's arithmetic
 is the same at any pool size and in any task order, so are the results.
 
-Agents only ever exchange prediction vectors: fusion consumes RoundMessage
-values and weights, never another agent's parameters or data.
+Agents only ever exchange prediction vectors: fusion consumes the round's
+predictions, stacked in agent order, and the weights, never another agent's
+parameters or data.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ from .graph import GraphSchedule, build_weight_matrix_log, graph_at, schedule_ro
 from .learner import Learner, accuracy, forward, train_epochs, train_step
 from .parallel import AgentPool
 from .seeding import subseed
-
-
-@dataclass(frozen=True)
-class RoundMessage:
-    """What an agent broadcasts in a round: predictions for the shared batch."""
-
-    sender: int
-    predictions: np.ndarray  # (batch, num_classes)
 
 
 @dataclass(frozen=True)
@@ -84,31 +77,25 @@ class RunOutput:
         return [r.arch for r in self._last()]
 
 
-def fuse_and_label(messages: Sequence[RoundMessage], weights: np.ndarray) -> np.ndarray:
+def fuse_and_label(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Every receiver's labeling step at once: receiver i takes the average
-    of the received predictions weighted by row i of `weights` (receivers x
-    senders, indexed by sender id), then the argmax per sample. Returns
-    (receivers, batch) labels; one receiver's are those of its row,
-    `weights[i:i + 1]`.
+    of the round's predictions, `predictions` (senders, batch, classes) in
+    agent order, weighted by row i of `weights` (receivers x senders), then
+    the argmax per sample. Returns (receivers, batch) labels; one receiver's
+    are those of its row, `weights[i:i + 1]`.
 
     This is the entire interface an agent has to its neighbors: prediction
     vectors and scalar weights, nothing else.
     """
-    ordered = sorted(messages, key=lambda msg: msg.sender)
-    stacked = np.stack([msg.predictions for msg in ordered])
-    w = weights[:, [msg.sender for msg in ordered]]
-    fused = kernels.fuse_rows(stacked, w)
-    if not np.all(np.isfinite(fused)):
-        raise ValueError("fused predictions must be finite")
-    return kernels.argmax_rows(fused)
+    return kernels.argmax_rows(kernels.fuse_rows(predictions, weights))
 
 
-def _at(k: int | None) -> str:
-    return "" if k is None else f"at iteration {k}"
+def _at(k: int) -> str:
+    return f"at iteration {k}"
 
 
 def _val_accuracy(agents: Sequence[Learner], vals: Sequence, pool: AgentPool,
-                  k: int | None) -> list[float]:
+                  k: int) -> list[float]:
     return pool.each(lambda a, val: accuracy([(a.arch, a.params)], eval_set=val)[0], agents,
                      vals, where=_at(k))
 
@@ -117,14 +104,14 @@ def refresh_scores(
     agents: Sequence[Learner],
     validation_sets: Sequence,
     gamma: float,
-    pool: AgentPool | None = None,
-    k: int | None = None,
+    pool: AgentPool,
+    k: int,
 ) -> np.ndarray:
     """Each agent's log score, gamma times its validation accuracy: the
     score exp(gamma * accuracy) is held in log space so that extreme
-    sharpening exponents cannot overflow. With a pool the agents measure
-    side by side; a failure names the agent and iteration `k`."""
-    return gamma * np.array(_val_accuracy(agents, validation_sets, pool or AgentPool(), k))
+    sharpening exponents cannot overflow. The agents measure side by side
+    on `pool`; a failure names the agent and iteration `k`."""
+    return gamma * np.array(_val_accuracy(agents, validation_sets, pool, k))
 
 
 def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: int,
@@ -150,8 +137,8 @@ def collective_round(
     agents: Sequence[Learner],
     weights: np.ndarray,
     batch_features: np.ndarray,
-    pool: AgentPool | None = None,
-    k: int | None = None,
+    pool: AgentPool,
+    k: int,
 ) -> np.ndarray:
     """One synchronous round: predict, fuse into proxy labels, update.
 
@@ -161,18 +148,15 @@ def collective_round(
     made its predictions. Returns each agent's proxy labels for the batch,
     one row per agent.
 
-    With a pool the agents' forward passes run side by side, then fusion
-    runs on the calling thread for all agents at once, then the agents'
-    `train_step`s run side by side. A failure names the agent and iteration
-    `k`. The agents and `weights` are as `run_collective` checked and built
-    them: agents in id order sharing one class count, and an n x n weight
-    matrix.
+    The agents' forward passes run side by side on `pool`, then fusion
+    runs on the calling thread for all agents at once, on their predictions
+    stacked in agent order, then the agents' `train_step`s run side by
+    side. A failure names the agent and iteration `k`. The agents and
+    `weights` are as `run_collective` checked and built them: agents in id
+    order sharing one class count, and an n x n weight matrix.
     """
-    pool = pool or AgentPool()
     passes = pool.each(lambda a: forward(a.arch, a.params, batch_features), agents, where=_at(k))
-    messages = [RoundMessage(sender=a.id, predictions=probs)
-                for a, (_, probs) in zip(agents, passes)]
-    labels = fuse_and_label(messages, weights)
+    labels = fuse_and_label(np.stack([probs for _, probs in passes]), weights)
     pool.each(lambda a, passed, proxy: train_step(a.arch, a.params, a.rule, *passed, proxy),
               agents, passes, labels, where=_at(k))
     return labels
@@ -212,7 +196,7 @@ def run_collective(
         raise ValueError(f"{n} agents but partition holds {partition.n_agents}")
     if n != schedule.n:
         raise ValueError(f"{n} agents but graph schedule has {schedule.n} nodes")
-    # weight rows and scores are indexed by list position
+    # weight rows, scores and the round's stacked predictions are indexed by list position
     for i, a in enumerate(agents):
         if a.id != i:
             raise ValueError(f"agent ids must be 0..n-1 in list order: agents[{i}] has id {a.id}")

@@ -193,10 +193,27 @@ def load_idx_corpus(train_images, train_labels, test_images,
     return train, test
 
 
+def _as_bytes(name: str, values) -> np.ndarray:
+    """`values` as uint8. Unless they are uint8 already, each must be an
+    integer in [0, 255]; the first that is not raises a ValueError naming
+    `name`, the value and its flat index."""
+    values = np.asarray(values)
+    if values.dtype == np.uint8:
+        return values
+    flat = values.reshape(-1)
+    ok = (flat >= 0) & (flat <= 255) & (flat == np.trunc(flat))
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name}: value {flat[i]} at flat index {i} is not an integer in [0, 255]")
+    return values.astype(np.uint8)
+
+
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write uint8 images (m, rows, cols) and labels (m,) as an IDX pair."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Write images (m, rows, cols) and labels (m,) as an IDX pair. Every
+    value must be an integer in [0, 255]; the files are opened only after
+    the checks pass."""
+    images = _as_bytes("images", images)
+    labels = _as_bytes("labels", labels)
     if images.ndim != 3:
         raise ValueError(f"images must be (m, rows, cols), got shape {images.shape}")
     if labels.shape != (images.shape[0],):

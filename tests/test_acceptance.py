@@ -10,7 +10,7 @@ the dataset is absent; everything else runs on synthetic data. Run with
 import numpy as np
 import pytest
 
-from colearn.collective import fuse_and_label, RoundMessage
+from colearn.collective import fuse_and_label
 from colearn.config import load_config, override
 from colearn.graph import DirectedGraph, build_weight_matrix_log
 from colearn.harness import montecarlo, run_mode, summarize
@@ -108,11 +108,9 @@ class TestCriterion1Properties:
         preds = rng.random((5, 20, 7))
         w = rng.random((1, 5))
         w /= w.sum()
-        msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(5)]
-        base = fuse_and_label(msgs, w)
+        base = fuse_and_label(preds, w)
         for scale in (1e-6, 0.5, 3.0, 1e6):
-            scaled = [RoundMessage(sender=i, predictions=scale * preds[i]) for i in range(5)]
-            assert np.array_equal(base, fuse_and_label(scaled, w))
+            assert np.array_equal(base, fuse_and_label(scale * preds, w))
         print("ACCEPTANCE 1e labeling argmax invariance: PASS")
 
     def test_full_run_determinism_on_blobs(self):

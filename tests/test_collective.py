@@ -10,7 +10,6 @@ import pytest
 from colearn import _kernels as kernels
 from colearn import collective, learner as learner_module
 from colearn.collective import (
-    RoundMessage,
     collective_round,
     fuse_and_label,
     refresh_scores,
@@ -62,9 +61,9 @@ class TestRefreshScores:
             labeled(np.zeros((4, 4)), [0, 0, 1, 2], 3),
             labeled(np.zeros((4, 4)), [0, 0, 1, 2], 3),
         ]
-        assert np.exp(refresh_scores(agents, vals, gamma=0.0)).tolist() == [1.0, 1.0]
+        assert np.exp(refresh_scores(agents, vals, 0.0, AgentPool(), 0)).tolist() == [1.0, 1.0]
         # at gamma 1 the log scores are the validation accuracies
-        assert refresh_scores(agents, vals, gamma=1.0).tolist() == [0.5, 0.25]
+        assert refresh_scores(agents, vals, 1.0, AgentPool(), 0).tolist() == [0.5, 0.25]
 
     def test_gamma_one_exact_exponentials(self):
         agents = [
@@ -75,7 +74,7 @@ class TestRefreshScores:
             labeled(np.zeros((10, 4)), [0] * 5 + [1] * 5, 2),   # accuracy 0.5
             labeled(np.zeros((10, 4)), [0] * 7 + [1] * 3, 2),   # accuracy 0.7
         ]
-        scores = np.exp(refresh_scores(agents, vals, gamma=1.0))
+        scores = np.exp(refresh_scores(agents, vals, 1.0, AgentPool(), 0))
         assert scores == pytest.approx([1.64872, 2.01375], abs=1e-5)
 
     def test_large_gamma_weight_ratio(self):
@@ -88,7 +87,7 @@ class TestRefreshScores:
             labeled(np.zeros((100, 4)), [0] * 80 + [1] * 20, 2),
             labeled(np.zeros((100, 4)), [0] * 81 + [1] * 19, 2),
         ]
-        log_scores = refresh_scores(agents, vals, gamma=100.0)
+        log_scores = refresh_scores(agents, vals, 100.0, AgentPool(), 0)
         scores = np.exp(log_scores)
         assert scores[1] / scores[0] == pytest.approx(np.e, rel=1e-9)
         w = build_weight_matrix_log(DirectedGraph.complete(2), log_scores)
@@ -104,7 +103,7 @@ class TestRefreshScores:
             labeled(np.zeros((10, 4)), [0] * 9 + [1] * 1, 2),   # accuracy 0.9
         ]
         w = build_weight_matrix_log(DirectedGraph.complete(2),
-                                    refresh_scores(agents, vals, gamma=1000.0))
+                                    refresh_scores(agents, vals, 1000.0, AgentPool(), 0))
         assert np.all(np.isfinite(w))
         assert np.allclose(w.sum(axis=1), 1.0)
         # exp(1000*(0.8-0.9)) = e^-100: the better agent dominates both rows
@@ -117,33 +116,19 @@ class TestFuseAndLabel:
         batch = np.zeros((1, 4))
         a = fixed_vector_predictor([0.9, 0.1])
         b = fixed_vector_predictor([0.2, 0.8])
-        messages = [
-            RoundMessage(sender=0, predictions=predict_proba(a, batch)),
-            RoundMessage(sender=1, predictions=predict_proba(b, batch)),
-        ]
+        preds = np.stack([predict_proba(a, batch), predict_proba(b, batch)])
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
-        fused = kernels.fuse_rows(np.stack([m.predictions for m in messages]), w)
+        fused = kernels.fuse_rows(preds, w)
         assert np.allclose(fused, [[[0.55, 0.45]], [[0.55, 0.45]]], atol=1e-9)
-        assert fuse_and_label(messages, w[0:1])[0].tolist() == [0]
-        assert fuse_and_label(messages, w[1:2])[0].tolist() == [0]
-
-    def test_sender_order_does_not_matter(self):
-        rng = rng_for(1, "fuse-order")
-        preds = rng.random((3, 5, 4))
-        msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(3)]
-        w = np.array([[0.2, 0.5, 0.3]])
-        forward_order = fuse_and_label(msgs, w)
-        shuffled = fuse_and_label([msgs[2], msgs[0], msgs[1]], w)
-        assert np.array_equal(forward_order, shuffled)
+        assert fuse_and_label(preds, w[0:1])[0].tolist() == [0]
+        assert fuse_and_label(preds, w[1:2])[0].tolist() == [0]
 
     def test_positive_scaling_invariance(self):
         rng = rng_for(2, "scale-invariance")
         preds = rng.random((4, 8, 5))
         w = rng.random((1, 4))
         w /= w.sum()
-        msgs = [RoundMessage(sender=i, predictions=preds[i]) for i in range(4)]
-        scaled = [RoundMessage(sender=i, predictions=37.5 * preds[i]) for i in range(4)]
-        assert np.array_equal(fuse_and_label(msgs, w), fuse_and_label(scaled, w))
+        assert np.array_equal(fuse_and_label(preds, w), fuse_and_label(37.5 * preds, w))
 
     def test_fused_values_are_convex_combinations(self):
         rng = rng_for(3, "convexity")
@@ -154,14 +139,6 @@ class TestFuseAndLabel:
         assert np.all(fused <= preds.max(axis=0) + 1e-12)
         assert np.all(fused >= preds.min(axis=0) - 1e-12)
 
-    def test_non_finite_fusion_rejected(self):
-        messages = [RoundMessage(sender=0, predictions=np.array([[np.inf, 0.0]])),
-                    RoundMessage(sender=1, predictions=np.array([[0.5, 0.5]]))]
-        with pytest.raises(ValueError, match="finite"):
-            fuse_and_label(messages, np.full((2, 2), 0.5))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            fuse_and_label(messages, np.array([[0.0, 1.0]]))  # 0 * inf is NaN
-
 
 class TestCollectiveRound:
     def test_single_agent_reduces_to_pseudo_labeling(self):
@@ -170,7 +147,7 @@ class TestCollectiveRound:
         learner.train(ds, batch_size=10, epochs=30, seed=2)
         batch = ds.features[:7]
         expected = np.argmax(predict_proba(learner, batch), axis=1)
-        labels = collective_round([learner], np.array([[1.0]]), batch)
+        labels = collective_round([learner], np.array([[1.0]]), batch, AgentPool(), 1)
         assert np.array_equal(labels[0], expected)
 
     def test_identical_predictions_ignore_weights(self):
@@ -179,7 +156,7 @@ class TestCollectiveRound:
         rng = rng_for(4, "row-stochastic")
         w = rng.random((3, 3))
         w /= w.sum(axis=1, keepdims=True)
-        labels = collective_round(agents, w, batch)
+        labels = collective_round(agents, w, batch, AgentPool(), 1)
         for lab in labels:
             assert lab.tolist() == [1, 1, 1]
 
@@ -192,7 +169,7 @@ class TestCollectiveRound:
         pre_a = predict_proba(a, batch).copy()
         pre_b = predict_proba(b, batch).copy()
         w = np.full((2, 2), 0.5)
-        labels = collective_round(agents, w, batch)
+        labels = collective_round(agents, w, batch, AgentPool(), 1)
         manual = np.argmax(0.5 * pre_a + 0.5 * pre_b, axis=1)
         assert np.array_equal(labels[0], manual)
         assert np.array_equal(labels[1], manual)
@@ -213,8 +190,8 @@ class TestCollectiveRound:
             w = np.full((3, 3), 1.0 / 3.0)
             with AgentPool(size) as pool:
                 for _ in range(2):
-                    expected = collective_round(fresh, w, batch)
-                    labels = collective_round(shared, w, batch, pool)
+                    expected = collective_round(fresh, w, batch, AgentPool(), 1)
+                    labels = collective_round(shared, w, batch, pool, 1)
                     for a, b, la, lb in zip(fresh, shared, expected, labels):
                         assert np.array_equal(la, lb)
                         assert np.array_equal(a.params, b.params)
@@ -223,9 +200,8 @@ class TestCollectiveRound:
         # the round as it ran before one forward pass served both halves:
         # every agent predicts, then each gradient runs the layers again
         def two_pass_round(agents, weights, batch, grad_buf):
-            messages = [RoundMessage(sender=a.id, predictions=predict_proba(a, batch))
-                        for a in agents]
-            labels = [fuse_and_label(messages, weights[i:i + 1])[0] for i in range(len(agents))]
+            preds = np.stack([predict_proba(a, batch) for a in agents])
+            labels = [fuse_and_label(preds, weights[i:i + 1])[0] for i in range(len(agents))]
             for agent, lab in zip(agents, labels):
                 g = grad(agent.arch, agent.params, *forward(agent.arch, agent.params, batch), lab,
                          out=grad_buf[: agent.params.size])
@@ -248,7 +224,7 @@ class TestCollectiveRound:
         want_buf = np.empty(max(a.params.size for a in want))
         with AgentPool(1) as pool:
             for _ in range(2):
-                labels = collective_round(got, w, batch, pool)
+                labels = collective_round(got, w, batch, pool, 1)
                 expected = two_pass_round(want, w, batch, want_buf)
                 assert np.stack(labels).tobytes() == np.stack(expected).tobytes()
         for a, b in zip(got, want):
@@ -257,11 +233,30 @@ class TestCollectiveRound:
             assert a.rule._m.tobytes() == b.rule._m.tobytes()
             assert a.rule._v.tobytes() == b.rule._v.tobytes()
 
-    def test_privacy_boundary_is_structural(self):
-        # what crosses between agents is a RoundMessage: sender + predictions,
-        # nothing else; fusion takes only messages and scalar weights
-        assert set(RoundMessage.__dataclass_fields__) == {"sender", "predictions"}
-        assert list(inspect.signature(fuse_and_label).parameters) == ["messages", "weights"]
+    def test_privacy_boundary_is_structural(self, monkeypatch):
+        # what crosses between agents is the round's prediction vectors,
+        # stacked in agent order, and scalar weights: nothing else
+        assert list(inspect.signature(fuse_and_label).parameters) == ["predictions", "weights"]
+        batch = rng_for(10, "privacy").standard_normal((5, 4))
+        # agents of different sizes, so the pool starts them out of agent order
+        agents = [Learner.create(Architecture(kind, 4, 3), seed=30 + i, id=i)
+                  for i, kind in enumerate(("SHL", "HL2", "HL1"))]
+        want = np.stack([forward(a.arch, a.params, batch)[1] for a in agents])
+        w = np.full((3, 3), 1.0 / 3.0)
+        calls = []
+
+        def recording(predictions, weights):
+            calls.append((predictions.copy(), weights))
+            return fuse_and_label(predictions, weights)
+
+        monkeypatch.setattr(collective, "fuse_and_label", recording)
+        with AgentPool(2) as pool:
+            collective_round(agents, w, batch, pool, 1)
+        assert len(calls) == 1
+        predictions, weights = calls[0]
+        assert weights is w
+        assert predictions.dtype == np.float64 and predictions.shape == want.shape
+        assert predictions.tobytes() == want.tobytes()
 
 
 class TestReviewStep:

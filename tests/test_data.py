@@ -331,6 +331,21 @@ def test_write_idx_rejects_bad_shapes(tmp_path):
     assert not paths[0].exists() and not paths[1].exists()
 
 
+@pytest.mark.parametrize("images, labels, message", [
+    (np.array([-1, 300]).reshape(1, 1, 2), [0], r"images: value -1 at flat index 0 "),
+    (np.array([[[0, 0], [0.7, 0]]]), [0], r"images: value 0\.7 at flat index 2 "),
+    (np.array([[[0, np.nan]]]), [0], r"images: value nan at flat index 1 "),
+    ([[[0, -1]]], [0], r"images: value -1 at flat index 1 "),
+    (np.zeros((2, 1, 1), np.uint8), [3, 256], r"labels: value 256 at flat index 1 "),
+])
+def test_write_idx_rejects_values_outside_bytes(tmp_path, images, labels, message):
+    # uint8 would wrap -1 to 255 and 300 to 44, and truncate 0.7 to 0
+    paths = tmp_path / "img", tmp_path / "lbl"
+    with pytest.raises(ValueError, match=message + r"is not an integer in \[0, 255\]"):
+        write_idx(images, labels, *paths)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_each_non_finite_value(bad):
     feats = np.zeros((4, 3))

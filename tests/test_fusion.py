@@ -10,22 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colearn import _kernels as kernels
-from colearn.collective import RoundMessage, fuse_and_label
+from colearn.collective import fuse_and_label
 from colearn.graph import DirectedGraph, build_weight_matrix_log
 
 
-def _fuse_one_agent(messages, weight_row):
+def _fuse_one_agent(predictions, weight_row):
     """The per-agent fusion the batched pass replaced, transcribed: for
-    senders in ascending id order, out += w[sender] * predictions."""
-    out = np.zeros(messages[0].predictions.shape)
-    for msg in sorted(messages, key=lambda m: m.sender):
-        out += weight_row[msg.sender] * msg.predictions
+    senders in ascending id order, out += w[sender] * predictions[sender]."""
+    out = np.zeros(predictions.shape[1:])
+    for sender, preds in enumerate(predictions):
+        out += weight_row[sender] * preds
     return out
 
 
 @st.composite
 def fusion_rounds(draw):
-    """A round's messages, in shuffled order, and a weight matrix: random,
+    """A round's predictions, in agent order, and a weight matrix: random,
     one-hot or tied predictions; row-stochastic weights with zero entries,
     one-hot rows, or log-space weights from scores exp(1000 * accuracy) with
     accuracies at and just below 1.0."""
@@ -52,20 +52,18 @@ def fusion_rounds(draw):
         edges = [(j, i) for i in range(n) for j in range(n) if i != j and rng.random() < 0.6]
         accuracy = 1.0 - rng.integers(0, 3, n) / 1000.0
         w = build_weight_matrix_log(DirectedGraph.from_edges(n, edges), 1000.0 * accuracy)
-    messages = [RoundMessage(sender=i, predictions=preds[i]) for i in rng.permutation(n)]
-    return messages, w
+    return preds, w
 
 
 @settings(max_examples=200, deadline=None)
 @given(fusion_rounds())
 def test_batched_matches_per_agent_fusion(round_):
-    messages, w = round_
-    stacked = np.stack([m.predictions for m in sorted(messages, key=lambda m: m.sender)])
-    fused = kernels.fuse_rows(stacked, w)
-    labels = fuse_and_label(messages, w)
-    assert labels.shape == (w.shape[0], stacked.shape[1])
+    preds, w = round_
+    fused = kernels.fuse_rows(preds, w)
+    labels = fuse_and_label(preds, w)
+    assert labels.shape == (w.shape[0], preds.shape[1])
     for i in range(w.shape[0]):
-        want = _fuse_one_agent(messages, w[i])
+        want = _fuse_one_agent(preds, w[i])
         assert fused[i].tobytes() == want.tobytes()
         assert labels[i].tobytes() == np.argmax(want, axis=1).tobytes()
-        assert labels[i].tobytes() == fuse_and_label(messages, w[i:i + 1])[0].tobytes()
+        assert labels[i].tobytes() == fuse_and_label(preds, w[i:i + 1])[0].tobytes()

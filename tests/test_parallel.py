@@ -188,12 +188,12 @@ def test_stress_more_threads_than_cores():
 
     serial, threaded = agents(), agents()
     with AgentPool(1) as pool:
-        want = [collective_round(serial, w, batch, pool) for _ in range(30)]
+        want = [collective_round(serial, w, batch, pool, k) for k in range(1, 31)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with AgentPool(8) as pool:
-            got = [collective_round(threaded, w, batch, pool) for _ in range(30)]
+            got = [collective_round(threaded, w, batch, pool, k) for k in range(1, 31)]
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(np.stack([np.stack(r) for r in got]),
