@@ -55,10 +55,11 @@ class MetricsRecord:
 
 @dataclass
 class RunOutput:
-    """One run's result: its metrics records and the collective engine's
-    stats (empty outside CL). Every mode takes each agent's last record
-    after that agent's last update, so the final accuracies and the
-    architectures are read from those records, in agent order."""
+    """One run's result: its metrics records and, for CL, its collective
+    iteration count (`stats["iterations"]`; `stats` is empty outside CL).
+    Every mode takes each agent's last record after that agent's last
+    update, so the final accuracies and the architectures are read from
+    those records, in agent order."""
 
     run_index: int
     records: list[MetricsRecord]
@@ -207,13 +208,6 @@ def run_collective(
     shared_idx = partition.shared_indices
     true_labels = partition.shared_true_labels
 
-    stats = {
-        "iterations": 0,
-        "score_refresh_events": 0,
-        "weight_rebuilds": 0,
-        "reviews": 0,
-        "review_iterations": [],
-    }
     records: list[MetricsRecord] = []
     proxy_hits = np.zeros(n, dtype=np.int64)
     proxy_seen = 0
@@ -240,10 +234,8 @@ def run_collective(
             refresh = k % spec.score_refresh_period == 0
             if refresh:
                 log_scores = refresh_scores(agents, partition.val, spec.gamma, pool, k)
-                stats["score_refresh_events"] += 1
             if refresh or schedule_round(schedule, k) != schedule_round(schedule, k - 1):
                 weights = build_weight_matrix_log(graph_at(schedule, k), log_scores)
-                stats["weight_rebuilds"] += 1
 
             # gather and decode the batch's rows; the shared pool is never copied whole
             batch_x = decode(source_x[shared_idx[idx]])
@@ -257,13 +249,11 @@ def run_collective(
                 review_seed = subseed(seed, "review", k)
                 pool.each(lambda a, train: review_step(a, train, train_batch, review_seed),
                           agents, partition.train, where=_at(k))
-                stats["reviews"] += n
-                stats["review_iterations"].extend((k, i) for i in range(n))
 
             if k % metric_stride == 0:
                 emit_metrics(k)
         if k % metric_stride:
             emit_metrics(k)
 
-    stats["iterations"] = k
-    return RunOutput(run_index, records, stats)
+    # perfbench checks each CL run's iteration count against its config
+    return RunOutput(run_index, records, {"iterations": k})

@@ -266,11 +266,14 @@ def parse_config(raw) -> ExperimentConfig:
     explicit = agents.get("architectures") or []
     if not isinstance(explicit, list):
         raise ConfigError("agents.architectures: expected a list")
+    # each kind is checked to be a string before the kinds are sorted
+    mix = [(_as_str(kind, "agents.mix"), count)
+           for kind, count in _expect_map(agents.get("mix"), "agents.mix").items()]
     dataset = _expect_map(raw.get("dataset"), "dataset")
     kind = _as_str(dataset.get("kind"), "dataset.kind", tuple(DATASETS))
     given = dict(
         architectures=tuple(explicit),
-        architecture_mix=tuple(sorted(_expect_map(agents.get("mix"), "agents.mix").items())),
+        architecture_mix=tuple(sorted(mix)),
         dataset=_spec(DATASETS[kind], dataset, "dataset", other=("kind",)),
         graph=_spec(GraphSpec, raw.get("graph"), "graph"),
         training=_spec(TrainingSpec, raw.get("training"), "training"),

@@ -1,17 +1,19 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
-numpy Adam step, the forced float64 evaluation, the optional Fashion-MNIST
-directory for dataset-gated tests, and the loss and prediction helpers that
-only tests use."""
+numpy Adam step, the forced float64 evaluation, the collective engine's
+recorded reviews and weight builds, the optional Fashion-MNIST directory
+for dataset-gated tests, and the loss and prediction helpers that only
+tests use."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from colearn import _kernels, learner
+from colearn import _kernels, collective, learner
 from colearn.cli import FMNIST_NAMES
 from colearn.config import (
     CollectiveSpec,
@@ -80,6 +82,28 @@ def float64_eval(monkeypatch):
     over the row alone, as if no bound proved any row's argmax."""
     monkeypatch.setattr(learner, "_certain", lambda logits, bound: (
         _kernels.argmax_rows(logits), np.zeros(logits.shape[0], dtype=bool)))
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The collective engine's work as it runs: `reviews` gets an (agent id,
+    seed) pair per review epoch and `builds` counts the weight-matrix
+    builds, the initial build included. Review epochs run on pool threads,
+    so compare `reviews` sorted, not in call order."""
+    calls = SimpleNamespace(reviews=[], builds=0)
+    review, build = collective.review_step, collective.build_weight_matrix_log
+
+    def reviewing(agent, train_set, batch_size, seed):
+        calls.reviews.append((agent.id, seed))
+        review(agent, train_set, batch_size, seed)
+
+    def building(graph, log_scores):
+        calls.builds += 1
+        return build(graph, log_scores)
+
+    monkeypatch.setattr(collective, "review_step", reviewing)
+    monkeypatch.setattr(collective, "build_weight_matrix_log", building)
+    return calls
 
 
 # Probabilities are clamped here before log, so that a confident wrong

@@ -15,7 +15,7 @@ from colearn.config import load_config, override
 from colearn.graph import DirectedGraph, build_weight_matrix_log
 from colearn.harness import montecarlo, run_mode, summarize
 from colearn.learner import Architecture, grad, init_params, forward
-from colearn.seeding import rng_for
+from colearn.seeding import rng_for, subseed
 
 from conftest import (
     CONFIG_DIR,
@@ -235,14 +235,18 @@ class TestCriterion6PresetsAndSmoke:
         assert all(np.isfinite(a) for a in out.final_test)
         print("\nACCEPTANCE 6b table1 collective smoke: PASS (200 iterations)")
 
-    def test_smoke_large_time_varying_network(self, standin_dir):
+    def test_smoke_large_time_varying_network(self, standin_dir, engine_calls):
         out = self._smoked("large_network.yaml", standin_dir,
                            self_train_epochs=1, max_iterations=200, metric_stride=100)
         assert out.stats["iterations"] == 200
         assert len(out.arch_kinds) == 30
         assert sorted(set(out.arch_kinds)) == ["HL1", "HL2", "SHL"]
-        # time-varying graph: weights rebuilt at every 10-iteration round change
-        assert out.stats["weight_rebuilds"] >= 19
+        # time-varying graph: weights built at the start and rebuilt at each
+        # 10-iteration round change, k = 10, ..., 200
+        assert engine_calls.builds == 1 + 20
+        # review_period 200: every agent reviews once, all with one seed
+        seed = subseed(subseed(7401, 0, "collective"), "review", 200)
+        assert sorted(engine_calls.reviews) == [(i, seed) for i in range(30)]
         print("ACCEPTANCE 6c 30-agent time-varying smoke: PASS (200 iterations)")
 
     def test_smoke_baselines(self, standin_dir):

@@ -210,6 +210,8 @@ RUN = "run {config} --out {out}"
                  id="graph-not-mapping"),
     pytest.param(RUN, "[HL1, SHL]", "HL1", "agents.architectures: expected a list",
                  id="architectures-not-list"),
+    pytest.param(RUN, "architectures: [HL1, SHL]", "mix: {HL1: 1, 1: 1}",
+                 "agents.mix: expected a string, got 1", id="mix-key-not-string"),
     pytest.param(RUN, "train_size: 10", "train_size: ten",
                  "partition.train_size: expected an integer", id="train_size-not-int"),
     pytest.param(RUN, "gamma: 1.0", "gamma: high", "collective.gamma: expected a number",

@@ -23,7 +23,7 @@ from colearn.learner import (
     Adam, Architecture, Learner, accuracy, apply_update, forward, grad, param_count, param_views,
 )
 from colearn.parallel import AgentPool
-from colearn.seeding import rng_for
+from colearn.seeding import rng_for, subseed
 
 from conftest import predict_proba
 
@@ -320,7 +320,7 @@ def single_agent_partition(m_shared_class: int = 200, seed: int = 0) -> Partitio
 
 
 class TestEngine:
-    def test_review_and_refresh_schedule(self, monkeypatch):
+    def test_review_and_refresh_schedule(self, monkeypatch, engine_calls):
         refreshed_at = []
         measure_scores = collective.refresh_scores
 
@@ -344,14 +344,16 @@ class TestEngine:
             seed=3, metric_stride=450,
         )
         assert result.stats["iterations"] == 900
-        assert result.stats["review_iterations"] == [(300, 0), (600, 0), (900, 0)]
-        # weight matrix rebuilt at each refresh: 900 / 100 events; the first
-        # scores come from iteration 0's records, so no refresh runs there
-        assert result.stats["score_refresh_events"] == 9
-        assert result.stats["weight_rebuilds"] == 9
+        # a review's seed names its iteration
+        assert sorted(engine_calls.reviews) == sorted(
+            (0, subseed(3, "review", k)) for k in (300, 600, 900))
+        # the first scores come from iteration 0's records, so no refresh
+        # runs there; the weights are built once at the start and rebuilt at
+        # each of the 900 / 100 refreshes
         assert refreshed_at == list(range(100, 901, 100))
+        assert engine_calls.builds == 1 + 9
 
-    def test_every_agent_reviews_in_agent_order(self):
+    def test_every_agent_reviews_in_agent_order(self, engine_calls):
         source = synth_blobs(120, 3, 4, 5.0, seed=40)
         test = synth_blobs(30, 3, 4, 5.0, seed=41)
         part = make_partition(source, 2, 20, 10, seed=42, test=test)
@@ -366,10 +368,11 @@ class TestEngine:
         result = run_collective(
             agents, part, GraphSchedule(GraphSpec(), 2, seed=0), config,
             seed=51, metric_stride=100,
-        )  # 30 iterations
-        assert result.stats["review_iterations"] == [
-            (10, 0), (10, 1), (20, 0), (20, 1), (30, 0), (30, 1)
-        ]
+        )
+        assert result.stats["iterations"] == 30
+        # both agents review at each period, with one seed for the iteration
+        assert sorted(engine_calls.reviews) == sorted(
+            (i, subseed(51, "review", k)) for k in (10, 20, 30) for i in (0, 1))
 
     def test_batches_are_gathered_source_rows(self, monkeypatch):
         source = synth_blobs(60, 3, 4, 6.0, seed=12)
@@ -464,7 +467,7 @@ class TestEngine:
         assert a.records == b.records
         assert a.stats == b.stats
 
-    def test_time_varying_schedule_rebuilds_weights(self):
+    def test_time_varying_schedule_rebuilds_weights(self, engine_calls):
         source = synth_blobs(200, 3, 4, 5.0, seed=20)
         test = synth_blobs(30, 3, 4, 5.0, seed=21)
         part = make_partition(source, 3, 20, 10, seed=22, test=test)
@@ -479,8 +482,9 @@ class TestEngine:
         schedule = GraphSchedule(GraphSpec("erdos-renyi", p=0.6, period=5), 3, seed=8)
         result = run_collective(agents, part, schedule, config, seed=31, metric_stride=100)
         iters = result.stats["iterations"]
-        # graph round changes every 5 iterations; each change rebuilds weights
-        assert result.stats["weight_rebuilds"] == iters // 5
+        # graph round changes every 5 iterations; each change rebuilds the
+        # weights built at the start
+        assert engine_calls.builds == iters // 5 + 1
 
     def test_max_iterations_cap(self):
         part = single_agent_partition(seed=4)

@@ -98,6 +98,14 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
     `order`, a function of the agents, tasks start in its order instead of
     largest agent first."""
     _cores(monkeypatch, cores)
+    reviewed = []
+    review = collective.review_step
+
+    def reviewing(agent, *args):
+        reviewed.append(agent.id)
+        review(agent, *args)
+
+    monkeypatch.setattr(collective, "review_step", reviewing)
     if order is not None:
         monkeypatch.setattr(parallel, "largest_first", order)
     threads = set()
@@ -123,7 +131,7 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
 
     monkeypatch.setattr(harness, "_make_agents", capture)
     out = harness.run_mode(config, 0)
-    assert out.stats["reviews"] == 5 and out.stats["iterations"] == 28
+    assert sorted(reviewed) == list(range(5)) and out.stats["iterations"] == 28
     return out.records, [a.params.tobytes() for a in agents], threads
 
 
