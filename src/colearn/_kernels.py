@@ -24,13 +24,6 @@ works, a `RuntimeWarning` says why and the numpy step runs instead;
 `adam_kernel()` names the step this process runs. Both give the same bits
 on any CPU.
 
-The numpy Adam step, the fallback, updates its arrays in place and walks
-the parameter vector in cache-sized blocks, writing every intermediate into
-a small reused scratch buffer instead of allocating parameter-sized
-temporaries. Each element still goes through the same correctly rounded
-operations in the same order as the one-line folded expression, so the
-results are bit for bit those of that expression.
-
 All kernels expect C-contiguous float64 arrays (labels int64); reductions
 accumulate in a fixed order, so results are reproducible run to run.
 """
@@ -52,15 +45,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-# Elements per block of the numpy Adam step: 512 KB per float64 array, so a
-# block's operands stay in a 2 MB L2 cache between ufunc calls.
-_BLOCK = 65536
-
-# Per-thread scratch of the numpy Adam step: two block-sized rows, allocated
-# on a thread's first step and reused by all its later ones. Per thread, so
-# that steps running in different threads never share it.
-_scratch = threading.local()
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -117,7 +101,7 @@ def adam_step(theta, grad, m, v, step, alpha, beta1, beta2, eps) -> None:
     m / (sqrt(v) + eps_t), with the bias corrections folded into alpha_t =
     alpha * sqrt(1 - beta2**step) / (1 - beta1**step) and eps_t = eps *
     sqrt(1 - beta2**step). Runs the fused C loop where it could be built,
-    else the blocked numpy step; both give the bits of that expression.
+    else the numpy step; both give the bits of that expression.
 
     The four arrays must be 1-D, C-contiguous float64 of one length, and
     theta, m and v writeable: the C loop trusts its pointers, so anything
@@ -147,29 +131,12 @@ def _check_adam_arrays(theta, grad, m, v) -> None:
 
 
 def _adam_numpy(theta, grad, m, v, alpha_t, beta1, beta2, eps_t) -> None:
-    # theta -= alpha_t * m / (np.sqrt(v) + eps_t) after the moment updates,
-    # one block at a time. Each element meets the same operations in the same
-    # order as in that one-line expression, which keeps the bits.
-    n = theta.shape[0]
-    rows = getattr(_scratch, "rows", None)
-    if rows is None:
-        rows = _scratch.rows = np.empty((2, _BLOCK))
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        num, den = rows[0, : e - s], rows[1, : e - s]
-        g, mb, vb = grad[s:e], m[s:e], v[s:e]
-        mb *= beta1
-        np.multiply(1.0 - beta1, g, out=num)
-        mb += num
-        np.square(g, out=num)  # g * g, through the faster one-input loop
-        np.multiply(1.0 - beta2, num, out=num)
-        vb *= beta2
-        vb += num
-        np.multiply(alpha_t, mb, out=num)
-        np.sqrt(vb, out=den)
-        den += eps_t
-        num /= den
-        theta[s:e] -= num
+    # the C loop's operations in its order, over whole arrays: the same bits
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    theta -= (alpha_t * m) / (np.sqrt(v) + eps_t)
 
 
 # --- the fused C Adam step, built on first use --------------------------------

@@ -220,7 +220,7 @@ def run_collective(
         proxy_seen = 0
 
     # the run's threads: opened here and joined before the run returns
-    with AgentPool.for_agents(n) as pool:
+    with AgentPool.for_agents(agents) as pool:
         # the first scores are the validation accuracies that iteration 0's
         # records measure right after self-training
         emit_metrics(0)

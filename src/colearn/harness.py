@@ -202,12 +202,12 @@ def run_mode(
     t = config.training
 
     if config.mode in ("FS", "ST"):
-        with AgentPool.for_agents(len(agents)) as pool:
+        with AgentPool.for_agents(agents) as pool:
             traces = pool.each(lambda a: _train_traced(a, config, source, partition, run_index),
                                agents, where="in training")
         return RunOutput(run_index, [r for trace in traces for r in trace])
     # CL
-    with AgentPool.for_agents(len(agents)) as pool:
+    with AgentPool.for_agents(agents) as pool:
         pool.each(
             lambda a: a.train(
                 partition.train[a.id], t.batch_size, t.self_train_epochs,

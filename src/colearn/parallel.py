@@ -14,7 +14,8 @@ independent work (its `forward` pass, its `train_step`, its review epoch,
 its validation `accuracy`) as one task on a thread, and test-set `accuracy`
 one chunk per task; numpy releases the interpreter lock inside BLAS and
 ufunc loops, and ctypes for the whole of the C Adam step (`_kernels`), so
-the tasks overlap. A pool starts a phase's agent tasks largest agent first,
+the tasks overlap, where the agents are large enough to pay for a thread
+(`AgentPool`). A pool starts a phase's agent tasks largest agent first,
 so that no large task starts last and runs alone. Each agent's arithmetic
 stays sequential and single-threaded, so the bits depend on neither thread
 count nor task order. `colearn montecarlo --jobs N` divides the usable
@@ -112,9 +113,26 @@ def largest_first(agents: Sequence) -> list[int]:
                   key=lambda i: (-agents[i].params.size, agents[i].id))
 
 
+# Parameters the largest agent of a run must have for its pool to open more
+# than one thread; see `AgentPool`.
+THREADED_PARAMS = 100_000
+
+
 class AgentPool:
     """Runs a run's independent tasks side by side on `size` threads. With
     size 1 every task runs on the calling thread.
+
+    `for_agents` opens threads only for a run whose largest agent has at
+    least `THREADED_PARAMS` parameters. A smaller agent's task is tens of
+    microseconds of numpy calls that hold the interpreter lock, so a second
+    thread only adds handoffs. Measured once, on a 2-core x86-64 guest
+    (OpenBLAS SkylakeX, the C Adam step): a collective round of 4 HL1
+    agents with 10 classes, batch 10, took these times as long on 2
+    threads as on 1, by input width (parameters), medians of 3 or 5 runs of
+    300 rounds: 20 (9k) 1.31, 80 (27k) 1.80, 200 (63k) 1.14, 280 (87k)
+    1.04, 360 (111k) 0.96, 440 (135k) 0.84, 520 (159k) 0.77, 784 (239k)
+    0.66. `desk_blobs_cl.yaml`'s largest agent has 7,805 parameters, the
+    Table 1 and large-network agents up to 545,810.
 
     Open one for a phase of a run and close it before that phase returns
     (it is a context manager): a process forked later then inherits no pool
@@ -133,9 +151,12 @@ class AgentPool:
                           if size > 1 else None)
 
     @classmethod
-    def for_agents(cls, n_agents: int) -> "AgentPool":
-        """A pool for a run of `n_agents`: no more threads than agents."""
-        return cls(max(1, min(n_agents, max_pool_size())))
+    def for_agents(cls, agents: Sequence) -> "AgentPool":
+        """A pool for a run of `agents`: no more threads than agents, and
+        one thread where no agent has `THREADED_PARAMS` parameters."""
+        if max(a.params.size for a in agents) < THREADED_PARAMS:
+            return cls(1)
+        return cls(min(len(agents), max_pool_size()))
 
     def __enter__(self) -> "AgentPool":
         return self

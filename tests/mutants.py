@@ -59,6 +59,9 @@ SCHEDULE_TESTS = (
     "test_smoke_large_time_varying_network",
 )
 EVAL = "tests/test_eval.py"
+KERNELS = "tests/test_kernels.py::"
+NUMPY_ADAM_TESTS = (KERNELS + "test_numpy_adam_step_is_textbook_bit_for_bit",
+                    KERNELS + "test_numpy_adam_step_every_bias_correction")
 
 CATALOGUE = (
     # the collective schedule
@@ -112,6 +115,17 @@ CATALOGUE = (
            "margin = bound * (1.0 + 2.0**-20) +", "margin = bound +", (EVAL,)),
     Mutant("carried-drops-u-frob", LEARNER,
            "eps * (sigma + u * frob)", "eps * sigma", (EVAL,)),
+    # the numpy Adam step's operation order
+    Mutant("numpy-adam-reassociated", "src/colearn/_kernels.py",
+           "(alpha_t * m) / (np.sqrt(v) + eps_t)", "alpha_t * (m / (np.sqrt(v) + eps_t))",
+           NUMPY_ADAM_TESTS),
+    Mutant("numpy-adam-eps-under-sqrt", "src/colearn/_kernels.py",
+           "np.sqrt(v) + eps_t", "np.sqrt(v + eps_t)", NUMPY_ADAM_TESTS),
+    # the agent pool's size rule
+    Mutant("pool-rule-flipped", "src/colearn/parallel.py",
+           "< THREADED_PARAMS:", ">= THREADED_PARAMS:",
+           ("tests/test_parallel.py::TestPoolSize",
+            "tests/test_parallel.py::test_results_do_not_depend_on_pool_size")),
 )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,23 @@ from conftest import blob_config
 
 def _cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+
+
+def _threaded(monkeypatch, cores: int) -> None:
+    """`cores` usable cores, and pools that open threads for agents of any
+    size, so that blob-scale runs still run on more than one thread."""
+    _cores(monkeypatch, cores)
+    monkeypatch.setattr(parallel, "THREADED_PARAMS", 0)
+
+
+def _sized(params: int, n: int = 30) -> list:
+    """n stand-ins for agents of `params` parameters: what the pool's size
+    rule reads of an agent."""
+    theta = np.empty(params)
+    return [SimpleNamespace(params=theta) for _ in range(n)]
+
+
+LARGE = _sized(parallel.THREADED_PARAMS)
 
 
 def test_blas_pinned_to_one_thread():
@@ -64,24 +82,31 @@ class TestPoolSize:
     def test_min_of_agents_and_cores(self, monkeypatch):
         monkeypatch.setattr(parallel, "_calls", (None, None))  # as if pinned
         _cores(monkeypatch, 4)
-        assert AgentPool.for_agents(3).size == 3
-        assert AgentPool.for_agents(30).size == 4
+        assert AgentPool.for_agents(LARGE[:3]).size == 3
+        assert AgentPool.for_agents(LARGE).size == 4
         _cores(monkeypatch, 1)
-        assert AgentPool.for_agents(30).size == 1
+        assert AgentPool.for_agents(LARGE).size == 1
+
+    def test_one_thread_unless_an_agent_reaches_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_calls", (None, None))
+        _cores(monkeypatch, 4)
+        small = _sized(parallel.THREADED_PARAMS - 1)
+        assert AgentPool.for_agents(small).size == 1
+        assert AgentPool.for_agents(small[:3] + LARGE[:1]).size == 4
 
     def test_montecarlo_workers_divide_the_cores(self, monkeypatch):
         monkeypatch.setattr(parallel, "_calls", (None, None))
         monkeypatch.setattr(parallel, "_processes", 1)
         _cores(monkeypatch, 5)
         parallel.share_cores(2)
-        assert AgentPool.for_agents(30).size == 2
+        assert AgentPool.for_agents(LARGE).size == 2
         parallel.share_cores(8)
-        assert AgentPool.for_agents(30).size == 1
+        assert AgentPool.for_agents(LARGE).size == 1
 
     def test_serial_where_blas_is_not_pinned(self, monkeypatch):
         monkeypatch.setattr(parallel, "_calls", None)
         _cores(monkeypatch, 8)
-        assert AgentPool.for_agents(30).size == 1
+        assert AgentPool.for_agents(LARGE).size == 1
         assert parallel.blas_threads() is None
 
 
@@ -97,7 +122,7 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
     agents' final parameters and the threads that ran forward passes. With
     `order`, a function of the agents, tasks start in its order instead of
     largest agent first."""
-    _cores(monkeypatch, cores)
+    _threaded(monkeypatch, cores)
     reviewed = []
     review = collective.review_step
 
@@ -212,7 +237,7 @@ def test_stress_more_threads_than_cores():
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_failure_names_agent_and_iteration(monkeypatch, cores):
-    _cores(monkeypatch, cores)
+    _threaded(monkeypatch, cores)
     source = synth_blobs(60, 3, 4, 6.0, seed=80)
     part = make_partition(source, 3, 10, 10, seed=81, test=synth_blobs(10, 3, 4, 6.0, 82))
     agents = [Learner.create(Architecture("SHL", 4, 3), seed=83 + i, id=i)
@@ -242,7 +267,7 @@ def test_failure_names_agent_and_iteration(monkeypatch, cores):
 def test_two_failures_name_the_lower_agent_id(monkeypatch, cores):
     # agents 1 and 3 turn NaN in the same round; agent 3, an HL1, is larger
     # than agent 1, an SHL, so its forward pass starts first
-    _cores(monkeypatch, cores)
+    _threaded(monkeypatch, cores)
     source = synth_blobs(60, 3, 4, 6.0, seed=85)
     part = make_partition(source, 4, 10, 10, seed=86, test=synth_blobs(10, 3, 4, 6.0, 87))
     agents = _agents(["SHL", "SHL", "SHL", "HL1"])
@@ -286,7 +311,7 @@ def test_montecarlo_workers_share_the_cores(monkeypatch):
 
     def report_pool(*args):
         output = run_mode(*args)
-        output.stats["pool"] = AgentPool.for_agents(30).size
+        output.stats["pool"] = AgentPool.for_agents(LARGE).size
         return output
 
     monkeypatch.setattr(harness, "run_mode", report_pool)
