@@ -30,6 +30,38 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
 
 
+# a valid config file: one short CL run of two agents on 3-class blobs
+TINY_CONFIG = """
+mode: CL
+montecarlo_runs: 1
+master_seed: 3
+metric_stride: 10
+max_iterations: 20
+dataset:
+  kind: synth
+  n_per_class: 60
+  num_classes: 3
+  dim: 5
+  separation: 3.0
+  test_n_per_class: 20
+agents:
+  architectures: [HL1, SHL]
+partition:
+  train_size: 10
+  val_size: 10
+training:
+  alpha: 0.003
+  self_train_epochs: 2
+collective:
+  gamma: 1.0
+  score_refresh_period: 10
+  review_period: 15
+  epochs_over_shared: 1
+graph:
+  kind: complete
+"""
+
+
 # one misspelled key for each mapping of a config file: the top level, then
 # each section
 MISSPELLED_KEYS = [

@@ -127,8 +127,8 @@ class TestCriterion2SyntheticBenefit:
     def test_collective_beats_self_training_by_3pts(self):
         base = load_config(CONFIG_DIR / "desk_blobs_cl.yaml")
         assert base.montecarlo_runs == 5
-        _, cl_outputs = montecarlo(base)
-        _, st_outputs = montecarlo(override(base, "mode", "ST"))
+        _, cl_outputs = montecarlo(base, jobs=2)
+        _, st_outputs = montecarlo(override(base, "mode", "ST"), jobs=2)
         cl, st = _pooled_final(cl_outputs), _pooled_final(st_outputs)
         gap = cl - st
         assert gap >= 0.03, f"CL {cl:.4f} vs ST {st:.4f}: gap {gap:+.4f} < 0.03"

@@ -11,37 +11,9 @@ from colearn import cli, harness
 from colearn.cli import main
 from colearn.data import write_idx
 
-from conftest import FMNIST_NAMES, MISSPELLED_KEYS, synthetic_idx_dataset, with_key
-
-TINY_CONFIG = """
-mode: CL
-montecarlo_runs: 1
-master_seed: 3
-metric_stride: 10
-max_iterations: 20
-dataset:
-  kind: synth
-  n_per_class: 60
-  num_classes: 3
-  dim: 5
-  separation: 3.0
-  test_n_per_class: 20
-agents:
-  architectures: [HL1, SHL]
-partition:
-  train_size: 10
-  val_size: 10
-training:
-  alpha: 0.003
-  self_train_epochs: 2
-collective:
-  gamma: 1.0
-  score_refresh_period: 10
-  review_period: 15
-  epochs_over_shared: 1
-graph:
-  kind: complete
-"""
+from conftest import (
+    FMNIST_NAMES, MISSPELLED_KEYS, TINY_CONFIG, synthetic_idx_dataset, with_key,
+)
 
 
 @pytest.fixture
@@ -70,7 +42,7 @@ def test_run_missing_config_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.yaml"
     code = main(["run", str(missing)])
     assert code == 1
-    assert str(missing) in capsys.readouterr().err
+    assert f"config file not found: {missing}" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(tiny_config, tmp_path, capsys):
@@ -148,7 +120,7 @@ def test_sweep_unknown_param_exits_1(tiny_config, tmp_path, capsys):
     code = main(["sweep", str(tiny_config), "--param", "nonsense", "--values", "1,2",
                  "--out", str(tmp_path / "s")])
     assert code == 1
-    assert "nonsense" in capsys.readouterr().err
+    assert "no such config field: nonsense" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("param, values, field", [
@@ -180,7 +152,7 @@ def test_run_misspelled_key_exits_1(tmp_path, capsys, section, key):
     config = tmp_path / "typo.yaml"
     config.write_text(text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert f"{name}: unknown field" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {name}: unknown field; expected")
     assert not list(tmp_path.rglob("metrics.csv"))
 
 

@@ -11,11 +11,13 @@ catches it. A change that alters the numbers on purpose re-pins the digests
 in the same commit and says why in CHANGES.md.
 
 Every Adam step gives the same bytes: the fused C step that runs wherever it
-can be compiled, and the blocked numpy step that runs where it cannot be
-(`test_golden_digest_numpy_adam` forces it). Every accuracy count
-is that of a float64 pass over the row alone, whether a row's argmax was
-proven in float32 or in float64 or taken from that row pass
-(`test_golden_digest_float64_eval` takes every row from it).
+can be compiled, and the numpy step that runs where it cannot be. Every
+accuracy count is that of a float64 pass over the row alone, whether a row's
+argmax was proven in float32 or in float64 or taken from that row pass.
+`test_golden_digest_numpy_adam_float64_eval` forces both fallbacks at once:
+the numpy step, and every row taken from the row pass. tests/test_kernels.py
+checks the numpy step bit for bit and tests/test_eval.py the row-pass
+counts on their own.
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build. OpenBLAS chooses its GEMM kernel by CPU when it loads
@@ -30,13 +32,15 @@ AVX-512), `Haswell`, `Sandybridge` and `Katmai` (what
 OPENBLAS_CORETYPE=Prescott runs). On a kernel with no pins the golden tests
 fail, naming it and the command that prints the digests.
 `test_golden_digests_under_each_blas_kernel` runs this file as a script
-under each of those kernels the CPU can run (forced by OPENBLAS_CORETYPE),
-and once on the CPU's own kernel with numpy's AVX-512, AVX2 and FMA loops
-turned off, and compares what it prints with the pins. The bytes do not
-depend on thread counts: colearn pins BLAS to one thread whatever
-OPENBLAS_NUM_THREADS says, and the size of a run's agent pool or the number
-of Monte Carlo workers changes no bits (`test_digest_independent_of_blas_env`,
-`test_jobs_give_same_digests` and tests/test_parallel.py check this).
+under each of those kernels the CPU can run (forced by OPENBLAS_CORETYPE)
+other than its own, which `test_golden_digest` runs in-process, and once on
+the CPU's own kernel with numpy's AVX-512, AVX2 and FMA loops turned off,
+and compares what it prints with the pins. The bytes do not depend on
+thread counts: colearn pins BLAS to one thread whatever
+OPENBLAS_NUM_THREADS says (`test_digest_independent_of_blas_env` runs the
+IDX cases at OPENBLAS_NUM_THREADS=2), and the size of a run's agent pool or
+the number of Monte Carlo workers changes no bits
+(`test_jobs_give_same_digests` and tests/test_parallel.py check this).
 
 To pin, run this file as a script, with OPENBLAS_CORETYPE set to pin another
 kernel than the CPU's own. It prints the BLAS kernel, the thread count, the
@@ -227,15 +231,10 @@ def test_golden_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
-    # the same pins where the C Adam step could not be built
-    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest_float64_eval(name, tmp_path, float64_eval):
-    # the same pins with every evaluated row counted from a float64 pass
-    # over the row alone, as no bound proves any row's argmax
+def test_golden_digest_numpy_adam_float64_eval(name, tmp_path, numpy_adam, float64_eval):
+    # the same pins where the C Adam step could not be built, with every
+    # evaluated row counted from a float64 pass over the row alone, as no
+    # bound proves any row's argmax
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
 
 
@@ -243,19 +242,11 @@ def test_golden_digest_float64_eval(name, tmp_path, float64_eval):
 def test_digest_independent_of_blas_env(case, tmp_path):
     # colearn pins BLAS to one thread whatever the environment asks for: the
     # HL-shaped products of the IDX cases give other bits at 2 threads
-    digests = {}
-    for threads in ("1", "2", None):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = str(ROOT / "src")
-        done = subprocess.run(
-            [sys.executable, str(Path(__file__)), case], env=env, cwd=tmp_path,
-            capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        digests[threads] = _parse_script_output(done.stdout)[case]
-    assert digests == {"1": _pinned(case), "2": _pinned(case), None: _pinned(case)}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(Path(__file__)), case], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert _parse_script_output(done.stdout) == {case: _pinned(case)}
 
 
 # OPENBLAS_CORETYPE values, each with the /proc/cpuinfo flags its kernel needs
@@ -277,13 +268,18 @@ def _cpu_flags() -> set[str]:
 # numpy runs on a CPU without them
 NO_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3 AVX2 FMA3"
 
+# the forced kernels other than the one this process runs, whose pins
+# test_golden_digest compares in-process
+OTHER_KERNELS = [coretype for coretype in FORCED_KERNELS if coretype != parallel.blas_kernel()]
 
-@pytest.mark.parametrize("coretype", [*FORCED_KERNELS, None],
-                         ids=[*FORCED_KERNELS, "own-kernel-no-simd"])
+
+@pytest.mark.parametrize("coretype", [*OTHER_KERNELS, None],
+                         ids=[*OTHER_KERNELS, "own-kernel-no-simd"])
 def test_golden_digests_under_each_blas_kernel(coretype, tmp_path):
-    # every case in a process forced onto each kernel this CPU can run, and
-    # on the CPU's own kernel with numpy's wider SIMD loops turned off, which
-    # must move no bit: pins the in-process tests above never compare
+    # every case in a process forced onto each other kernel this CPU can
+    # run, and on the CPU's own kernel with numpy's wider SIMD loops turned
+    # off, which must move no bit: pins the in-process tests above never
+    # compare
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OpenBLAS's forced kernels and numpy's features named here are x86-64's")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

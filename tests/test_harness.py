@@ -31,56 +31,19 @@ from colearn.harness import (
 from colearn.graph import DirectedGraph, graph_at, schedule_round
 from colearn.seeding import subseed
 
-from conftest import (
-    FMNIST_NAMES, MISSPELLED_KEYS, blob_config, synthetic_idx_dataset, with_key,
-)
-
-VALID_YAML = """
-mode: CL
-montecarlo_runs: 2
-master_seed: 99
-metric_stride: 50
-dataset:
-  kind: synth
-  n_per_class: 100
-  num_classes: 3
-  dim: 6
-  separation: 2.0
-  test_n_per_class: 30
-agents:
-  architectures: [HL1, SHL]
-partition:
-  train_size: 20
-  val_size: 10
-training:
-  alpha: 0.003
-  batch_size: 10
-  self_train_epochs: 5
-collective:
-  gamma: 1.0
-  score_refresh_period: 20
-  review_period: 30
-  batch_size: 10
-  epochs_over_shared: 1
-graph:
-  kind: complete
-"""
+from conftest import FMNIST_NAMES, TINY_CONFIG, blob_config, synthetic_idx_dataset
 
 
 class TestConfigLoading:
     def test_valid_yaml(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML)
+        path.write_text(TINY_CONFIG)
         config = load_config(path)
         assert config.mode == "CL"
         assert config.n_agents == 2
         assert config.architectures == ("HL1", "SHL")
         assert config.collective.gamma == 1.0
-        assert config.dataset.n_per_class == 100
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.yaml")
+        assert config.dataset.n_per_class == 60
 
     @pytest.mark.parametrize("line, again", [("mode: CL", "mode: ST"),
                                              ("  gamma: 1.0", "  gamma: 50.0")],
@@ -88,7 +51,7 @@ class TestConfigLoading:
     def test_duplicate_key_rejected(self, tmp_path, line, again):
         # yaml keeps the last of two equal keys; a config naming one twice is
         # as ambiguous as a misspelled key, so it fails naming the line
-        lines = VALID_YAML.splitlines(keepends=True)
+        lines = TINY_CONFIG.splitlines(keepends=True)
         at = lines.index(line + "\n") + 1
         lines.insert(at, again + "\n")
         path = tmp_path / "exp.yaml"
@@ -101,30 +64,30 @@ class TestConfigLoading:
     def test_merged_key_may_be_overridden(self, tmp_path):
         # a key that overrides one merged in with `<<` is no duplicate
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("  gamma: 1.0\n", "  <<: {gamma: 5.0}\n  gamma: 1.0\n"))
+        path.write_text(TINY_CONFIG.replace("  gamma: 1.0\n", "  <<: {gamma: 5.0}\n  gamma: 1.0\n"))
         assert load_config(path).collective.gamma == 1.0
 
     def test_error_names_missing_field(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("  train_size: 20\n", ""))
+        path.write_text(TINY_CONFIG.replace("  train_size: 10\n", ""))
         with pytest.raises(ConfigError, match="partition.train_size"):
             load_config(path)
 
     def test_error_names_bad_architecture(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("[HL1, SHL]", "[HL1, CNN]"))
+        path.write_text(TINY_CONFIG.replace("[HL1, SHL]", "[HL1, CNN]"))
         with pytest.raises(ConfigError, match=r"agents.architectures\[1\].*CNN"):
             load_config(path)
 
     def test_error_names_bad_mode(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("mode: CL", "mode: FEDAVG"))
+        path.write_text(TINY_CONFIG.replace("mode: CL", "mode: FEDAVG"))
         with pytest.raises(ConfigError, match="mode"):
             load_config(path)
 
     def test_agent_count_mismatch(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "agents:\n  architectures: [HL1, SHL]",
             "agents:\n  count: 3\n  architectures: [HL1, SHL]",
         ))
@@ -148,24 +111,16 @@ class TestConfigLoading:
 
     def test_edges_graph_validation(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "graph:\n  kind: complete",
             "graph:\n  kind: edges\n  edges: [[0, 5]]",
         ))
         with pytest.raises(ConfigError, match=r"graph.edges\[0\]"):
             load_config(path)
 
-    @pytest.mark.parametrize("section, key", MISSPELLED_KEYS)
-    def test_misspelled_key_rejected(self, tmp_path, section, key):
-        text, name = with_key(VALID_YAML, section, key)
-        path = tmp_path / "exp.yaml"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: unknown field; expected"):
-            load_config(path)
-
     def test_erdos_renyi_requires_p(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "graph:\n  kind: complete", "graph:\n  kind: erdos-renyi\n  period: 7",
         ))
         with pytest.raises(ConfigError, match="graph.p: missing required field"):
@@ -182,7 +137,7 @@ class TestConfigLoading:
     ])
     def test_graph_field_its_kind_never_reads_rejected(self, tmp_path, graph, field):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("graph:\n  kind: complete", f"graph:\n  {graph}"))
+        path.write_text(TINY_CONFIG.replace("graph:\n  kind: complete", f"graph:\n  {graph}"))
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: not read by a '"):
             load_config(path)
 
@@ -196,13 +151,13 @@ class TestConfigLoading:
 
     def test_no_agents_rejected(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace("  architectures: [HL1, SHL]", "  architectures: []"))
+        path.write_text(TINY_CONFIG.replace("  architectures: [HL1, SHL]", "  architectures: []"))
         with pytest.raises(ConfigError, match="agents: exactly one of"):
             load_config(path)
 
     def test_erdos_renyi_period_defaults_to_10(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "graph:\n  kind: complete", "graph:\n  kind: erdos-renyi\n  p: 0.4"))
         assert load_config(path).graph.period == 10
         assert GraphSpec(kind="erdos-renyi", p=0.4) == load_config(path).graph
@@ -211,7 +166,7 @@ class TestConfigLoading:
     def test_agent_count_follows_the_agents(self, tmp_path):
         assert "n_agents" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "agents:\n  architectures: [HL1, SHL]",
             "agents:\n  count: 2\n  architectures: [HL1, SHL]",
         ))
@@ -219,17 +174,17 @@ class TestConfigLoading:
 
     def test_common_val_parsed(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
-            "partition:\n  train_size: 20",
-            "partition:\n  common_val: true\n  train_size: 20",
+        path.write_text(TINY_CONFIG.replace(
+            "partition:\n  train_size: 10",
+            "partition:\n  common_val: true\n  train_size: 10",
         ))
         assert load_config(path).common_val is True
-        path.write_text(VALID_YAML)
+        path.write_text(TINY_CONFIG)
         assert load_config(path).common_val is False
 
     def test_erdos_renyi_schedule_built(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML.replace(
+        path.write_text(TINY_CONFIG.replace(
             "graph:\n  kind: complete",
             "graph:\n  kind: erdos-renyi\n  p: 0.4\n  period: 7",
         ))
@@ -241,7 +196,7 @@ class TestConfigLoading:
 
     def test_complete_schedule_built(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(VALID_YAML)
+        path.write_text(TINY_CONFIG)
         sched = build_schedule(load_config(path))
         assert schedule_round(sched, 500) == 0
         assert graph_at(sched, 500) == DirectedGraph.complete(2)  # both directions
@@ -257,10 +212,6 @@ class TestOverride:
     def test_dotted_path(self):
         config = blob_config()
         assert override(config, "training.alpha", 0.5).training.alpha == 0.5
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="no such config"):
-            override(blob_config(), "bogus_knob", 1)
 
     @pytest.mark.parametrize("name, error", [
         ("mode.x", "no such config section: mode$"),
@@ -299,10 +250,10 @@ class TestOverride:
 
     def test_max_iterations_zero_means_uncapped(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text("max_iterations: 0\n" + VALID_YAML)
+        path.write_text(TINY_CONFIG.replace("max_iterations: 20", "max_iterations: 0"))
         from_yaml = load_config(path)
         assert from_yaml.max_iterations is None
-        path.write_text("max_iterations: 40\n" + VALID_YAML)
+        path.write_text(TINY_CONFIG.replace("max_iterations: 20", "max_iterations: 40"))
         capped = load_config(path)
         assert capped.max_iterations == 40
         assert override(capped, "max_iterations", 0) == from_yaml
@@ -609,7 +560,7 @@ class TestMontecarlo:
                 mode="CL", runs=5, seed=777, train_size=ts, val_size=30,
                 self_train_epochs=100, epochs_over_shared=1, metric_stride=5000,
             )
-            _, outs = montecarlo(config)
+            _, outs = montecarlo(config, jobs=2)
             means.append(np.mean([a for o in outs for a in o.final_test]))
         assert means[0] < means[1] < means[2]
 
