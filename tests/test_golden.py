@@ -14,10 +14,8 @@ Every Adam step gives the same bytes: the fused C step that runs wherever it
 can be compiled, and the numpy step that runs where it cannot be. Every
 accuracy count is that of a float64 pass over the row alone, whether a row's
 argmax was proven in float32 or in float64 or taken from that row pass.
-`test_golden_digest_numpy_adam_float64_eval` forces both fallbacks at once:
-the numpy step, and every row taken from the row pass. tests/test_kernels.py
-checks the numpy step bit for bit and tests/test_eval.py the row-pass
-counts on their own.
+`test_golden_digest_numpy_adam` forces the numpy step and
+`test_golden_digest_float64_eval` takes every row from the row pass.
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build. OpenBLAS chooses its GEMM kernel by CPU when it loads
@@ -231,10 +229,15 @@ def test_golden_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest_numpy_adam_float64_eval(name, tmp_path, numpy_adam, float64_eval):
-    # the same pins where the C Adam step could not be built, with every
-    # evaluated row counted from a float64 pass over the row alone, as no
-    # bound proves any row's argmax
+def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
+    # the same pins where the C Adam step could not be built
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_float64_eval(name, tmp_path, float64_eval):
+    # the same pins with every evaluated row counted from a float64 pass
+    # over the row alone, as no bound proves any row's argmax
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
 
 

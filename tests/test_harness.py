@@ -31,7 +31,9 @@ from colearn.harness import (
 from colearn.graph import DirectedGraph, graph_at, schedule_round
 from colearn.seeding import subseed
 
-from conftest import FMNIST_NAMES, TINY_CONFIG, blob_config, synthetic_idx_dataset
+from conftest import (
+    FMNIST_NAMES, MISSPELLED_KEYS, TINY_CONFIG, blob_config, synthetic_idx_dataset, with_key,
+)
 
 
 class TestConfigLoading:
@@ -44,6 +46,10 @@ class TestConfigLoading:
         assert config.architectures == ("HL1", "SHL")
         assert config.collective.gamma == 1.0
         assert config.dataset.n_per_class == 60
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            load_config(tmp_path / "nope.yaml")
 
     @pytest.mark.parametrize("line, again", [("mode: CL", "mode: ST"),
                                              ("  gamma: 1.0", "  gamma: 50.0")],
@@ -116,6 +122,14 @@ class TestConfigLoading:
             "graph:\n  kind: edges\n  edges: [[0, 5]]",
         ))
         with pytest.raises(ConfigError, match=r"graph.edges\[0\]"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section, key", MISSPELLED_KEYS)
+    def test_misspelled_key_rejected(self, tmp_path, section, key):
+        text, name = with_key(TINY_CONFIG, section, key)
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: unknown field; expected"):
             load_config(path)
 
     def test_erdos_renyi_requires_p(self, tmp_path):
@@ -212,6 +226,10 @@ class TestOverride:
     def test_dotted_path(self):
         config = blob_config()
         assert override(config, "training.alpha", 0.5).training.alpha == 0.5
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ConfigError, match="no such config"):
+            override(blob_config(), "bogus_knob", 1)
 
     @pytest.mark.parametrize("name, error", [
         ("mode.x", "no such config section: mode$"),
