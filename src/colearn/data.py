@@ -6,17 +6,20 @@ are withheld from training and kept only for diagnostics. The pool is not
 copied: it is a set of row indices into the source's feature matrix, which
 the partition holds by reference without the source's labels.
 
-Features are float64, or uint8 for an IDX corpus: a uint8 matrix holds the
-file's pixel bytes, and each byte b stands for the value b / 255. `decode`
-is the one place that scale is applied; the training loop, the evaluation
-loop and the collective engine call it on each batch they gather, so no
-float64 copy of a whole IDX corpus is ever made.
+Features are float64, or uint8 for an IDX corpus: the file's pixel bytes,
+each byte b standing for the value b / 255. `load_idx` reads no pixel
+bytes: its features are an `IdxRows`, which reads the rows a gather asks
+for from the open images file, so no process holds a copy of the training
+images. `decode` is the one place the byte scale is applied; the training
+loop, the evaluation loop and the collective engine call it on each batch
+they gather, so no float64 copy of a whole IDX corpus is ever made.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -48,25 +51,88 @@ def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
+class IdxRows:
+    """The (m, d) uint8 pixel rows of an IDX images file, read from the file,
+    held open, when they are indexed; no row is held in memory.
+
+    An integer, a slice or an integer array selects rows as it would on an
+    ndarray, and the rows are read into one new C-contiguous uint8 array, by
+    one `os.preadv` per run of consecutive rows. Before each read the file's
+    size and modification time are compared with those taken at load, so a
+    file truncated or rewritten in place since, like a short read, raises
+    an IdxFormatError naming it. A file replaced by rename is still read
+    through the open descriptor, which closes when this object is collected.
+    Rows cannot be assigned.
+    """
+
+    dtype = np.dtype(np.uint8)
+    ndim = 2
+
+    def __init__(self, path: Path, fd: int, offset: int, m: int, d: int):
+        self.path, self.shape = path, (m, d)
+        self._fd, self._offset = fd, offset
+        self._stamp = _stamp(fd)
+        weakref.finalize(self, os.close, fd)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:].astype(dtype or self.dtype, copy=False)
+
+    def __getitem__(self, key) -> np.ndarray:
+        m, d = self.shape
+        if isinstance(key, slice):
+            rows = np.arange(*key.indices(m))
+        else:
+            rows = np.asarray(key)
+            if isinstance(key, tuple) or rows.dtype.kind not in "iu":
+                raise IndexError(f"{self.path}: rows are selected by an integer, a slice "
+                                 f"or an integer array, got {key!r}")
+            if rows.size and (rows.min() < -m or rows.max() >= m):
+                raise IndexError(f"{self.path}: row index out of range for {m} rows")
+            rows = rows.astype(np.int64) % m  # with m = 0 there are no rows to divide
+        flat = rows.reshape(-1).tolist()
+        out = np.empty((len(flat), d), dtype=np.uint8)
+        if _stamp(self._fd) != self._stamp:
+            raise IdxFormatError(f"{self.path}: file changed since it was loaded")
+        # a run of consecutive rows ends at a row that the next does not follow
+        start = 0
+        for end, (row, after) in enumerate(zip(flat, flat[1:] + [None]), 1):
+            if after != row + 1:
+                offset = self._offset + flat[start] * d
+                got = os.preadv(self._fd, [out[start:end]], offset)
+                if got != (end - start) * d:
+                    raise IdxFormatError(f"{self.path}: short read of {got} bytes at offset "
+                                         f"{offset}, expected {(end - start) * d}")
+                start = end
+        return out.reshape(rows.shape + (d,))
+
+
+def _stamp(fd: int) -> tuple[int, int]:
+    st = os.fstat(fd)
+    return st.st_size, st.st_mtime_ns
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with class labels: the one labeled-set type.
 
     `features` is float64, or uint8 pixel bytes whose values are `decode`d
-    a batch at a time by the code that consumes them; a byte matrix is
-    finite by construction and is not scanned. Features of any other dtype
-    become float64.
+    a batch at a time by the code that consumes them: an in-memory array,
+    or the `IdxRows` of an images file, which is taken as it is and read
+    only by indexing. A byte matrix is finite by construction and is not
+    scanned. Features of any other dtype become float64.
     """
 
-    features: np.ndarray  # (m, d) float64, or uint8 bytes standing for byte / 255
+    features: np.ndarray | IdxRows  # (m, d) float64, or uint8 bytes standing for byte / 255
     labels: np.ndarray  # (m,) int64 in [0, num_classes)
     num_classes: int
 
     def __post_init__(self):
-        feats = np.asarray(self.features)
-        if feats.dtype != np.uint8:
-            feats = feats.astype(np.float64, copy=False)
-        feats = np.ascontiguousarray(feats)
+        feats = self.features
+        if not isinstance(feats, IdxRows):
+            feats = np.asarray(feats)
+            if feats.dtype != np.uint8:
+                feats = feats.astype(np.float64, copy=False)
+            feats = np.ascontiguousarray(feats)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         # min and max propagate NaN and +-inf, and allocate no m x d mask
@@ -105,14 +171,23 @@ def _open_idx(path: Path):
         raise IdxFormatError(f"{path}: cannot read: {e.strerror}") from e
 
 
+def _held(f, count: int) -> int:
+    """The bytes the file holds past its read position, at most `count`."""
+    return min(count, os.fstat(f.fileno()).st_size - f.tell())
+
+
+def _expect(got: int, count: int, path: Path, what: str) -> None:
+    if got != count:
+        raise IdxFormatError(
+            f"{path}: truncated file, expected {count} more bytes for {what}, got {got}"
+        )
+
+
 def _read_exact(f, count: int, path: Path, what: str) -> bytes:
     # at most what the file holds, so that a header claiming more fails here
     # instead of allocating for it
-    data = f.read(min(count, os.fstat(f.fileno()).st_size - f.tell()))
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated file, expected {count} more bytes for {what}, got {len(data)}"
-        )
+    data = f.read(_held(f, count))
+    _expect(len(data), count, path, what)
     return data
 
 
@@ -144,13 +219,14 @@ def idx_count(images_path) -> int:
 def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Load an IDX image/label file pair (the Fashion-MNIST wire format).
 
-    Images are flattened row-major to feature vectors and kept as the
-    uint8 bytes read from the file, in a read-only array over the read
-    buffer: no float64 copy is made, and a stray in-place write raises
-    instead of corrupting the corpus. Their values are byte / 255, applied
-    per batch by `decode`. A file that cannot be opened, an image of no
-    pixels, or a label outside [0, num_classes), raises an IdxFormatError
-    naming its file.
+    Images are flattened row-major to feature vectors of uint8 bytes,
+    which are not read here: the features are an `IdxRows` over the images
+    file, which reads the rows a gather selects, so no copy of the images
+    is held and a stray in-place write raises. Their values are byte / 255,
+    applied per batch by `decode`. The header and the labels are read and
+    checked here, and the file's size checked against the header. A file
+    that cannot be opened, an image of no pixels, or a label outside
+    [0, num_classes), raises an IdxFormatError naming its file.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with _open_idx(images_path) as f:
@@ -160,7 +236,8 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
         if rows < 1 or cols < 1:
             raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels; "
                                  "rows and columns must be >= 1")
-        raw = _read_exact(f, m * rows * cols, images_path, "pixel data")
+        _expect(_held(f, m * rows * cols), m * rows * cols, images_path, "pixel data")
+        features = IdxRows(images_path, os.dup(f.fileno()), f.tell(), m, rows * cols)
     with _open_idx(labels_path) as f:
         m_labels = _read_count(f, labels_path, IDX_LABELS_MAGIC, "label")
         if m_labels != m:
@@ -170,7 +247,6 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
             )
         raw_labels = _read_exact(f, m_labels, labels_path, "label data")
 
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(m, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
@@ -181,8 +257,10 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
 
 def load_idx_corpus(train_images, train_labels, test_images,
                     test_labels) -> tuple[Dataset, Dataset]:
-    """The (train, test) pair of two `load_idx` file pairs. Test images that
-    are missing or of another size than the training images raise an
+    """The (train, test) pair of two `load_idx` file pairs. The training
+    rows stay in their file; the test images, which every evaluation scores
+    whole, are read once into a read-only array. Test images that are
+    missing or of another size than the training images raise an
     IdxFormatError naming both images files, before any training."""
     train = load_idx(train_images, train_labels)
     test = load_idx(test_images, test_labels)
@@ -190,7 +268,9 @@ def load_idx_corpus(train_images, train_labels, test_images,
         found = "no images" if test.m == 0 else f"images of {test.d} pixels"
         raise IdxFormatError(f"{test_images}: {found}, but the training images in "
                              f"{train_images} have {train.d} pixels each")
-    return train, test
+    pixels = np.asarray(test.features)
+    pixels.flags.writeable = False
+    return train, Dataset(pixels, test.labels, test.num_classes)
 
 
 def _as_bytes(name: str, values) -> np.ndarray:
@@ -244,16 +324,18 @@ class Partition:
     """Per-agent labeled splits plus the shared unlabeled pool and test set.
 
     The pool is `source_features[shared_indices]`: `source_features` is the
-    source corpus's feature matrix itself, shared rather than copied, and the
-    engine gathers and `decode`s one batch of pool rows at a time. It is a
-    bare array, so no label is reachable through it; the pool's true labels
-    live only in `shared_true_labels` and are consumed exclusively by the
+    source corpus's feature matrix itself, shared rather than copied (for
+    an IDX corpus, its `IdxRows`, which reads each batch's rows from the
+    file), and the engine gathers and `decode`s one batch of pool rows at a
+    time. The per-agent train and validation sets are in-memory copies of
+    their rows. The pool's features carry no labels; its true labels live
+    only in `shared_true_labels` and are consumed exclusively by the
     diagnostics channel that measures proxy-label correctness.
     """
 
     train: tuple[Dataset, ...]
     val: tuple[Dataset, ...]
-    source_features: np.ndarray  # (m_source, d) as stored, read only through shared_indices
+    source_features: np.ndarray | IdxRows  # (m_source, d), read only through shared_indices
     shared_true_labels: np.ndarray
     test: Dataset
     train_indices: tuple[np.ndarray, ...]

@@ -1,11 +1,16 @@
 """IDX parsing, synthetic data, partitioning, and batching."""
 
+import dataclasses
+import os
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from colearn import harness
+from colearn.config import IdxSpec
 from colearn.data import (
     Dataset,
     IdxFormatError,
@@ -19,7 +24,10 @@ from colearn.data import (
     write_idx,
     write_manifest,
 )
+from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
+
+from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
 
 
 def hand_built_idx_pair(tmp_path):
@@ -58,9 +66,12 @@ class TestLoadIdx:
 
     def test_features_are_read_only(self, tmp_path):
         ds = load_idx(*hand_built_idx_pair(tmp_path)[:2])
-        assert not ds.features.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             ds.features[0, 0] = 1
+        # a read is a new array: writing to it leaves the corpus as it was
+        rows = ds.features[:]
+        rows[0, 0] = 1
+        assert ds.features[:][0, 0] == 0
 
     def test_decode_every_byte_value(self):
         want = np.arange(256) / 255.0
@@ -135,7 +146,7 @@ class TestLoadIdx:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * (images.size + 9 * m)
-        assert np.array_equal(ds.features, images.reshape(m, -1))
+        assert np.array_equal(ds.features[:], images.reshape(m, -1))
 
     def test_roundtrip_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -143,13 +154,103 @@ class TestLoadIdx:
         labels = rng.integers(0, 10, size=7).astype(np.uint8)
         write_idx(images, labels, tmp_path / "a-img", tmp_path / "a-lbl")
         ds = load_idx(tmp_path / "a-img", tmp_path / "a-lbl")
-        assert ds.features.tobytes() == images.tobytes()
+        assert ds.features[:].tobytes() == images.tobytes()
         write_idx(
-            ds.features.reshape(7, 28, 28), ds.labels.astype(np.uint8),
+            ds.features[:].reshape(7, 28, 28), ds.labels.astype(np.uint8),
             tmp_path / "b-img", tmp_path / "b-lbl",
         )
         assert (tmp_path / "a-img").read_bytes() == (tmp_path / "b-img").read_bytes()
         assert (tmp_path / "a-lbl").read_bytes() == (tmp_path / "b-lbl").read_bytes()
+
+
+class TestIdxRows:
+    """The training images stay in their file: a gather reads its rows."""
+
+    def test_capped_cl_run_reads_the_rows_it_uses(self, tmp_path, monkeypatch):
+        # the partition's train and val rows, one batch of shared-pool rows
+        # per iteration, and the whole test file once
+        synthetic_idx_dataset(tmp_path, m_train=300, m_test=40, seed=3)
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        config = dataclasses.replace(
+            blob_config(train_size=20, val_size=10, self_train_epochs=1, max_iterations=7,
+                        architectures=("SHL", "SHL")),
+            dataset=spec,
+        )
+        read = []
+        preadv = os.preadv
+
+        def counted(fd, buffers, offset):
+            read.append(preadv(fd, buffers, offset))
+            return read[-1]
+
+        monkeypatch.setattr(os, "preadv", counted)
+        out = harness.run_mode(config, 0)
+        assert out.stats["iterations"] == 7
+        rows = 2 * (20 + 10) + 7 * config.collective.batch_size + 40
+        assert sum(read) == rows * 784
+        assert 40 * 784 in read  # consecutive rows are read in one call
+
+    def test_rows_are_selected_as_on_an_ndarray(self, tmp_path):
+        pixels = np.random.default_rng(4).integers(0, 256, size=(300, 2, 2)).astype(np.uint8)
+        write_idx(pixels, np.zeros(300), tmp_path / "i", tmp_path / "l")
+        rows, pixels = load_idx(tmp_path / "i", tmp_path / "l").features, pixels.reshape(300, 4)
+        for key in [1, -2, np.uint8(0), slice(None, None, -1), slice(295, None),
+                    [1, 1, 0], np.array([[-1, 0], [0, 1]]), np.array([], dtype=np.int64),
+                    np.array([255, 3], dtype=np.uint8)]:
+            got, want = rows[key], pixels[key]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        # a tuple selects an element of an ndarray, not two rows
+        for key in [(0, 0), 0.0, [True, False], 300, -301]:
+            with pytest.raises(IndexError):
+                rows[key]
+
+    @pytest.mark.parametrize("change", ["truncate", "rewrite"])
+    def test_file_changed_in_place_fails_the_next_gather(self, tmp_path, change):
+        images_path, labels_path, _ = hand_built_idx_pair(tmp_path)
+        ds = load_idx(images_path, labels_path)
+        if change == "truncate":
+            os.truncate(images_path, 16 + 784)
+        else:
+            with open(images_path, "r+b") as f:
+                f.seek(16)
+                f.write(bytes(784))
+            # a rewrite within one tick of the file system clock could leave
+            # the modification time as it was; move it a second on
+            st = os.stat(images_path)
+            os.utime(images_path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{images_path}: file changed")):
+            ds.features[[1]]
+
+    def test_file_replaced_by_rename_keeps_its_loaded_bytes(self, tmp_path):
+        images_path, labels_path, _ = hand_built_idx_pair(tmp_path)
+        ds = load_idx(images_path, labels_path)
+        want = ds.features[:]
+        write_idx(np.zeros((2, 28, 28), np.uint8), [0, 0], tmp_path / "i", tmp_path / "l")
+        os.replace(tmp_path / "i", images_path)
+        assert ds.features[:].tobytes() == want.tobytes()
+        assert not load_idx(images_path, labels_path).features[:].any()
+
+    def test_dropped_corpora_close_their_files(self, tmp_path):
+        synthetic_idx_dataset(tmp_path, m_train=50, m_test=10, seed=3)
+        spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
+        harness._load_corpus.cache_clear()
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            harness._load_corpus(spec, 1)
+            harness._load_corpus.cache_clear()
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_gathers_from_pool_threads_match_a_whole_file_read(self, tmp_path):
+        synthetic_idx_dataset(tmp_path, m_train=500, m_test=10, seed=3)
+        images_path = tmp_path / FMNIST_NAMES[0]
+        ds = load_idx(images_path, tmp_path / FMNIST_NAMES[1])
+        whole = np.frombuffer(images_path.read_bytes()[16:], np.uint8).reshape(500, 784)
+        # shuffled batches, and sorted ones whose neighbouring rows are read together
+        batches = [rng_for(s, "gather").permutation(500)[: 10 + 7 * s] for s in range(40)]
+        batches += [np.sort(idx) for idx in batches]
+        with AgentPool(2) as pool:
+            got = pool.map(lambda idx: ds.features[idx], batches)
+        assert all(g.tobytes() == whole[idx].tobytes() for g, idx in zip(got, batches))
 
 
 class TestSynthBlobs:
