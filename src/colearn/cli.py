@@ -7,11 +7,11 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, override
-from .data import IdxFormatError, load_idx_corpus
+from .data import load_idx_corpus
 from .graph import format_edge_list, graph_at
 from .harness import (
-    build_schedule, check_partition, corpus_size, emit_plot, montecarlo, read_csv, run_mode,
-    write_results,
+    build_schedule, check_partition, corpus_size, emit_plot, input_error, montecarlo, read_csv,
+    run_mode, write_results,
 )
 
 FMNIST_NAMES = (
@@ -180,12 +180,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, IdxFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except Exception as e:  # noqa: BLE001 - runtime failures map to exit 2
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if input_error(e) else 2
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ Features are float64, or uint8 for an IDX corpus: the file's pixel bytes,
 each byte b standing for the value b / 255. `load_idx` reads no pixel
 bytes: its features are an `IdxRows`, which reads the rows a gather asks
 for from the open images file, so no process holds a copy of the training
-images. `decode` is the one place the byte scale is applied; the training
-loop, the evaluation loop and the collective engine call it on each batch
-they gather, so no float64 copy of a whole IDX corpus is ever made.
+or the test images. `decode` is the one place the byte scale is applied;
+the training loop, the evaluation loop and the collective engine call it on
+each batch or chunk they gather, so no float64 copy of a whole IDX corpus
+is ever made.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class IdxRows:
 
     An integer, a slice or an integer array selects rows as it would on an
     ndarray, and the rows are read into one new C-contiguous uint8 array, by
-    one `os.preadv` per run of consecutive rows. Before each read the file's
-    size and modification time are compared with those taken at load, so a
-    file truncated or rewritten in place since, like a short read, raises
-    an IdxFormatError naming it. A file replaced by rename is still read
+    one `os.preadv` per run of consecutive rows; `read` fills a caller's
+    array with a run of rows instead. Before each read the file's size and
+    modification time are compared with those taken at load, so a file
+    truncated or rewritten in place since, like a short read, raises an
+    IdxFormatError naming it. A file replaced by rename is still read
     through the open descriptor, which closes when this object is collected.
     Rows cannot be assigned.
     """
@@ -91,19 +93,34 @@ class IdxRows:
             rows = rows.astype(np.int64) % m  # with m = 0 there are no rows to divide
         flat = rows.reshape(-1).tolist()
         out = np.empty((len(flat), d), dtype=np.uint8)
-        if _stamp(self._fd) != self._stamp:
-            raise IdxFormatError(f"{self.path}: file changed since it was loaded")
+        self._check()
         # a run of consecutive rows ends at a row that the next does not follow
         start = 0
         for end, (row, after) in enumerate(zip(flat, flat[1:] + [None]), 1):
             if after != row + 1:
-                offset = self._offset + flat[start] * d
-                got = os.preadv(self._fd, [out[start:end]], offset)
-                if got != (end - start) * d:
-                    raise IdxFormatError(f"{self.path}: short read of {got} bytes at offset "
-                                         f"{offset}, expected {(end - start) * d}")
+                self._read(out[start:end], flat[start])
                 start = end
         return out.reshape(rows.shape + (d,))
+
+    def read(self, start: int, out: np.ndarray) -> np.ndarray:
+        """`out`, a C-contiguous uint8 array of whole rows, filled with the
+        rows from `start` on by one `os.preadv`, so that a caller reading one
+        chunk after another reuses its buffer."""
+        self._check()
+        self._read(out, start)
+        return out
+
+    def _check(self) -> None:
+        if _stamp(self._fd) != self._stamp:
+            raise IdxFormatError(f"{self.path}: file changed since it was loaded")
+
+    def _read(self, out: np.ndarray, row: int) -> None:
+        """Fill `out`, consecutive rows from `row` on, by one `os.preadv`."""
+        offset = self._offset + row * self.shape[1]
+        got = os.preadv(self._fd, [out], offset)
+        if got != out.nbytes:
+            raise IdxFormatError(f"{self.path}: short read of {got} bytes at offset "
+                                 f"{offset}, expected {out.nbytes}")
 
 
 def _stamp(fd: int) -> tuple[int, int]:
@@ -257,20 +274,18 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
 
 def load_idx_corpus(train_images, train_labels, test_images,
                     test_labels) -> tuple[Dataset, Dataset]:
-    """The (train, test) pair of two `load_idx` file pairs. The training
-    rows stay in their file; the test images, which every evaluation scores
-    whole, are read once into a read-only array. Test images that are
-    missing or of another size than the training images raise an
-    IdxFormatError naming both images files, before any training."""
+    """The (train, test) pair of two `load_idx` file pairs. Both sets' images
+    stay in their files: an evaluation reads the test rows one chunk at a
+    time, as it scores them. Test images that are missing or of another
+    size than the training images raise an IdxFormatError naming both
+    images files, before any training."""
     train = load_idx(train_images, train_labels)
     test = load_idx(test_images, test_labels)
     if test.m == 0 or test.d != train.d:
         found = "no images" if test.m == 0 else f"images of {test.d} pixels"
         raise IdxFormatError(f"{test_images}: {found}, but the training images in "
                              f"{train_images} have {train.d} pixels each")
-    pixels = np.asarray(test.features)
-    pixels.flags.writeable = False
-    return train, Dataset(pixels, test.labels, test.num_classes)
+    return train, test
 
 
 def _as_bytes(name: str, values) -> np.ndarray:
@@ -328,9 +343,12 @@ class Partition:
     an IDX corpus, its `IdxRows`, which reads each batch's rows from the
     file), and the engine gathers and `decode`s one batch of pool rows at a
     time. The per-agent train and validation sets are in-memory copies of
-    their rows. The pool's features carry no labels; its true labels live
-    only in `shared_true_labels` and are consumed exclusively by the
-    diagnostics channel that measures proxy-label correctness.
+    their rows. The test set is the corpus's own, shared as well: for an
+    IDX corpus its features are the test file's `IdxRows`, which each
+    evaluation reads one chunk at a time. The pool's features carry no
+    labels; its true labels live only in `shared_true_labels` and are
+    consumed exclusively by the diagnostics channel that measures
+    proxy-label correctness.
     """
 
     train: tuple[Dataset, ...]

@@ -130,28 +130,36 @@ def resolve_architectures(config: ExperimentConfig, run_index: int) -> list[str]
     return kinds
 
 
-def _make_agents(config: ExperimentConfig, run_index: int, input_dim: int,
-                 num_classes: int) -> list[Learner]:
+@dataclass(frozen=True)
+class AgentSpec:
+    """An agent of a run before its `Learner` is built: its architecture,
+    by which the agent pool sizes and orders tasks, and its id."""
+
+    arch: Architecture
+    id: int
+
+
+def _make_agent(config: ExperimentConfig, run_index: int, spec: AgentSpec) -> Learner:
+    """The agent `spec` names, its parameters drawn from its own seed, so
+    that agents may be built in any order."""
     t = config.training
-    agents = []
-    for i, kind in enumerate(resolve_architectures(config, run_index)):
-        arch = Architecture(kind=kind, input_dim=input_dim, num_classes=num_classes)
-        agents.append(Learner.create(
-            arch, seed=subseed(config.master_seed, run_index, "agent-init", i),
-            rule=Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps), id=i,
-        ))
-    return agents
+    return Learner.create(
+        spec.arch, seed=subseed(config.master_seed, run_index, "agent-init", spec.id),
+        rule=Adam(alpha=t.alpha, beta1=t.beta1, beta2=t.beta2, eps=t.eps), id=spec.id,
+    )
 
 
 # --- baseline training with a metrics trace ----------------------------------
 
 
-def _train_traced(agent: Learner, config: ExperimentConfig, source: Dataset,
+def _train_traced(spec: AgentSpec, config: ExperimentConfig, source: Dataset,
                   partition: Partition, run_index: int) -> list[MetricsRecord]:
-    """Train one agent alone as `config.mode` does (ST on its private set,
-    FS on the whole labeled corpus), with the collective engine's metrics
-    records, the iteration being the update count: at 0, at every
-    metric_stride updates and after the last update."""
+    """Build the agent `spec` names and train it alone as `config.mode` does
+    (ST on its private set, FS on the whole labeled corpus), with the
+    collective engine's metrics records, the iteration being the update
+    count: at 0, at every metric_stride updates and after the last update.
+    The agent lives only as long as this call."""
+    agent = _make_agent(config, run_index, spec)
     t = config.training
     if config.mode == "FS":
         train_set, epochs, stream = source, t.fs_epochs, "fs-train"
@@ -187,7 +195,12 @@ def run_mode(
     manifest_path=None,
 ) -> RunOutput:
     """Execute one run of the configured mode; deterministic in
-    (config, run_index)."""
+    (config, run_index).
+
+    ST and FS build each agent inside its own training task and drop it when
+    the task returns (`_train_traced`), so a process holds no more baseline
+    agents (parameters and Adam moments) than its pool has threads. CL
+    builds every agent first, as its collective phase needs them all."""
     source, test = _load_corpus(config.dataset, config.master_seed)
     # checked before self-training, which would run in vain
     check_partition(config, source.m)
@@ -198,15 +211,16 @@ def run_mode(
     )
     if manifest_path is not None:
         write_manifest(partition, manifest_path)
-    agents = _make_agents(config, run_index, source.d, source.num_classes)
+    specs = [AgentSpec(Architecture(kind, source.d, source.num_classes), i)
+             for i, kind in enumerate(resolve_architectures(config, run_index))]
     t = config.training
 
     if config.mode in ("FS", "ST"):
-        with AgentPool.for_agents(agents) as pool:
-            traces = pool.each(lambda a: _train_traced(a, config, source, partition, run_index),
-                               agents, where="in training")
+        with AgentPool.for_agents(specs) as pool:
+            traces = pool.each(lambda s: _train_traced(s, config, source, partition, run_index),
+                               specs, where="in training")
         return RunOutput(run_index, [r for trace in traces for r in trace])
-    # CL
+    agents = [_make_agent(config, run_index, spec) for spec in specs]
     with AgentPool.for_agents(agents) as pool:
         pool.each(
             lambda a: a.train(
@@ -223,13 +237,24 @@ def run_mode(
     )
 
 
+def input_error(e: BaseException | None) -> ConfigError | IdxFormatError | None:
+    """The ConfigError or IdxFormatError that `e` is, or was raised from
+    (as by `AgentPool.each`), if any: a fault of a run's configuration or
+    data, on which the CLI exits 1 wherever in the run it was raised."""
+    while e is not None and not isinstance(e, (ConfigError, IdxFormatError)):
+        e = e.__cause__
+    return e
+
+
 def _run_for_pool(args) -> RunOutput:
     config, run_index, manifest_path = args
     try:
         return run_mode(config, run_index, manifest_path)
     except Exception as e:
-        # a config or data error keeps its class, so the CLI exits 1 as under `run`
-        kind = type(e) if isinstance(e, (ConfigError, IdxFormatError)) else RuntimeError
+        # a config or data error keeps its class, which a worker process
+        # passes on where it would drop the cause, so the CLI exits 1
+        cause = input_error(e)
+        kind = RuntimeError if cause is None else type(cause)
         raise kind(f"run {run_index} (master seed {config.master_seed}) failed: {e}") from e
 
 

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .data import Dataset, decode, epoch_batches
+from .data import Dataset, IdxRows, decode, epoch_batches
 from .parallel import AgentPool
 from .seeding import rng_for
 
@@ -78,6 +78,12 @@ class Architecture:
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.num_classes)
+
+    @property
+    def size(self) -> int:
+        """The parameter count, `param_count(self)`: the length of a flat
+        parameter vector, known before one is built."""
+        return param_count(self)
 
 
 def param_count(arch: Architecture) -> int:
@@ -206,7 +212,8 @@ def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     return theta
 
 
-# Each thread's gradient scratch, as long as the largest model it has stepped.
+# Each thread's scratch: `grad`, as long as the largest model it has stepped,
+# and `rows`, one EVAL_CHUNK of IDX pixel rows (`_chunk`).
 _scratch = threading.local()
 
 
@@ -435,7 +442,7 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     norms = pool.map(lambda model: _weight_norms(*model, x.shape[0] > EVAL_CHUNK), models)
 
     def correct(s: int) -> list[int]:
-        rows, labels = x[s : s + EVAL_CHUNK], y[s : s + EVAL_CHUNK]
+        rows, labels = _chunk(x, s), y[s : s + EVAL_CHUNK]
         x32 = np.ascontiguousarray(decode(rows, np.float32))
         t32 = _row_norms(x32)
         counts = []
@@ -453,6 +460,18 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
 
     per_chunk = pool.map(correct, range(0, x.shape[0], EVAL_CHUNK))
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
+
+
+def _chunk(x, s: int) -> np.ndarray:
+    """Rows s to s + EVAL_CHUNK of features `x`; those of an `IdxRows` are
+    read into the calling thread's chunk buffer, so that an evaluation
+    allocates no array for the bytes it reads."""
+    if not isinstance(x, IdxRows):
+        return x[s : s + EVAL_CHUNK]
+    buf = getattr(_scratch, "rows", None)
+    if buf is None or buf.shape[1] != x.shape[1]:
+        buf = _scratch.rows = np.empty((EVAL_CHUNK, x.shape[1]), dtype=np.uint8)
+    return x.read(s, buf[: min(EVAL_CHUNK, x.shape[0] - s)])
 
 
 @dataclass

@@ -107,10 +107,11 @@ def max_pool_size() -> int:
 
 
 def largest_first(agents: Sequence) -> list[int]:
-    """Positions of `agents` by parameter count, largest first, ties by id:
-    the order in which `AgentPool.each` starts their tasks."""
-    return sorted(range(len(agents)),
-                  key=lambda i: (-agents[i].params.size, agents[i].id))
+    """Positions of `agents` by parameter count, read from each agent's
+    architecture, so that agents not built yet are ordered too: largest
+    first, ties by id. The order in which `AgentPool.each` starts their
+    tasks."""
+    return sorted(range(len(agents)), key=lambda i: (-agents[i].arch.size, agents[i].id))
 
 
 # Parameters the largest agent of a run must have for its pool to open more
@@ -154,7 +155,7 @@ class AgentPool:
     def for_agents(cls, agents: Sequence) -> "AgentPool":
         """A pool for a run of `agents`: no more threads than agents, and
         one thread where no agent has `THREADED_PARAMS` parameters."""
-        if max(a.params.size for a in agents) < THREADED_PARAMS:
+        if max(a.arch.size for a in agents) < THREADED_PARAMS:
             return cls(1)
         return cls(min(len(agents), max_pool_size()))
 
@@ -179,9 +180,11 @@ class AgentPool:
 
     def each(self, fn: Callable, agents: Sequence, *more, where: str) -> list:
         """`map` over agents (and, item by item, `more`): fn(agent, ...),
-        started by `largest_first`; results in agent order. A failure is
-        re-raised as a RuntimeError naming the agent and `where` the run
-        was, e.g. "at iteration 40"; of several, the first in agent order."""
+        started by `largest_first`; results in agent order. An agent is
+        anything with the `arch` and `id` of one, such as a `Learner`. A
+        failure is re-raised as a RuntimeError naming the agent and `where`
+        the run was, e.g. "at iteration 40"; of several, the first in agent
+        order."""
         def task(agent, *args):
             try:
                 return fn(agent, *args)

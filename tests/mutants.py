@@ -126,6 +126,15 @@ CATALOGUE = (
            "< THREADED_PARAMS:", ">= THREADED_PARAMS:",
            ("tests/test_parallel.py::TestPoolSize",
             "tests/test_parallel.py::test_results_do_not_depend_on_pool_size")),
+    # what a process holds
+    Mutant("test-images-held-whole", "src/colearn/data.py",
+           "    return train, test\n",
+           "    return train, Dataset(np.asarray(test.features), test.labels, test.num_classes)\n",
+           ("tests/test_data.py::TestIdxRows::test_capped_cl_run_reads_the_rows_it_uses",)),
+    Mutant("baseline-agents-built-before-the-pool", "src/colearn/harness.py",
+           'specs, where="in training")',
+           '[_make_agent(config, run_index, s) for s in specs], where="in training")',
+           ("tests/test_harness.py::TestRunMode::test_baseline_holds_one_agent_at_a_time",)),
 )
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output files, and formats."""
 
+import os
 import struct
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from colearn import cli, harness
+from colearn import cli, collective, harness
 from colearn.cli import main
 from colearn.data import write_idx
 
@@ -306,6 +307,39 @@ def test_montecarlo_truncated_idx_exits_1(tmp_path, capsys):
     code = main(["montecarlo", str(_idx_config(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "truncated file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, mode, jobs", [
+    ("montecarlo", "ST", 1), ("montecarlo", "FS", 1), ("montecarlo", "CL", 1),
+    ("montecarlo", "ST", 2), ("run", "ST", 1),
+])
+def test_test_images_rewritten_during_a_run_exit_1(tmp_path, capsys, monkeypatch, command,
+                                                   mode, jobs):
+    # every emission reads the test rows from their file, in ST and FS
+    # inside an agent's pool task: a file changed under the run is a data
+    # error in every mode, in a --jobs worker too
+    data = tmp_path / "data"
+    synthetic_idx_dataset(data, m_train=60, m_test=20)
+    images = data / FMNIST_NAMES[2]
+    measure = collective.measure
+
+    def rewrite_then_measure(*args, **kwargs):
+        # an in-place rewrite moves the modification time on; moving it a
+        # second is one whatever the file system clock's tick, and leaves
+        # the bytes whole for a worker loading them meanwhile
+        st = os.stat(images)
+        os.utime(images, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(collective, "measure", rewrite_then_measure)
+    monkeypatch.setattr(harness, "measure", rewrite_then_measure)
+    config = _idx_config(tmp_path, data)
+    config.write_text(config.read_text().replace("mode: CL", f"mode: {mode}")
+                      .replace("montecarlo_runs: 1", f"montecarlo_runs: {jobs}"))
+    more = ["--jobs", str(jobs)] if command == "montecarlo" else []
+    code = main([command, str(config), "--out", str(tmp_path / "out"), *more])
+    assert code == 1
+    assert f"{images}: file changed since it was loaded" in capsys.readouterr().err
 
 
 def test_graph_dump_static(tiny_config, capsys):

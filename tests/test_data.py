@@ -168,7 +168,7 @@ class TestIdxRows:
 
     def test_capped_cl_run_reads_the_rows_it_uses(self, tmp_path, monkeypatch):
         # the partition's train and val rows, one batch of shared-pool rows
-        # per iteration, and the whole test file once
+        # per iteration, and the whole test file at each emission
         synthetic_idx_dataset(tmp_path, m_train=300, m_test=40, seed=3)
         spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
         config = dataclasses.replace(
@@ -186,15 +186,17 @@ class TestIdxRows:
         monkeypatch.setattr(os, "preadv", counted)
         out = harness.run_mode(config, 0)
         assert out.stats["iterations"] == 7
-        rows = 2 * (20 + 10) + 7 * config.collective.batch_size + 40
+        assert sorted({r.iteration for r in out.records}) == [0, 7]
+        rows = 2 * (20 + 10) + 7 * config.collective.batch_size + 2 * 40
         assert sum(read) == rows * 784
-        assert 40 * 784 in read  # consecutive rows are read in one call
+        assert read.count(40 * 784) == 2  # each emission reads the test rows in one call
 
     def test_rows_are_selected_as_on_an_ndarray(self, tmp_path):
         pixels = np.random.default_rng(4).integers(0, 256, size=(300, 2, 2)).astype(np.uint8)
         write_idx(pixels, np.zeros(300), tmp_path / "i", tmp_path / "l")
         rows, pixels = load_idx(tmp_path / "i", tmp_path / "l").features, pixels.reshape(300, 4)
         for key in [1, -2, np.uint8(0), slice(None, None, -1), slice(295, None),
+                    slice(-10, 1000), slice(7, 7), slice(9, 2),
                     [1, 1, 0], np.array([[-1, 0], [0, 1]]), np.array([], dtype=np.int64),
                     np.array([255, 3], dtype=np.uint8)]:
             got, want = rows[key], pixels[key]
@@ -203,6 +205,23 @@ class TestIdxRows:
         for key in [(0, 0), 0.0, [True, False], 300, -301]:
             with pytest.raises(IndexError):
                 rows[key]
+
+    def test_a_slice_is_one_read(self, tmp_path, monkeypatch):
+        # an evaluation chunk: 1024 consecutive rows, sliced or read into a
+        # caller's buffer
+        synthetic_idx_dataset(tmp_path, m_train=1100, m_test=10, seed=3)
+        images_path = tmp_path / FMNIST_NAMES[0]
+        ds = load_idx(images_path, tmp_path / FMNIST_NAMES[1])
+        whole = np.frombuffer(images_path.read_bytes()[16:], np.uint8).reshape(1100, 784)
+        calls = []
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda *args: calls.append(args) or preadv(*args))
+        got = ds.features[50:1074]
+        assert len(calls) == 1
+        assert got.shape == (1024, 784) and got.tobytes() == whole[50:1074].tobytes()
+        buf = np.empty((1024, 784), dtype=np.uint8)
+        assert ds.features.read(50, buf) is buf and len(calls) == 2
+        assert buf.tobytes() == whole[50:1074].tobytes()
 
     @pytest.mark.parametrize("change", ["truncate", "rewrite"])
     def test_file_changed_in_place_fails_the_next_gather(self, tmp_path, change):
@@ -220,6 +239,8 @@ class TestIdxRows:
             os.utime(images_path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
         with pytest.raises(IdxFormatError, match=re.escape(f"{images_path}: file changed")):
             ds.features[[1]]
+        with pytest.raises(IdxFormatError, match=re.escape(f"{images_path}: file changed")):
+            ds.features.read(0, np.empty((1, 784), dtype=np.uint8))
 
     def test_file_replaced_by_rename_keeps_its_loaded_bytes(self, tmp_path):
         images_path, labels_path, _ = hand_built_idx_pair(tmp_path)

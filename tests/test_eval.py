@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from colearn import _kernels as kernels  # noqa: E402
 from colearn import learner  # noqa: E402
-from colearn.data import Dataset, decode  # noqa: E402
+from colearn.data import Dataset, decode, load_idx, write_idx  # noqa: E402
 from colearn.learner import (  # noqa: E402
     EVAL_CHUNK,
     Architecture,
@@ -176,6 +176,15 @@ def test_ragged_last_chunk():
     x = np.random.default_rng(4).integers(0, 256, size=(EVAL_CHUNK + 37, 8), dtype=np.uint8)
     assert_oracle_counts([net("HL1", 8, 4, seed=9), net("SHL", 8, 4, seed=10),
                           net("HL2", 8, 4, seed=11)], x)
+
+
+def test_idx_rows_are_scored_as_their_bytes(tmp_path):
+    # an IDX set's chunks are read from its file into each thread's buffer,
+    # the ragged last one too
+    x = np.random.default_rng(4).integers(0, 256, size=(EVAL_CHUNK + 37, 8), dtype=np.uint8)
+    write_idx(x.reshape(-1, 8, 1), np.zeros(len(x)), tmp_path / "i", tmp_path / "l")
+    rows = load_idx(tmp_path / "i", tmp_path / "l").features
+    assert_oracle_counts([net("HL1", 8, 4, seed=9), net("HL2", 8, 4, seed=11)], rows)
 
 
 def test_more_open_rows_than_a_chunk():

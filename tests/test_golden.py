@@ -171,22 +171,22 @@ PARAMS = {
 def _digests(config, out_dir: Path, jobs: int = 1) -> tuple[str, str, str]:
     """The two files `colearn montecarlo --jobs N` writes, and the final
     parameters of every agent it trained, in run order, hashed."""
-    run_mode, make_agents = harness.run_mode, harness._make_agents
+    run_mode, make_agent = harness.run_mode, harness._make_agent
 
     def run_capturing_params(*args):
         # runs in the worker under jobs > 1, which inherits this patch
         agents = []
 
         def capture(*args):
-            made = make_agents(*args)
-            agents.extend(made)
-            return made
+            agents.append(make_agent(*args))
+            return agents[-1]
 
-        harness._make_agents = capture
+        harness._make_agent = capture
         try:
             output = run_mode(*args)
         finally:
-            harness._make_agents = make_agents
+            harness._make_agent = make_agent
+        agents.sort(key=lambda a: a.id)
         output.stats["final_params"] = b"".join(a.params.tobytes() for a in agents)
         return output
 

@@ -4,12 +4,13 @@ and metric persistence."""
 import dataclasses
 import os
 import re
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from colearn import data, harness, learner
+from colearn import data, harness, learner, parallel
 from colearn.collective import MetricsRecord
 from colearn.config import (
     CollectiveSpec, ConfigError, ExperimentConfig, GraphSpec, IdxSpec, SynthSpec, load_config,
@@ -373,24 +374,49 @@ class TestRunMode:
     def test_final_test_is_last_record_of_final_params(self, monkeypatch, mode, settings,
                                                         updates):
         made = []
-        make_agents = harness._make_agents
+        make_agent = harness._make_agent
 
         def capture(*args):
-            agents = make_agents(*args)
-            made.extend(agents)
-            return agents
+            made.append(make_agent(*args))
+            return made[-1]
 
-        monkeypatch.setattr(harness, "_make_agents", capture)
+        monkeypatch.setattr(harness, "_make_agent", capture)
         kw = dict(n_per_class=60, train_size=10, val_size=10, self_train_epochs=3,
                   metric_stride=7)
         config = blob_config(mode=mode, **{**kw, **settings})
         out = run_mode(config, 0)
+        made.sort(key=lambda a: a.id)
         last = {r.agent: r for r in out.records}
         assert out.final_test == [last[a.id].test_accuracy for a in made]
         # ... and that record measured the agent's final parameters
         test = harness._load_corpus(config.dataset, config.master_seed)[1]
         assert out.final_test == [learner.accuracy([(a.arch, a.params)], test)[0] for a in made]
         assert all(r.iteration == updates for r in last.values())
+
+    @pytest.mark.parametrize("mode", ["ST", "FS"])
+    def test_baseline_holds_one_agent_at_a_time(self, monkeypatch, mode):
+        # on one thread, each agent lives only for its own training task
+        monkeypatch.setattr(parallel, "max_pool_size", lambda: 1)
+        built = live = peak = 0
+
+        def dropped():
+            nonlocal live
+            live -= 1
+
+        class Counted(learner.Learner):
+            def __init__(self, *args, **kwargs):
+                nonlocal built, live, peak
+                super().__init__(*args, **kwargs)
+                built, live = built + 1, live + 1
+                peak = max(peak, live)
+                weakref.finalize(self, dropped)
+
+        monkeypatch.setattr(harness, "Learner", Counted)
+        config = blob_config(mode=mode, n_per_class=60, train_size=10, val_size=10,
+                             self_train_epochs=2, max_iterations=5,
+                             architectures=("HL1", "SHL", "HL1"))
+        assert len(run_mode(config, 0).final_test) == 3
+        assert (built, peak, live) == (3, 1, 0)
 
     @pytest.mark.parametrize("mode", ["ST", "FS"])
     def test_diverged_baseline_names_agent_and_update(self, monkeypatch, mode):
@@ -483,10 +509,12 @@ class TestCorpusCache:
         want = load_idx(spec.train_images, spec.train_labels)
         assert new[0].m == m_train
         assert np.array_equal(new[0].features, want.features)
-        # the old training rows were rewritten in place under their open file
-        with pytest.raises(IdxFormatError, match=re.escape(spec.train_images)):
-            old[0].features[:150]
-        assert not np.array_equal(new[1].features, old[1].features)
+        # the old rows were rewritten in place under their open files
+        for old_set, path in zip(old, (spec.train_images, spec.test_images)):
+            with pytest.raises(IdxFormatError, match=re.escape(path)):
+                old_set.features[:50]
+        want_test = load_idx(spec.test_images, spec.test_labels)
+        assert new[1].features[:].tobytes() == want_test.features[:].tobytes()
 
     def test_missing_file_fails_as_load_idx_does(self, tmp_path):
         synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)

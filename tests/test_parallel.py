@@ -40,8 +40,8 @@ def _threaded(monkeypatch, cores: int) -> None:
 def _sized(params: int, n: int = 30) -> list:
     """n stand-ins for agents of `params` parameters: what the pool's size
     rule reads of an agent."""
-    theta = np.empty(params)
-    return [SimpleNamespace(params=theta) for _ in range(n)]
+    arch = Architecture("SHL", params - 1, 1)  # params - 1 weights and one bias
+    return [SimpleNamespace(arch=arch) for _ in range(n)]
 
 
 LARGE = _sized(parallel.THREADED_PARAMS)
@@ -147,15 +147,15 @@ def _five_agent_run(monkeypatch, cores: int, order=None):
         architectures=("HL1", "SHL", "HL1", "SHL", "HL1"),
     )
     agents = []
-    make_agents = harness._make_agents
+    make_agent = harness._make_agent
 
     def capture(*args):
-        made = make_agents(*args)
-        agents.extend(made)
-        return made
+        agents.append(make_agent(*args))
+        return agents[-1]
 
-    monkeypatch.setattr(harness, "_make_agents", capture)
+    monkeypatch.setattr(harness, "_make_agent", capture)
     out = harness.run_mode(config, 0)
+    agents.sort(key=lambda a: a.id)
     assert sorted(reviewed) == list(range(5)) and out.stats["iterations"] == 28
     return out.records, [a.params.tobytes() for a in agents], threads
 
