@@ -122,7 +122,8 @@ def measure(agents: Sequence[Learner], vals: Sequence, test, k: int, run_index: 
     `vals`, and its rate in `proxy_rates` (None without). Non-finite
     parameters raise a RuntimeError naming the agent and `k`."""
     for a in agents:
-        if not np.all(np.isfinite(a.params)):
+        # min and max propagate NaN and +-inf, and allocate no mask
+        if not (np.isfinite(a.params.min()) and np.isfinite(a.params.max())):
             raise RuntimeError(f"non-finite parameters for agent {a.id} at iteration {k}")
     pool = pool or AgentPool()
     # one decode of each test chunk, scored by every agent

@@ -37,10 +37,11 @@ class IdxFormatError(ValueError):
     """Raised when an IDX file does not parse as expected."""
 
 
-def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+def decode(x: np.ndarray, dtype=np.float64, out: np.ndarray | None = None) -> np.ndarray:
     """Feature rows as `dtype` values: uint8 pixel bytes are scaled by 1/255
     into a new array, float64 rows are returned as they are (or rounded to
-    `dtype` into a new array).
+    `dtype` into a new array). With `out`, an array of x's shape and of
+    `dtype`, the values are written there and `out` is returned.
 
     The cast from uint8 is exact and the divide correctly rounded in
     `dtype`, so each float64 element is the double that
@@ -48,8 +49,11 @@ def decode(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     nearest float32 to byte / 255.
     """
     if x.dtype == np.uint8:
-        return np.divide(x, 255.0, dtype=dtype)
-    return x.astype(dtype, copy=False)
+        return np.divide(x, 255.0, dtype=dtype, out=out)
+    if out is None:
+        return x.astype(dtype, copy=False)
+    np.copyto(out, x, casting="same_kind")
+    return out
 
 
 class IdxRows:

@@ -10,9 +10,11 @@ There is one function per phase, which self-training, the collective
 rounds, reviews, score refreshes and the baselines all call: `forward`
 predicts, `grad` takes the gradient back through that pass's activations,
 `apply_update` takes the Adam step and `accuracy` evaluates. Every update
-is one `train_step`: `grad` into the calling thread's scratch, then
+is one `train_step`: `grad` into the calling thread's workspace, then
 `apply_update`. Prediction, gradient and evaluation run through the one
-layer loop, `_activations`.
+layer loop, `_activations`. Each thread has one workspace, a buffer grown
+to the largest request and then reused: it holds a step's gradient, and
+everything an evaluation chunk's float32 pass writes.
 
 Evaluation counts the rows whose argmax logit of a float64 pass over the
 row alone matches the label, but mostly computes in float32: each
@@ -35,6 +37,7 @@ row, the parameters and the BLAS kernel, not on the chunk size.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -47,9 +50,11 @@ from .parallel import AgentPool
 from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
-# Rows per evaluation chunk: a speed setting only, as the counts are the same
-# at any chunk size.
-EVAL_CHUNK = 1024
+# Rows per evaluation chunk: a speed and memory setting only, as the counts
+# are the same at any chunk size. At 512 the float32 pass of an HL2 on 784
+# inputs, with its chunk's rows, takes 5.2 MB of its thread's workspace,
+# about the 4.4 MB that the model's gradient takes there.
+EVAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -130,17 +135,72 @@ def _as_matrix(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
+# Each thread's scratch bytes: one buffer, grown to the largest request and
+# then reused (`_take`). A `train_step` writes its gradient at the front, and
+# so does a float32 `_activations` pass its cast weights and activations;
+# `accuracy` keeps each chunk's rows and their float32 decode after the
+# largest such pass.
+_scratch = threading.local()
+# bytes: each region of the workspace starts on a cache line
+_ALIGN = 64
+
+
+def _span(specs) -> int:
+    """Bytes that arrays of these (shape, dtype) take one after another in
+    the workspace."""
+    return sum(-(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+               for shape, dtype in specs)
+
+
+def _take(specs, start: int = 0) -> list[np.ndarray]:
+    """C-contiguous arrays of these (shape, dtype), one after another in the
+    calling thread's workspace from byte `start` on. The workspace is
+    replaced by a larger one only when it is too short, so what it held
+    before is the caller's to overwrite; arrays taken earlier stay valid."""
+    buf, end = getattr(_scratch, "buf", None), start + _span(specs)
+    if buf is None or buf.size < end:
+        buf = _scratch.buf = np.empty(end, dtype=np.uint8)
+    views = []
+    for shape, dtype in specs:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(buf[start : start + nbytes].view(dtype).reshape(shape))
+        start += _span([(shape, dtype)])
+    return views
+
+
+def _pass_specs(arch: Architecture, rows: int) -> list[tuple]:
+    """A float32 pass over `rows` rows: one region that holds the largest
+    layer's weights and bias, cast into it a layer at a time, then each
+    layer's output."""
+    dims = arch.layer_dims
+    return ([((max((din + 1) * dout for din, dout in zip(dims, dims[1:])),), np.float32)]
+            + [((rows, dout), np.float32) for dout in dims[1:]])
+
+
 def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
     """The one layer loop: each layer's input, then the output logits, in
-    x_mat's dtype (float64, or float32 with the parameters rounded to it)."""
+    x_mat's dtype (float64, or float32 with the parameters rounded to it).
+
+    A float64 pass allocates its activations. A float32 pass writes them,
+    and each layer's weights cast to float32, at the front of the calling
+    thread's workspace, where they stay until the thread's next float32
+    pass or `train_step`."""
     if x_mat.shape[1] != arch.input_dim:
         raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
     layers = param_views(arch, theta)
+    single = x_mat.dtype == np.float32
+    cast, *outs = (_take(_pass_specs(arch, x_mat.shape[0])) if single
+                   else [None] * (len(layers) + 1))
     acts = [x_mat]
     for l, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.astype(x_mat.dtype, copy=False)
-        # in place: one new array per layer, with the bits of `acts[-1] @ w + b`
-        z += b.astype(x_mat.dtype, copy=False)
+        if single:  # the layer's weights and bias, cast into the one region
+            w32, b32 = cast[: w.size].reshape(w.shape), cast[w.size : w.size + b.size]
+            np.copyto(w32, w, casting="same_kind")
+            np.copyto(b32, b, casting="same_kind")
+            w, b = w32, b32
+        z = np.matmul(acts[-1], w, out=outs[l])
+        # in place: the bits of `acts[-1] @ w + b`
+        z += b
         acts.append(kernels.relu(z) if l < len(layers) - 1 else z)
     return acts
 
@@ -212,20 +272,13 @@ def apply_update(rule: Adam, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     return theta
 
 
-# Each thread's scratch: `grad`, as long as the largest model it has stepped,
-# and `rows`, one EVAL_CHUNK of IDX pixel rows (`_chunk`).
-_scratch = threading.local()
-
-
 def train_step(arch: Architecture, theta: np.ndarray, rule: Adam, acts: list[np.ndarray],
                probs: np.ndarray, y) -> np.ndarray:
     """One update: the `grad` of labels `y` back through a `forward` pass at
-    theta, written into the calling thread's scratch, then `apply_update`
+    theta, written into the calling thread's workspace, then `apply_update`
     with `rule`; returns theta."""
-    buf = getattr(_scratch, "grad", None)
-    if buf is None or buf.size < theta.size:
-        buf = _scratch.grad = np.empty(theta.size)
-    return apply_update(rule, theta, grad(arch, theta, acts, probs, y, out=buf[: theta.size]))
+    g, = _take([(theta.shape, np.float64)])
+    return apply_update(rule, theta, grad(arch, theta, acts, probs, y, out=g))
 
 
 def train_epochs(
@@ -298,7 +351,8 @@ def _spectral_norm(w: np.ndarray) -> float:
     """
     u, tiny = float(np.finfo(np.float64).eps) / 2.0, float(np.finfo(np.float64).tiny)
     with np.errstate(all="ignore"):  # a NaN or overflow gives inf below
-        e = int(np.frexp(np.abs(w).max())[1])
+        # the largest |entry| without an |w| array; NaN and inf propagate
+        e = int(np.frexp(np.maximum(w.max(), -w.min()))[1])
         a = np.ldexp(w, -e)
         if a.shape[0] < a.shape[1]:
             a = a.T
@@ -429,8 +483,9 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     fraction of samples whose argmax logit (lowest index on ties) of a
     float64 pass over the sample alone matches the label.
 
-    Each EVAL_CHUNK chunk is decoded to float32 once and scored by every
-    model in float32; a row is counted from there when its bound proves its
+    Each EVAL_CHUNK chunk is decoded to float32 once, into its thread's
+    workspace, and scored there by every model in float32 (`_activations`);
+    a row is counted from there when its bound proves its
     argmax. A model's open rows are scored again in float64, where the bound
     is doubled, as the row pass carries one of its own; the rows open there
     take the row pass's argmax. With a pool, chunks run side by side; no
@@ -441,9 +496,15 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     pool = pool or AgentPool()
     norms = pool.map(lambda model: _weight_norms(*model, x.shape[0] > EVAL_CHUNK), models)
 
+    # each chunk's rows and their float32 decode, after the largest float32 pass
+    front = max(_span(_pass_specs(arch, min(EVAL_CHUNK, x.shape[0]))) for arch, _ in models)
+
     def correct(s: int) -> list[int]:
-        rows, labels = _chunk(x, s), y[s : s + EVAL_CHUNK]
-        x32 = np.ascontiguousarray(decode(rows, np.float32))
+        n = min(EVAL_CHUNK, x.shape[0] - s)
+        labels = y[s : s + n]
+        rows, x32 = _take([((n, x.shape[1]), np.uint8), ((n, x.shape[1]), np.float32)], front)
+        rows = x.read(s, rows) if isinstance(x, IdxRows) else x[s : s + n]
+        decode(rows, np.float32, out=x32)
         t32 = _row_norms(x32)
         counts = []
         for (arch, theta), norm in zip(models, norms):
@@ -460,18 +521,6 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
 
     per_chunk = pool.map(correct, range(0, x.shape[0], EVAL_CHUNK))
     return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
-
-
-def _chunk(x, s: int) -> np.ndarray:
-    """Rows s to s + EVAL_CHUNK of features `x`; those of an `IdxRows` are
-    read into the calling thread's chunk buffer, so that an evaluation
-    allocates no array for the bytes it reads."""
-    if not isinstance(x, IdxRows):
-        return x[s : s + EVAL_CHUNK]
-    buf = getattr(_scratch, "rows", None)
-    if buf is None or buf.shape[1] != x.shape[1]:
-        buf = _scratch.rows = np.empty((EVAL_CHUNK, x.shape[1]), dtype=np.uint8)
-    return x.read(s, buf[: min(EVAL_CHUNK, x.shape[0] - s)])
 
 
 @dataclass

@@ -135,6 +135,21 @@ CATALOGUE = (
            'specs, where="in training")',
            '[_make_agent(config, run_index, s) for s in specs], where="in training")',
            ("tests/test_harness.py::TestRunMode::test_baseline_holds_one_agent_at_a_time",)),
+    # the evaluation workspace: each chunk's rows read again, each model's
+    # float32 weights its own (here, the first model of its shape is
+    # screened in their place, as a weight region not recast would do), and
+    # each region apart from the next
+    Mutant("later-chunks-not-read", LEARNER,
+           "rows = x.read(s, rows) if",
+           "rows = (x.read(s, rows) if s == 0 else rows) if",
+           (EVAL + "::test_idx_rows_are_scored_as_their_bytes",)),
+    Mutant("same-shape-weights-not-recast", LEARNER,
+           "_screen(arch, theta, norm, x32, t32, 1.0)",
+           "_screen(arch, next(t for a, t in models if a == arch), norm, x32, t32, 1.0)",
+           (EVAL + "::test_same_shape_models_each_get_their_own_float32_weights",)),
+    Mutant("workspace-regions-overlap", LEARNER,
+           "start += _span([(shape, dtype)])", "start += _span([(shape, dtype)]) // 2",
+           (EVAL + "::test_a_float32_pass_keeps_each_layer_apart",)),
 )
 
 

@@ -12,6 +12,7 @@ from colearn import collective, learner as learner_module
 from colearn.collective import (
     collective_round,
     fuse_and_label,
+    measure,
     refresh_scores,
     review_step,
     run_collective,
@@ -269,26 +270,29 @@ class TestReviewStep:
         assert np.array_equal(learner.params, before)
 
     def test_run_buffer_keeps_bits(self):
-        # two reviews on a fresh thread, and on one whose gradient scratch is
-        # larger than the model and full of NaN
+        # two reviews and an accuracy call on a fresh thread, and on one whose
+        # workspace is larger than the model and full of 0xFF bytes (NaN as
+        # float64 and as float32)
         ds = synth_blobs(12, 3, 5, 2.0, seed=4)
         arch = Architecture("HL1", 5, 3, hidden=(6,))
 
         def reviews(scratch):
             if scratch is not None:
-                learner_module._scratch.grad = scratch
+                learner_module._scratch.buf = scratch
             learner = Learner.create(arch, seed=2, rule=Adam(alpha=1e-2))
             for r in range(2):
                 review_step(learner, ds, batch_size=5, seed=r)
+            acc = accuracy([(arch, learner.params)], ds)
             if scratch is not None:
-                assert learner_module._scratch.grad is scratch  # reused, not replaced
-            return learner.params, learner.rule._m, learner.rule._v, learner.rule._steps
+                assert learner_module._scratch.buf is scratch  # reused, not replaced
+            return learner.params, learner.rule._m, learner.rule._v, learner.rule._steps, acc
 
         results = []
-        for scratch in (None, np.full(param_count(arch) + 40, np.nan)):
+        for scratch in (None, np.full(8 * param_count(arch) + 4096, 0xFF, dtype=np.uint8)):
             with ThreadPoolExecutor(1) as thread:
                 results.append(thread.submit(reviews, scratch).result())
         assert results[0][3] == results[1][3] == 16
+        assert results[0][4] == results[1][4]
         for a, b in zip(results[0][:3], results[1][:3]):
             assert np.array_equal(a, b)
 
@@ -513,6 +517,14 @@ class TestEngine:
                 [agent], part, GraphSchedule(GraphSpec(), 1, seed=0), config,
                 seed=3, metric_stride=10,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_measure_rejects_one_non_finite_parameter(self, bad):
+        part = single_agent_partition(seed=5)
+        agents = [Learner.create(Architecture("SHL", 4, 3), seed=2, id=i) for i in range(2)]
+        agents[1].params[3] = bad
+        with pytest.raises(RuntimeError, match=r"^non-finite parameters for agent 1 at iteration 7$"):
+            measure(agents, [part.val[0]] * 2, part.test, 7, 0)
 
     def test_agents_out_of_id_order_rejected(self):
         source = synth_blobs(60, 3, 4, 6.0, seed=7)

@@ -207,8 +207,8 @@ class TestIdxRows:
                 rows[key]
 
     def test_a_slice_is_one_read(self, tmp_path, monkeypatch):
-        # an evaluation chunk: 1024 consecutive rows, sliced or read into a
-        # caller's buffer
+        # 1024 consecutive rows, sliced or read into a caller's buffer as an
+        # evaluation chunk is
         synthetic_idx_dataset(tmp_path, m_train=1100, m_test=10, seed=3)
         images_path = tmp_path / FMNIST_NAMES[0]
         ds = load_idx(images_path, tmp_path / FMNIST_NAMES[1])

@@ -23,7 +23,7 @@ from colearn.learner import (
 
 from conftest import FMNIST_NAMES, synthetic_idx_dataset
 
-# longer than four 1024-row evaluation chunks
+# longer than eight 512-row evaluation chunks
 M_SOURCE = 4300
 ROUND = collective.collective_round
 

@@ -2,6 +2,8 @@
 float64 rescoring of open rows, and the float64 row pass that settles near
 ties, against an oracle that scores every row with its row pass."""
 
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -193,15 +195,70 @@ def test_more_open_rows_than_a_chunk():
 
 @pytest.mark.parametrize("case", [exact_ties, near_ties, all_rows_open])
 def test_counts_do_not_depend_on_the_chunk_size(case, monkeypatch):
-    # the same counts on random labels in 7-row chunks as in 1024-row ones,
-    # and still the row pass's on every row
+    # the same counts on random labels in 7-row chunks as in EVAL_CHUNK-row
+    # ones (512), and still the row pass's on every row
     models, x = case()
     classes = models[0][0].num_classes
     labeled = Dataset(x, np.random.default_rng(6).integers(0, classes, size=x.shape[0]), classes)
-    at_1024 = accuracy(models, labeled)
+    at_eval_chunk = accuracy(models, labeled)
     monkeypatch.setattr(learner, "EVAL_CHUNK", 7)
-    assert accuracy(models, labeled) == at_1024
+    assert accuracy(models, labeled) == at_eval_chunk
     assert_oracle_counts(models, x)
+
+
+def test_same_shape_models_each_get_their_own_float32_weights():
+    # two HL1 models of one shape scored in one call, as a CL run's two HL1
+    # agents are: each count is that of a call of the model alone
+    x = np.random.default_rng(8).standard_normal((2 * EVAL_CHUNK + 5, 8))
+    models = [net("HL1", 8, 4, seed=seed) for seed in (21, 22)]
+    assert models[0][0] == models[1][0]
+    labeled = Dataset(x, row_argmax(*models[1], x), 4)
+    alone = [accuracy([model], labeled)[0] for model in models]
+    assert alone[0] < alone[1] == 1.0
+    for size in (1, 2):
+        with AgentPool(size) as pool:
+            assert accuracy(models, labeled, pool) == alone
+
+
+def test_a_float32_pass_keeps_each_layer_apart():
+    # each layer's float32 output, written into the workspace, is still that
+    # layer's product of the one before once the pass is done
+    arch, theta = net("HL2", 8, 4, seed=12)
+    x32 = decode(np.random.default_rng(9).integers(0, 256, size=(40, 8), dtype=np.uint8),
+                 np.float32)
+    acts = _activations(arch, theta, x32)
+    layers = param_views(arch, theta)
+    for l, (w, b) in enumerate(layers):
+        z = acts[l] @ w.astype(np.float32) + b.astype(np.float32)
+        want = np.maximum(z, 0.0) if l < len(layers) - 1 else z
+        np.testing.assert_allclose(acts[l + 1], want, rtol=1e-5, atol=1e-6)
+
+
+def test_an_evaluation_chunk_allocates_nothing(tmp_path):
+    # after a warm call on a fresh thread, a call over three chunks of an IDX
+    # set takes every chunk's rows, their float32 decode, the cast weights
+    # and the activations from the thread's workspace: its peak stays below
+    # the float32 rows of one chunk
+    d = 784
+    rng = np.random.default_rng(10)
+    x = rng.integers(0, 256, size=(3 * EVAL_CHUNK, d), dtype=np.uint8)
+    write_idx(x.reshape(-1, 28, 28), rng.integers(0, 10, size=len(x)),
+              tmp_path / "i", tmp_path / "l")
+    test = load_idx(tmp_path / "i", tmp_path / "l")
+    arch = Architecture("HL1", d, 10)
+    model = (arch, init_params(arch, seed=3))
+
+    def peak() -> int:
+        accuracy([model], test)
+        tracemalloc.start()
+        try:
+            accuracy([model], test)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with ThreadPoolExecutor(1) as thread:
+        assert thread.submit(peak).result() < EVAL_CHUNK * d * 4
 
 
 def test_each_tier_is_reached(monkeypatch):
@@ -463,7 +520,7 @@ def test_spectral_norm_bounds_the_largest_singular_value(name):
         assert not _is_spectral_bound(sigma * (1 - 2.0**-30), w)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_weights_give_no_finite_spectral_norm_or_bound(bad):
     arch, theta = net("HL2", 4, 3, seed=14)
     w = param_views(arch, theta)[1][0]

@@ -398,7 +398,7 @@ class TestTrainEpochs:
         assert np.array_equal(results[0], results[1])
 
     def test_second_call_allocates_nothing_parameter_sized(self):
-        # a thread's first steps allocate the gradient scratch and the Adam
+        # a thread's first steps allocate the workspace and the Adam
         # moments that its later steps reuse
         ds = synth_blobs(4, 10, 100, 2.0, seed=5)
         arch = Architecture("HL1", 100, 10, hidden=(2000,))
