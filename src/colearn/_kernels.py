@@ -1,4 +1,5 @@
-"""Hot numeric kernels: numpy, plus one fused C loop for the Adam step.
+"""Hot numeric kernels: numpy, plus native C for the Adam step and for the
+first layer of the evaluation screen.
 
 Layer matmuls go through BLAS; the kernels here cover the elementwise-heavy
 work: activations, softmax cross-entropy, the Adam step and prediction
@@ -11,18 +12,26 @@ SIMD dispatch by CPU moves no bit of the softmax or the mixing weights.
 The Adam step folds its bias corrections into the step size and epsilon
 (Kingma & Ba, Adam, ICLR 2015, section 2), so each element takes one
 divide and one square root, and runs in C where it can. `_adam.c`, shipped
-in this package, is compiled on the first Adam step of a process with the
-compiler Python reports (`sysconfig` CC, else `cc`) and the flags in
-`ADAM_CFLAGS`, cached under `$XDG_CACHE_HOME/colearn` (else
+in this package, is compiled on the first Adam step or evaluation of a
+process with the compiler Python reports (`sysconfig` CC, else `cc`) and the
+flags in `ADAM_CFLAGS`, cached under `$XDG_CACHE_HOME/colearn` (else
 `~/.cache/colearn`) keyed by the source, the command and the machine type,
 and loaded with ctypes. Every source and toolchain keeps its own library:
 one is built only where it is missing, and none is ever deleted. Its one
 pass over the parameters replaces the 12 ufunc passes of the numpy step,
 and a ctypes call releases the interpreter lock, so the agent pool's
 threads run whole Adam steps side by side. Where no compiler or cache
-works, a `RuntimeWarning` says why and the numpy step runs instead;
-`adam_kernel()` names the step this process runs. Both give the same bits
-on any CPU.
+works, a `RuntimeWarning` says why and the numpy step runs instead. Both
+give the same bits on any CPU.
+
+The same library holds the evaluation screen's first layer on AMX int8
+tiles (`pack_limbs`, `first_layer`, `byte_sums`; the error model is in
+`_adam.c` and `learner._logit_bound`). It runs where the compiler built it,
+the CPU reports AMX-TILE and AMX-INT8, and the kernel grants this process
+the tile data (`arch_prctl(ARCH_REQ_XCOMP_PERM)`, asked on first use);
+elsewhere the screen takes its float32 pass, and the counts are the same.
+`adam_kernel()` names, for the Adam step and for the first layer, the
+library this process runs or why it runs numpy instead.
 
 All kernels expect C-contiguous float64 arrays (labels int64); reductions
 accumulate in a fixed order, so results are reproducible run to run.
@@ -153,10 +162,11 @@ _adam_lock = threading.Lock()
 
 
 def adam_kernel() -> str:
-    """Which Adam step this process runs: "native (<library>)" or "numpy
-    (<why the C step is unavailable>)". Builds the C step if no step has
-    been chosen yet."""
-    return _adam_choice()[1]
+    """What this process runs natively: its Adam step, "native (<library>)"
+    or "numpy (<why the C step is unavailable>)", then its evaluation
+    screen's first layer, "first layer AMX int8 (<library>)" or "first
+    layer float32 (<why>)". Builds the library if nothing has chosen yet."""
+    return f"{_adam_choice()[1]}; first layer {_amx_choice()[1]}"
 
 
 def _adam_choice() -> tuple:
@@ -221,6 +231,123 @@ def _build_adam() -> Path:
         finally:
             tmp.unlink(missing_ok=True)
     return lib
+
+
+# --- the evaluation screen's first layer on AMX int8 tiles --------------------
+
+# The most inputs whose limb sums cannot overflow int32: d * 255 * 127 < 2^31.
+LIMB_FAN_IN = (2**31 - 1) // (255 * 127)
+
+# (the library or None, description) once resolved; guarded by _adam_lock
+_amx: tuple | None = None
+
+
+def _amx_choice() -> tuple:
+    """(the library, description), or (None, why the first layer runs in
+    float32); chosen once per process, on first use."""
+    global _amx
+    if _amx is None:
+        with _adam_lock:
+            if _amx is None:
+                _amx = _load_amx()
+    return _amx
+
+
+def _load_amx() -> tuple:
+    try:
+        path = _build_adam()
+        lib = ctypes.CDLL(str(path))
+    except subprocess.CalledProcessError as e:
+        return None, f"float32 ({shlex.join(e.cmd)} failed)"
+    except (OSError, RuntimeError, subprocess.SubprocessError) as e:
+        return None, f"float32 ({type(e).__name__}: {e})"
+    if not hasattr(lib, "colearn_first_layer"):
+        return None, "float32 (the compiler built no AMX functions)"
+    ready = lib.colearn_amx_ready()
+    if ready:
+        return None, ("float32 (the CPU lacks AMX-TILE or AMX-INT8)" if ready < 0 else
+                      f"float32 (the kernel refused AMX tile data: {os.strerror(ready)})")
+    lib.colearn_pack_limbs.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                                       ctypes.c_void_p, ctypes.c_void_p]
+    lib.colearn_first_layer.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+                                        ctypes.c_void_p, ctypes.c_void_p]
+    lib.colearn_byte_sums.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                                      ctypes.c_void_p, ctypes.c_void_p]
+    for f in (lib.colearn_pack_limbs, lib.colearn_first_layer):
+        f.restype = ctypes.c_int
+    lib.colearn_byte_sums.restype = None
+    return lib, f"AMX int8 ({path})"
+
+
+def amx_ready() -> bool:
+    """Whether this process scores the first layer on AMX int8 tiles."""
+    return _amx_choice()[0] is not None
+
+
+def limb_bytes(d: int, n: int) -> int:
+    """Bytes of the packed limbs of a d x n layer: three B tiles per 64
+    inputs and 16 outputs."""
+    return 3 * -(-d // 64) * 64 * -(-n // 16) * 16
+
+
+def _check(name: str, a, dtype, shape) -> None:
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"{name} must be a writeable C-contiguous {np.dtype(dtype).name} "
+                         f"array of shape {shape}")
+
+
+def _check_rows(rows) -> None:
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and rows.ndim == 2
+            and rows.flags.c_contiguous):
+        raise ValueError("rows must be a 2-D C-contiguous uint8 array")
+
+
+def pack_limbs(w: np.ndarray, packed: np.ndarray, scales: np.ndarray) -> bool:
+    """Packs the three int8 limbs of each column of V = fl(w / 255) into
+    `packed` (`limb_bytes` int8) as TDPBUSD's B tiles, and each column's
+    power-of-two scale s_j into `scales`, so that V differs from the limbs'
+    value by at most 2^-15 s_j (`_adam.c`). False, with the arrays
+    unspecified, where a weight is not finite or a nonzero column's s_j
+    would fall below the normal range. Needs `amx_ready()`."""
+    if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and w.ndim == 2
+            and w.flags.c_contiguous):
+        raise ValueError("w must be a 2-D C-contiguous float64 array")
+    k, n = w.shape
+    _check("packed", packed, np.int8, (limb_bytes(k, n),))
+    _check("scales", scales, np.float64, (n,))
+    return _amx_choice()[0].colearn_pack_limbs(
+        w.ctypes.data, k, n, packed.ctypes.data, scales.ctypes.data) == 0
+
+
+def first_layer(rows: np.ndarray, packed: np.ndarray, scales: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The pixel bytes `rows` (m x d uint8) times the packed layer, into
+    `out` (m x n float32): each output s_j (A0 + 2^-7 A1 + 2^-14 A2), the
+    A_l the limbs' exact int32 sums, rounded once to float32. Exact but for
+    that rounding while d is at most LIMB_FAN_IN, which the caller checks.
+    Returns `out`."""
+    _check_rows(rows)
+    (m, d), n = rows.shape, scales.shape[0]
+    _check("packed", packed, np.int8, (limb_bytes(d, n),))
+    _check("scales", scales, np.float64, (n,))
+    _check("out", out, np.float32, (m, n))
+    if _amx_choice()[0].colearn_first_layer(rows.ctypes.data, m, d, packed.ctypes.data,
+                                            scales.ctypes.data, n, out.ctypes.data, None):
+        raise MemoryError(f"first_layer: no room to copy 32 rows of {d} bytes")
+    return out
+
+
+def byte_sums(rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Each row's byte sum and sum of squares, exact for rows of up to 2^19
+    bytes, into sums[0] and sums[1] (2 x m int64) for the m x d uint8
+    `rows`."""
+    _check_rows(rows)
+    _check("sums", sums, np.int64, (2, rows.shape[0]))
+    _amx_choice()[0].colearn_byte_sums(rows.ctypes.data, *rows.shape, sums[0].ctypes.data,
+                                       sums[1].ctypes.data)
+    return sums
 
 
 def fuse_rows(stacked: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -60,10 +60,10 @@ class IdxRows:
     """The (m, d) uint8 pixel rows of an IDX images file, read from the file,
     held open, when they are indexed; no row is held in memory.
 
-    An integer, a slice or an integer array selects rows as it would on an
-    ndarray, and the rows are read into one new C-contiguous uint8 array, by
-    one `os.preadv` per run of consecutive rows; `read` fills a caller's
-    array with a run of rows instead. Before each read the file's size and
+    An integer or an integer array selects rows as it would on an ndarray,
+    and the rows are read into one new C-contiguous uint8 array, by one
+    `os.preadv` per run of consecutive rows; `read` fills a caller's array
+    with a run of rows instead. Before each read the file's size and
     modification time are compared with those taken at load, so a file
     truncated or rewritten in place since, like a short read, raises an
     IdxFormatError naming it. A file replaced by rename is still read
@@ -80,21 +80,15 @@ class IdxRows:
         self._stamp = _stamp(fd)
         weakref.finalize(self, os.close, fd)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self[:].astype(dtype or self.dtype, copy=False)
-
     def __getitem__(self, key) -> np.ndarray:
         m, d = self.shape
-        if isinstance(key, slice):
-            rows = np.arange(*key.indices(m))
-        else:
-            rows = np.asarray(key)
-            if isinstance(key, tuple) or rows.dtype.kind not in "iu":
-                raise IndexError(f"{self.path}: rows are selected by an integer, a slice "
-                                 f"or an integer array, got {key!r}")
-            if rows.size and (rows.min() < -m or rows.max() >= m):
-                raise IndexError(f"{self.path}: row index out of range for {m} rows")
-            rows = rows.astype(np.int64) % m  # with m = 0 there are no rows to divide
+        rows = np.asarray(key)
+        if isinstance(key, tuple) or rows.dtype.kind not in "iu":
+            raise IndexError(f"{self.path}: rows are selected by an integer or an integer "
+                             f"array, got {key!r}")
+        if rows.size and (rows.min() < -m or rows.max() >= m):
+            raise IndexError(f"{self.path}: row index out of range for {m} rows")
+        rows = rows.astype(np.int64) % m  # with m = 0 there are no rows to divide
         flat = rows.reshape(-1).tolist()
         out = np.empty((len(flat), d), dtype=np.uint8)
         self._check()

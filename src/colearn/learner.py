@@ -11,14 +11,14 @@ rounds, reviews, score refreshes and the baselines all call: `forward`
 predicts, `grad` takes the gradient back through that pass's activations,
 `apply_update` takes the Adam step and `accuracy` evaluates. Every update
 is one `train_step`: `grad` into the calling thread's workspace, then
-`apply_update`. Prediction, gradient and evaluation run through the one
-layer loop, `_activations`. Each thread has one workspace, a buffer grown
-to the largest request and then reused: it holds a step's gradient, and
-everything an evaluation chunk's float32 pass writes.
+`apply_update`. Every pass runs through the one layer loop, `_layer_loop`.
+Each thread has one workspace, a buffer grown to the largest request and
+then reused: it holds a step's gradient, and everything one model's
+evaluation screen writes.
 
 Evaluation counts the rows whose argmax logit of a float64 pass over the
 row alone matches the label, but mostly computes in float32: each
-EVAL_CHUNK chunk is scored in float32 first, with a proven bound on each
+EVAL_CHUNK chunk is screened in float32 first, with a proven bound on each
 logit's distance from exact arithmetic on the float64 inputs and parameters
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
 Each layer's bound is in two parts: the fresh error of its own rounding, and
@@ -26,13 +26,18 @@ the error of its input carried through its weights. Where one hidden layer
 carries its error into another, and the set spans more than one chunk, the
 carried part goes through a proven upper bound on the weights' spectral norm
 (`_spectral_norm`, its products' rounding bounded as in section 3.5); every
-other part uses column and Frobenius norms.
+other part uses column and Frobenius norms. Where the rows are pixel bytes
+and the CPU has AMX, the first layer runs on int8 tiles instead: the bytes
+times three int8 limbs of W/255, summed exactly in int32 and rounded once
+(`kernels.first_layer`; Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59,
+2012), whose error is that of the limbs' split.
 A row whose top logit beats every other by more than their bounds is
 counted from the float32 pass; the rows left open are scored again in
 float64 under the same kind of bound, and only a row still open there (a
 near tie, or a non-finite value) is settled by that row's own float64 pass.
 The counts are those of the row pass on every row: they depend only on the
-row, the parameters and the BLAS kernel, not on the chunk size.
+row, the parameters and the BLAS kernel, not on the chunk size or on which
+first layer ran.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,10 +56,16 @@ from .seeding import rng_for
 
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
 # Rows per evaluation chunk: a speed and memory setting only, as the counts
-# are the same at any chunk size. At 512 the float32 pass of an HL2 on 784
-# inputs, with its chunk's rows, takes 5.2 MB of its thread's workspace,
+# are the same at any chunk size. At 512 an HL2 on 784 pixel bytes takes
+# 4.0 MB of its thread's workspace to screen on AMX (5.9 MB in float32),
 # about the 4.4 MB that the model's gradient takes there.
 EVAL_CHUNK = 512
+# Pool tasks per pool thread in an evaluation, each a contiguous block of
+# chunks, so that no thread waits long on the last task; one task on one
+# thread, which then prepares each model once.
+EVAL_TASKS_PER_THREAD = 2
+# Open rows per float64 rescoring, at most
+RESCORE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -137,9 +148,8 @@ def _as_matrix(x) -> np.ndarray:
 
 # Each thread's scratch bytes: one buffer, grown to the largest request and
 # then reused (`_take`). A `train_step` writes its gradient at the front, and
-# so does a float32 `_activations` pass its cast weights and activations;
-# `accuracy` keeps each chunk's rows and their float32 decode after the
-# largest such pass.
+# an evaluation screen (`_screens`) one model's prepared weights, then each
+# chunk's rows and activations.
 _scratch = threading.local()
 # bytes: each region of the workspace starts on a cache line
 _ALIGN = 64
@@ -168,41 +178,25 @@ def _take(specs, start: int = 0) -> list[np.ndarray]:
     return views
 
 
-def _pass_specs(arch: Architecture, rows: int) -> list[tuple]:
-    """A float32 pass over `rows` rows: one region that holds the largest
-    layer's weights and bias, cast into it a layer at a time, then each
-    layer's output."""
-    dims = arch.layer_dims
-    return ([((max((din + 1) * dout for din, dout in zip(dims, dims[1:])),), np.float32)]
-            + [((rows, dout), np.float32) for dout in dims[1:]])
-
-
-def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
-    """The one layer loop: each layer's input, then the output logits, in
-    x_mat's dtype (float64, or float32 with the parameters rounded to it).
-
-    A float64 pass allocates its activations. A float32 pass writes them,
-    and each layer's weights cast to float32, at the front of the calling
-    thread's workspace, where they stay until the thread's next float32
-    pass or `train_step`."""
-    if x_mat.shape[1] != arch.input_dim:
-        raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
-    layers = param_views(arch, theta)
-    single = x_mat.dtype == np.float32
-    cast, *outs = (_take(_pass_specs(arch, x_mat.shape[0])) if single
-                   else [None] * (len(layers) + 1))
-    acts = [x_mat]
+def _layer_loop(acts: list, layers, outs=None) -> list[np.ndarray]:
+    """The one layer loop: appends to `acts`, whose last entry is the input
+    of the first of `layers`, each layer's output, the logits last, in the
+    dtype of the layers' (w, b). Each layer writes into its entry of
+    `outs`, where given, and allocates otherwise. Returns `acts`."""
     for l, (w, b) in enumerate(layers):
-        if single:  # the layer's weights and bias, cast into the one region
-            w32, b32 = cast[: w.size].reshape(w.shape), cast[w.size : w.size + b.size]
-            np.copyto(w32, w, casting="same_kind")
-            np.copyto(b32, b, casting="same_kind")
-            w, b = w32, b32
-        z = np.matmul(acts[-1], w, out=outs[l])
+        z = np.matmul(acts[-1], w, out=None if outs is None else outs[l])
         # in place: the bits of `acts[-1] @ w + b`
         z += b
         acts.append(kernels.relu(z) if l < len(layers) - 1 else z)
     return acts
+
+
+def _activations(arch: Architecture, theta: np.ndarray, x_mat: np.ndarray) -> list[np.ndarray]:
+    """A float64 pass over x_mat: each layer's input, then the output
+    logits, in new arrays."""
+    if x_mat.shape[1] != arch.input_dim:
+        raise ValueError(f"input dimension {x_mat.shape[1]} != {arch.input_dim}")
+    return _layer_loop([x_mat], param_views(arch, theta))
 
 
 def forward(arch: Architecture, theta: np.ndarray, x) -> tuple[list[np.ndarray], np.ndarray]:
@@ -394,13 +388,23 @@ def _weight_norms(arch: Architecture, theta: np.ndarray, spectral: bool = True) 
     return norms
 
 
-def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -> np.ndarray:
-    """Per row and class, a bound on the distance between the logits of an
-    `_activations` pass, `acts[-1]`, and those of exact arithmetic on the
-    float64 inputs and parameters, for a pass in float64 or in float32.
+# float64's unit roundoff
+_U64 = 2.0**-53
+# |r_kj| / s_j for the rest r of a weight's int8 limbs (`kernels.pack_limbs`):
+# 2^-15, and 2^-30 of that for the bits of V = W/255 and of V/s_j that fall
+# below the normal range, at most 2^-52 s_j as s_j is normal
+_LIMB_REST = 2.0**-15 * (1.0 + 2.0**-30)
 
-    `norms` are the model's `_weight_norms`, `t_in` the `_row_norms` of
-    `acts[0]`. Per layer, with unit roundoff u, fan-in n, input row â with
+
+def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray,
+                 limbs: tuple | None = None) -> np.ndarray:
+    """Per row and class, a bound on the distance between the logits of a
+    pass, `acts[-1]`, and those of exact arithmetic on the float64 inputs and
+    parameters, for a pass in float64 or in float32, its first layer on int8
+    limbs where `limbs` is given.
+
+    `norms` are the model's `_weight_norms`, `t_in` a bound on each input
+    row's 2-norm. Per layer, with unit roundoff u, fan-in n, input row â with
     error e = â - a of 2-norm at most eps, and eta the dtype's smallest
     normal number (more than any error of an underflow), each output j of
     `â @ W + b` computed as `fl(fl(â @ Ŵ) + b̂)` is within
@@ -425,6 +429,25 @@ def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -
     u(1 + 2u)|x̂| plus sqrt(n) eta for inputs that underflow; a float64 input
     is exact. Norms are `_norm_up` bounds.
 
+    On int8 limbs (`limbs` = (each row's byte sum S, each column's scale
+    s_j), `t_in` bounding |b/255| from the exact sum of squares), the first
+    layer takes pixel bytes b, not a rounded input, so eps starts at 0, and
+    its product p_j = sum_k b_k q_kj, q_kj the limbs' value, is exact. With
+    |q_kj - W_kj/255| at most rho s_j + u64 |W_kj|/255 (rho = `_LIMB_REST`,
+    u64 float64's unit roundoff, for the split and for V = fl(W/255)), and
+    the float64 input b/255 off by at most u64 b/255, p_j is within
+    rho s_j S + 2 u64 |b/255| |W_j| of exact, so |p_j| is at most
+    (1 + u64)|b/255| |W_j| + rho s_j S. Rounding p_j to float32, casting b_j
+    and adding it then give
+
+        (1 + u) rho s_j S + (u + 3 u64) |b/255| |W_j| + u|b_j| + u/(1-u) |ẑ_j| + 2 eta,
+
+    and through a hidden layer, with u/(1-u)|ẑ_j| at most 2u(|p_j| + |b_j|)
+    plus eta, the 2-norm over j
+
+        eps' = (1 + 3u) rho S ‖s‖ + (3u + 3 u64) |b/255| ‖W‖_F + 3u ‖b‖
+            + 2 sqrt(outputs) eta (2 sqrt(n) |b/255| + n + 1).
+
     None of this holds where the pass overflowed, so a row gets an infinite
     bound unless at every layer (|â| + 1) max_j |W_j| + max |b| is below a
     quarter of the dtype's largest number: then no weight, partial sum or
@@ -433,20 +456,33 @@ def _logit_bound(acts: list[np.ndarray], norms: list[tuple], t_in: np.ndarray) -
     finfo = np.finfo(acts[-1].dtype)
     u, tiny = float(finfo.eps) / 2.0, float(finfo.tiny)
     n = acts[0].shape[1]
-    eps = 0.0 if finfo.dtype == np.float64 else u * (1.0 + 2.0 * u) * t_in + np.sqrt(n) * tiny
+    eps = (0.0 if finfo.dtype == np.float64 or limbs is not None
+           else u * (1.0 + 2.0 * u) * t_in + np.sqrt(n) * tiny)
     safe = np.ones(acts[0].shape[0], dtype=bool)
+    first = 0.0  # the limbs' rest, where the first layer is the last
     for l, (col, frob, sigma, bnorm, babs) in enumerate(norms):
         n = acts[l].shape[1]
         t = t_in if l == 0 else _row_norms(acts[l])
         safe &= (t + 1.0) * col.max() + babs.max() < float(finfo.max) / 4.0
+        under = tiny * (2.0 * np.sqrt(n) * (t + eps) + n + 1)
+        hidden = l < len(norms) - 1
+        if l == 0 and limbs is not None:
+            sums, scales = limbs
+            k = (u + 3.0 * _U64) * t
+            if hidden:
+                eps = ((1.0 + 3.0 * u) * _LIMB_REST * sums * _norm_up(scales @ scales, scales.size)
+                       + (3.0 * u + 3.0 * _U64) * t * frob + 3.0 * u * bnorm
+                       + 2.0 * np.sqrt(col.size) * under)
+            else:
+                first = (1.0 + u) * _LIMB_REST * sums[:, None] * scales
+            continue
         fresh = (_gamma(n, u) + 2.0 * u) * t
         k = fresh + (1.0 + 2.0 * u) * eps
-        under = tiny * (2.0 * np.sqrt(n) * (t + eps) + n + 1)
-        if l < len(norms) - 1:
+        if hidden:
             eps = (fresh * frob + eps * (sigma + u * frob) + u * bnorm
                    + 2.0 * u * (t * frob + bnorm) + 2.0 * np.sqrt(col.size) * under)
-    bound = (k[:, None] * col + u * babs + u / (1.0 - u) * np.abs(acts[-1], dtype=np.float64)
-             + under[:, None])
+    bound = (k[:, None] * col + first + u * babs
+             + u / (1.0 - u) * np.abs(acts[-1], dtype=np.float64) + under[:, None])
     bound[~safe] = np.inf
     return bound
 
@@ -470,11 +506,138 @@ def _certain(logits: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np.ndarray,
             t_in: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_certain` of one pass over `x_mat` in its dtype, with the bound
-    scaled by `slack`."""
+    """`_certain` of one float64 pass over `x_mat`, with the bound scaled by
+    `slack`."""
     with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
         acts = _activations(arch, theta, x_mat)
         return _certain(acts[-1], slack * _logit_bound(acts, norms, t_in))
+
+
+def _on_limbs(x) -> bool:
+    """Whether the first layers of a screen of the rows `x` may run on int8
+    limbs: the rows are pixel bytes, at most LIMB_FAN_IN of them, so that no
+    limb's sum overflows int32, and this process runs AMX."""
+    return x.dtype == np.uint8 and x.shape[1] <= kernels.LIMB_FAN_IN and kernels.amx_ready()
+
+
+def _screen_specs(arch: Architecture, rows: int, limbs: bool, pixels: bool) -> list[tuple]:
+    """The workspace of one model's screen of chunks of up to `rows` rows:
+    with `limbs`, the first layer's packed limbs and scales; the float32
+    weights and biases, the first layer's weights only without limbs; the
+    chunk's bytes, where the set holds pixel bytes; with limbs each row's
+    byte sum and sum of squares, else the chunk's float32 decode; and each
+    layer's output."""
+    d, dims = arch.input_dim, arch.layer_dims
+    specs = ([((kernels.limb_bytes(d, dims[1]),), np.int8), ((dims[1],), np.float64)]
+             if limbs else [])
+    specs.append(((param_count(arch) - (d * dims[1] if limbs else 0),), np.float32))
+    specs += [((rows, d), np.uint8)] if pixels else []
+    specs.append(((2 * rows,), np.int64) if limbs else ((rows, d), np.float32))
+    return specs + [((rows, dout), np.float32) for dout in dims[1:]]
+
+
+def _cast(region: np.ndarray, arrays) -> list[np.ndarray]:
+    """float32 copies of `arrays`, one after another in `region`."""
+    views, off = [], 0
+    for a in arrays:
+        views.append(region[off : off + a.size].reshape(a.shape))
+        np.copyto(views[-1], a, casting="same_kind")
+        off += a.size
+    return views
+
+
+def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
+             starts: Sequence[int]) -> Iterator[tuple]:
+    """One model's float32 screen of the EVAL_CHUNK chunks of the rows `x`
+    that start at `starts`: per chunk, its start, its activations (the
+    chunk's rows, then each layer's output) and their `_logit_bound`.
+
+    The model is prepared once, at the front of the calling thread's
+    workspace. The first layer runs on int8 limbs (`kernels.first_layer`)
+    where `_on_limbs(x)` and the layer's weights pack (they are finite, and
+    each nonzero column's scale is a normal number): its weights are packed
+    and each chunk's bytes go to the tiles as they are. Otherwise every
+    layer is cast to float32 and each chunk decoded to float32. Each chunk's
+    rows and activations are written after the weights, where they stay
+    until the next chunk."""
+    m, d = x.shape
+    rows, pixels = min(EVAL_CHUNK, m), x.dtype == np.uint8
+    layers = param_views(arch, theta)
+    limbs = _on_limbs(x)
+    if limbs:
+        packed, scales, cast, *regions = _take(_screen_specs(arch, rows, True, True))
+        limbs = kernels.pack_limbs(layers[0][0], packed, scales)
+    if limbs:
+        b1, *weights = _cast(cast, [layers[0][1], *(a for layer in layers[1:] for a in layer)])
+    else:
+        cast, *regions = _take(_screen_specs(arch, rows, False, pixels))
+        weights = _cast(cast, [a for layer in layers for a in layer])
+    weights = list(zip(weights[::2], weights[1::2]))
+    raw = regions.pop(0) if pixels else None
+    scratch, *outs = regions
+    for s in starts:
+        n = min(EVAL_CHUNK, m - s)
+        if pixels:
+            chunk = raw[:n]
+            if isinstance(x, IdxRows):
+                x.read(s, chunk)
+            else:
+                np.copyto(chunk, x[s : s + n])
+        else:
+            chunk = x[s : s + n]
+        out = [o[:n] for o in outs]
+        with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
+            if limbs:
+                sums = kernels.byte_sums(chunk, scratch[: 2 * n].reshape(2, n))
+                z = kernels.first_layer(chunk, packed, scales, out=out[0])
+                z += b1
+                acts = _layer_loop([chunk, kernels.relu(z) if weights else z], weights, out[1:])
+                bound = _logit_bound(acts, norms, _norm_up(sums[1] / 65025.0, d),
+                                     (sums[0].astype(np.float64), scales))
+            else:
+                x32 = decode(chunk, np.float32, out=scratch[:n])
+                acts = _layer_loop([x32], weights, out)
+                bound = _logit_bound(acts, norms, _row_norms(x32))
+        yield s, acts, bound
+
+
+def _rescore(arch: Architecture, theta: np.ndarray, norms: list[tuple], x, y,
+             rows: list) -> int:
+    """How many of the rows of `x` at `rows` the model labels as `y` does:
+    their argmax from one float64 pass, where its bound, doubled as the row
+    pass carries one of its own, proves it, else from the row pass."""
+    rows = np.asarray(rows)
+    x64 = np.ascontiguousarray(decode(x[rows]))
+    pred, certain = _screen(arch, theta, norms, x64, _row_norms(x64), 2.0)
+    for i in np.flatnonzero(~certain):  # the row pass
+        pred[i] = kernels.argmax_rows(_activations(arch, theta, x64[i : i + 1])[-1])[0]
+    return int(np.count_nonzero(pred == y[rows]))
+
+
+def _count(arch: Architecture, theta: np.ndarray, norms: list[tuple], x, y,
+           starts: Sequence[int]) -> int:
+    """How many rows of the chunks at `starts` the model labels as `y`
+    does: the rows its float32 screen proves, and the open ones from
+    `_rescore`, RESCORE_ROWS at a time, their rows read again by index. The
+    float64 passes allocate their arrays, so the screen's workspace stays
+    as it is while they run."""
+    correct, open_rows = 0, []
+
+    def rescore(least: int) -> int:
+        # the open rows, RESCORE_ROWS at a time, while at least `least` are open
+        done = 0
+        while len(open_rows) >= least:
+            done += _rescore(arch, theta, norms, x, y, open_rows[:RESCORE_ROWS])
+            del open_rows[:RESCORE_ROWS]
+        return done
+
+    for s, acts, bound in _screens(arch, theta, norms, x, starts):
+        with np.errstate(invalid="ignore"):
+            pred, certain = _certain(acts[-1], bound)
+        correct += int(np.count_nonzero((pred == y[s : s + pred.size]) & certain))
+        open_rows.extend(s + np.flatnonzero(~certain))
+        correct += rescore(RESCORE_ROWS)
+    return correct + rescore(1)
 
 
 def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Dataset,
@@ -483,44 +646,33 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     fraction of samples whose argmax logit (lowest index on ties) of a
     float64 pass over the sample alone matches the label.
 
-    Each EVAL_CHUNK chunk is decoded to float32 once, into its thread's
-    workspace, and scored there by every model in float32 (`_activations`);
-    a row is counted from there when its bound proves its
-    argmax. A model's open rows are scored again in float64, where the bound
-    is doubled, as the row pass carries one of its own; the rows open there
-    take the row pass's argmax. With a pool, chunks run side by side; no
-    count depends on the chunks or the pool size."""
+    Each pool task takes a contiguous block of EVAL_CHUNK chunks, the whole
+    set with a one-thread pool, and screens them with one model after
+    another (`_count`), so that each model's weights are packed or cast
+    once per task. A task first grows its thread's workspace to the largest
+    model's screen or `train_step` gradient, so that it grows once, not
+    model by model or again at the next update: each growth leaves the
+    process's peak memory higher. No count depends on the chunks, the
+    blocks or the pool size."""
     x, y = eval_set.features, eval_set.labels
-    if x.shape[0] == 0:
+    m = x.shape[0]
+    if m == 0:
         raise ValueError("cannot evaluate accuracy on an empty set")
     pool = pool or AgentPool()
-    norms = pool.map(lambda model: _weight_norms(*model, x.shape[0] > EVAL_CHUNK), models)
+    norms = pool.map(lambda model: _weight_norms(*model, m > EVAL_CHUNK), models)
+    starts = range(0, m, EVAL_CHUNK)
+    per = -(-len(starts) // (1 if pool.size == 1 else EVAL_TASKS_PER_THREAD * pool.size))
+    blocks = [starts[i : i + per] for i in range(0, len(starts), per)]
+    rows, limbs, pixels = min(EVAL_CHUNK, m), _on_limbs(x), x.dtype == np.uint8
+    largest = max(max(_span(_screen_specs(arch, rows, limbs, pixels)),
+                      _span([((arch.size,), np.float64)])) for arch, _ in models)
 
-    # each chunk's rows and their float32 decode, after the largest float32 pass
-    front = max(_span(_pass_specs(arch, min(EVAL_CHUNK, x.shape[0]))) for arch, _ in models)
+    def correct(block) -> list[int]:
+        _take([((largest,), np.uint8)])
+        return [_count(arch, theta, norm, x, y, block) for (arch, theta), norm in zip(models, norms)]
 
-    def correct(s: int) -> list[int]:
-        n = min(EVAL_CHUNK, x.shape[0] - s)
-        labels = y[s : s + n]
-        rows, x32 = _take([((n, x.shape[1]), np.uint8), ((n, x.shape[1]), np.float32)], front)
-        rows = x.read(s, rows) if isinstance(x, IdxRows) else x[s : s + n]
-        decode(rows, np.float32, out=x32)
-        t32 = _row_norms(x32)
-        counts = []
-        for (arch, theta), norm in zip(models, norms):
-            pred, certain = _screen(arch, theta, norm, x32, t32, 1.0)
-            open_rows = np.flatnonzero(~certain)
-            if open_rows.size:
-                x64 = np.ascontiguousarray(decode(rows[open_rows]))
-                pred[open_rows], certain = _screen(arch, theta, norm, x64, _row_norms(x64), 2.0)
-                for i in np.flatnonzero(~certain):  # the row pass
-                    z = _activations(arch, theta, x64[i : i + 1])[-1]
-                    pred[open_rows[i]] = kernels.argmax_rows(z)[0]
-            counts.append(int((pred == labels).sum()))
-        return counts
-
-    per_chunk = pool.map(correct, range(0, x.shape[0], EVAL_CHUNK))
-    return [sum(counts) / x.shape[0] for counts in zip(*per_chunk)]
+    per_block = pool.map(correct, blocks)
+    return [sum(counts) / m for counts in zip(*per_block)]
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Shared fixtures: IDX file builders, blob experiment configs, the forced
-numpy Adam step, the forced float64 evaluation, the collective engine's
-recorded reviews and weight builds, the optional Fashion-MNIST directory
-for dataset-gated tests, and the loss and prediction helpers that only
-tests use."""
+numpy Adam step, the evaluation screen's two first layers, the forced
+float64 evaluation, the collective engine's recorded reviews and weight
+builds, the optional Fashion-MNIST directory for dataset-gated tests, and
+the loss, prediction and row helpers that only tests use."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -109,6 +110,29 @@ def numpy_adam(monkeypatch):
 
 
 @pytest.fixture
+def float32_screen(monkeypatch):
+    """Every evaluation screen of the test runs its first layer in float32,
+    as in a process without AMX."""
+    monkeypatch.setattr(_kernels, "_amx", (None, "float32 (forced by a test)"))
+
+
+def first_layers() -> list[str]:
+    """The evaluation screen's first layers this process can run: "amx"
+    (int8 limbs) where AMX runs, and "float32"."""
+    return ["amx", "float32"] if _kernels.amx_ready() else ["float32"]
+
+
+@contextlib.contextmanager
+def first_layer(path: str):
+    """Inside the block, the evaluation screen's first layer is `path`:
+    "float32" as in a process without AMX, "amx" as this process runs it."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "float32":
+            patch.setattr(_kernels, "_amx", (None, "float32 (forced by a test)"))
+        yield
+
+
+@pytest.fixture
 def float64_eval(monkeypatch):
     """Every row of every evaluation in the test is taken by a float64 pass
     over the row alone, as if no bound proved any row's argmax."""
@@ -148,6 +172,11 @@ def loss(arch: Architecture, theta: np.ndarray, x, y) -> float:
     labels = _check_labels(arch, y)
     picked = forward(arch, theta, x)[1][np.arange(labels.shape[0]), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+
+
+def every_row(features) -> np.ndarray:
+    """Every row of a feature matrix, an `IdxRows` too, as one array."""
+    return features[np.arange(features.shape[0])]
 
 
 def predict_proba(agent: Learner, x) -> np.ndarray:

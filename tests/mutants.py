@@ -6,7 +6,8 @@ to kill it, and marks a known survivor: a mutant that no test kills yet. For
 each entry the script copies the working tree's `src/` and `tests/` (with
 `configs/`, `perfbench/` and `pyproject.toml`, which the tests read) into a
 temporary directory, applies the edit there, and runs the entry's tests with
-`pytest -x`. It prints, per mutant, the test that killed it or that it
+`pytest -x`; a mutant of the C source builds its library into a cache in
+that directory. It prints, per mutant, the test that killed it or that it
 survived, then the counts:
 
     python tests/mutants.py            # the whole catalogue
@@ -95,8 +96,7 @@ CATALOGUE = (
             ENGINE + "test_max_iterations_cap")),
     # the evaluation bound's proof terms
     Mutant("bound-drops-u-babs", LEARNER,
-           "k[:, None] * col + u * babs + u / (1.0 - u)", "k[:, None] * col + u / (1.0 - u)",
-           (EVAL,)),
+           "k[:, None] * col + first + u * babs", "k[:, None] * col + first", (EVAL,)),
     Mutant("spectral-drops-2^-48", LEARNER,
            "np.sqrt(np.sqrt(np.sqrt(top))) * (1.0 + 2.0**-48)", "np.sqrt(np.sqrt(np.sqrt(top)))",
            (EVAL,), survivor=True),
@@ -129,7 +129,8 @@ CATALOGUE = (
     # what a process holds
     Mutant("test-images-held-whole", "src/colearn/data.py",
            "    return train, test\n",
-           "    return train, Dataset(np.asarray(test.features), test.labels, test.num_classes)\n",
+           "    return train, Dataset(test.features[np.arange(test.m)], test.labels,\n"
+           "                          test.num_classes)\n",
            ("tests/test_data.py::TestIdxRows::test_capped_cl_run_reads_the_rows_it_uses",)),
     Mutant("baseline-agents-built-before-the-pool", "src/colearn/harness.py",
            'specs, where="in training")',
@@ -140,16 +141,27 @@ CATALOGUE = (
     # screened in their place, as a weight region not recast would do), and
     # each region apart from the next
     Mutant("later-chunks-not-read", LEARNER,
-           "rows = x.read(s, rows) if",
-           "rows = (x.read(s, rows) if s == 0 else rows) if",
+           "x.read(s, chunk)", "x.read(s, chunk) if s == starts[0] else None",
            (EVAL + "::test_idx_rows_are_scored_as_their_bytes",)),
     Mutant("same-shape-weights-not-recast", LEARNER,
-           "_screen(arch, theta, norm, x32, t32, 1.0)",
-           "_screen(arch, next(t for a, t in models if a == arch), norm, x32, t32, 1.0)",
+           "_count(arch, theta, norm, x, y, block)",
+           "_count(arch, next(t for a, t in models if a == arch), norm, x, y, block)",
            (EVAL + "::test_same_shape_models_each_get_their_own_float32_weights",)),
     Mutant("workspace-regions-overlap", LEARNER,
            "start += _span([(shape, dtype)])", "start += _span([(shape, dtype)]) // 2",
            (EVAL + "::test_a_float32_pass_keeps_each_layer_apart",)),
+    # the first layer on AMX int8 limbs: the limbs' rest in the bound, their
+    # sums combined at 2^-7 apart, and the fan-in whose sums fit int32
+    Mutant("limbs-rest-dropped", LEARNER,
+           "_LIMB_REST = 2.0**-15 * (1.0 + 2.0**-30)", "_LIMB_REST = 0.0",
+           (EVAL + "::test_bound_covers_the_limbs_rest",)),
+    Mutant("limbs-combined-2^-8-apart", "src/colearn/_adam.c",
+           "k7 = _mm512_set1_pd(0x1p-7)", "k7 = _mm512_set1_pd(0x1p-8)",
+           (KERNELS + "test_first_layer_is_the_limb_sums_rounded_once",
+            EVAL + "::test_pixel_sets_take_the_limbs_where_they_run")),
+    Mutant("limb-fan-in-guard-removed", LEARNER,
+           "x.shape[1] <= kernels.LIMB_FAN_IN and ", "",
+           (EVAL + "::test_fan_ins_past_the_int32_limit_take_float32",)),
 )
 
 
@@ -180,6 +192,9 @@ def run(mutant: Mutant) -> tuple[str, str]:
         _copy(root)
         apply(mutant, root)
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        if mutant.path.endswith(".c"):
+            # the mutant's library goes to a cache of its own, deleted with the copy
+            env["XDG_CACHE_HOME"] = str(root / "cache")
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from colearn import harness
+from colearn import harness, learner
 from colearn.config import IdxSpec
 from colearn.data import (
     Dataset,
     IdxFormatError,
+    IdxRows,
     decode,
     epoch_batches,
     idx_count,
@@ -27,7 +28,9 @@ from colearn.data import (
 from colearn.parallel import AgentPool
 from colearn.seeding import rng_for
 
-from conftest import FMNIST_NAMES, blob_config, synthetic_idx_dataset
+from conftest import (
+    FMNIST_NAMES, blob_config, every_row, first_layer, first_layers, synthetic_idx_dataset,
+)
 
 
 def hand_built_idx_pair(tmp_path):
@@ -61,7 +64,7 @@ class TestLoadIdx:
         ds = load_idx(images_path, labels_path)
         assert ds.m == 2 and ds.d == 784 and ds.num_classes == 10
         assert ds.features.dtype == np.uint8
-        assert decode(ds.features).tobytes() == expected.tobytes()
+        assert decode(every_row(ds.features)).tobytes() == expected.tobytes()
         assert ds.labels.tolist() == [9, 4]
 
     def test_features_are_read_only(self, tmp_path):
@@ -69,9 +72,9 @@ class TestLoadIdx:
         with pytest.raises(TypeError, match="does not support item assignment"):
             ds.features[0, 0] = 1
         # a read is a new array: writing to it leaves the corpus as it was
-        rows = ds.features[:]
+        rows = every_row(ds.features)
         rows[0, 0] = 1
-        assert ds.features[:][0, 0] == 0
+        assert every_row(ds.features)[0, 0] == 0
 
     def test_decode_every_byte_value(self):
         want = np.arange(256) / 255.0
@@ -146,7 +149,7 @@ class TestLoadIdx:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * (images.size + 9 * m)
-        assert np.array_equal(ds.features[:], images.reshape(m, -1))
+        assert np.array_equal(every_row(ds.features), images.reshape(m, -1))
 
     def test_roundtrip_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -154,9 +157,9 @@ class TestLoadIdx:
         labels = rng.integers(0, 10, size=7).astype(np.uint8)
         write_idx(images, labels, tmp_path / "a-img", tmp_path / "a-lbl")
         ds = load_idx(tmp_path / "a-img", tmp_path / "a-lbl")
-        assert ds.features[:].tobytes() == images.tobytes()
+        assert every_row(ds.features).tobytes() == images.tobytes()
         write_idx(
-            ds.features[:].reshape(7, 28, 28), ds.labels.astype(np.uint8),
+            every_row(ds.features).reshape(7, 28, 28), ds.labels.astype(np.uint8),
             tmp_path / "b-img", tmp_path / "b-lbl",
         )
         assert (tmp_path / "a-img").read_bytes() == (tmp_path / "b-img").read_bytes()
@@ -168,7 +171,9 @@ class TestIdxRows:
 
     def test_capped_cl_run_reads_the_rows_it_uses(self, tmp_path, monkeypatch):
         # the partition's train and val rows, one batch of shared-pool rows
-        # per iteration, and the whole test file at each emission
+        # per iteration, the whole test file for each agent at each
+        # emission, and again the rows its screen left open; on each first
+        # layer
         synthetic_idx_dataset(tmp_path, m_train=300, m_test=40, seed=3)
         spec = IdxSpec(*(str(tmp_path / name) for name in FMNIST_NAMES))
         config = dataclasses.replace(
@@ -184,31 +189,40 @@ class TestIdxRows:
             return read[-1]
 
         monkeypatch.setattr(os, "preadv", counted)
-        out = harness.run_mode(config, 0)
-        assert out.stats["iterations"] == 7
-        assert sorted({r.iteration for r in out.records}) == [0, 7]
-        rows = 2 * (20 + 10) + 7 * config.collective.batch_size + 2 * 40
-        assert sum(read) == rows * 784
-        assert read.count(40 * 784) == 2  # each emission reads the test rows in one call
+        reread = []
+        rescore = learner._rescore
+        # (arch, theta, norms, x, y, rows): the test set's rows are read again
+        monkeypatch.setattr(learner, "_rescore", lambda *args: reread.append(
+            len(args[5]) if isinstance(args[3], IdxRows) else 0) or rescore(*args))
+        for path in first_layers():
+            read.clear()
+            reread.clear()
+            with first_layer(path):
+                out = harness.run_mode(config, 0)
+            assert out.stats["iterations"] == 7
+            assert sorted({r.iteration for r in out.records}) == [0, 7]
+            rows = 2 * (20 + 10) + 7 * config.collective.batch_size + 2 * 2 * 40 + sum(reread)
+            assert sum(read) == rows * 784, path
+            # each emission reads the test rows in one call per agent
+            assert read.count(40 * 784) == 2 * 2, path
 
     def test_rows_are_selected_as_on_an_ndarray(self, tmp_path):
         pixels = np.random.default_rng(4).integers(0, 256, size=(300, 2, 2)).astype(np.uint8)
         write_idx(pixels, np.zeros(300), tmp_path / "i", tmp_path / "l")
         rows, pixels = load_idx(tmp_path / "i", tmp_path / "l").features, pixels.reshape(300, 4)
-        for key in [1, -2, np.uint8(0), slice(None, None, -1), slice(295, None),
-                    slice(-10, 1000), slice(7, 7), slice(9, 2),
+        for key in [1, -2, np.uint8(0), np.arange(299, -1, -1), np.arange(295, 300),
                     [1, 1, 0], np.array([[-1, 0], [0, 1]]), np.array([], dtype=np.int64),
                     np.array([255, 3], dtype=np.uint8)]:
             got, want = rows[key], pixels[key]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
-        # a tuple selects an element of an ndarray, not two rows
-        for key in [(0, 0), 0.0, [True, False], 300, -301]:
+        # a tuple selects an element of an ndarray, not two rows; rows are not sliced
+        for key in [(0, 0), 0.0, [True, False], 300, -301, slice(None)]:
             with pytest.raises(IndexError):
                 rows[key]
 
     def test_a_slice_is_one_read(self, tmp_path, monkeypatch):
-        # 1024 consecutive rows, sliced or read into a caller's buffer as an
-        # evaluation chunk is
+        # 1024 consecutive rows, gathered by index or read into a caller's
+        # buffer as an evaluation chunk is
         synthetic_idx_dataset(tmp_path, m_train=1100, m_test=10, seed=3)
         images_path = tmp_path / FMNIST_NAMES[0]
         ds = load_idx(images_path, tmp_path / FMNIST_NAMES[1])
@@ -216,7 +230,7 @@ class TestIdxRows:
         calls = []
         preadv = os.preadv
         monkeypatch.setattr(os, "preadv", lambda *args: calls.append(args) or preadv(*args))
-        got = ds.features[50:1074]
+        got = ds.features[np.arange(50, 1074)]
         assert len(calls) == 1
         assert got.shape == (1024, 784) and got.tobytes() == whole[50:1074].tobytes()
         buf = np.empty((1024, 784), dtype=np.uint8)
@@ -245,11 +259,11 @@ class TestIdxRows:
     def test_file_replaced_by_rename_keeps_its_loaded_bytes(self, tmp_path):
         images_path, labels_path, _ = hand_built_idx_pair(tmp_path)
         ds = load_idx(images_path, labels_path)
-        want = ds.features[:]
+        want = every_row(ds.features)
         write_idx(np.zeros((2, 28, 28), np.uint8), [0, 0], tmp_path / "i", tmp_path / "l")
         os.replace(tmp_path / "i", images_path)
-        assert ds.features[:].tobytes() == want.tobytes()
-        assert not load_idx(images_path, labels_path).features[:].any()
+        assert every_row(ds.features).tobytes() == want.tobytes()
+        assert not every_row(load_idx(images_path, labels_path).features).any()
 
     def test_dropped_corpora_close_their_files(self, tmp_path):
         synthetic_idx_dataset(tmp_path, m_train=50, m_test=10, seed=3)

@@ -21,7 +21,7 @@ from colearn.learner import (
     Adam, Architecture, Learner, accuracy, init_params, train_epochs,
 )
 
-from conftest import FMNIST_NAMES, synthetic_idx_dataset
+from conftest import FMNIST_NAMES, every_row, synthetic_idx_dataset
 
 # longer than eight 512-row evaluation chunks
 M_SOURCE = 4300
@@ -36,7 +36,8 @@ def corpora(tmp_path_factory):
     paths = [data_dir / name for name in FMNIST_NAMES]
     loaded = (load_idx(paths[0], paths[1]), load_idx(paths[2], paths[3]))
     assert all(ds.features.dtype == np.uint8 for ds in loaded)
-    decoded = tuple(Dataset(decode(ds.features), ds.labels, ds.num_classes) for ds in loaded)
+    decoded = tuple(Dataset(decode(every_row(ds.features)), ds.labels, ds.num_classes)
+                    for ds in loaded)
     return {"bytes": loaded, "floats": decoded}
 
 

@@ -1,6 +1,8 @@
-"""Test-set evaluation: float32 screening under a proven error bound, the
-float64 rescoring of open rows, and the float64 row pass that settles near
-ties, against an oracle that scores every row with its row pass."""
+"""Test-set evaluation: float32 screening under a proven error bound, its
+first layer on AMX int8 limbs or in float32, the float64 rescoring of open
+rows, and the float64 row pass that settles near ties, against an oracle
+that scores every row with its row pass. The checks of counts and bounds
+run on each first layer this process can run (`first_layers`)."""
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +22,7 @@ from colearn.learner import (  # noqa: E402
     Architecture,
     _activations,
     _certain,
+    _norm_up,
     _row_norms,
     _spectral_norm,
     _weight_norms,
@@ -30,10 +33,12 @@ from colearn.learner import (  # noqa: E402
 )
 from colearn.parallel import AgentPool  # noqa: E402
 
+from conftest import every_row, first_layer, first_layers  # noqa: E402
+
 
 def row_argmax(arch, theta, x):
     """Every row's argmax from a float64 pass over that row alone."""
-    x64 = np.ascontiguousarray(decode(x))
+    x64 = np.ascontiguousarray(decode(every_row(x)))
     return np.array([kernels.argmax_rows(_activations(arch, theta, x64[i : i + 1])[-1])[0]
                      for i in range(x.shape[0])], dtype=np.int64)
 
@@ -48,16 +53,17 @@ def oracle_accuracies(models, eval_set):
 def assert_oracle_counts(models, x, seed=0):
     """Each model alone, labeled with its own row-pass argmax, scores 1.0,
     so one row counted differently shows; all models together on random
-    labels match the oracle. At pool sizes 1 and 2."""
+    labels match the oracle. At pool sizes 1 and 2, on each first layer."""
     num_classes = models[0][0].num_classes
     y = np.random.default_rng(seed).integers(0, num_classes, size=x.shape[0])
-    for size in (1, 2):
-        with AgentPool(size) as pool:
-            for arch, theta in models:
-                own = Dataset(x, row_argmax(arch, theta, x), num_classes)
-                assert accuracy([(arch, theta)], own, pool) == [1.0]
-            labeled = Dataset(x, y, num_classes)
-            assert accuracy(models, labeled, pool) == oracle_accuracies(models, labeled)
+    owns = [Dataset(x, row_argmax(arch, theta, x), num_classes) for arch, theta in models]
+    labeled = Dataset(x, y, num_classes)
+    oracle = oracle_accuracies(models, labeled)
+    for path, size in [(path, size) for path in first_layers() for size in (1, 2)]:
+        with first_layer(path), AgentPool(size) as pool:
+            for model, own in zip(models, owns):
+                assert accuracy([model], own, pool) == [1.0], path
+            assert accuracy(models, labeled, pool) == oracle, path
 
 
 def shl(weights, bias) -> tuple[Architecture, np.ndarray]:
@@ -196,13 +202,16 @@ def test_more_open_rows_than_a_chunk():
 @pytest.mark.parametrize("case", [exact_ties, near_ties, all_rows_open])
 def test_counts_do_not_depend_on_the_chunk_size(case, monkeypatch):
     # the same counts on random labels in 7-row chunks as in EVAL_CHUNK-row
-    # ones (512), and still the row pass's on every row
+    # ones (512) on each first layer, and still the row pass's on every row
     models, x = case()
     classes = models[0][0].num_classes
     labeled = Dataset(x, np.random.default_rng(6).integers(0, classes, size=x.shape[0]), classes)
-    at_eval_chunk = accuracy(models, labeled)
-    monkeypatch.setattr(learner, "EVAL_CHUNK", 7)
-    assert accuracy(models, labeled) == at_eval_chunk
+    for path in first_layers():
+        with first_layer(path):
+            monkeypatch.setattr(learner, "EVAL_CHUNK", EVAL_CHUNK)
+            at_eval_chunk = accuracy(models, labeled)
+            monkeypatch.setattr(learner, "EVAL_CHUNK", 7)
+            assert accuracy(models, labeled) == at_eval_chunk, path
     assert_oracle_counts(models, x)
 
 
@@ -220,25 +229,34 @@ def test_same_shape_models_each_get_their_own_float32_weights():
             assert accuracy(models, labeled, pool) == alone
 
 
+def screen_pass(arch, theta, x, spectral=True):
+    """The activations and bound of one screen of `x`, a single chunk."""
+    return next(learner._screens(arch, theta, _weight_norms(arch, theta, spectral), x, [0]))[1:]
+
+
 def test_a_float32_pass_keeps_each_layer_apart():
     # each layer's float32 output, written into the workspace, is still that
-    # layer's product of the one before once the pass is done
+    # layer's product of the one before once the pass is done, on each
+    # first layer
     arch, theta = net("HL2", 8, 4, seed=12)
-    x32 = decode(np.random.default_rng(9).integers(0, 256, size=(40, 8), dtype=np.uint8),
-                 np.float32)
-    acts = _activations(arch, theta, x32)
+    x = np.random.default_rng(9).integers(0, 256, size=(40, 8), dtype=np.uint8)
     layers = param_views(arch, theta)
-    for l, (w, b) in enumerate(layers):
-        z = acts[l] @ w.astype(np.float32) + b.astype(np.float32)
-        want = np.maximum(z, 0.0) if l < len(layers) - 1 else z
-        np.testing.assert_allclose(acts[l + 1], want, rtol=1e-5, atol=1e-6)
+    for path in first_layers():
+        with first_layer(path):
+            acts, _ = screen_pass(arch, theta, x)
+        for l, (w, b) in enumerate(layers):
+            a = decode(x) if l == 0 else acts[l]
+            z = a @ w.astype(a.dtype) + b.astype(a.dtype)
+            want = np.maximum(z, 0.0) if l < len(layers) - 1 else z
+            np.testing.assert_allclose(acts[l + 1], want, rtol=1e-5, atol=1e-6, err_msg=path)
 
 
 def test_an_evaluation_chunk_allocates_nothing(tmp_path):
     # after a warm call on a fresh thread, a call over three chunks of an IDX
-    # set takes every chunk's rows, their float32 decode, the cast weights
-    # and the activations from the thread's workspace: its peak stays below
-    # the float32 rows of one chunk
+    # set takes every chunk's rows, their float32 decode or byte sums, the
+    # packed or cast weights and the activations from the thread's
+    # workspace: its peak stays below the float32 rows of one chunk, on
+    # each first layer
     d = 784
     rng = np.random.default_rng(10)
     x = rng.integers(0, 256, size=(3 * EVAL_CHUNK, d), dtype=np.uint8)
@@ -257,8 +275,59 @@ def test_an_evaluation_chunk_allocates_nothing(tmp_path):
         finally:
             tracemalloc.stop()
 
-    with ThreadPoolExecutor(1) as thread:
-        assert thread.submit(peak).result() < EVAL_CHUNK * d * 4
+    for path in first_layers():
+        with first_layer(path), ThreadPoolExecutor(1) as thread:
+            assert thread.submit(peak).result() < EVAL_CHUNK * d * 4, path
+
+
+def test_pixel_sets_take_the_limbs_where_they_run(monkeypatch):
+    # every model's chunks go to the AMX kernel where it runs, and none
+    # where the first layer is float32; the counts are the row pass's
+    calls = []
+    kernel = kernels.first_layer
+    monkeypatch.setattr(kernels, "first_layer",
+                        lambda rows, *args, **kw: calls.append(len(rows)) or kernel(rows, *args, **kw))
+    models = [net(kind, 8, 4, seed=30) for kind in ("SHL", "HL1", "HL2")]
+    x = np.random.default_rng(11).integers(0, 256, size=(EVAL_CHUNK + 3, 8), dtype=np.uint8)
+    labeled = Dataset(x, np.random.default_rng(12).integers(0, 4, size=x.shape[0]), 4)
+    oracle = oracle_accuracies(models, labeled)
+    for path in first_layers():
+        calls.clear()
+        with first_layer(path):
+            assert accuracy(models, labeled) == oracle, path
+        assert calls == ([EVAL_CHUNK, 3] * 3 if path == "amx" else []), path
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "subnormal-scale"])
+def test_a_model_whose_first_layer_does_not_pack_falls_back_alone(bad, monkeypatch):
+    # a NaN or an inf weight, or a column whose largest weight / 255 is
+    # below 127 times the least normal number: that model's first layer
+    # runs in float32, the other's on its limbs where they run, and each
+    # counts as its row pass does
+    arch, theta = net("HL1", 6, 3, seed=31)
+    w = param_views(arch, theta)[0][0]
+    w[2, 1] = {"nan": np.nan, "inf": np.inf}.get(bad, 0.0)
+    if bad == "subnormal-scale":
+        w[:, 1] = 1e-305
+    packed = []
+    pack = kernels.pack_limbs
+    monkeypatch.setattr(kernels, "pack_limbs", lambda *args: packed.append(pack(*args)) or
+                        packed[-1])
+    x = np.random.default_rng(13).integers(0, 256, size=(60, 6), dtype=np.uint8)
+    assert_oracle_counts([(arch, theta), net("HL1", 6, 3, seed=32)], x)
+    assert set(packed) == ({False, True} if "amx" in first_layers() else set())
+
+
+def test_fan_ins_past_the_int32_limit_take_float32():
+    # 66,312 bytes of 255 against limbs of 127 sum past 2^31: the first
+    # layer takes float32 there, and every row counts as its row pass does
+    d = kernels.LIMB_FAN_IN + 1
+    assert d * 255 * 127 >= 2**31
+    w = np.zeros((d, 2))
+    w[:, 0], w[:, 1] = 255 * 127 * 2.0**-20, 255 * 63 * 2.0**-20
+    x = np.random.default_rng(14).integers(0, 256, size=(16, d), dtype=np.uint8)
+    x[::2] = 255
+    assert_oracle_counts([shl(w, [0.0, 0.0])], x)
 
 
 def test_each_tier_is_reached(monkeypatch):
@@ -268,24 +337,25 @@ def test_each_tier_is_reached(monkeypatch):
     x = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]] * 10)
     passes = []
 
-    def spy(arch, theta, x_mat):
-        passes.append((x_mat.dtype.name, x_mat.shape[0]))
-        return activations(arch, theta, x_mat)
+    def spy(acts, layers, outs=None):
+        passes.append((acts[0].dtype.name, acts[0].shape[0]))
+        return layer_loop(acts, layers, outs)
 
-    activations = learner._activations
-    monkeypatch.setattr(learner, "_activations", spy)
+    layer_loop = learner._layer_loop
+    monkeypatch.setattr(learner, "_layer_loop", spy)
     assert accuracy([model], Dataset(x, [2, 1, 0] * 10, 3)) == [1.0]
     assert passes == [("float32", 30), ("float64", 20)] + [("float64", 1)] * 10
 
 
 def test_float64_eval_fixture_takes_every_row_from_the_row_pass(float64_eval, monkeypatch):
-    passes = []
-    activations = learner._activations
-    monkeypatch.setattr(learner, "_activations", lambda arch, theta, x_mat: passes.append(
-        (x_mat.dtype.name, x_mat.shape[0])) or activations(arch, theta, x_mat))
     model = net("HL1", 4, 3, seed=11)
     x = np.random.default_rng(6).standard_normal((40, 4))
-    assert accuracy([model], Dataset(x, row_argmax(*model, x), 3)) == [1.0]
+    labeled = Dataset(x, row_argmax(*model, x), 3)
+    passes = []
+    layer_loop = learner._layer_loop
+    monkeypatch.setattr(learner, "_layer_loop", lambda acts, layers, outs=None: passes.append(
+        (acts[0].dtype.name, acts[0].shape[0])) or layer_loop(acts, layers, outs))
+    assert accuracy([model], labeled) == [1.0]
     assert passes == [("float32", 40), ("float64", 40)] + [("float64", 1)] * 40
 
 
@@ -307,9 +377,13 @@ def exact_logits(arch, theta, x64):
 
 
 def _pass(arch, theta, x, dtype, spectral=True):
-    """One `_activations` pass in `dtype` and its `_logit_bound`, with the
-    spectral-norm bound whatever the set's size unless `spectral` is off."""
-    x_mat = np.ascontiguousarray(decode(x, dtype))
+    """One pass in `dtype` and its `_logit_bound`, with the spectral-norm
+    bound whatever the set's size unless `spectral` is off: in float64 the
+    rescoring's `_activations`, in float32 the screen's, whose first layer
+    is on int8 limbs where `x` holds bytes and the limbs run."""
+    if dtype == np.float32:
+        return screen_pass(arch, theta, x, spectral)
+    x_mat = np.ascontiguousarray(decode(x))
     with np.errstate(all="ignore"):
         acts = _activations(arch, theta, x_mat)
         return acts, learner._logit_bound(acts, _weight_norms(arch, theta, spectral),
@@ -324,13 +398,16 @@ def _near_rounding_midpoints(a: np.ndarray) -> np.ndarray:
 
 
 def assert_bound_covers_exact(arch, theta, x):
+    """Every finite bound covers its logit's distance from exact arithmetic,
+    in float64 and in float32 on each first layer."""
     z = exact_logits(arch, theta, decode(x))
-    for dtype in (np.float32, np.float64):
-        acts, bound = _pass(arch, theta, x, dtype)
+    for path, dtype in [(path, np.float32) for path in first_layers()] + [("", np.float64)]:
+        with first_layer(path):
+            acts, bound = _pass(arch, theta, x, dtype)
         for (i, j), b in np.ndenumerate(bound):
             if np.isfinite(b) and np.isfinite(acts[-1][i, j]):
                 assert abs(Fraction(float(acts[-1][i, j])) - z[i, j]) <= Fraction(float(b)), (
-                    np.dtype(dtype).name, i, j)
+                    path, np.dtype(dtype).name, i, j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,8 +446,22 @@ def hl2_midpoints():
     return arch, _near_rounding_midpoints(theta) * np.sign(theta), x
 
 
+def limbs_rest():
+    """An SHL case whose limbs each fall short of their weight by nearly
+    2^-15 s_j, on rows of 255s: on int8 limbs, the limbs' rest is about
+    twice the rest of its bound."""
+    scale = 2.0**-10
+    w = np.zeros((64, 2))
+    w[:, 0] = 255 * scale * (127 - 0.99 * 2.0**-15)
+    return (*shl(w, [0.0, 0.0]), np.full((3, 64), 255, dtype=np.uint8))
+
+
 def test_bound_covers_coherent_rounding():
     assert_bound_covers_exact(*coherent_rounding())
+
+
+def test_bound_covers_the_limbs_rest():
+    assert_bound_covers_exact(*limbs_rest())
 
 
 @pytest.mark.parametrize("case", [coherent_rounding, hl2_midpoints])
@@ -389,39 +480,71 @@ def spectral_bound(w):
     return np.linalg.norm(np.linalg.matrix_power(w.T @ w, 4)) ** 0.125
 
 
+def limb_scales(w):
+    """Each column's s_j as `_adam.c` states it: the least power of two with
+    max_k |fl(W_kj / 255)| at most 127 s_j, the least normal number for a
+    zero column."""
+    v = np.abs(w / 255.0).max(axis=0)
+    e = np.frexp(v)[1] - 7
+    e = np.where(v > 127.0 * np.ldexp(1.0, e), e + 1, e)
+    return np.where(v > 0, np.ldexp(1.0, e), np.finfo(np.float64).tiny)
+
+
 def documented_bound(acts, arch, theta, spectral=True, own_norms=False):
     """The bound `_logit_bound`'s docstring states, from exact norms, or with
     `own_norms` from the code's own `_norm_up` bounds on them (`_row_norms`
     and `_weight_norms`), which leaves only the rounding of the bound's own
-    arithmetic between the two."""
+    arithmetic between the two. A pass whose input is pixel bytes took its
+    first layer on int8 limbs."""
     finfo = np.finfo(acts[-1].dtype)
-    u, eta = float(finfo.eps) / 2, float(finfo.tiny)
+    u, eta, u64 = float(finfo.eps) / 2, float(finfo.tiny), 2.0**-53
     norms = _weight_norms(arch, theta, spectral) if own_norms else None
 
     def row_norms(a):
         return _row_norms(a) if own_norms else np.linalg.norm(a.astype(np.float64), axis=1)
 
-    t = row_norms(acts[0])
+    limbs = acts[0].dtype == np.uint8
     n = acts[0].shape[1]
-    eps = (u * (1 + 2 * u) * t + np.sqrt(n) * eta if finfo.dtype == np.float32
-           else np.zeros_like(t))
+    if limbs:
+        pixels = acts[0].astype(np.float64)
+        sums, scales = pixels.sum(axis=1), limb_scales(param_views(arch, theta)[0][0])
+        t = (_norm_up((pixels * pixels).sum(axis=1) / 65025.0, n) if own_norms
+             else np.linalg.norm(pixels, axis=1) / 255)
+        s_norm = _norm_up(scales @ scales, scales.size) if own_norms else np.linalg.norm(scales)
+        eps = np.zeros_like(t)
+    else:
+        t = row_norms(acts[0])
+        eps = (u * (1 + 2 * u) * t + np.sqrt(n) * eta if finfo.dtype == np.float32
+               else np.zeros_like(t))
+    first = 0.0
     layers = param_views(arch, theta)
     for l, (w, b) in enumerate(layers):
         n = w.shape[0]
-        t = row_norms(acts[l])
+        if l > 0 or not limbs:
+            t = row_norms(acts[l])
         if own_norms:
             col, frob, sigma, bnorm, _ = norms[l]
         else:
             col, frob, bnorm = np.linalg.norm(w, axis=0), np.linalg.norm(w), np.linalg.norm(b)
             sigma = min(spectral_bound(w), frob) if spectral and 0 < l < len(layers) - 1 else frob
-        k = (n * u / (1 - n * u) + 2 * u) * t + (1 + 2 * u) * eps
         under = eta * (2 * np.sqrt(n) * (t + eps) + n + 1)
-        if l < len(layers) - 1:
+        hidden = l < len(layers) - 1
+        if l == 0 and limbs:
+            rest = 2.0**-15 * (1 + 2.0**-30)
+            k = (u + 3 * u64) * t
+            if hidden:
+                eps = ((1 + 3 * u) * rest * sums * s_norm + (3 * u + 3 * u64) * t * frob
+                       + 3 * u * bnorm + 2 * np.sqrt(w.shape[1]) * under)
+            else:
+                first = (1 + u) * rest * sums[:, None] * scales
+            continue
+        k = (n * u / (1 - n * u) + 2 * u) * t + (1 + 2 * u) * eps
+        if hidden:
             fresh = (n * u / (1 - n * u) + 2 * u) * t * frob
             eps = (fresh + eps * (sigma + u * frob) + u * bnorm + 2 * u * (t * frob + bnorm)
                    + 2 * np.sqrt(w.shape[1]) * under)
-    return (k[:, None] * col + u * np.abs(b) + u / (1 - u) * np.abs(acts[-1].astype(np.float64))
-            + under[:, None])
+    return (k[:, None] * col + first + u * np.abs(b)
+            + u / (1 - u) * np.abs(acts[-1].astype(np.float64)) + under[:, None])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -432,11 +555,13 @@ def test_bound_is_the_documented_one(kind, dtype):
     # rounding-up of the norms; within 2^-40 either way of the stated bound
     # from the code's own norms, so that a dropped term as small as the
     # float32 u ‖W‖_F times the carried error shows; with and without the
-    # spectral-norm bound
+    # spectral-norm bound; in float32, on each first layer
     arch, theta = net(kind, 6, 4, seed=12)
     x = np.random.default_rng(7).integers(0, 256, size=(9, 6), dtype=np.uint8)
-    for spectral in (True, False):
-        acts, bound = _pass(arch, theta, x, dtype, spectral)
+    for path, spectral in [(path, s) for path in first_layers() for s in (True, False)]:
+        with first_layer(path):
+            acts, bound = _pass(arch, theta, x, dtype, spectral)
+        assert (acts[0].dtype == np.uint8) == (dtype == np.float32 and path == "amx")
         ratio = bound / documented_bound(acts, arch, theta, spectral)
         assert np.all(ratio >= 1 - 2.0**-40) and np.all(ratio <= 1 + 2.0**-16), spectral
         ratio = bound / documented_bound(acts, arch, theta, spectral, own_norms=True)

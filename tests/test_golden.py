@@ -13,9 +13,11 @@ in the same commit and says why in CHANGES.md.
 Every Adam step gives the same bytes: the fused C step that runs wherever it
 can be compiled, and the numpy step that runs where it cannot be. Every
 accuracy count is that of a float64 pass over the row alone, whether a row's
-argmax was proven in float32 or in float64 or taken from that row pass.
-`test_golden_digest_numpy_adam` forces the numpy step and
-`test_golden_digest_float64_eval` takes every row from the row pass.
+argmax was proven in float32, its first layer on AMX int8 limbs or not, or
+in float64, or taken from that row pass. `test_golden_digest_numpy_adam`
+forces the numpy step, `test_golden_digest_float32_screen` the float32
+first layer, and `test_golden_digest_float64_eval` takes every row from the
+row pass.
 
 The bytes depend on floating-point rounding, so they hold for one numpy /
 BLAS build. OpenBLAS chooses its GEMM kernel by CPU when it loads
@@ -238,6 +240,13 @@ def test_golden_digest_numpy_adam(name, tmp_path, numpy_adam):
 def test_golden_digest_float64_eval(name, tmp_path, float64_eval):
     # the same pins with every evaluated row counted from a float64 pass
     # over the row alone, as no bound proves any row's argmax
+    assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
+
+
+@pytest.mark.parametrize("name", ["CL-idx", "FS-idx"])
+def test_golden_digest_float32_screen(name, tmp_path, float32_screen):
+    # the same pins with the evaluation screen's first layer in float32, as
+    # where AMX does not run, on the cases whose test rows are pixel bytes
     assert _digests(CASES[name](tmp_path / "data"), tmp_path) == _pinned(name)
 
 

@@ -33,7 +33,8 @@ from colearn.graph import DirectedGraph, graph_at, schedule_round
 from colearn.seeding import subseed
 
 from conftest import (
-    FMNIST_NAMES, MISSPELLED_KEYS, TINY_CONFIG, blob_config, synthetic_idx_dataset, with_key,
+    FMNIST_NAMES, MISSPELLED_KEYS, TINY_CONFIG, blob_config, every_row, synthetic_idx_dataset,
+    with_key,
 )
 
 
@@ -508,13 +509,13 @@ class TestCorpusCache:
         new = harness._load_corpus(spec, 1)
         want = load_idx(spec.train_images, spec.train_labels)
         assert new[0].m == m_train
-        assert np.array_equal(new[0].features, want.features)
+        assert np.array_equal(every_row(new[0].features), every_row(want.features))
         # the old rows were rewritten in place under their open files
         for old_set, path in zip(old, (spec.train_images, spec.test_images)):
             with pytest.raises(IdxFormatError, match=re.escape(path)):
-                old_set.features[:50]
+                old_set.features[np.arange(50)]
         want_test = load_idx(spec.test_images, spec.test_labels)
-        assert new[1].features[:].tobytes() == want_test.features[:].tobytes()
+        assert every_row(new[1].features).tobytes() == every_row(want_test.features).tobytes()
 
     def test_missing_file_fails_as_load_idx_does(self, tmp_path):
         synthetic_idx_dataset(tmp_path, m_train=200, m_test=50, seed=3)
@@ -538,7 +539,7 @@ class TestCorpusCache:
         harness._load_corpus.cache_clear()
         again = harness._load_corpus(spec, 1)
         assert again is not first and len(calls) == 4
-        assert np.array_equal(again[0].features, first[0].features)
+        assert np.array_equal(every_row(again[0].features), every_row(first[0].features))
 
     def test_blobs_follow_the_seed(self):
         spec = blob_config().dataset

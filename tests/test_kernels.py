@@ -473,3 +473,132 @@ def test_adam_source_ships_as_package_data(tmp_path):
     )
     assert found.returncode == 0, found.stderr
     assert found.stdout.strip() == (ROOT / "src" / "colearn" / "_adam.c").read_text().strip()
+
+
+# --- the first layer on AMX int8 limbs -----------------------------------------
+
+needs_amx = pytest.mark.skipif(not kernels.amx_ready(),
+                               reason=f"no AMX int8 limbs here: {kernels._amx_choice()[1]}")
+
+
+def _unpacked(packed, d, n):
+    """The limbs (3 x d x n int64) from their B tiles: per block of 16
+    columns, block of 64 inputs and limb, tile row r holds the limbs of
+    inputs 4r .. 4r + 3 of each column c in bytes 4c .. 4c + 3."""
+    kb, nb = -(-d // 64), -(-n // 16)
+    tiles = packed.reshape(nb, kb, 3, 16, 16, 4)  # column block, input block, limb, r, c, i
+    limbs = tiles.transpose(2, 1, 3, 5, 0, 4).reshape(3, kb * 64, nb * 16)
+    assert not limbs[:, d:].any() and not limbs[:, :, n:].any()  # the padding is zero
+    return limbs[:, :d, :n].astype(np.int64)
+
+
+def _packed(w):
+    packed = np.empty(kernels.limb_bytes(*w.shape), dtype=np.int8)
+    scales = np.empty(w.shape[1])
+    assert kernels.pack_limbs(w, packed, scales)
+    return packed, scales, _unpacked(packed, *w.shape)
+
+
+def _edge_weights(d, n, rng):
+    """d x n weights: random columns, then an all-zero column, one whose
+    largest |W / 255| is exactly 127 * 2^e, one of +-max weights, and one
+    whose limbs reach +-127 and +-64."""
+    w = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-3, 1, size=n)
+    s = 2.0**-9
+    special = [np.zeros(d), np.where(np.arange(d) % 2, 1.0, 0.25) * 255 * 127 * s,
+               np.where(np.arange(d) % 2, 1.0, -1.0) * 0.7,
+               255 * s * np.resize([127.0, -127.0, 0.5, -0.5, 2.0**-8, -2.0**-8, 1.5], d)]
+    for j, column in enumerate(special[: n]):
+        w[:, j] = column
+    return w
+
+
+# (rows, inputs, outputs): rows and outputs that are not multiples of 16, and
+# inputs that are not multiples of 64
+LIMB_SHAPES = [(1, 1, 1), (17, 70, 17), (33, 784, 10), (16, 64, 16), (50, 130, 33), (7, 5, 4)]
+
+
+@needs_amx
+@pytest.mark.parametrize("d, n", sorted({(d, n) for _, d, n in LIMB_SHAPES}))
+def test_packed_limbs_rebuild_the_weights(d, n):
+    # V = fl(W / 255) within 2^-15 s_j of s_j (q1 + 2^-7 q2 + 2^-14 q3), with
+    # |q1| <= 127 and |q2|, |q3| <= 64, and s_j the least power of two with
+    # max |V_j| <= 127 s_j (the least normal number for a zero column)
+    w = _edge_weights(d, n, np.random.default_rng(d * 100 + n))
+    _, scales, (q1, q2, q3) = _packed(w)
+    v = w / 255.0
+    assert np.abs(q1).max() <= 127 and max(np.abs(q2).max(), np.abs(q3).max()) <= 64
+    rebuilt = scales * (q1 + q2 * 2.0**-7 + q3 * 2.0**-14)
+    assert np.all(np.abs(rebuilt - v) <= 2.0**-15 * scales)
+    top = np.abs(v).max(axis=0)
+    assert np.all(np.frexp(scales)[0] == 0.5)  # powers of two
+    assert np.all((top <= 127 * scales) & ((top > 63.5 * scales) | (top == 0)))
+    assert np.all(scales[top == 0] == np.finfo(np.float64).tiny)
+    if n >= 2:
+        assert np.abs(q1[:, 1]).max() == 127 and np.all(rebuilt[:, 1] == v[:, 1])
+    if n >= 4:
+        assert {127, -127, 64, -64} <= set(q1[:, 3]) | set(q2[:, 3]) | set(q3[:, 3])
+
+
+@needs_amx
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-305], ids=["nan", "inf", "-inf",
+                                                                      "subnormal-scale"])
+def test_weights_that_do_not_pack(bad):
+    w = np.random.default_rng(1).standard_normal((20, 3))
+    if bad == 1e-305:
+        w[:, 1] = bad  # |W / 255| below 127 times the least normal number
+    else:
+        w[4, 2] = bad
+    packed = np.empty(kernels.limb_bytes(20, 3), dtype=np.int8)
+    assert not kernels.pack_limbs(w, packed, np.empty(3))
+
+
+def _limb_rows(m, d, rng):
+    """m rows of d random bytes, the first all 255s and the second all 0s."""
+    rows = rng.integers(0, 256, size=(m, d), dtype=np.uint8)
+    rows[0] = 255
+    rows[1:2] = 0
+    return rows
+
+
+@needs_amx
+@pytest.mark.parametrize("m, d, n", LIMB_SHAPES)
+def test_limb_sums_are_exact(m, d, n):
+    # each limb's int32 sums, which the kernel writes in place of its
+    # outputs when given no output array, are those of int64 arithmetic
+    rng = np.random.default_rng(m + d + n)
+    packed, scales, limbs = _packed(_edge_weights(d, n, rng))
+    rows = _limb_rows(m, d, rng)
+    sums = np.empty((m, 3, n), dtype=np.int32)
+    assert kernels._amx_choice()[0].colearn_first_layer(
+        rows.ctypes.data, m, d, packed.ctypes.data, scales.ctypes.data, n, None,
+        sums.ctypes.data) == 0
+    assert np.array_equal(sums, np.einsum("ik,lkj->ilj", rows.astype(np.int64), limbs))
+
+
+@needs_amx
+@pytest.mark.parametrize("m, d, n", LIMB_SHAPES)
+def test_first_layer_is_the_limb_sums_rounded_once(m, d, n):
+    # s_j (A0 + 2^-7 A1 + 2^-14 A2), exact in float64, rounded once to float32
+    rng = np.random.default_rng(m * d * n)
+    packed, scales, limbs = _packed(_edge_weights(d, n, rng))
+    rows = _limb_rows(m, d, rng)
+    a0, a1, a2 = np.einsum("ik,lkj->lij", rows.astype(np.int64), limbs)
+    want = (scales * ((a0 + a1 * 2.0**-7) + a2 * 2.0**-14)).astype(np.float32)
+    got = kernels.first_layer(rows, packed, scales, out=np.empty((m, n), dtype=np.float32))
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_amx
+@pytest.mark.parametrize("m, d", [(1, 1), (17, 70), (40, 784), (3, 66311)])
+def test_byte_sums_are_exact(m, d):
+    rows = _limb_rows(m, d, np.random.default_rng(d))
+    sums = kernels.byte_sums(rows, np.empty((2, m), dtype=np.int64))
+    wide = rows.astype(np.int64)
+    assert sums.tolist() == [wide.sum(axis=1).tolist(), (wide * wide).sum(axis=1).tolist()]
+
+
+def test_adam_kernel_names_the_first_layer():
+    choice = kernels._amx_choice()
+    assert kernels.adam_kernel().endswith(f"; first layer {choice[1]}")
+    assert choice[1].startswith("AMX int8 (" if choice[0] is not None else "float32 (")
