@@ -11,10 +11,11 @@ rounds, reviews, score refreshes and the baselines all call: `forward`
 predicts, `grad` takes the gradient back through that pass's activations,
 `apply_update` takes the Adam step and `accuracy` evaluates. Every update
 is one `train_step`: `grad` into the calling thread's workspace, then
-`apply_update`. Every pass runs through the one layer loop, `_layer_loop`.
-Each thread has one workspace, a buffer grown to the largest request and
-then reused: it holds a step's gradient, and everything one model's
-evaluation screen writes.
+`apply_update`. Every pass runs through the one layer loop, `_layer_loop`,
+but for the first layer of an evaluation screen (`_screens`), which runs on
+AMX tiles or in row blocks. Each thread has one workspace, a buffer grown
+to the largest request and then reused: it holds a step's gradient, and
+everything one model's evaluation screen writes.
 
 Evaluation counts the rows whose argmax logit of a float64 pass over the
 row alone matches the label, but mostly computes in float32: each
@@ -57,9 +58,14 @@ from .seeding import rng_for
 STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
 # Rows per evaluation chunk: a speed and memory setting only, as the counts
 # are the same at any chunk size. At 512 an HL2 on 784 pixel bytes takes
-# 4.0 MB of its thread's workspace to screen on AMX (5.9 MB in float32),
+# 4.0 MB of its thread's workspace to screen on AMX (5.0 MB in float32),
 # about the 4.4 MB that the model's gradient takes there.
 EVAL_CHUNK = 512
+# Rows of a chunk decoded to float32 at a time, where the first layer runs
+# in float32: each block goes through layer 1 before the next is decoded, so
+# the decode takes half a chunk's room. Layer 1's sgemm ran about 4% slower
+# in 256-row blocks than in one 512-row call, 10% slower in 128-row ones.
+DECODE_ROWS = 256
 # Pool tasks per pool thread in an evaluation, each a contiguous block of
 # chunks, so that no thread waits long on the last task; one task on one
 # thread, which then prepares each model once.
@@ -525,14 +531,15 @@ def _screen_specs(arch: Architecture, rows: int, limbs: bool, pixels: bool) -> l
     with `limbs`, the first layer's packed limbs and scales; the float32
     weights and biases, the first layer's weights only without limbs; the
     chunk's bytes, where the set holds pixel bytes; with limbs each row's
-    byte sum and sum of squares, else the chunk's float32 decode; and each
-    layer's output."""
+    byte sum and sum of squares, else the float32 decode of DECODE_ROWS
+    rows; and each layer's output."""
     d, dims = arch.input_dim, arch.layer_dims
     specs = ([((kernels.limb_bytes(d, dims[1]),), np.int8), ((dims[1],), np.float64)]
              if limbs else [])
     specs.append(((param_count(arch) - (d * dims[1] if limbs else 0),), np.float32))
     specs += [((rows, d), np.uint8)] if pixels else []
-    specs.append(((2 * rows,), np.int64) if limbs else ((rows, d), np.float32))
+    specs.append(((2 * rows,), np.int64) if limbs
+                 else ((min(rows, DECODE_ROWS), d), np.float32))
     return specs + [((rows, dout), np.float32) for dout in dims[1:]]
 
 
@@ -557,9 +564,10 @@ def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
     where `_on_limbs(x)` and the layer's weights pack (they are finite, and
     each nonzero column's scale is a normal number): its weights are packed
     and each chunk's bytes go to the tiles as they are. Otherwise every
-    layer is cast to float32 and each chunk decoded to float32. Each chunk's
-    rows and activations are written after the weights, where they stay
-    until the next chunk."""
+    layer is cast to float32, and each chunk decoded to float32 DECODE_ROWS
+    rows at a time, each block taken through the first layer before the
+    next. Each chunk's rows and activations are written after the weights,
+    where they stay until the next chunk."""
     m, d = x.shape
     rows, pixels = min(EVAL_CHUNK, m), x.dtype == np.uint8
     layers = param_views(arch, theta)
@@ -571,7 +579,7 @@ def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
         b1, *weights = _cast(cast, [layers[0][1], *(a for layer in layers[1:] for a in layer)])
     else:
         cast, *regions = _take(_screen_specs(arch, rows, False, pixels))
-        weights = _cast(cast, [a for layer in layers for a in layer])
+        w1, b1, *weights = _cast(cast, [a for layer in layers for a in layer])
     weights = list(zip(weights[::2], weights[1::2]))
     raw = regions.pop(0) if pixels else None
     scratch, *outs = regions
@@ -590,14 +598,17 @@ def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
             if limbs:
                 sums = kernels.byte_sums(chunk, scratch[: 2 * n].reshape(2, n))
                 z = kernels.first_layer(chunk, packed, scales, out=out[0])
-                z += b1
-                acts = _layer_loop([chunk, kernels.relu(z) if weights else z], weights, out[1:])
-                bound = _logit_bound(acts, norms, _norm_up(sums[1] / 65025.0, d),
-                                     (sums[0].astype(np.float64), scales))
+                t_in, limb = _norm_up(sums[1] / 65025.0, d), (sums[0].astype(np.float64), scales)
             else:
-                x32 = decode(chunk, np.float32, out=scratch[:n])
-                acts = _layer_loop([x32], weights, out)
-                bound = _logit_bound(acts, norms, _row_norms(x32))
+                z, t_in, limb = out[0], np.empty(n), None
+                for r in range(0, n, DECODE_ROWS):
+                    block = slice(r, min(r + DECODE_ROWS, n))
+                    x32 = decode(chunk[block], np.float32, out=scratch[: block.stop - r])
+                    np.matmul(x32, w1, out=z[block])
+                    t_in[block] = _row_norms(x32)
+            z += b1
+            acts = _layer_loop([chunk, kernels.relu(z) if weights else z], weights, out[1:])
+            bound = _logit_bound(acts, norms, t_in, limb)
         yield s, acts, bound
 
 

@@ -109,13 +109,6 @@ def numpy_adam(monkeypatch):
     monkeypatch.setattr(_kernels, "_adam", (None, "numpy (forced by a test)"))
 
 
-@pytest.fixture
-def float32_screen(monkeypatch):
-    """Every evaluation screen of the test runs its first layer in float32,
-    as in a process without AMX."""
-    monkeypatch.setattr(_kernels, "_amx", (None, "float32 (forced by a test)"))
-
-
 def first_layers() -> list[str]:
     """The evaluation screen's first layers this process can run: "amx"
     (int8 limbs) where AMX runs, and "float32"."""
@@ -129,6 +122,14 @@ def first_layer(path: str):
     with pytest.MonkeyPatch.context() as patch:
         if path == "float32":
             patch.setattr(_kernels, "_amx", (None, "float32 (forced by a test)"))
+        yield
+
+
+@pytest.fixture
+def float32_screen():
+    """Every evaluation screen of the test runs its first layer in float32,
+    as in a process without AMX."""
+    with first_layer("float32"):
         yield
 
 

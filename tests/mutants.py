@@ -138,8 +138,8 @@ CATALOGUE = (
            ("tests/test_harness.py::TestRunMode::test_baseline_holds_one_agent_at_a_time",)),
     # the evaluation workspace: each chunk's rows read again, each model's
     # float32 weights its own (here, the first model of its shape is
-    # screened in their place, as a weight region not recast would do), and
-    # each region apart from the next
+    # screened in their place, as a weight region not recast would do), each
+    # region apart from the next, and a float32 decode of half a chunk
     Mutant("later-chunks-not-read", LEARNER,
            "x.read(s, chunk)", "x.read(s, chunk) if s == starts[0] else None",
            (EVAL + "::test_idx_rows_are_scored_as_their_bytes",)),
@@ -150,6 +150,9 @@ CATALOGUE = (
     Mutant("workspace-regions-overlap", LEARNER,
            "start += _span([(shape, dtype)])", "start += _span([(shape, dtype)]) // 2",
            (EVAL + "::test_a_float32_pass_keeps_each_layer_apart",)),
+    Mutant("float32-chunks-decoded-whole", LEARNER,
+           "DECODE_ROWS = 256", "DECODE_ROWS = EVAL_CHUNK",
+           (EVAL + "::test_a_float32_first_layer_decodes_half_a_chunk_at_a_time",)),
     # the first layer on AMX int8 limbs: the limbs' rest in the bound, their
     # sums combined at 2^-7 apart, and the fan-in whose sums fit int32
     Mutant("limbs-rest-dropped", LEARNER,

@@ -280,6 +280,21 @@ def test_an_evaluation_chunk_allocates_nothing(tmp_path):
             assert thread.submit(peak).result() < EVAL_CHUNK * d * 4, path
 
 
+def test_a_float32_first_layer_decodes_half_a_chunk_at_a_time(monkeypatch):
+    # where the first layer runs in float32, each chunk is decoded in blocks
+    # of at most half a chunk, every row once, and counted as its row pass
+    blocks = []
+    decode32 = learner.decode
+    monkeypatch.setattr(learner, "decode", lambda x, dtype=np.float64, out=None: (
+        blocks.append(len(x)) if dtype == np.float32 else None) or decode32(x, dtype, out))
+    model = net("HL1", 8, 4, seed=33)
+    x = np.random.default_rng(15).integers(0, 256, size=(2 * EVAL_CHUNK + 3, 8), dtype=np.uint8)
+    labeled = Dataset(x, np.random.default_rng(16).integers(0, 4, size=x.shape[0]), 4)
+    with first_layer("float32"):
+        assert accuracy([model], labeled) == oracle_accuracies([model], labeled)
+    assert sum(blocks) == x.shape[0] and 2 * max(blocks) <= EVAL_CHUNK
+
+
 def test_pixel_sets_take_the_limbs_where_they_run(monkeypatch):
     # every model's chunks go to the AMX kernel where it runs, and none
     # where the first layer is float32; the counts are the row pass's
@@ -338,7 +353,7 @@ def test_each_tier_is_reached(monkeypatch):
     passes = []
 
     def spy(acts, layers, outs=None):
-        passes.append((acts[0].dtype.name, acts[0].shape[0]))
+        passes.append((acts[-1].dtype.name, acts[-1].shape[0]))  # the pass's first input
         return layer_loop(acts, layers, outs)
 
     layer_loop = learner._layer_loop
@@ -354,7 +369,7 @@ def test_float64_eval_fixture_takes_every_row_from_the_row_pass(float64_eval, mo
     passes = []
     layer_loop = learner._layer_loop
     monkeypatch.setattr(learner, "_layer_loop", lambda acts, layers, outs=None: passes.append(
-        (acts[0].dtype.name, acts[0].shape[0])) or layer_loop(acts, layers, outs))
+        (acts[-1].dtype.name, acts[-1].shape[0])) or layer_loop(acts, layers, outs))
     assert accuracy([model], labeled) == [1.0]
     assert passes == [("float32", 40), ("float64", 40)] + [("float64", 1)] * 40
 
@@ -490,12 +505,13 @@ def limb_scales(w):
     return np.where(v > 0, np.ldexp(1.0, e), np.finfo(np.float64).tiny)
 
 
-def documented_bound(acts, arch, theta, spectral=True, own_norms=False):
+def documented_bound(acts, arch, theta, spectral=True, own_norms=False, limbs=False):
     """The bound `_logit_bound`'s docstring states, from exact norms, or with
     `own_norms` from the code's own `_norm_up` bounds on them (`_row_norms`
     and `_weight_norms`), which leaves only the rounding of the bound's own
-    arithmetic between the two. A pass whose input is pixel bytes took its
-    first layer on int8 limbs."""
+    arithmetic between the two. With `limbs` the pass took its first layer
+    on int8 limbs of the pixel bytes `acts[0]`; otherwise its input was
+    `acts[0]` decoded to the pass's dtype."""
     finfo = np.finfo(acts[-1].dtype)
     u, eta, u64 = float(finfo.eps) / 2, float(finfo.tiny), 2.0**-53
     norms = _weight_norms(arch, theta, spectral) if own_norms else None
@@ -503,7 +519,6 @@ def documented_bound(acts, arch, theta, spectral=True, own_norms=False):
     def row_norms(a):
         return _row_norms(a) if own_norms else np.linalg.norm(a.astype(np.float64), axis=1)
 
-    limbs = acts[0].dtype == np.uint8
     n = acts[0].shape[1]
     if limbs:
         pixels = acts[0].astype(np.float64)
@@ -513,14 +528,15 @@ def documented_bound(acts, arch, theta, spectral=True, own_norms=False):
         s_norm = _norm_up(scales @ scales, scales.size) if own_norms else np.linalg.norm(scales)
         eps = np.zeros_like(t)
     else:
-        t = row_norms(acts[0])
+        x0 = decode(acts[0], finfo.dtype)
+        t = row_norms(x0)
         eps = (u * (1 + 2 * u) * t + np.sqrt(n) * eta if finfo.dtype == np.float32
                else np.zeros_like(t))
     first = 0.0
     layers = param_views(arch, theta)
     for l, (w, b) in enumerate(layers):
         n = w.shape[0]
-        if l > 0 or not limbs:
+        if l > 0:
             t = row_norms(acts[l])
         if own_norms:
             col, frob, sigma, bnorm, _ = norms[l]
@@ -561,10 +577,10 @@ def test_bound_is_the_documented_one(kind, dtype):
     for path, spectral in [(path, s) for path in first_layers() for s in (True, False)]:
         with first_layer(path):
             acts, bound = _pass(arch, theta, x, dtype, spectral)
-        assert (acts[0].dtype == np.uint8) == (dtype == np.float32 and path == "amx")
-        ratio = bound / documented_bound(acts, arch, theta, spectral)
+        limbs = dtype == np.float32 and path == "amx"
+        ratio = bound / documented_bound(acts, arch, theta, spectral, limbs=limbs)
         assert np.all(ratio >= 1 - 2.0**-40) and np.all(ratio <= 1 + 2.0**-16), spectral
-        ratio = bound / documented_bound(acts, arch, theta, spectral, own_norms=True)
+        ratio = bound / documented_bound(acts, arch, theta, spectral, own_norms=True, limbs=limbs)
         assert np.all(np.abs(ratio - 1) <= 2.0**-40), spectral
 
 
