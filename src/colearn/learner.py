@@ -63,8 +63,9 @@ STANDARD_HIDDEN = {"SHL": (), "HL1": (300,), "HL2": (500, 300)}
 EVAL_CHUNK = 512
 # Rows of a chunk decoded to float32 at a time, where the first layer runs
 # in float32: each block goes through layer 1 before the next is decoded, so
-# the decode takes half a chunk's room. Layer 1's sgemm ran about 4% slower
-# in 256-row blocks than in one 512-row call, 10% slower in 128-row ones.
+# the decode takes half a chunk's room. On one thread of a 2-core x86-64
+# guest (OpenBLAS), an HL2's layer-1 sgemm ran about 4% slower in 256-row
+# blocks than in one 512-row call, and 10% slower in 128-row ones.
 DECODE_ROWS = 256
 # Pool tasks per pool thread in an evaluation, each a contiguous block of
 # chunks, so that no thread waits long on the last task; one task on one
