@@ -68,13 +68,28 @@ void colearn_adam_step(double *theta, const double *grad, double *m, double *v, 
 #define XFEATURE_XTILEDATA 18
 #define TILE 1024 /* bytes of one tile: 16 rows of 64 */
 
-/* 0 where this thread's process may run AMX int8 tiles; -1 where the CPU
- * lacks AMX-TILE or AMX-INT8; else the errno of the kernel's refusal of
- * the process's request for tile data. The request is per process. */
+/* XCR0 bits the kernels below need the OS to enable: SSE and AVX (1, 2),
+ * the AVX-512 opmask and ZMM registers (5-7), and the tile config and
+ * tile data (17, 18) */
+#define XCR0_NEEDED 0x600e6ull
+
+/* 0 where this thread's process may run AMX int8 tiles and the AVX-512
+ * code around them; -1 where the CPU lacks AMX-TILE, AMX-INT8, AVX512F,
+ * AVX512BW or AVX512VL, or the OS does not enable their state; else the
+ * errno of the kernel's refusal of the process's request for tile data.
+ * The request is per process. */
 int colearn_amx_ready(void)
 {
-    unsigned a, b, c, d;
-    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d) || !(d & (1u << 24)) || !(d & (1u << 25)))
+    unsigned a, b, c, d, lo, hi;
+    /* OSXSAVE: the OS manages extended state, so XGETBV may run */
+    if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & (1u << 27)))
+        return -1;
+    __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+    if (((((unsigned long long)hi << 32) | lo) & XCR0_NEEDED) != XCR0_NEEDED)
+        return -1;
+    /* AMX-TILE, AMX-INT8 (EDX 24, 25); AVX512F, AVX512BW, AVX512VL (EBX 16, 30, 31) */
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d) || (d & 0x3000000u) != 0x3000000u
+        || (b & 0xc0010000u) != 0xc0010000u)
         return -1;
     if (syscall(SYS_arch_prctl, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) != 0)
         return errno ? errno : EINVAL;
@@ -181,15 +196,14 @@ struct tile_config {
 };
 
 /* The first layer of m rows of d bytes at `rows`: for row i and column
- * j < n, out[i n + j] = (float)(s_j (A0 + 2^-7 A1 + 2^-14 A2)), or, where
- * out is NULL, the limb sums sums[(3 i + l) n + j] = A_l. Each block of 32
+ * j < n, out[i n + j] = (float)(s_j (A0 + 2^-7 A1 + 2^-14 A2)). Each block of 32
  * rows is first copied to rows of ceil64(d) bytes on cache lines, which
  * tiles load at twice the speed of rows that straddle lines. Tiles 0-5
  * accumulate two 16-row blocks times three limbs, tile 6 holds a row
  * block's 64 inputs and tile 7 a limb tile. Returns 0, or 1 where the
  * 32 ceil64(d) bytes of the copy could not be allocated. */
 int colearn_first_layer(const uint8_t *rows, size_t m, size_t d, const int8_t *packed,
-                        const double *scales, size_t n, float *out, int32_t *sums)
+                        const double *scales, size_t n, float *out)
 {
     const size_t kb = (d + 63) / 64, nb = (n + 15) / 16, stride = kb * 64;
     uint8_t *a0 = aligned_alloc(64, 32 * stride), *a1 = a0 + 16 * stride;
@@ -247,14 +261,6 @@ int colearn_first_layer(const uint8_t *rows, size_t m, size_t d, const int8_t *p
                 const size_t i = i0 + r;
                 const int32_t *c0 = acc[r / 16 * 3][r % 16], *c1 = acc[r / 16 * 3 + 1][r % 16],
                               *c2 = acc[r / 16 * 3 + 2][r % 16];
-                if (out == NULL) {
-                    for (size_t c = 0; c < cols; c++) {
-                        sums[(3 * i) * n + j0 + c] = c0[c];
-                        sums[(3 * i + 1) * n + j0 + c] = c1[c];
-                        sums[(3 * i + 2) * n + j0 + c] = c2[c];
-                    }
-                    continue;
-                }
                 for (int h = 0; h < 2; h++) {
                     /* columns j0 + 8h .. j0 + 8h + 7: the sums in float64, exactly */
                     const __m512d s0 = _mm512_cvtepi32_pd(_mm256_loadu_si256((const void *)(c0 + 8 * h)));
@@ -276,7 +282,7 @@ int colearn_first_layer(const uint8_t *rows, size_t m, size_t d, const int8_t *p
 }
 
 /* Each row's byte sum and sum of squares, exactly, for m rows of d bytes. */
-void colearn_byte_sums(const uint8_t *rows, size_t m, size_t d, int64_t *sum, int64_t *sumsq)
+void colearn_byte_sums(const uint8_t *rows, size_t m, size_t d, double *sum, double *sumsq)
 {
     const __m512i ones = _mm512_set1_epi16(1);
     for (size_t i = 0; i < m; i++) {
@@ -289,8 +295,9 @@ void colearn_byte_sums(const uint8_t *rows, size_t m, size_t d, int64_t *sum, in
             s = _mm512_add_epi32(s, _mm512_madd_epi16(x, ones));
             q = _mm512_add_epi32(q, _mm512_madd_epi16(x, x));
         }
-        sum[i] = _mm512_reduce_add_epi32(s);
-        sumsq[i] = _mm512_reduce_add_epi64(_mm512_add_epi64(
+        /* below 2^53: exact as doubles */
+        sum[i] = (double)_mm512_reduce_add_epi32(s);
+        sumsq[i] = (double)_mm512_reduce_add_epi64(_mm512_add_epi64(
             _mm512_cvtepu32_epi64(_mm512_castsi512_si256(q)),
             _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(q, 1))));
     }

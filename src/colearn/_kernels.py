@@ -27,7 +27,8 @@ give the same bits on any CPU.
 The same library holds the evaluation screen's first layer on AMX int8
 tiles (`pack_limbs`, `first_layer`, `byte_sums`; the error model is in
 `_adam.c` and `learner._logit_bound`). It runs where the compiler built it,
-the CPU reports AMX-TILE and AMX-INT8, and the kernel grants this process
+the CPU reports AMX-TILE, AMX-INT8 and AVX-512 (F, BW, VL) and the OS
+enables their register state (XCR0), and the kernel grants this process
 the tile data (`arch_prctl(ARCH_REQ_XCOMP_PERM)`, asked on first use);
 elsewhere the screen takes its float32 pass, and the counts are the same.
 `adam_kernel()` names, for the Adam step and for the first layer, the
@@ -265,13 +266,13 @@ def _load_amx() -> tuple:
         return None, "float32 (the compiler built no AMX functions)"
     ready = lib.colearn_amx_ready()
     if ready:
-        return None, ("float32 (the CPU lacks AMX-TILE or AMX-INT8)" if ready < 0 else
+        return None, ("float32 (the CPU or OS lacks AMX-INT8 or AVX-512)" if ready < 0 else
                       f"float32 (the kernel refused AMX tile data: {os.strerror(ready)})")
     lib.colearn_pack_limbs.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                                        ctypes.c_void_p, ctypes.c_void_p]
     lib.colearn_first_layer.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                                         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
-                                        ctypes.c_void_p, ctypes.c_void_p]
+                                        ctypes.c_void_p]
     lib.colearn_byte_sums.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                                       ctypes.c_void_p, ctypes.c_void_p]
     for f in (lib.colearn_pack_limbs, lib.colearn_first_layer):
@@ -334,20 +335,20 @@ def first_layer(rows: np.ndarray, packed: np.ndarray, scales: np.ndarray,
     _check("scales", scales, np.float64, (n,))
     _check("out", out, np.float32, (m, n))
     if _amx_choice()[0].colearn_first_layer(rows.ctypes.data, m, d, packed.ctypes.data,
-                                            scales.ctypes.data, n, out.ctypes.data, None):
+                                            scales.ctypes.data, n, out.ctypes.data):
         raise MemoryError(f"first_layer: no room to copy 32 rows of {d} bytes")
     return out
 
 
-def byte_sums(rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Each row's byte sum and sum of squares, exact for rows of up to 2^19
-    bytes, into sums[0] and sums[1] (2 x m int64) for the m x d uint8
-    `rows`."""
+def byte_sums(rows: np.ndarray, sums: np.ndarray, squares: np.ndarray) -> None:
+    """Each row's byte sum into `sums` and sum of squares into `squares`
+    (float64, one per row of the m x d uint8 `rows`), exact for rows of up
+    to 2^19 bytes."""
     _check_rows(rows)
-    _check("sums", sums, np.int64, (2, rows.shape[0]))
-    _amx_choice()[0].colearn_byte_sums(rows.ctypes.data, *rows.shape, sums[0].ctypes.data,
-                                       sums[1].ctypes.data)
-    return sums
+    _check("sums", sums, np.float64, rows.shape[:1])
+    _check("squares", squares, np.float64, rows.shape[:1])
+    _amx_choice()[0].colearn_byte_sums(rows.ctypes.data, *rows.shape, sums.ctypes.data,
+                                       squares.ctypes.data)
 
 
 def fuse_rows(stacked: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -511,15 +511,6 @@ def _certain(logits: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndar
     return top, (low > high.max(axis=1)) & np.isfinite(margin).all(axis=1)
 
 
-def _screen(arch: Architecture, theta: np.ndarray, norms: list[tuple], x_mat: np.ndarray,
-            t_in: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_certain` of one float64 pass over `x_mat`, with the bound scaled by
-    `slack`."""
-    with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
-        acts = _activations(arch, theta, x_mat)
-        return _certain(acts[-1], slack * _logit_bound(acts, norms, t_in))
-
-
 def _on_limbs(x) -> bool:
     """Whether the first layers of a screen of the rows `x` may run on int8
     limbs: the rows are pixel bytes, at most LIMB_FAN_IN of them, so that no
@@ -531,16 +522,14 @@ def _screen_specs(arch: Architecture, rows: int, limbs: bool, pixels: bool) -> l
     """The workspace of one model's screen of chunks of up to `rows` rows:
     with `limbs`, the first layer's packed limbs and scales; the float32
     weights and biases, the first layer's weights only without limbs; the
-    chunk's bytes, where the set holds pixel bytes; with limbs each row's
-    byte sum and sum of squares, else the float32 decode of DECODE_ROWS
-    rows; and each layer's output."""
+    chunk's bytes, where the set holds pixel bytes; without limbs the
+    float32 decode of DECODE_ROWS rows; and each layer's output."""
     d, dims = arch.input_dim, arch.layer_dims
     specs = ([((kernels.limb_bytes(d, dims[1]),), np.int8), ((dims[1],), np.float64)]
              if limbs else [])
     specs.append(((param_count(arch) - (d * dims[1] if limbs else 0),), np.float32))
     specs += [((rows, d), np.uint8)] if pixels else []
-    specs.append(((2 * rows,), np.int64) if limbs
-                 else ((min(rows, DECODE_ROWS), d), np.float32))
+    specs += [] if limbs else [((min(rows, DECODE_ROWS), d), np.float32)]
     return specs + [((rows, dout), np.float32) for dout in dims[1:]]
 
 
@@ -555,35 +544,42 @@ def _cast(region: np.ndarray, arrays) -> list[np.ndarray]:
 
 
 def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
-             starts: Sequence[int]) -> Iterator[tuple]:
-    """One model's float32 screen of the EVAL_CHUNK chunks of the rows `x`
-    that start at `starts`: per chunk, its start, its activations (the
-    chunk's rows, then each layer's output) and their `_logit_bound`.
+             starts: Sequence[int], stats: np.ndarray | None, fill: bool) -> Iterator[tuple]:
+    """One model's float32 screen of the consecutive EVAL_CHUNK chunks of
+    the rows `x` that start at `starts`: per chunk, its start, its
+    activations (the chunk's rows, then each layer's output) and their
+    `_logit_bound`.
 
-    The model is prepared once, at the front of the calling thread's
-    workspace. The first layer runs on int8 limbs (`kernels.first_layer`)
-    where `_on_limbs(x)` and the layer's weights pack (they are finite, and
-    each nonzero column's scale is a normal number): its weights are packed
-    and each chunk's bytes go to the tiles as they are. Otherwise every
-    layer is cast to float32, and each chunk decoded to float32 DECODE_ROWS
-    rows at a time, each block taken through the first layer before the
-    next. Each chunk's rows and activations are written after the weights,
-    where they stay until the next chunk."""
+    `stats` is None, or, where `_on_limbs(x)`, a (2, rows) float64 array
+    for the chunks' rows: each row's byte sum and a bound on its 2-norm
+    as decoded, which the screen writes where `fill` and reads otherwise,
+    so that the first model of a pool task sums each chunk's bytes for
+    every model. The model is prepared once, in the calling thread's
+    workspace after `stats`. The first layer runs on int8 limbs
+    (`kernels.first_layer`) where `stats` is given and the layer's weights
+    pack (they are finite, and each nonzero column's scale is a normal
+    number): its weights are packed and each chunk's bytes go to the tiles
+    as they are. Otherwise every layer is cast to float32, and each chunk
+    decoded to float32 DECODE_ROWS rows at a time, each block taken
+    through the first layer before the next. Each chunk is read for each
+    model, and its rows and activations written after the weights, where
+    they stay until the next chunk."""
     m, d = x.shape
     rows, pixels = min(EVAL_CHUNK, m), x.dtype == np.uint8
     layers = param_views(arch, theta)
-    limbs = _on_limbs(x)
+    front = 0 if stats is None else _span([(stats.shape, stats.dtype)])
+    limbs = stats is not None
     if limbs:
-        packed, scales, cast, *regions = _take(_screen_specs(arch, rows, True, True))
+        packed, scales, cast, raw, *outs = _take(_screen_specs(arch, rows, True, True), front)
         limbs = kernels.pack_limbs(layers[0][0], packed, scales)
     if limbs:
         b1, *weights = _cast(cast, [layers[0][1], *(a for layer in layers[1:] for a in layer)])
     else:
-        cast, *regions = _take(_screen_specs(arch, rows, False, pixels))
+        cast, *regions = _take(_screen_specs(arch, rows, False, pixels), front)
         w1, b1, *weights = _cast(cast, [a for layer in layers for a in layer])
+        raw = regions.pop(0) if pixels else None
+        scratch, *outs = regions
     weights = list(zip(weights[::2], weights[1::2]))
-    raw = regions.pop(0) if pixels else None
-    scratch, *outs = regions
     for s in starts:
         n = min(EVAL_CHUNK, m - s)
         if pixels:
@@ -596,10 +592,14 @@ def _screens(arch: Architecture, theta: np.ndarray, norms: list[tuple], x,
             chunk = x[s : s + n]
         out = [o[:n] for o in outs]
         with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
+            if stats is not None:
+                sums, t_in = stats[:, s - starts[0] : s - starts[0] + n]
+                if fill:
+                    kernels.byte_sums(chunk, sums, t_in)
+                    t_in[:] = _norm_up(t_in / 65025.0, d)
             if limbs:
-                sums = kernels.byte_sums(chunk, scratch[: 2 * n].reshape(2, n))
                 z = kernels.first_layer(chunk, packed, scales, out=out[0])
-                t_in, limb = _norm_up(sums[1] / 65025.0, d), (sums[0].astype(np.float64), scales)
+                limb = (sums, scales)
             else:
                 z, t_in, limb = out[0], np.empty(n), None
                 for r in range(0, n, DECODE_ROWS):
@@ -620,16 +620,19 @@ def _rescore(arch: Architecture, theta: np.ndarray, norms: list[tuple], x, y,
     pass carries one of its own, proves it, else from the row pass."""
     rows = np.asarray(rows)
     x64 = np.ascontiguousarray(decode(x[rows]))
-    pred, certain = _screen(arch, theta, norms, x64, _row_norms(x64), 2.0)
+    with np.errstate(all="ignore"):  # an overflow or NaN leaves its row open
+        acts = _activations(arch, theta, x64)
+        pred, certain = _certain(acts[-1], 2.0 * _logit_bound(acts, norms, _row_norms(x64)))
     for i in np.flatnonzero(~certain):  # the row pass
         pred[i] = kernels.argmax_rows(_activations(arch, theta, x64[i : i + 1])[-1])[0]
     return int(np.count_nonzero(pred == y[rows]))
 
 
 def _count(arch: Architecture, theta: np.ndarray, norms: list[tuple], x, y,
-           starts: Sequence[int]) -> int:
+           starts: Sequence[int], stats: np.ndarray | None, fill: bool) -> int:
     """How many rows of the chunks at `starts` the model labels as `y`
-    does: the rows its float32 screen proves, and the open ones from
+    does: the rows its float32 screen (`_screens`, which takes `stats` and
+    `fill`) proves, and the open ones from
     `_rescore`, RESCORE_ROWS at a time, their rows read again by index. The
     float64 passes allocate their arrays, so the screen's workspace stays
     as it is while they run."""
@@ -643,7 +646,7 @@ def _count(arch: Architecture, theta: np.ndarray, norms: list[tuple], x, y,
             del open_rows[:RESCORE_ROWS]
         return done
 
-    for s, acts, bound in _screens(arch, theta, norms, x, starts):
+    for s, acts, bound in _screens(arch, theta, norms, x, starts, stats, fill):
         with np.errstate(invalid="ignore"):
             pred, certain = _certain(acts[-1], bound)
         correct += int(np.count_nonzero((pred == y[s : s + pred.size]) & certain))
@@ -661,11 +664,12 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     Each pool task takes a contiguous block of EVAL_CHUNK chunks, the whole
     set with a one-thread pool, and screens them with one model after
     another (`_count`), so that each model's weights are packed or cast
-    once per task. A task first grows its thread's workspace to the largest
-    model's screen or `train_step` gradient, so that it grows once, not
-    model by model or again at the next update: each growth leaves the
-    process's peak memory higher. No count depends on the chunks, the
-    blocks or the pool size."""
+    once per task; on int8 limbs, the rows' byte sums are taken once per
+    task too. A task first grows its thread's workspace to the largest
+    model's screen, after the block's byte sums, or `train_step` gradient,
+    so that it grows once, not model by model or again at the next update:
+    each growth leaves the process's peak memory higher. No count depends
+    on the chunks, the blocks or the pool size."""
     x, y = eval_set.features, eval_set.labels
     m = x.shape[0]
     if m == 0:
@@ -676,12 +680,16 @@ def accuracy(models: Sequence[tuple[Architecture, np.ndarray]], eval_set: Datase
     per = -(-len(starts) // (1 if pool.size == 1 else EVAL_TASKS_PER_THREAD * pool.size))
     blocks = [starts[i : i + per] for i in range(0, len(starts), per)]
     rows, limbs, pixels = min(EVAL_CHUNK, m), _on_limbs(x), x.dtype == np.uint8
-    largest = max(max(_span(_screen_specs(arch, rows, limbs, pixels)),
-                      _span([((arch.size,), np.float64)])) for arch, _ in models)
+    front = _span([((2, min(per * EVAL_CHUNK, m)), np.float64)]) if limbs else 0
+    largest = max(max(front + _span(_screen_specs(arch, rows, limbs, pixels)),
+                      _span([((arch.size,), np.float64)])) for arch in {arch for arch, _ in models})
 
     def correct(block) -> list[int]:
         _take([((largest,), np.uint8)])
-        return [_count(arch, theta, norm, x, y, block) for (arch, theta), norm in zip(models, norms)]
+        stats = (_take([((2, min(block[-1] + EVAL_CHUNK, m) - block[0]), np.float64)])[0]
+                 if limbs else None)
+        return [_count(arch, theta, norm, x, y, block, stats, i == 0)
+                for i, ((arch, theta), norm) in enumerate(zip(models, norms))]
 
     per_block = pool.map(correct, blocks)
     return [sum(counts) / m for counts in zip(*per_block)]

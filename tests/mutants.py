@@ -106,7 +106,7 @@ CATALOGUE = (
     Mutant("overflow-guard-max-times-4", LEARNER,
            "< float(finfo.max) / 4.0", "< float(finfo.max) * 4.0", (EVAL,)),
     Mutant("rescoring-slack-1", LEARNER,
-           "x64, _row_norms(x64), 2.0)", "x64, _row_norms(x64), 1.0)", (EVAL,), survivor=True),
+           "2.0 * _logit_bound(acts", "1.0 * _logit_bound(acts", (EVAL,), survivor=True),
     Mutant("spectral-drops-err-squared", LEARNER,
            "err * (2.0 * f + err)", "err * 2.0 * f", (EVAL,), survivor=True),
     Mutant("bound-drops-2u-fresh", LEARNER,
@@ -144,9 +144,12 @@ CATALOGUE = (
            "x.read(s, chunk)", "x.read(s, chunk) if s == starts[0] else None",
            (EVAL + "::test_idx_rows_are_scored_as_their_bytes",)),
     Mutant("same-shape-weights-not-recast", LEARNER,
-           "_count(arch, theta, norm, x, y, block)",
-           "_count(arch, next(t for a, t in models if a == arch), norm, x, y, block)",
+           "_count(arch, theta, norm, x, y, block, stats, i == 0)",
+           "_count(arch, next(t for a, t in models if a == arch), norm, x, y, block, stats, i == 0)",
            (EVAL + "::test_same_shape_models_each_get_their_own_float32_weights",)),
+    Mutant("byte-sums-per-model", LEARNER,
+           "block, stats, i == 0)", "block, stats, True)",
+           (EVAL + "::test_pixel_sets_take_the_limbs_where_they_run",)),
     Mutant("workspace-regions-overlap", LEARNER,
            "start += _span([(shape, dtype)])", "start += _span([(shape, dtype)]) // 2",
            (EVAL + "::test_a_float32_pass_keeps_each_layer_apart",)),

@@ -231,7 +231,9 @@ def test_same_shape_models_each_get_their_own_float32_weights():
 
 def screen_pass(arch, theta, x, spectral=True):
     """The activations and bound of one screen of `x`, a single chunk."""
-    return next(learner._screens(arch, theta, _weight_norms(arch, theta, spectral), x, [0]))[1:]
+    stats = np.empty((2, len(x))) if learner._on_limbs(x) else None
+    return next(learner._screens(arch, theta, _weight_norms(arch, theta, spectral), x, [0],
+                                 stats, True))[1:]
 
 
 def test_a_float32_pass_keeps_each_layer_apart():
@@ -297,20 +299,27 @@ def test_a_float32_first_layer_decodes_half_a_chunk_at_a_time(monkeypatch):
 
 def test_pixel_sets_take_the_limbs_where_they_run(monkeypatch):
     # every model's chunks go to the AMX kernel where it runs, and none
-    # where the first layer is float32; the counts are the row pass's
-    calls = []
-    kernel = kernels.first_layer
+    # where the first layer is float32; each chunk's bytes are summed once,
+    # for every model of its pool task; the counts are the row pass's
+    calls, summed = [], []
+    kernel, sums = kernels.first_layer, kernels.byte_sums
     monkeypatch.setattr(kernels, "first_layer",
                         lambda rows, *args, **kw: calls.append(len(rows)) or kernel(rows, *args, **kw))
+    monkeypatch.setattr(kernels, "byte_sums",
+                        lambda rows, *args: summed.append(len(rows)) or sums(rows, *args))
     models = [net(kind, 8, 4, seed=30) for kind in ("SHL", "HL1", "HL2")]
     x = np.random.default_rng(11).integers(0, 256, size=(EVAL_CHUNK + 3, 8), dtype=np.uint8)
     labeled = Dataset(x, np.random.default_rng(12).integers(0, 4, size=x.shape[0]), 4)
     oracle = oracle_accuracies(models, labeled)
     for path in first_layers():
-        calls.clear()
-        with first_layer(path):
-            assert accuracy(models, labeled) == oracle, path
-        assert calls == ([EVAL_CHUNK, 3] * 3 if path == "amx" else []), path
+        for size in (1, 2):
+            calls.clear()
+            summed.clear()
+            with first_layer(path), AgentPool(size) as pool:
+                assert accuracy(models, labeled, pool) == oracle, (path, size)
+            amx = path == "amx"
+            assert sorted(calls) == sorted([EVAL_CHUNK, 3] * 3 if amx else []), (path, size)
+            assert sorted(summed) == ([3, EVAL_CHUNK] if amx else []), (path, size)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "subnormal-scale"])

@@ -492,6 +492,16 @@ def _unpacked(packed, d, n):
     return limbs[:, :d, :n].astype(np.int64)
 
 
+def _tiles(limbs):
+    """`_unpacked`'s inverse: the B tiles of limbs (3 x d x n)."""
+    _, d, n = limbs.shape
+    kb, nb = -(-d // 64), -(-n // 16)
+    padded = np.zeros((3, kb * 64, nb * 16), dtype=np.int8)
+    padded[:, :d, :n] = limbs
+    return np.ascontiguousarray(padded.reshape(3, kb, 16, 4, nb, 16).transpose(4, 1, 0, 2, 5, 3)
+                                .reshape(-1))
+
+
 def _packed(w):
     packed = np.empty(kernels.limb_bytes(*w.shape), dtype=np.int8)
     scales = np.empty(w.shape[1])
@@ -564,16 +574,19 @@ def _limb_rows(m, d, rng):
 @needs_amx
 @pytest.mark.parametrize("m, d, n", LIMB_SHAPES)
 def test_limb_sums_are_exact(m, d, n):
-    # each limb's int32 sums, which the kernel writes in place of its
-    # outputs when given no output array, are those of int64 arithmetic
+    # each limb's int32 sums are those of int64 arithmetic: the kernel runs
+    # on one limb at a time, the others zero and every s_j 1, so that each
+    # output is 2^-7l A_l, exact in float32 while |A_l| < 2^24
     rng = np.random.default_rng(m + d + n)
-    packed, scales, limbs = _packed(_edge_weights(d, n, rng))
+    _, _, limbs = _packed(_edge_weights(d, n, rng))
     rows = _limb_rows(m, d, rng)
-    sums = np.empty((m, 3, n), dtype=np.int32)
-    assert kernels._amx_choice()[0].colearn_first_layer(
-        rows.ctypes.data, m, d, packed.ctypes.data, scales.ctypes.data, n, None,
-        sums.ctypes.data) == 0
-    assert np.array_equal(sums, np.einsum("ik,lkj->ilj", rows.astype(np.int64), limbs))
+    want = np.einsum("ik,lkj->lij", rows.astype(np.int64), limbs)
+    assert np.abs(want).max() < 2**24
+    for l in range(3):
+        alone = np.zeros_like(limbs)
+        alone[l] = limbs[l]
+        out = kernels.first_layer(rows, _tiles(alone), np.ones(n), out=np.empty((m, n), np.float32))
+        assert np.array_equal(np.ldexp(out.astype(np.float64), 7 * l), want[l])
 
 
 @needs_amx
@@ -593,9 +606,11 @@ def test_first_layer_is_the_limb_sums_rounded_once(m, d, n):
 @pytest.mark.parametrize("m, d", [(1, 1), (17, 70), (40, 784), (3, 66311)])
 def test_byte_sums_are_exact(m, d):
     rows = _limb_rows(m, d, np.random.default_rng(d))
-    sums = kernels.byte_sums(rows, np.empty((2, m), dtype=np.int64))
+    sums, squares = np.empty((2, m))
+    kernels.byte_sums(rows, sums, squares)
     wide = rows.astype(np.int64)
-    assert sums.tolist() == [wide.sum(axis=1).tolist(), (wide * wide).sum(axis=1).tolist()]
+    assert sums.tolist() == wide.sum(axis=1).tolist()
+    assert squares.tolist() == (wide * wide).sum(axis=1).tolist()
 
 
 def test_adam_kernel_names_the_first_layer():
